@@ -53,6 +53,15 @@ rosa::SearchLimits matrix_limits() {
   return limits;
 }
 
+/// The unfused reference: one standalone search() per query.
+std::vector<rosa::SearchResult> standalone_matrix(
+    const std::vector<rosa::Query>& queries, const rosa::SearchLimits& limits) {
+  std::vector<rosa::SearchResult> out;
+  out.reserve(queries.size());
+  for (const rosa::Query& q : queries) out.push_back(rosa::search(q, limits));
+  return out;
+}
+
 rosa::Query make_query(attacks::AttackId attack, caps::CapSet permitted,
                        int extra_ids, int n_syscalls = 7) {
   attacks::ScenarioInput in;
@@ -149,7 +158,7 @@ static void BM_DedupOn(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupOn);
 
-// DESIGN.md decision 13: symmetry + partial-order reduction. On (the
+// DESIGN.md decision 13: symmetry reduction. On (the
 // default), the pool's free gids collapse to one orbit representative and
 // the impossible space stops growing with the pool size; off, every
 // wildcard landing multiplies the space.
@@ -193,17 +202,19 @@ static void BM_DedupOff(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupOff);
 
-// Fused vs unfused cold matrix: Arg(1) groups each epoch's four attacks
-// into one multi-goal exploration; Arg(0) is the --no-fused-search
-// ablation running all 96 queries standalone. Results are bit-identical
-// (rosa_fused_diff_test); the counters show what the fusion shares.
+// Fused vs unfused cold matrix: Arg(1) runs the batch through run_queries,
+// which groups each epoch's four attacks into one multi-goal exploration;
+// Arg(0) is the reference, one search() per query for all 96. Results are
+// bit-identical (rosa_fused_diff_test); the counters show what the fusion
+// shares.
 static void BM_FusedMatrix(benchmark::State& state) {
   const std::vector<rosa::Query> queries = table3_matrix();
-  rosa::SearchLimits limits = matrix_limits();
-  limits.fused = state.range(0) != 0;
+  const rosa::SearchLimits limits = matrix_limits();
+  const bool fused = state.range(0) != 0;
   std::vector<rosa::SearchResult> last;
   for (auto _ : state) {
-    last = rosa::run_queries(queries, limits, 1, {}, nullptr);
+    last = fused ? rosa::run_queries(queries, limits, 1, {}, nullptr)
+                 : standalone_matrix(queries, limits);
     benchmark::DoNotOptimize(last.data());
   }
   std::size_t member_states = 0, world_states = 0, saved = 0;
@@ -219,25 +230,6 @@ static void BM_FusedMatrix(benchmark::State& state) {
       static_cast<double>(queries.size() - saved);
 }
 BENCHMARK(BM_FusedMatrix)->Arg(0)->Arg(1);
-
-// Intra-search scaling: one search, N workers expanding each BFS layer
-// (rosa/frontier.h). Arg(1) is the serial loop; higher args measure what
-// the layer-barrier determinism costs or buys at identical results.
-static void BM_IntraSearchWorkers(benchmark::State& state) {
-  rosa::Query q = impossible_query(8);
-  rosa::SearchLimits limits;
-  // Reduction off: worker scaling needs the large space, which symmetry
-  // reduction collapses to a pool-size-independent handful of states.
-  limits.reduction = false;
-  limits.search_threads = static_cast<unsigned>(state.range(0));
-  rosa::SearchResult last;
-  for (auto _ : state) {
-    last = rosa::search(q, limits);
-    benchmark::DoNotOptimize(last.stats.states);
-  }
-  report(state, last);
-}
-BENCHMARK(BM_IntraSearchWorkers)->Arg(1)->Arg(2)->Arg(4);
 
 namespace {
 
@@ -275,7 +267,7 @@ void write_perf_json(const std::string& path) {
         last.stats.states ? static_cast<double>(last.stats.state_bytes) /
                                 static_cast<double>(last.stats.states)
                           : 0.0);
-    // The --no-reduction ablation: same space without symmetry/POR. The
+    // The --no-reduction ablation: same space without symmetry. The
     // ratio is the headline win of DESIGN.md decision 13 and is asserted
     // (>= 5x) by the CI perf smoke.
     rosa::SearchLimits unreduced;
@@ -300,38 +292,6 @@ void write_perf_json(const std::string& path) {
                                 static_cast<double>(last.stats.states)
                           : 0.0);
   }
-  // Per-worker intra-search scaling curve on the larger reference space:
-  // the layered engine is bit-identical at every worker count, so states is
-  // constant and the curve isolates pure wall-clock scaling (plus the
-  // w1-vs-serial overhead of the layer-barrier structure itself).
-  // Measured with reduction off: the curve isolates layered-engine scaling
-  // on a large fixed space, which symmetry reduction would collapse to a
-  // pool-size-independent handful of states.
-  {
-    const rosa::Query q = impossible_query(8);
-    double serial_best = 0.0;
-    for (unsigned workers : {1u, 2u, 4u}) {
-      rosa::SearchLimits limits;
-      limits.reduction = false;
-      limits.search_threads = workers;
-      rosa::SearchResult last;
-      double best = 1e100;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        last = rosa::search(q, limits);
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      if (workers == 1) serial_best = best;
-      const std::string prefix = "intra_w" + std::to_string(workers) + "_";
-      metrics.emplace_back(prefix + "seconds", best);
-      metrics.emplace_back(prefix + "states_per_sec",
-                           static_cast<double>(last.stats.states) / best);
-      metrics.emplace_back(prefix + "speedup_vs_w1", serial_best / best);
-    }
-  }
   // Fused multi-goal search on the cold Table-III matrix. Per-query
   // results are pinned bit-identical to standalone runs, so the states
   // metric is structural: the shared exploration costs exactly the union
@@ -339,20 +299,18 @@ void write_perf_json(const std::string& path) {
   // actually launched (96 queries -> ~24 fused groups).
   {
     const std::vector<rosa::Query> queries = table3_matrix();
-    const rosa::SearchLimits fused_limits = matrix_limits();
-    rosa::SearchLimits unfused_limits = fused_limits;
-    unfused_limits.fused = false;
+    const rosa::SearchLimits limits = matrix_limits();
     std::vector<rosa::SearchResult> fused, unfused;
     double fused_best = 1e100, unfused_best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
       auto t0 = std::chrono::steady_clock::now();
-      fused = rosa::run_queries(queries, fused_limits, 1, {}, nullptr);
+      fused = rosa::run_queries(queries, limits, 1, {}, nullptr);
       fused_best = std::min(
           fused_best, std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count());
       t0 = std::chrono::steady_clock::now();
-      unfused = rosa::run_queries(queries, unfused_limits, 1, {}, nullptr);
+      unfused = standalone_matrix(queries, limits);
       unfused_best = std::min(
           unfused_best, std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)

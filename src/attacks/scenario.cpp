@@ -71,34 +71,6 @@ std::vector<EpochVerdicts> analyze_epochs(
     const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache) {
   PA_CHECK(rows.size() == inputs.size(),
            "analyze_epochs: rows and inputs must be parallel vectors");
-  std::vector<EpochVerdicts> out;
-  out.reserve(rows.size());
-
-  if (n_threads == 1 && !limits.fused) {
-    // The pre-parallel engine, preserved byte-for-byte (modulo the same
-    // per-query escalation ladder the parallel path runs). Fused runs take
-    // the batch path even single-threaded: run_queries needs the whole
-    // epoch matrix in one call to group the four attacks of an epoch by
-    // world signature.
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (limits.expired()) {
-        // Batch deadline: remaining epochs get hourglass cells, matching
-        // run_queries' cancelled stubs.
-        EpochVerdicts ev;
-        ev.epoch_name = rows[i].name;
-        for (std::size_t a = 0; a < modeled_attacks().size(); ++a) {
-          ev.verdicts[a] = CellVerdict::Timeout;
-          ev.results[a].verdict = rosa::Verdict::ResourceLimit;
-        }
-        out.push_back(std::move(ev));
-        continue;
-      }
-      out.push_back(
-          analyze_epoch(rows[i], inputs[i], limits, escalation, cache));
-    }
-    return out;
-  }
-
   // Flatten the (epoch × attack) matrix into one query batch; run_queries
   // guarantees input-ordered results, so row i's verdicts live at
   // [i * n_attacks, (i + 1) * n_attacks).
@@ -112,6 +84,8 @@ std::vector<EpochVerdicts> analyze_epochs(
   std::vector<rosa::SearchResult> results =
       rosa::run_queries(queries, limits, n_threads, escalation, cache);
 
+  std::vector<EpochVerdicts> out;
+  out.reserve(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EpochVerdicts ev;
     ev.epoch_name = rows[i].name;

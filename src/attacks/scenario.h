@@ -53,13 +53,14 @@ EpochVerdicts analyze_epoch(const chronopriv::EpochRow& row,
                             const rosa::EscalationPolicy& escalation = {},
                             rosa::QueryCache* cache = nullptr);
 
-/// Run the whole (epoch × attack) matrix as one batch, fanned out across
-/// `n_threads` ROSA workers (0 = hardware_concurrency). rows and inputs are
-/// parallel vectors; the result is ordered like rows. n_threads == 1 takes
-/// the serial analyze_epoch path; every other thread count produces
-/// bit-identical verdicts and witnesses — including escalated ones, since
-/// both paths run the same per-query escalation ladder
-/// (tests/rosa_parallel_diff_test.cpp, tests/pipeline_robustness_test.cpp).
+/// Run the whole (epoch × attack) matrix as one rosa::run_queries batch,
+/// fanned out across `n_threads` ROSA workers (0 = hardware_concurrency),
+/// so each epoch's four attacks fuse into one shared exploration. rows and
+/// inputs are parallel vectors; the result is ordered like rows. Every
+/// thread count produces the verdicts and witnesses per-epoch
+/// analyze_epoch calls would — including escalated ones, since both run
+/// the same per-query escalation ladder (tests/rosa_parallel_diff_test.cpp,
+/// tests/rosa_fused_diff_test.cpp, tests/pipeline_robustness_test.cpp).
 std::vector<EpochVerdicts> analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,

@@ -193,14 +193,12 @@ Frame JobRequest::to_frame() const {
       {"name", name},
       {"max_states", std::to_string(max_states)},
       {"max_bytes", std::to_string(max_bytes)},
-      {"search_threads", std::to_string(search_threads)},
       {"rosa_threads", std::to_string(rosa_threads)},
       {"escalate_rounds", std::to_string(escalate_rounds)},
       {"deadline_secs", str::fixed(deadline_secs, 3)},
       {"run_rosa", run_rosa ? "1" : "0"},
       {"use_cache", use_cache ? "1" : "0"},
       {"reduction", reduction ? "1" : "0"},
-      {"fused", fused ? "1" : "0"},
       {"filters", filters},
   };
   return Frame{MsgType::Submit, encode_kv(kv)};
@@ -214,8 +212,6 @@ JobRequest JobRequest::from_frame(const Frame& f) {
   r.name = kv_get(kv, "name");
   r.max_states = kv_get_u64(kv, "max_states", r.max_states);
   r.max_bytes = kv_get_u64(kv, "max_bytes", r.max_bytes);
-  r.search_threads =
-      static_cast<unsigned>(kv_get_u64(kv, "search_threads", r.search_threads));
   r.rosa_threads =
       static_cast<unsigned>(kv_get_u64(kv, "rosa_threads", r.rosa_threads));
   r.escalate_rounds = static_cast<unsigned>(
@@ -224,7 +220,6 @@ JobRequest JobRequest::from_frame(const Frame& f) {
   r.run_rosa = kv_get_bool(kv, "run_rosa", r.run_rosa);
   r.use_cache = kv_get_bool(kv, "use_cache", r.use_cache);
   r.reduction = kv_get_bool(kv, "reduction", r.reduction);
-  r.fused = kv_get_bool(kv, "fused", r.fused);
   r.filters = kv_get(kv, "filters", r.filters);
   return r;
 }

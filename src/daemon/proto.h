@@ -108,14 +108,12 @@ struct JobRequest {
 
   std::uint64_t max_states = 2'000'000;
   std::uint64_t max_bytes = 0;
-  unsigned search_threads = 1;
   unsigned rosa_threads = 1;
   unsigned escalate_rounds = 0;
   double deadline_secs = 0.0;  // per-job wall budget (0 = server default)
   bool run_rosa = true;
   bool use_cache = true;  // consult the daemon's resident verdict cache
-  bool reduction = true;  // symmetry + partial-order reduction (rosa/canon.h)
-  bool fused = true;      // fuse each epoch's attacks into one exploration
+  bool reduction = true;  // symmetry reduction (rosa/canon.h)
   /// EpochFilter mode: "off" | "report" | "enforce" (filter_mode_name
   /// spelling; unknown values are a job-level usage error, not a protocol
   /// error). Enforced jobs use the default -EPERM violation semantics.

@@ -154,10 +154,8 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
   std::ostringstream os;
   os << "program,epoch,attack,verdict,states,transitions,dedup_hits,"
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
-        "spilled_states,spill_bytes,symmetry_pruned,por_pruned,"
-        "escalations,fused_group_size,fused_searches_saved,"
-        "fused_world_states,engage_threshold,layers_engaged,layers_serial,"
-        "cache_hits,cache_misses,cache_joins,seconds\n";
+        "symmetry_pruned,escalations,fused_group_size,fused_searches_saved,"
+        "fused_world_states,cache_hits,cache_misses,cache_joins,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
       for (std::size_t atk = 0; atk < attacks::modeled_attacks().size();
@@ -170,14 +168,10 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.dedup_hits << ',' << r.stats.hash_collisions << ','
            << r.stats.peak_frontier << ',' << r.stats.peak_bytes << ','
            << str::fixed(r.stats.bytes_per_state(), 1) << ','
-           << r.stats.spilled_states << ',' << r.stats.spill_bytes << ','
-           << r.stats.symmetry_pruned << ',' << r.stats.por_pruned << ','
-           << r.stats.escalations << ','
+           << r.stats.symmetry_pruned << ',' << r.stats.escalations << ','
            << r.stats.fused_group_size << ','
            << r.stats.fused_searches_saved << ','
            << r.stats.fused_world_states << ','
-           << r.stats.engage_threshold << ','
-           << r.stats.layers_engaged << ',' << r.stats.layers_serial << ','
            << r.stats.cache_hits << ',' << r.stats.cache_misses << ','
            << r.stats.cache_joins << ',' << str::fixed(r.stats.seconds, 6)
            << '\n';

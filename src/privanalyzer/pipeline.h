@@ -31,18 +31,17 @@ std::optional<FilterMode> parse_filter_mode(std::string_view name);
 struct PipelineOptions {
   autopriv::Options autopriv;
   /// Per-query budgets plus engine mode flags, passed through to every
-  /// search of the matrix. rosa_limits.fused (default on) groups the four
-  /// attacks of each epoch into one shared exploration per world signature;
-  /// `--no-fused-search` clears it for A/B ablation. Fused and unfused runs
-  /// render identically (tests/rosa_fused_diff_test.cpp).
+  /// search of the matrix. The four attacks of each epoch always share one
+  /// fused exploration per world signature; results match standalone
+  /// searches (tests/rosa_fused_diff_test.cpp).
   rosa::SearchLimits rosa_limits;
   /// Skip the ROSA stage (ChronoPriv-only runs for tests/benches).
   bool run_rosa = true;
   /// Worker threads for the ROSA stage's (epoch × attack) query matrix:
-  /// 0 = hardware_concurrency, 1 = the original serial path. Every thread
-  /// count yields bit-identical verdicts, witnesses, and fractions (the
-  /// queries are independent and each search is single-threaded); enforced
-  /// by tests/rosa_parallel_diff_test.cpp.
+  /// 0 = hardware_concurrency, 1 = run every search on the calling thread.
+  /// Every thread count yields bit-identical verdicts, witnesses, and
+  /// fractions (the queries are independent and each search is
+  /// single-threaded); enforced by tests/rosa_parallel_diff_test.cpp.
   unsigned rosa_threads = 0;
   /// Adaptive budget escalation for the ROSA stage: a query that returns
   /// Verdict::ResourceLimit is retried with its SearchLimits (max_states and
@@ -114,8 +113,8 @@ inline constexpr int kExitAllFailed = 1;
 inline constexpr int kExitUsage = 2;
 inline constexpr int kExitPartialFailure = 3;
 /// SIGINT/SIGTERM interrupted the batch: in-flight searches were cancelled
-/// cooperatively (spill dirs cleaned, persistent caches already flushed for
-/// completed programs) and remaining programs were skipped.
+/// cooperatively (persistent caches already flushed for completed
+/// programs) and remaining programs were skipped.
 inline constexpr int kExitInterrupted = 4;
 
 /// Everything PrivAnalyzer produces for one program: the static report, the

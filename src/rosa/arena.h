@@ -25,8 +25,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
+
+#include "rosa/rules.h"
+#include "rosa/state.h"
 
 namespace pa::rosa {
 
@@ -90,5 +94,46 @@ class Arena {
   std::vector<std::size_t> starts_;
   std::vector<std::vector<T>> chunks_;
 };
+
+namespace detail {
+
+/// One explored state, shared by the serial and the fused engines. Both
+/// append SearchNodes to an Arena<SearchNode> and register the same heap
+/// bytes, so a fused member's replayed byte schedule (ArenaSim) — and with
+/// it every max_bytes verdict and peak_bytes figure — matches its
+/// standalone run. `aux` is the intrusive hash-chain link: the next node
+/// with the same 64-bit digest, -1 = chain end.
+struct SearchNode {
+  State state;
+  std::int64_t parent = -1;
+  Action action;
+  std::int64_t aux = -1;
+};
+
+/// Replays the Arena<SearchNode> byte schedule for one member of a fused
+/// search as a pure function of that member's own commit sequence: chunk
+/// reservations (16, then doubling up to the 128 cap — Arena's defaults)
+/// plus the registered per-node extra heap bytes. After k push() calls with
+/// the same extras a standalone run registered, bytes() equals that run's
+/// nodes.bytes() after k commits — so skeleton bytes + bytes() replays the
+/// standalone arena footprint exactly.
+struct ArenaSim {
+  std::size_t size = 0;
+  std::size_t reserved = 0;
+  std::size_t extra = 0;
+  std::size_t next_cap = 16;
+
+  void push(std::size_t extra_bytes) {
+    if (size == reserved) {
+      reserved += next_cap;
+      next_cap = std::min<std::size_t>(next_cap * 2, 128);
+    }
+    ++size;
+    extra += extra_bytes;
+  }
+  std::size_t bytes() const { return reserved * sizeof(SearchNode) + extra; }
+};
+
+}  // namespace detail
 
 }  // namespace pa::rosa

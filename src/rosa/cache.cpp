@@ -85,11 +85,6 @@ struct QueryCache::Entry {
   std::size_t sig_max_bytes = 0;
   unsigned sig_rounds = 0;
   double sig_factor = 2.0;
-  /// Whether the run had frontier spilling enabled (spill_dir + byte
-  /// budget). Part of rule 1's signature: a spill run completes searches a
-  /// non-spill run at the same budgets declares ResourceLimit on, so the
-  /// two must never answer for each other via the exact-signature rule.
-  bool sig_spill = false;
   /// ResourceLimit entries: the decisive attempt's max_states (rule 3).
   std::size_t decisive_budget = 0;
 };
@@ -110,7 +105,6 @@ bool sig_matches(const QueryCache::Entry& e, const SearchLimits& limits,
   return e.sig_max_states == limits.max_states &&
          e.sig_max_seconds == limits.max_seconds &&
          e.sig_max_bytes == limits.max_bytes &&
-         e.sig_spill == limits.spill_enabled() &&
          e.sig_rounds == (esc.enabled() ? esc.rounds : 0) &&
          (!esc.enabled() || e.sig_factor == esc.factor);
 }
@@ -160,19 +154,15 @@ std::optional<QueryCache::Entry> make_entry(const SearchResult& r,
   e.stats = r.stats;
   e.stats.cache_hits = e.stats.cache_misses = e.stats.cache_joins = 0;
   // Mode-of-computation observability, not query cost: a warm hit must be
-  // byte-identical whether the entry was computed by a fused group, a
-  // standalone search, or a multi-worker layered run.
+  // byte-identical whether the entry was computed by a fused group or a
+  // standalone search.
   e.stats.fused_group_size = 0;
   e.stats.fused_searches_saved = 0;
   e.stats.fused_world_states = 0;
-  e.stats.engage_threshold = 0;
-  e.stats.layers_engaged = 0;
-  e.stats.layers_serial = 0;
   e.witness = r.witness;
   e.sig_max_states = limits.max_states;
   e.sig_max_seconds = limits.max_seconds;
   e.sig_max_bytes = limits.max_bytes;
-  e.sig_spill = limits.spill_enabled();
   e.sig_rounds = esc.enabled() ? esc.rounds : 0;
   e.sig_factor = esc.factor;
   return e;
@@ -474,24 +464,22 @@ std::size_t QueryCache::size() const {
 // ---------------------------------------------------------------------------
 // Persistence. Versioned text format, all-or-nothing load:
 //
-//   privanalyzer-rosa-cache v4 model=<kRosaModelVersion>
+//   privanalyzer-rosa-cache v5 model=<kRosaModelVersion>
 //   e <fp> <verdict> <states> <transitions> <seconds> <dedup> <collisions>
 //     <peak-frontier> <peak-bytes> <state-bytes> <escalations>
 //     <decisive-states> <sig-max-states> <sig-max-seconds> <sig-max-bytes>
-//     <sig-rounds> <sig-factor> <sig-spill> <spilled-states> <spill-bytes>
-//     <symmetry-pruned> <por-pruned> <decisive-budget> <n-witness> (one line)
+//     <sig-rounds> <sig-factor> <symmetry-pruned> <decisive-budget>
+//     <n-witness>                                         (one line)
 //   w <sys> <proc> <privs> <n-args> <args...>           (n-witness lines)
 //   end
 //
-// v2 added peak-bytes, state-bytes, sig-max-bytes, and decisive-states
-// (the final attempt's state count, which the reuse rules reason over;
-// <states> stays the cumulative across-retries total). v3 added the
-// frontier-spill surface: sig-spill (0/1, part of the rule-1 signature)
-// plus the spilled-states/spill-bytes work counters. v4 added the
-// reduction counters symmetry-pruned/por-pruned (reduced and unreduced
-// runs never share an entry — SearchLimits::reduction is salted into the
-// fingerprint). Older files are rejected by the
-// version header like any other stale cache. Any deviation — wrong version,
+// <states> is the cumulative across-retries total; <decisive-states> is the
+// final attempt's count, which the reuse rules reason over. Reduced and
+// unreduced runs never share an entry: SearchLimits::reduction is salted
+// into the fingerprint. v5 dropped v4's frontier-spill signature bit and
+// its spill and partial-order-reduction counters together with those
+// mechanisms. Older files are rejected by the version header like any
+// other stale cache. Any deviation — wrong version,
 // wrong model salt, malformed line, missing `end` sentinel (truncation) —
 // rejects the whole file: a cache may always be discarded, never trusted
 // partially.
@@ -500,7 +488,7 @@ std::size_t QueryCache::size() const {
 namespace {
 
 std::string header_line() {
-  return str::cat("privanalyzer-rosa-cache v4 model=", kRosaModelVersion);
+  return str::cat("privanalyzer-rosa-cache v5 model=", kRosaModelVersion);
 }
 
 std::vector<std::string_view> fields(std::string_view line) {
@@ -573,7 +561,7 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
       continue;
     }
     const std::vector<std::string_view> f = fields(line);
-    if (f.size() != 25 || f[0] != "e") return fail("malformed entry line");
+    if (f.size() != 21 || f[0] != "e") return fail("malformed entry line");
     const std::optional<Fingerprint> fp = Fingerprint::from_hex(f[1]);
     const std::optional<Verdict> verdict = parse_verdict(f[2]);
     const auto states = parse_u64(f[3]);
@@ -591,20 +579,14 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
     const auto sig_bytes = parse_u64(f[15]);
     const auto sig_rounds = parse_u64(f[16]);
     const auto sig_factor = parse_double(f[17]);
-    const auto sig_spill = parse_u64(f[18]);
-    const auto spilled_states = parse_u64(f[19]);
-    const auto spill_bytes = parse_u64(f[20]);
-    const auto symmetry_pruned = parse_u64(f[21]);
-    const auto por_pruned = parse_u64(f[22]);
-    const auto decisive = parse_u64(f[23]);
-    const auto n_witness = parse_u64(f[24]);
+    const auto symmetry_pruned = parse_u64(f[18]);
+    const auto decisive = parse_u64(f[19]);
+    const auto n_witness = parse_u64(f[20]);
     if (!fp || !verdict || !states || !transitions || !seconds || !dedup ||
         !collisions || !peak || !peak_bytes || !state_bytes ||
         !escalations || !decisive_states || !sig_states || !sig_seconds ||
-        !sig_bytes || !sig_rounds || !sig_factor || !sig_spill ||
-        *sig_spill > 1 || !spilled_states || !spill_bytes ||
-        !symmetry_pruned || !por_pruned || !decisive ||
-        !n_witness || *n_witness > 4096)
+        !sig_bytes || !sig_rounds || !sig_factor || !symmetry_pruned ||
+        !decisive || !n_witness || *n_witness > 4096)
       return fail("malformed entry line");
 
     Entry e;
@@ -624,11 +606,7 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
     e.sig_max_bytes = *sig_bytes;
     e.sig_rounds = static_cast<unsigned>(*sig_rounds);
     e.sig_factor = *sig_factor;
-    e.sig_spill = *sig_spill != 0;
-    e.stats.spilled_states = *spilled_states;
-    e.stats.spill_bytes = *spill_bytes;
     e.stats.symmetry_pruned = *symmetry_pruned;
-    e.stats.por_pruned = *por_pruned;
     e.decisive_budget = *decisive;
     if (e.stats.decisive_states > e.stats.states)
       return fail("inconsistent entry (decisive > cumulative states)");
@@ -714,9 +692,7 @@ bool QueryCache::save_file(const std::string& path,
           e.stats.escalations, " ", e.stats.decisive_states, " ",
           e.sig_max_states, " ", fmt_double(e.sig_max_seconds), " ",
           e.sig_max_bytes, " ", e.sig_rounds, " ", fmt_double(e.sig_factor),
-          " ", e.sig_spill ? 1 : 0, " ", e.stats.spilled_states, " ",
-          e.stats.spill_bytes, " ", e.stats.symmetry_pruned, " ",
-          e.stats.por_pruned, " ", e.decisive_budget, " ",
+          " ", e.stats.symmetry_pruned, " ", e.decisive_budget, " ",
           e.witness.size(), "\n");
       for (const Action& a : e.witness) {
         block += str::cat("w ", sys_name(a.sys), " ", a.proc, " ",

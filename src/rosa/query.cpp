@@ -1,7 +1,5 @@
 #include "rosa/query.h"
 
-#include <algorithm>
-
 #include "os/access.h"
 #include "support/str.h"
 
@@ -9,19 +7,9 @@ namespace pa::rosa {
 namespace {
 
 // Every shipped builder inspects fdsets, sockets, or running flags — never
-// a uid or gid — so all are identity-invariant with an exhaustive touch
-// set, unlocking symmetry and partial-order reduction (rosa/canon.h,
-// rosa/independence.h) for the queries they describe.
-GoalInfo touch(std::vector<int> fd_procs, std::vector<int> run_procs,
-               std::vector<int> sock_procs) {
-  GoalInfo info;
-  info.identity_invariant = true;
-  info.touch_known = true;
-  info.fd_procs = std::move(fd_procs);
-  info.run_procs = std::move(run_procs);
-  info.sock_procs = std::move(sock_procs);
-  return info;
-}
+// a uid or gid — so all are identity-invariant, unlocking symmetry
+// reduction (rosa/canon.h) for the queries they describe.
+constexpr GoalInfo kIdentityInvariant{/*identity_invariant=*/true};
 
 }  // namespace
 
@@ -32,7 +20,7 @@ Goal goal_file_in_rdfset(int proc, int file) {
                return p && p->rdfset.contains(file);
              },
              str::cat("rdfset:", proc, ":", file))
-      .with_info(touch({proc}, {}, {}));
+      .with_info(kIdentityInvariant);
 }
 
 Goal goal_file_in_wrfset(int proc, int file) {
@@ -42,7 +30,7 @@ Goal goal_file_in_wrfset(int proc, int file) {
                return p && p->wrfset.contains(file);
              },
              str::cat("wrfset:", proc, ":", file))
-      .with_info(touch({proc}, {}, {}));
+      .with_info(kIdentityInvariant);
 }
 
 Goal goal_privileged_port_bound(int proc) {
@@ -55,7 +43,7 @@ Goal goal_privileged_port_bound(int proc) {
                return false;
              },
              str::cat("privport:", proc))
-      .with_info(touch({}, {}, {proc}));
+      .with_info(kIdentityInvariant);
 }
 
 Goal goal_proc_terminated(int victim) {
@@ -65,7 +53,7 @@ Goal goal_proc_terminated(int victim) {
                return p && !p->running;
              },
              str::cat("terminated:", victim))
-      .with_info(touch({}, {victim}, {}));
+      .with_info(kIdentityInvariant);
 }
 
 namespace {
@@ -76,23 +64,9 @@ std::string compose_key(std::string_view op, const Goal& a, const Goal& b) {
   return str::cat(op, "(", a.cache_key(), ",", b.cache_key(), ")");
 }
 
-/// Composite annotations: invariance needs both operands invariant, the
-/// touch sets union (and are exhaustive only when both operands' are).
+/// Composite annotations: invariance needs both operands invariant.
 GoalInfo compose_info(const Goal& a, const Goal& b) {
-  const auto merge = [](std::vector<int> x, const std::vector<int>& y) {
-    x.insert(x.end(), y.begin(), y.end());
-    std::sort(x.begin(), x.end());
-    x.erase(std::unique(x.begin(), x.end()), x.end());
-    return x;
-  };
-  GoalInfo info;
-  info.identity_invariant =
-      a.info().identity_invariant && b.info().identity_invariant;
-  info.touch_known = a.info().touch_known && b.info().touch_known;
-  info.fd_procs = merge(a.info().fd_procs, b.info().fd_procs);
-  info.run_procs = merge(a.info().run_procs, b.info().run_procs);
-  info.sock_procs = merge(a.info().sock_procs, b.info().sock_procs);
-  return info;
+  return GoalInfo{a.info().identity_invariant && b.info().identity_invariant};
 }
 
 }  // namespace

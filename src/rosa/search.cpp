@@ -3,8 +3,6 @@
 #include "rosa/arena.h"
 #include "rosa/cache.h"
 #include "rosa/canon.h"
-#include "rosa/frontier.h"
-#include "rosa/independence.h"
 #include "rosa/rules.h"
 
 #include <algorithm>
@@ -46,10 +44,7 @@ void SearchStats::merge(const SearchStats& other) {
   peak_frontier = std::max(peak_frontier, other.peak_frontier);
   peak_bytes = std::max(peak_bytes, other.peak_bytes);
   state_bytes += other.state_bytes;
-  spilled_states += other.spilled_states;
-  spill_bytes += other.spill_bytes;
   symmetry_pruned += other.symmetry_pruned;
-  por_pruned += other.por_pruned;
   escalations += other.escalations;
   decisive_states += other.decisive_states;
   seconds += other.seconds;
@@ -59,9 +54,12 @@ void SearchStats::merge(const SearchStats& other) {
   fused_group_size = std::max(fused_group_size, other.fused_group_size);
   fused_searches_saved += other.fused_searches_saved;
   fused_world_states += other.fused_world_states;
-  engage_threshold = std::max(engage_threshold, other.engage_threshold);
-  layers_engaged += other.layers_engaged;
-  layers_serial += other.layers_serial;
+}
+
+void SearchStats::add_retry(const SearchStats& retry) {
+  merge(retry);
+  ++escalations;
+  decisive_states = retry.decisive_states;
 }
 
 std::string SearchStats::to_string() const {
@@ -70,17 +68,11 @@ std::string SearchStats::to_string() const {
                   " hash-collisions=", hash_collisions,
                   " peak-frontier=", peak_frontier,
                   " peak-bytes=", peak_bytes,
-                  " spilled-states=", spilled_states,
-                  " spill-bytes=", spill_bytes,
                   " symmetry-pruned=", symmetry_pruned,
-                  " por-pruned=", por_pruned,
                   " escalations=", escalations,
                   " fused-group=", fused_group_size,
                   " fused-saved=", fused_searches_saved,
                   " fused-world-states=", fused_world_states,
-                  " engage-threshold=", engage_threshold,
-                  " layers-engaged=", layers_engaged,
-                  " layers-serial=", layers_serial,
                   " cache-hits=", cache_hits,
                   " cache-misses=", cache_misses, " cache-joins=", cache_joins,
                   " time=", str::fixed(seconds, 3), "s");
@@ -98,18 +90,136 @@ std::string SearchResult::to_string() const {
   return out;
 }
 
+namespace {
+
+using detail::SearchNode;
+
+/// A mask with the low `n` bits set (n <= 64): all of a query's messages,
+/// or all members of a fused group.
+std::uint64_t low_bits(std::size_t n) {
+  return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/// The shared world skeleton's footprint, charged once per search (every
+/// node references the same instance). Capacity-based and
+/// allocator-independent, like the arena's own accounting, so max_bytes
+/// exhaustion is deterministic.
+std::size_t skeleton_bytes(const State& init) {
+  const auto& world = init.world();
+  if (!world) return 0;
+  std::size_t bytes =
+      sizeof(WorldSkeleton) +
+      world->names.capacity() * sizeof(std::pair<int, std::string>) +
+      (world->users.capacity() + world->groups.capacity()) * sizeof(int);
+  for (const auto& [id, name] : world->names)
+    bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
+  return bytes;
+}
+
+/// The dedup key of a state: its incremental digest, or the test hook's
+/// override. check_hashes pins the digest to a from-scratch rehash.
+std::uint64_t state_key(const State& st, const SearchLimits& limits) {
+  if (limits.check_hashes)
+    PA_CHECK(st.hash() == st.full_hash(),
+             "incremental state digest diverged from full rehash");
+  return limits.hash_override ? limits.hash_override(st) : st.hash();
+}
+
+/// The symmetry plan for one search: disabled when limits.reduction is off
+/// or the query is ineligible (compute_symmetry), in which case the search
+/// loops degenerate to the unreduced reference search.
+SymmetryInfo symmetry_for(const Query& query, const SearchLimits& limits) {
+  return limits.reduction ? compute_symmetry(query) : SymmetryInfo{};
+}
+
+/// One buffered successor: the message index that produced it plus the
+/// transition (next state already has msgs_remaining cleared).
+struct ExpandedTransition {
+  unsigned msg = 0;
+  Transition tr;
+};
+
+/// Expand one state: apply every unconsumed message allowed by `fire_mask`
+/// in ascending index order, appending the successors to `out` in exactly
+/// the order the serial loop commits them. `fire_mask` is the query's
+/// msg_mask for standalone searches and the union of the live members'
+/// masks for the fused engine; masked-out messages stay in msgs_remaining
+/// forever (shared canonical representation across masks) and simply
+/// never fire. The CfiOrdered program-order gate is applied against the
+/// FULL message list: masked-out later messages are never consumed, so the
+/// gate degenerates to program order over the mask's subsequence — the
+/// same semantics a tailored per-attack message list had. `scratch` is
+/// reusable transition storage.
+void expand_state(const State& cur, const Query& query,
+                  const AccessChecker& checker, std::uint64_t full_msg_mask,
+                  std::uint64_t fire_mask,
+                  std::vector<ExpandedTransition>& out,
+                  std::vector<Transition>& scratch) {
+  out.clear();
+  const std::uint64_t cur_msgs = cur.msgs_remaining();
+  const std::uint64_t fire = cur_msgs & fire_mask;
+  for (std::size_t mi = 0; mi < query.messages.size(); ++mi) {
+    const std::uint64_t bit = std::uint64_t{1} << mi;
+    if (!(fire & bit)) continue;
+    // CFI-ordered attackers must issue syscalls in program order: message
+    // i is usable only while every later message is still unconsumed
+    // (skipping forward is allowed, going back is not).
+    if (query.attacker == AttackerModel::CfiOrdered) {
+      const std::uint64_t later_in_range = ~((bit << 1) - 1) & full_msg_mask;
+      if ((cur_msgs & later_in_range) != later_in_range) continue;
+    }
+    apply_message(cur, query.messages[mi], query.attacker, checker, scratch);
+    for (Transition& tr : scratch) {
+      tr.next.set_msgs_remaining(cur_msgs & ~bit);
+      out.push_back(
+          ExpandedTransition{static_cast<unsigned>(mi), std::move(tr)});
+    }
+  }
+}
+
+/// The witness ending at `goal_node`, translated back into the original
+/// identity frame. Stored actions live in the canonical frame of their
+/// parent, i.e. the original frame composed with rho = sigma_{i-1} ∘ … ∘
+/// sigma_1; undo rho per step, then fold in this step's own renaming.
+std::vector<Action> witness_to(
+    const Arena<SearchNode>& nodes,
+    const std::unordered_map<std::size_t, Renaming>& renames,
+    std::int64_t goal_node) {
+  std::vector<std::size_t> path;
+  for (std::int64_t n = goal_node; n > 0;
+       n = nodes[static_cast<std::size_t>(n)].parent)
+    path.push_back(static_cast<std::size_t>(n));
+  std::reverse(path.begin(), path.end());
+  std::vector<Action> witness;
+  Renaming rho;
+  for (std::size_t n : path) {
+    Action step = nodes[n].action;
+    unrename_action(step, rho);
+    witness.push_back(std::move(step));
+    const auto it = renames.find(n);
+    if (it != renames.end()) compose_renaming(rho, it->second);
+  }
+  return witness;
+}
+
+/// Grow every set budget by `factor` — one rung of an escalation ladder.
+void grow_budgets(SearchLimits& limits, double factor) {
+  if (limits.max_states)
+    limits.max_states = static_cast<std::size_t>(
+        static_cast<double>(limits.max_states) * factor);
+  if (limits.max_seconds > 0) limits.max_seconds *= factor;
+  if (limits.max_bytes)
+    limits.max_bytes = static_cast<std::size_t>(
+        static_cast<double>(limits.max_bytes) * factor);
+}
+
+}  // namespace
+
 SearchResult search(const Query& query, const SearchLimits& limits) {
   PA_FAULTPOINT("rosa.search");
   PA_CHECK(query.messages.size() <= 64,
            "ROSA tracks at most 64 one-shot messages");
   PA_CHECK(static_cast<bool>(query.goal), "query has no goal predicate");
-
-  // Intra-search parallelism and frontier spilling both run on the layered
-  // engine (rosa/frontier.cpp), which is proven bit-identical to the serial
-  // loop below by tests/rosa_intra_parallel_diff_test.cpp. The serial loop
-  // stays as the reference implementation and the single-threaded default.
-  if (limits.search_threads != 1 || limits.spill_enabled())
-    return detail::search_layered(query, limits);
 
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0] {
@@ -120,18 +230,14 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
 
   SearchResult result;
 
-  // The node layout is shared with the layered engine so both charge the
-  // arena an identical byte schedule (see detail::SearchNode). Here `aux`
-  // is the intrusive hash chain: the next node with the same 64-bit state
-  // hash (-1 = end of chain); the seen-map stores one head index per hash,
-  // and genuine collisions extend the chain instead of allocating per-key
-  // buckets.
-  using Node = detail::SearchNode;
   // Chunked arena: node addresses are stable across appends (no whole-array
   // reallocation), and bytes() gives the footprint SearchLimits::max_bytes
-  // bounds and SearchStats::peak_bytes reports.
-  Arena<Node> nodes;
-  // Hash of canonical form -> head of the Node chain with that hash. Keying
+  // bounds and SearchStats::peak_bytes reports. A node's `aux` is the
+  // intrusive hash chain: the seen-map stores one head index per hash, and
+  // genuine collisions extend the chain instead of allocating per-key
+  // buckets.
+  Arena<SearchNode> nodes;
+  // Hash of canonical form -> head of the node chain with that hash. Keying
   // on 8-byte digests instead of full canonical() strings removes one string
   // build + hash per generated successor; exactness is restored by
   // canonical_equal() along the (almost always length-1) chain.
@@ -145,46 +251,18 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
                         : 4096;
   seen.reserve(reserve_hint);
 
-  auto state_key = [&limits](const State& st) {
-    if (limits.check_hashes)
-      PA_CHECK(st.hash() == st.full_hash(),
-               "incremental state digest diverged from full rehash");
-    return limits.hash_override ? limits.hash_override(st) : st.hash();
-  };
-
-  const std::uint64_t full_msg_mask =
-      query.messages.empty()
-          ? 0
-          : (query.messages.size() == 64
-                 ? ~std::uint64_t{0}
-                 : (std::uint64_t{1} << query.messages.size()) - 1);
+  const std::uint64_t full_msg_mask = low_bits(query.messages.size());
 
   State init = query.initial;
   init.normalize();
   init.set_msgs_remaining(full_msg_mask);
 
-  // Byte accounting: the shared world skeleton is charged once per search
-  // (every node references the same instance), each node's own heap
-  // allocations are registered with the arena as it is appended. The
-  // accounting is capacity-based and allocator-independent, so max_bytes
-  // exhaustion is deterministic.
-  std::size_t skeleton_bytes = 0;
-  if (const auto& world = init.world()) {
-    skeleton_bytes = sizeof(WorldSkeleton) +
-                     world->names.capacity() *
-                         sizeof(std::pair<int, std::string>) +
-                     (world->users.capacity() + world->groups.capacity()) *
-                         sizeof(int);
-    for (const auto& [id, name] : world->names)
-      skeleton_bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
-  }
-  auto arena_bytes = [&] { return skeleton_bytes + nodes.bytes(); };
+  // Byte accounting: the skeleton once, plus each node's own heap
+  // allocations registered with the arena as it is appended.
+  const std::size_t skeleton = skeleton_bytes(init);
+  auto arena_bytes = [&] { return skeleton + nodes.bytes(); };
 
-  // Symmetry + partial-order reduction plan (rosa/canon.h,
-  // rosa/independence.h); empty when limits.reduction is off or the query
-  // is ineligible, in which case the loop below degenerates to the classic
-  // unreduced reference search.
-  const ReductionPlan plan = make_reduction_plan(query, limits);
+  const SymmetryInfo sym = symmetry_for(query, limits);
   // Node index -> the (non-identity) renaming its state underwent during
   // canonicalization, needed to translate witness actions back into the
   // original identity frame. Sparse: most canonicalizations are identities.
@@ -194,30 +272,14 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
     result.verdict = v;
     result.stats.seconds = elapsed();
     result.stats.decisive_states = result.stats.states;
-    if (goal_node >= 0) {
-      std::vector<std::size_t> path;
-      for (std::int64_t n = goal_node; n > 0;
-           n = nodes[static_cast<std::size_t>(n)].parent)
-        path.push_back(static_cast<std::size_t>(n));
-      std::reverse(path.begin(), path.end());
-      // Stored actions live in the canonical frame of their parent, i.e.
-      // the original frame composed with rho = sigma_{i-1} ∘ … ∘ sigma_1.
-      // Undo rho per step, then fold in this step's own renaming.
-      Renaming rho;
-      for (std::size_t n : path) {
-        Action step = nodes[n].action;
-        unrename_action(step, rho);
-        result.witness.push_back(std::move(step));
-        const auto it = renames.find(n);
-        if (it != renames.end()) compose_renaming(rho, it->second);
-      }
-    }
+    if (goal_node >= 0) result.witness = witness_to(nodes, renames, goal_node);
     return result;
   };
 
   {
-    const std::uint64_t init_key = state_key(init);
-    Node& root = nodes.push_back(Node{std::move(init), -1, Action{}, -1});
+    const std::uint64_t init_key = state_key(init, limits);
+    SearchNode& root =
+        nodes.push_back(SearchNode{std::move(init), -1, Action{}, -1});
     nodes.add_bytes(root.state.heap_bytes());
     result.stats.state_bytes = sizeof(State) + root.state.heap_bytes();
     seen.emplace(init_key, 0);
@@ -229,9 +291,8 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
   }
 
   // Hoisted out of the pop loop: the checker never changes mid-search, and
-  // the successor scratch vector keeps its capacity across every
-  // apply_message call instead of allocating a fresh vector per (state,
-  // message) pair.
+  // the successor scratch vectors keep their capacity across every
+  // expansion instead of allocating per (state, message) pair.
   const AccessChecker& ck = query.checker ? *query.checker : linux_checker();
   std::vector<Transition> scratch;
   std::vector<ExpandedTransition> expanded;
@@ -251,24 +312,20 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
     // referenced across successor appends without re-fetching by index.
     const State& cur_state = nodes[cur].state;
 
-    // expand_state applies either the chosen ample set (POR) or every
-    // unconsumed message (including the CfiOrdered program-order gate),
-    // buffering successors in the exact order the classic loop produced.
-    result.stats.por_pruned +=
-        expand_state(cur_state, query, ck, plan.por() ? &plan.table : nullptr,
-                     full_msg_mask, query.msg_mask, expanded, scratch);
+    expand_state(cur_state, query, ck, full_msg_mask, query.msg_mask,
+                 expanded, scratch);
     for (ExpandedTransition& et : expanded) {
       Transition& tr = et.tr;
       ++result.stats.transitions;
       Renaming sigma;
-      if (plan.sym()) {
-        sigma = canonicalize(tr.next, plan.symmetry);
+      if (sym.enabled()) {
+        sigma = canonicalize(tr.next, sym);
         if (!sigma.identity()) ++result.stats.symmetry_pruned;
       }
 
       const std::size_t ni = nodes.size();
       if (!limits.no_dedup) {
-        auto [it, inserted] = seen.try_emplace(state_key(tr.next), ni);
+        auto [it, inserted] = seen.try_emplace(state_key(tr.next, limits), ni);
         if (!inserted) {
           // Hash already present: walk the chain; exact match = duplicate,
           // otherwise it is a genuine 64-bit collision and the new state
@@ -291,10 +348,10 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
           nodes[idx].aux = static_cast<std::int64_t>(ni);
         }
       }
-      Node& added =
-          nodes.push_back(Node{std::move(tr.next),
-                               static_cast<std::int64_t>(cur),
-                               std::move(tr.action), -1});
+      SearchNode& added =
+          nodes.push_back(SearchNode{std::move(tr.next),
+                                     static_cast<std::int64_t>(cur),
+                                     std::move(tr.action), -1});
       nodes.add_bytes(added.state.heap_bytes() +
                       added.action.args.capacity() * sizeof(int));
       result.stats.state_bytes += sizeof(State) + added.state.heap_bytes();
@@ -330,33 +387,11 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
     // A batch deadline or cancellation caused (or would immediately re-cause)
     // the ResourceLimit; retrying past it is wasted work.
     if (grown.expired()) break;
-    if (grown.max_states)
-      grown.max_states = static_cast<std::size_t>(
-          static_cast<double>(grown.max_states) * policy.factor);
-    if (grown.max_seconds > 0) grown.max_seconds *= policy.factor;
-    if (grown.max_bytes)
-      grown.max_bytes = static_cast<std::size_t>(
-          static_cast<double>(grown.max_bytes) * policy.factor);
+    grow_budgets(grown, policy.factor);
     result = search(query, grown);
-    accumulated.escalations += 1;
-    accumulated.states += result.stats.states;
-    accumulated.transitions += result.stats.transitions;
-    accumulated.dedup_hits += result.stats.dedup_hits;
-    accumulated.hash_collisions += result.stats.hash_collisions;
-    accumulated.peak_frontier =
-        std::max(accumulated.peak_frontier, result.stats.peak_frontier);
-    accumulated.peak_bytes =
-        std::max(accumulated.peak_bytes, result.stats.peak_bytes);
-    accumulated.state_bytes += result.stats.state_bytes;
-    accumulated.spilled_states += result.stats.spilled_states;
-    accumulated.spill_bytes += result.stats.spill_bytes;
-    accumulated.symmetry_pruned += result.stats.symmetry_pruned;
-    accumulated.por_pruned += result.stats.por_pruned;
-    accumulated.seconds += result.stats.seconds;
+    accumulated.add_retry(result.stats);
   }
-  // The decisive attempt's verdict/witness with whole-query work accounting;
-  // decisive_states alone tracks the final attempt, not the sum.
-  accumulated.decisive_states = result.stats.decisive_states;
+  // The decisive attempt's verdict/witness with whole-query work accounting.
   result.stats = accumulated;
   return result;
 }
@@ -381,8 +416,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits) {
   PA_CHECK(!group.empty(), "search_fused needs at least one query");
   PA_CHECK(group.size() <= 64, "fused groups are capped at 64 members");
-  PA_CHECK(!limits.spill_enabled(),
-           "the fused engines do not support frontier spilling");
   if (group.size() == 1) return {search(group[0], limits)};
   for (const Query& q : group) {
     PA_FAULTPOINT("rosa.search");
@@ -393,7 +426,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
                  q.attacker == group[0].attacker,
              "fused group members must share one world");
   }
-  if (limits.search_threads != 1) return search_fused_layered(group, limits);
 
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0] {
@@ -406,12 +438,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   const Query& world_q = group[0];
   std::vector<SearchResult> results(n_members);
 
-  const std::uint64_t full_msg_mask =
-      world_q.messages.empty()
-          ? 0
-          : (world_q.messages.size() == 64
-                 ? ~std::uint64_t{0}
-                 : (std::uint64_t{1} << world_q.messages.size()) - 1);
+  const std::uint64_t full_msg_mask = low_bits(world_q.messages.size());
 
   // Per-member replay: the fused exploration walks the union graph once,
   // and each member's standalone run is re-enacted on the side — membership
@@ -428,8 +455,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   for (std::size_t m = 0; m < n_members; ++m)
     members[m].mask = group[m].msg_mask & full_msg_mask;
 
-  std::uint64_t live = n_members == 64 ? ~std::uint64_t{0}
-                                       : (std::uint64_t{1} << n_members) - 1;
+  std::uint64_t live = low_bits(n_members);
   std::uint64_t live_fire = 0;
   auto refresh_fire = [&] {
     live_fire = 0;
@@ -447,8 +473,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     return ms;
   };
 
-  using Node = SearchNode;
-  Arena<Node> nodes;
+  Arena<SearchNode> nodes;
   std::unordered_map<std::uint64_t, std::size_t> seen;
   std::deque<std::size_t> frontier;
   const std::size_t reserve_hint =
@@ -456,32 +481,14 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
                         : 4096;
   seen.reserve(reserve_hint);
 
-  auto state_key = [&limits](const State& st) {
-    if (limits.check_hashes)
-      PA_CHECK(st.hash() == st.full_hash(),
-               "incremental state digest diverged from full rehash");
-    return limits.hash_override ? limits.hash_override(st) : st.hash();
-  };
-
   State init = world_q.initial;
   init.normalize();
   init.set_msgs_remaining(full_msg_mask);
+  const std::size_t skeleton = skeleton_bytes(init);
 
-  std::size_t skeleton_bytes = 0;
-  if (const auto& world = init.world()) {
-    skeleton_bytes = sizeof(WorldSkeleton) +
-                     world->names.capacity() *
-                         sizeof(std::pair<int, std::string>) +
-                     (world->users.capacity() + world->groups.capacity()) *
-                         sizeof(int);
-    for (const auto& [id, name] : world->names)
-      skeleton_bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
-  }
-
-  // Grouping (run_queries) guarantees every member computes this same plan:
-  // symmetry eligibility and the independence table are part of the group
-  // key, and POR is refused outright under proper masks.
-  const ReductionPlan plan = make_reduction_plan(world_q, limits);
+  // Grouping (run_queries) guarantees every member computes this same
+  // symmetry plan: symmetry eligibility is part of the group key.
+  const SymmetryInfo sym = symmetry_for(world_q, limits);
   std::unordered_map<std::size_t, Renaming> renames;
 
   auto decide = [&](std::size_t m, Verdict v, std::int64_t goal_node) {
@@ -490,31 +497,18 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     res.verdict = v;
     mem.stats.seconds = elapsed();
     mem.stats.decisive_states = mem.stats.states;
-    if (goal_node >= 0) {
-      std::vector<std::size_t> path;
-      for (std::int64_t nd = goal_node; nd > 0;
-           nd = nodes[static_cast<std::size_t>(nd)].parent)
-        path.push_back(static_cast<std::size_t>(nd));
-      std::reverse(path.begin(), path.end());
-      // Every node on the path is m-intrinsic (ancestors consume subsets),
-      // so the walk is identical to the standalone finish().
-      Renaming rho;
-      for (std::size_t nd : path) {
-        Action step = nodes[nd].action;
-        unrename_action(step, rho);
-        res.witness.push_back(std::move(step));
-        const auto it = renames.find(nd);
-        if (it != renames.end()) compose_renaming(rho, it->second);
-      }
-    }
+    // Every node on the path is m-intrinsic (ancestors consume subsets),
+    // so the walk is identical to the standalone finish().
+    if (goal_node >= 0) res.witness = witness_to(nodes, renames, goal_node);
     res.stats = mem.stats;
     live &= ~(std::uint64_t{1} << m);
     refresh_fire();
   };
 
   {
-    const std::uint64_t init_key = state_key(init);
-    Node& root = nodes.push_back(Node{std::move(init), -1, Action{}, -1});
+    const std::uint64_t init_key = state_key(init, limits);
+    SearchNode& root =
+        nodes.push_back(SearchNode{std::move(init), -1, Action{}, -1});
     const std::size_t heap = root.state.heap_bytes();
     nodes.add_bytes(heap);
     seen.emplace(init_key, 0);
@@ -526,7 +520,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       mem.stats.states = 1;
       mem.frontier = 1;
       mem.stats.peak_frontier = 1;
-      mem.stats.peak_bytes = skeleton_bytes + mem.sim.bytes();
+      mem.stats.peak_bytes = skeleton + mem.sim.bytes();
       if (group[m].goal(root.state)) decide(m, Verdict::Reachable, 0);
     }
   }
@@ -555,18 +549,8 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     for_members(live_owners, [&](std::size_t m) { --members[m].frontier; });
     if (!live_owners) continue;
 
-    const std::size_t pruned =
-        expand_state(cur_state, world_q, ck,
-                     plan.por() ? &plan.table : nullptr, full_msg_mask,
-                     live_fire, expanded, scratch);
-    if (pruned)
-      // POR only engages when every mask is full (build() refuses proper
-      // masks), so the ample choice — and this charge — is exactly what
-      // every live member's standalone pop would have done.
-      for_members(live_owners, [&](std::size_t m) {
-        members[m].stats.por_pruned += pruned;
-      });
-
+    expand_state(cur_state, world_q, ck, full_msg_mask, live_fire, expanded,
+                 scratch);
     for (ExpandedTransition& et : expanded) {
       if (!live) break;
       Transition& tr = et.tr;
@@ -581,8 +565,8 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       for_members(live_tr,
                   [&](std::size_t m) { ++members[m].stats.transitions; });
       Renaming sigma;
-      if (plan.sym()) {
-        sigma = canonicalize(tr.next, plan.symmetry);
+      if (sym.enabled()) {
+        sigma = canonicalize(tr.next, sym);
         if (!sigma.identity())
           for_members(live_tr, [&](std::size_t m) {
             ++members[m].stats.symmetry_pruned;
@@ -591,7 +575,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
 
       const std::size_t ni = nodes.size();
       if (!limits.no_dedup) {
-        auto [it, inserted] = seen.try_emplace(state_key(tr.next), ni);
+        auto [it, inserted] = seen.try_emplace(state_key(tr.next, limits), ni);
         if (!inserted) {
           std::size_t idx = it->second;
           bool duplicate = false;
@@ -625,10 +609,10 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           nodes[idx].aux = static_cast<std::int64_t>(ni);
         }
       }
-      Node& added =
-          nodes.push_back(Node{std::move(tr.next),
-                               static_cast<std::int64_t>(cur),
-                               std::move(tr.action), -1});
+      SearchNode& added =
+          nodes.push_back(SearchNode{std::move(tr.next),
+                                     static_cast<std::int64_t>(cur),
+                                     std::move(tr.action), -1});
       const std::size_t heap = added.state.heap_bytes();
       const std::size_t extra =
           heap + added.action.args.capacity() * sizeof(int);
@@ -641,7 +625,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
         mem.sim.push(extra);
         ++mem.stats.states;
         mem.stats.peak_bytes =
-            std::max(mem.stats.peak_bytes, skeleton_bytes + mem.sim.bytes());
+            std::max(mem.stats.peak_bytes, skeleton + mem.sim.bytes());
         if (group[m].goal(added.state)) {
           decide(m, Verdict::Reachable, static_cast<std::int64_t>(ni));
           return;
@@ -650,8 +634,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
           decide(m, Verdict::ResourceLimit, -1);
           return;
         }
-        if (limits.max_bytes &&
-            skeleton_bytes + mem.sim.bytes() > limits.max_bytes) {
+        if (limits.max_bytes && skeleton + mem.sim.bytes() > limits.max_bytes) {
           decide(m, Verdict::ResourceLimit, -1);
           return;
         }
@@ -700,51 +683,21 @@ std::vector<SearchResult> search_fused_escalating(
     // only the starved members re-run.
     if (pending.empty()) break;
     if (grown.expired()) break;
-    if (grown.max_states)
-      grown.max_states = static_cast<std::size_t>(
-          static_cast<double>(grown.max_states) * policy.factor);
-    if (grown.max_seconds > 0) grown.max_seconds *= policy.factor;
-    if (grown.max_bytes)
-      grown.max_bytes = static_cast<std::size_t>(
-          static_cast<double>(grown.max_bytes) * policy.factor);
+    grow_budgets(grown, policy.factor);
     pending_queries.clear();
     for (std::size_t i : pending) pending_queries.push_back(group[i]);
     std::vector<SearchResult> round_results =
         search_fused(pending_queries, grown);
+    // Each round's fused_world_states rides its rank-0 member, so the
+    // per-member sums keep matrix-wide aggregation consistent.
     for (std::size_t k = 0; k < pending.size(); ++k) {
       const std::size_t i = pending[k];
       results[i] = std::move(round_results[k]);
-      SearchStats& acc = accumulated[i];
-      const SearchStats& st = results[i].stats;
-      acc.escalations += 1;
-      acc.states += st.states;
-      acc.transitions += st.transitions;
-      acc.dedup_hits += st.dedup_hits;
-      acc.hash_collisions += st.hash_collisions;
-      acc.peak_frontier = std::max(acc.peak_frontier, st.peak_frontier);
-      acc.peak_bytes = std::max(acc.peak_bytes, st.peak_bytes);
-      acc.state_bytes += st.state_bytes;
-      acc.spilled_states += st.spilled_states;
-      acc.spill_bytes += st.spill_bytes;
-      acc.symmetry_pruned += st.symmetry_pruned;
-      acc.por_pruned += st.por_pruned;
-      acc.seconds += st.seconds;
-      // The per-round fused observability fields ride each round's rank-0
-      // member, so the straight sums/maxes keep matrix-wide aggregation
-      // consistent.
-      acc.fused_world_states += st.fused_world_states;
-      acc.fused_group_size = std::max(acc.fused_group_size,
-                                      st.fused_group_size);
-      acc.engage_threshold = std::max(acc.engage_threshold,
-                                      st.engage_threshold);
-      acc.layers_engaged += st.layers_engaged;
-      acc.layers_serial += st.layers_serial;
+      accumulated[i].add_retry(results[i].stats);
     }
   }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    accumulated[i].decisive_states = results[i].stats.decisive_states;
+  for (std::size_t i = 0; i < results.size(); ++i)
     results[i].stats = accumulated[i];
-  }
   return results;
 }
 
@@ -760,24 +713,10 @@ SearchResult cancelled_result() {
   return r;
 }
 
-/// Field-for-field equality of two queries' independence tables — the
-/// grouping guard that keeps one fused exploration's ample choices valid
-/// for every member.
-bool tables_equal(const IndependenceTable& a, const IndependenceTable& b) {
-  if (a.enabled() != b.enabled()) return false;
-  if (!a.enabled()) return true;
-  if (a.message_count() != b.message_count() ||
-      a.visible_mask() != b.visible_mask() || a.dead_mask() != b.dead_mask())
-    return false;
-  for (std::size_t i = 0; i < a.message_count(); ++i)
-    if (a.dep_mask(i) != b.dep_mask(i)) return false;
-  return true;
-}
-
 /// Execute one fused task (≥ 2 queries sharing a world signature and
-/// reduction plan): dedupe members by full fingerprint, consult the cache
-/// per representative, run the remaining representatives through ONE fused
-/// exploration, then store/adopt so every per-query result — verdict,
+/// symmetry eligibility): dedupe members by full fingerprint, consult the
+/// cache per representative, run the remaining representatives through ONE
+/// fused exploration, then store/adopt so every per-query result — verdict,
 /// witness, stats, cache entry, and cache counters — is what the unfused
 /// path would have produced.
 void run_fused_task(std::span<const Query> queries,
@@ -852,9 +791,6 @@ void run_fused_task(std::span<const Query> queries,
     copy.stats.fused_group_size = 0;
     copy.stats.fused_searches_saved = 0;
     copy.stats.fused_world_states = 0;
-    copy.stats.engage_threshold = 0;
-    copy.stats.layers_engaged = 0;
-    copy.stats.layers_serial = 0;
     results[task[i]] = std::move(copy);
   }
 }
@@ -869,50 +805,29 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
   std::vector<SearchResult> results(queries.size());
 
   // Partition the batch into execution tasks. Queries sharing a world
-  // signature AND an identical reduction plan fuse into one multi-goal
-  // exploration (capped at 64 members — the membership-bitmask width);
-  // everything else — fusion disabled, spill-enabled batches, or
-  // unfingerprintable queries — stays a singleton on the classic path.
+  // signature AND symmetry eligibility fuse into one multi-goal exploration
+  // (capped at 64 members — the membership-bitmask width); unfingerprintable
+  // queries stay singletons on the classic path.
   std::vector<std::vector<std::size_t>> tasks;
   {
-    struct Group {
-      bool sym = false;
-      IndependenceTable table;
-      std::size_t task = 0;  // index into `tasks`
-    };
-    std::vector<Group> groups;
-    std::unordered_map<Fingerprint, std::vector<std::size_t>, FingerprintHash>
-        by_sig;
+    // [symmetry enabled] -> world signature -> index of the group's newest
+    // task (a full task chains into a fresh one).
+    std::unordered_map<Fingerprint, std::size_t, FingerprintHash> open[2];
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
       std::optional<Fingerprint> sig;
-      if (limits.fused && !limits.spill_enabled() &&
-          fingerprint_query(q, limits))
-        sig = world_signature(q, limits);
+      if (fingerprint_query(q, limits)) sig = world_signature(q, limits);
       if (!sig) {
         tasks.push_back({i});
         continue;
       }
-      const ReductionPlan plan = make_reduction_plan(q, limits);
-      std::vector<std::size_t>& cands = by_sig[*sig];
-      std::size_t gi = groups.size();
-      for (std::size_t cand : cands) {
-        // The signature already proves a shared world; the exact plan
-        // comparison (not a hash) is what licenses sharing one run's
-        // symmetry plans and ample choices across the whole group.
-        if (groups[cand].sym == plan.sym() &&
-            tables_equal(groups[cand].table, plan.table) &&
-            tasks[groups[cand].task].size() < 64) {
-          gi = cand;
-          break;
-        }
-      }
-      if (gi == groups.size()) {
-        cands.push_back(gi);
+      const bool sym = symmetry_for(q, limits).enabled();
+      const auto [it, fresh] = open[sym].try_emplace(*sig, tasks.size());
+      if (fresh || tasks[it->second].size() == 64) {
+        it->second = tasks.size();
         tasks.emplace_back();
-        groups.push_back(Group{plan.sym(), plan.table, tasks.size() - 1});
       }
-      tasks[groups[gi].task].push_back(i);
+      tasks[it->second].push_back(i);
     }
   }
 

@@ -28,32 +28,24 @@ namespace pa::rosa {
 
 class QueryCache;  // rosa/cache.h
 
-/// A goal predicate plus an optional stable cache identity. The predicate is
-/// what the search evaluates; the cache key is what the verdict cache
-/// (rosa/cache.h) fingerprints — two goals with the same key MUST accept
-/// exactly the same states. Ad-hoc lambdas convert implicitly and carry no
-/// key, which simply makes their queries uncacheable; the builders in
-/// rosa/query.h all return keyed goals.
-/// Static annotations on a goal predicate that the reduction machinery
-/// (rosa/canon.h, rosa/independence.h) needs to stay sound. Builders in
-/// rosa/query.h fill these in; ad-hoc lambda goals keep the conservative
-/// defaults, which disable both reductions for the query.
+/// Static annotations on a goal predicate that symmetry reduction
+/// (rosa/canon.h) needs to stay sound. Builders in rosa/query.h fill these
+/// in; ad-hoc lambda goals keep the conservative default, which disables
+/// the reduction for the query.
 struct GoalInfo {
   /// True when the predicate's value is invariant under any permutation of
   /// uid values and (separately) gid values across the whole state — the
   /// precondition for symmetry reduction. All the shipped builders qualify:
   /// they inspect fdsets, sockets, and running flags, never identities.
   bool identity_invariant = false;
-  /// True when the touch sets below are exhaustive, i.e. the predicate
-  /// reads *only* the listed per-process resources. False means "reads
-  /// unknown state", which makes every message goal-visible and turns
-  /// partial-order reduction into a no-op (safe default).
-  bool touch_known = false;
-  std::vector<int> fd_procs;    // reads rdfset/wrfset of these procs
-  std::vector<int> run_procs;   // reads the running flag of these procs
-  std::vector<int> sock_procs;  // reads sockets/bound ports of these procs
 };
 
+/// A goal predicate plus an optional stable cache identity. The predicate is
+/// what the search evaluates; the cache key is what the verdict cache
+/// (rosa/cache.h) fingerprints — two goals with the same key MUST accept
+/// exactly the same states. Ad-hoc lambdas convert implicitly and carry no
+/// key, which simply makes their queries uncacheable; the builders in
+/// rosa/query.h all return keyed goals.
 class Goal {
  public:
   Goal() = default;
@@ -130,28 +122,11 @@ struct SearchLimits {
   /// allocator-dependent, so byte-budget exhaustion is deterministic and
   /// search_escalating() can grow this budget geometrically like the others.
   std::size_t max_bytes = 0;
-  /// Worker threads *inside* one search (1 = the classic serial loop, the
-  /// default; 0 = hardware_concurrency). Any value yields bit-identical
-  /// verdicts, witnesses, and work counters: values != 1 run the layered
-  /// engine (rosa/frontier.h), which expands each BFS layer in parallel but
-  /// commits it through a deterministic serial replay in the exact order
-  /// the serial loop would have enumerated candidates.
-  unsigned search_threads = 1;
-  /// Directory for disk-spillable frontiers. When set together with a
-  /// max_bytes budget, a search whose node arena would exceed the budget
-  /// serializes cold states to versioned temp files under this directory
-  /// and streams them back per layer, so the byte budget bounds *resident*
-  /// memory instead of total exploration — the search completes with the
-  /// same verdict/witness it would have produced unconstrained, rather
-  /// than returning ResourceLimit. Empty = spill disabled.
-  std::string spill_dir;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;
-  /// Symmetry + partial-order reduction (rosa/canon.h, rosa/independence.h).
-  /// On by default: states are canonicalized modulo wildcard-identity
-  /// permutations before dedup, and each frontier pop expands only an
-  /// ample subset of the unconsumed messages when the rest provably
-  /// commutes past it. Verdicts, vulnerable_fractions, and witness
+  /// Symmetry reduction (rosa/canon.h). On by default: states are
+  /// canonicalized modulo permutations of the free wildcard identities
+  /// before dedup. Verdicts, vulnerable_fractions, and witness
   /// *validity* are preserved exactly (tests/rosa_reduction_diff_test.cpp);
   /// work counters and the particular witness found may differ from the
   /// unreduced run, so the flag is salted into cache fingerprints. Set
@@ -177,22 +152,10 @@ struct SearchLimits {
   /// with ResourceLimit. run_queries wires this up automatically for its
   /// deadline handling; callers can also supply their own flag.
   const std::atomic<bool>* cancel = nullptr;
-  /// Fused multi-goal search (run_queries only): group the batch by world
-  /// signature (fingerprint minus goal identity and message mask) and run
-  /// ONE exploration per group, deciding every goal of the group in a
-  /// single pass. Per-query verdicts, witnesses, work counters, and cache
-  /// entries are bit-identical to the unfused per-query runs
-  /// (tests/rosa_fused_diff_test.cpp); only the fused_* observability
-  /// counters differ, so the flag is NOT part of cache fingerprints. Set
-  /// false (`--no-fused-search`) for A/B ablation.
-  bool fused = true;
 
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point{};
   }
-  /// True when the spill path is configured: it needs both a directory and
-  /// a byte budget to bound resident memory against.
-  bool spill_enabled() const { return !spill_dir.empty() && max_bytes > 0; }
   bool expired() const {
     return (cancel && cancel->load(std::memory_order_relaxed)) ||
            (has_deadline() && std::chrono::steady_clock::now() >= deadline);
@@ -239,18 +202,10 @@ struct SearchStats {
   /// slack), so state_bytes / states measures how compact the state
   /// *representation* is, independently of the arena around it.
   std::size_t state_bytes = 0;
-  /// States whose representation was written to a spill file instead of
-  /// kept resident (0 unless SearchLimits::spill_dir is in use).
-  std::size_t spilled_states = 0;
-  /// Bytes written to spill files (frame payloads plus per-frame headers).
-  std::size_t spill_bytes = 0;
   /// Successors whose canonicalization applied a non-identity wildcard
   /// identity renaming (rosa/canon.h) — each one is a state the unreduced
   /// search would have treated as distinct from its orbit representative.
   std::size_t symmetry_pruned = 0;
-  /// Unconsumed messages deferred at frontier pops because the chosen
-  /// ample set (rosa/independence.h) provably commutes past them.
-  std::size_t por_pruned = 0;
   std::size_t escalations = 0;      // budget-doubled retries after ResourceLimit
   /// Fused multi-goal search observability (zero on unfused runs; never
   /// part of bit-identity comparisons or persistent cache entries).
@@ -265,16 +220,6 @@ struct SearchStats {
   /// comparing against the sum of per-query `states` (which replay the
   /// standalone counts) measures the fused states-explored reduction.
   std::size_t fused_world_states = 0;
-  /// Layered-engine adaptive engagement (rosa/frontier.cpp): layers with
-  /// fewer parents than `engage_threshold` run the phases on the calling
-  /// thread alone instead of paying barrier + shard overhead on a tiny
-  /// frontier. Recorded only when the layered engine runs with >1 workers;
-  /// aggregated like the other shape figures (threshold by max, layer
-  /// counts by sum). Bit-identity of every other counter is unaffected —
-  /// the phase replay is worker-count-independent.
-  std::size_t engage_threshold = 0;
-  std::size_t layers_engaged = 0;   // layers expanded with the full worker set
-  std::size_t layers_serial = 0;    // layers below the threshold: inline
   /// States explored by the decisive (final) attempt. Equal to `states`
   /// except under escalation, where `states` accumulates work across every
   /// retry while this keeps the count of the attempt whose verdict the
@@ -303,6 +248,11 @@ struct SearchStats {
 
   /// Accumulate another query's counters (peak_frontier takes the max).
   void merge(const SearchStats& other);
+  /// Fold one escalation retry into this query's running total: the work
+  /// counters accumulate as in merge(), escalations counts the retry, and
+  /// decisive_states becomes the retry's — the attempt whose verdict now
+  /// stands. The one accumulation rule for every escalation ladder.
+  void add_retry(const SearchStats& retry);
 
   std::string to_string() const;
 };
@@ -336,11 +286,13 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
                                const EscalationPolicy& policy);
 
 /// Run a batch of independent queries, fanned out across `n_threads`
-/// workers (0 = hardware_concurrency). results[i] always corresponds to
-/// queries[i] regardless of completion order, and each individual search is
-/// single-threaded, so every result is bit-identical to a serial run —
-/// n_threads == 1 literally executes the serial loop. Exceptions from any
-/// query propagate to the caller.
+/// workers (0 = hardware_concurrency). Queries that share a world signature
+/// (rosa/fingerprint.h) and symmetry eligibility are fused into one
+/// multi-goal exploration (detail::search_fused); the rest run search()
+/// alone. results[i] always corresponds to queries[i] regardless of
+/// completion order, and every result is bit-identical to a standalone
+/// search() of queries[i] apart from the fused_* counters, at every thread
+/// count. Exceptions from any query propagate to the caller.
 ///
 /// `escalation` applies search_escalating() per query. When limits carries a
 /// deadline, the first worker to observe it expiring cancels the rest
@@ -377,11 +329,9 @@ namespace detail {
 /// live set; exploration ends when all are decided or the frontier drains.
 ///
 /// Preconditions (the run_queries grouping guarantees them; callers passing
-/// hand-built groups must too): every member yields the same ReductionPlan
-/// (same symmetry eligibility, identical independence tables — proper
-/// masks disable POR, so masked groups always qualify), spilling is off,
-/// and the group has at most 64 members. Dispatches to the layered engine
-/// when limits.search_threads != 1, with identical per-member results.
+/// hand-built groups must too): every member has the same symmetry
+/// eligibility (compute_symmetry, rosa/canon.h), and the group has at most
+/// 64 members.
 std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits);
 

@@ -146,13 +146,6 @@ struct State {
   /// The shared skeleton (may be null when nothing was ever registered);
   /// exposed so tests can assert successor states intern it.
   const std::shared_ptr<const WorldSkeleton>& world() const { return world_; }
-  /// Attach an existing shared skeleton. States rehydrated from a spill
-  /// file (rosa/frontier.h) re-adopt the search's skeleton this way instead
-  /// of each rebuilding a private copy; the skeleton is excluded from
-  /// canonical()/hash(), so this never perturbs dedup identity.
-  void set_world(std::shared_ptr<const WorldSkeleton> w) {
-    world_ = std::move(w);
-  }
 
   // --- digest-maintaining mutation -----------------------------------------
   //

@@ -23,7 +23,6 @@ constexpr const char* kCompiledInPoints[] = {
     "rosa.cache_load",      // privanalyzer/pipeline.cpp: --rosa-cache load
     "rosa.cache_store",     // rosa/cache.cpp: persistent-file I/O attempt
                             // (recoverable: one fault = one retried attempt)
-    "rosa.spill_io",        // rosa/frontier.cpp: spill dir/chunk I/O
     "daemon.accept",        // support/socket.cpp: listener accept path
     "daemon.read",          // support/socket.cpp: connection frame read
     "daemon.write",         // support/socket.cpp: connection frame write

@@ -7,13 +7,6 @@
 // captured and rethrown from wait_idle(), so worker failures surface on the
 // calling thread exactly as they would under inline execution.
 //
-// TaskGroup scopes a sub-batch onto a shared pool: each group has its own
-// completion barrier and error channel, so independent phases (e.g. the
-// layered ROSA engine's expand/dedup rounds) can share one pool without
-// their waits or failures interfering. The pool routes a grouped task's
-// completion — including a fault injected at the task boundary, before the
-// task body runs — to its group, never to the pool-level error slot.
-//
 // A pool of size 1 degenerates to strictly ordered execution: tasks run one
 // at a time in submission order, making the pool a drop-in replacement for
 // an inline loop (tests/thread_pool_test.cpp pins this down).
@@ -31,8 +24,6 @@
 
 namespace pa::support {
 
-class TaskGroup;
-
 class ThreadPool {
  public:
   /// Spawn `n_threads` workers; 0 means hardware_threads().
@@ -48,8 +39,8 @@ class ThreadPool {
   void submit(std::function<void()> task);
 
   /// Block until every submitted task has finished, then rethrow the first
-  /// exception any ungrouped task raised (if one did). The pool stays
-  /// usable for further submit() / wait_idle() rounds afterwards.
+  /// exception any task raised (if one did). The pool stays usable for
+  /// further submit() / wait_idle() rounds afterwards.
   void wait_idle();
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
@@ -71,60 +62,17 @@ class ThreadPool {
   static unsigned hardware_threads();
 
  private:
-  friend class TaskGroup;
-
-  struct QueueEntry {
-    std::function<void()> fn;
-    TaskGroup* group = nullptr;  // nullptr = pool-level error capture
-  };
-
-  void enqueue(std::function<void()> task, TaskGroup* group);
   void worker_loop();
 
   std::mutex mu_;
   std::condition_variable task_ready_;   // workers wait here for tasks
   std::condition_variable batch_done_;   // wait_idle() waits here
-  std::deque<QueueEntry> queue_;
+  std::deque<std::function<void()>> queue_;
   std::size_t in_flight_ = 0;  // queued + currently executing tasks
   std::exception_ptr first_error_;
   bool shutting_down_ = false;
   std::atomic<bool> cancel_{false};
   std::vector<std::thread> workers_;
-};
-
-/// A sub-batch of tasks on a shared ThreadPool with its own barrier and
-/// error channel. submit() tasks, then wait() — which blocks until every
-/// task of THIS group finished and rethrows the group's first error. The
-/// destructor waits too (without throwing), so a group can never be
-/// destroyed while its tasks still run. Groups are reusable: after wait()
-/// returns, more tasks may be submitted for another round.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueue one task onto the underlying pool, tracked by this group.
-  void submit(std::function<void()> task);
-
-  /// Block until all of this group's tasks completed; rethrow the first
-  /// exception any of them raised (once per failure).
-  void wait();
-
- private:
-  friend class ThreadPool;
-
-  /// Worker-side completion hook (also reached when a task-boundary fault
-  /// fires before the task body, so the barrier can never deadlock).
-  void task_done(std::exception_ptr err);
-
-  ThreadPool& pool_;
-  std::mutex mu_;
-  std::condition_variable done_;
-  std::size_t pending_ = 0;
-  std::exception_ptr first_error_;
 };
 
 }  // namespace pa::support

@@ -4,6 +4,9 @@
 // kernel and ROSA's rules, so their fidelity matters doubly.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <ostream>
+
 #include "os/access.h"
 
 namespace pa::os {
@@ -219,6 +222,16 @@ struct DacCase {
   AccessKind kind;
   bool expect;
 };
+
+// Names each case by its fields (e.g. uid2000_gid100_mode0040_read_allow).
+// gtest's default prints the struct's raw bytes, padding included, so the
+// test names would differ from build to build.
+void PrintTo(const DacCase& c, std::ostream* os) {
+  static constexpr const char* kKinds[] = {"read", "write", "execute"};
+  *os << "uid" << c.uid << "_gid" << c.gid << "_mode" << std::oct
+      << std::setfill('0') << std::setw(4) << c.mode << std::dec << '_'
+      << kKinds[static_cast<int>(c.kind)] << (c.expect ? "_allow" : "_deny");
+}
 
 class DacMatrix : public ::testing::TestWithParam<DacCase> {};
 

@@ -158,7 +158,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   req.name = "demo";
   req.max_states = 123'456;
   req.max_bytes = 789;
-  req.search_threads = 3;
   req.rosa_threads = 2;
   req.escalate_rounds = 4;
   req.deadline_secs = 1.5;
@@ -172,7 +171,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   EXPECT_EQ(back.name, req.name);
   EXPECT_EQ(back.max_states, req.max_states);
   EXPECT_EQ(back.max_bytes, req.max_bytes);
-  EXPECT_EQ(back.search_threads, req.search_threads);
   EXPECT_EQ(back.rosa_threads, req.rosa_threads);
   EXPECT_EQ(back.escalate_rounds, req.escalate_rounds);
   EXPECT_DOUBLE_EQ(back.deadline_secs, req.deadline_secs);
@@ -186,6 +184,19 @@ TEST(MessageTest, FiltersKeyDefaultsToOffWhenAbsent) {
   Frame f{MsgType::Submit,
           encode_kv({{"kind", "builtin"}, {"source", "ping"}})};
   EXPECT_EQ(JobRequest::from_frame(f).filters, "off");
+}
+
+TEST(MessageTest, RetiredEngineKeysDecodeToTheDefaultRequest) {
+  // Older clients still send the keys of the deleted intra-search and
+  // fused-search switches; the daemon must ignore them, not reject the job.
+  Frame f{MsgType::Submit,
+          encode_kv({{"kind", "builtin"}, {"source", "ping"},
+                     {"search_threads", "4"}, {"fused", "0"}})};
+  JobRequest defaults;
+  defaults.kind = "builtin";
+  defaults.source = "ping";
+  EXPECT_EQ(JobRequest::from_frame(f).to_frame().payload,
+            defaults.to_frame().payload);
 }
 
 TEST(MessageTest, RepliesRoundTrip) {

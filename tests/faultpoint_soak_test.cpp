@@ -63,8 +63,7 @@ TEST_F(FaultPointTest, RegistryListsEveryCompiledInPoint) {
   for (const char* expected :
        {"loader.load_program", "verifier.verify", "world.make",
         "thread_pool.task", "rosa.search", "rosa.cache_load",
-        "rosa.cache_store", "rosa.spill_io", "daemon.accept", "daemon.read",
-        "daemon.write"})
+        "rosa.cache_store", "daemon.accept", "daemon.read", "daemon.write"})
     EXPECT_NE(std::find(points.begin(), points.end(), expected), points.end())
         << expected;
 }
@@ -94,6 +93,7 @@ const char* kProgram = R"(
 ; !args: 3, 4
 func @main(2) {
 entry:
+  %3 = syscall setuid(1000)
   %2 = add %0, %1
   ret %2
 }
@@ -111,7 +111,9 @@ TEST_F(FaultPointTest, SoakEveryPointIsolatedAndDiagnosed) {
   privanalyzer::PipelineOptions opts;
   opts.rosa_limits.max_states = 10'000;
   // Force the thread-pool path so the task-boundary point is exercised (the
-  // pool is only spun up for multi-threaded matrices).
+  // pool is only spun up for multi-threaded matrices of two or more fused
+  // groups: the setuid call gives the program's two epochs, which differ in
+  // CapSetuid, distinct attack worlds).
   opts.rosa_threads = 2;
   // A persistent cache file makes the pipeline reach rosa.cache_load (a
   // missing file is a clean cold start, so the unarmed runs stay warning-free).
@@ -119,12 +121,6 @@ TEST_F(FaultPointTest, SoakEveryPointIsolatedAndDiagnosed) {
   // the whole query matrix without ever reaching the armed rosa.search point.
   opts.rosa_cache_file = ::testing::TempDir() + "/soakdemo.rosa-cache";
   std::remove(opts.rosa_cache_file.c_str());
-  // Spill-enabled limits make every search construct a SpillStore, whose
-  // eager directory creation is the first rosa.spill_io site — reachable
-  // even for this syscall-free program's zero-successor searches. Spilling
-  // preserves verdicts, so the unarmed runs behave as before.
-  opts.rosa_limits.spill_dir = ::testing::TempDir();
-  opts.rosa_limits.max_bytes = 1;
 
   for (const std::string& point : fp::registered_points()) {
     SCOPED_TRACE(point);

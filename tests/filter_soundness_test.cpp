@@ -2,7 +2,7 @@
 // filter stack): under conservative per-epoch syscall allowlists, every
 // legitimate execution must complete bit-identically to a filters-off run —
 // same epoch table, same exit code, same baseline verdict matrix, same
-// witnesses, same vulnerable fractions — at --search-threads 1 and 4, over
+// witnesses, same vulnerable fractions — at --rosa-threads 1 and 4, over
 // all Table-II programs, the shipped examples, the lint fixtures, and a
 // small randomized corpus. Also pins the structural filter invariants:
 // refined ⊆ conservative per epoch, allowlists ⊆ the program's syscall
@@ -25,12 +25,11 @@ namespace {
 
 using attacks::EpochVerdicts;
 
-PipelineOptions make_options(FilterMode mode, unsigned search_threads,
+PipelineOptions make_options(FilterMode mode, unsigned rosa_threads,
                              bool run_rosa) {
   PipelineOptions opts;
   opts.rosa_limits.max_states = 150'000;
-  opts.rosa_limits.search_threads = search_threads;
-  opts.rosa_threads = 1;
+  opts.rosa_threads = rosa_threads;
   opts.run_rosa = run_rosa;
   opts.filters = mode;
   return opts;
@@ -84,21 +83,22 @@ void expect_filter_invariants(const ProgramAnalysis& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Table II: the full differential at both search-thread counts, report and
-// enforce, plus the acceptance bar that filtering strictly reduces at least
-// one epoch's surface somewhere in the batch.
+// Table II: the full differential at both ROSA worker counts (4 runs the
+// fused groups and the cache's in-flight joins across pool workers), report
+// and enforce, plus the acceptance bar that filtering strictly reduces at
+// least one epoch's surface somewhere in the batch.
 
 class TableTwoSoundness : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(TableTwoSoundness, EnforcedFiltersAreANoOpForLegitimateRuns) {
-  const unsigned search_threads = GetParam();
+  const unsigned rosa_threads = GetParam();
   bool any_reduced = false;
   for (const programs::ProgramSpec& spec : programs::all_baseline_programs()) {
     SCOPED_TRACE(spec.name);
     ProgramAnalysis off = analyze_program(
-        spec, make_options(FilterMode::Off, search_threads, true));
+        spec, make_options(FilterMode::Off, rosa_threads, true));
     ProgramAnalysis enforced = analyze_program(
-        spec, make_options(FilterMode::Enforce, search_threads, true));
+        spec, make_options(FilterMode::Enforce, rosa_threads, true));
     expect_baseline_identical(off, enforced);
     expect_filter_invariants(enforced);
     if (enforced.filter_report.reduced_epochs() > 0) any_reduced = true;

@@ -417,6 +417,27 @@ TEST_F(PersistentCacheTest, StaleModelVersionIsIgnoredWholesale) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST_F(PersistentCacheTest, V4FileIsAStaleHeaderColdStart) {
+  // A file from before v5 dropped the spill and partial-order-reduction
+  // fields: a v4 header over a 25-field entry line.
+  write_file(str::cat("privanalyzer-rosa-cache v4 model=", kRosaModelVersion,
+                      "\ne ", std::string(32, 'a'),
+                      " UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0"
+                      " 2 0 0 0 0 0 0 0\nend\n"));
+  QueryCache cache;
+  std::string warn;
+  EXPECT_FALSE(cache.load_file(path_, &warn));
+  EXPECT_NE(warn.find("stale version/model header"), std::string::npos)
+      << warn;
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.totals().loaded, 0u);
+  // Cold start: the first query searches afresh.
+  const SearchResult r =
+      cache.run_cached(unreachable_query(), states_budget(10'000));
+  EXPECT_EQ(r.stats.cache_misses, 1u);
+  EXPECT_EQ(r.verdict, Verdict::Unreachable);
+}
+
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
   QueryCache writer;
   writer.run_cached(reachable_query(), states_budget(10'000));

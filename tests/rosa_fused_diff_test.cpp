@@ -2,13 +2,13 @@
 // search_fused, reached through rosa::run_queries' world-signature
 // grouping): one shared exploration answering all four attacks of an epoch
 // must be indistinguishable — bit for bit — from four standalone searches.
-// The full Table-III matrix is diffed fused-vs-unfused at search_threads
-// ∈ {1, 4}, cached and uncached, reductions on and off, down to the
-// counters the goldens deliberately omit (peak_bytes, state_bytes,
-// decisive_states). Fused witnesses must replay on the SimOS kernel, a
-// mixed-attacker batch must NOT fuse across world signatures, spilling
-// must disable fusion entirely, and the escalation ladder must re-run only
-// still-undecided goals.
+// The full Table-III matrix through run_queries at 1 and 4 workers, cached
+// and uncached, reduction on and off, is diffed against one search() per
+// query, down to the counters the goldens deliberately omit (peak_bytes,
+// state_bytes, decisive_states). Fused witnesses must replay on the SimOS
+// kernel, a mixed-attacker batch must NOT fuse across world signatures,
+// the escalation ladder must re-run only still-undecided goals, and the
+// pipeline's matrix must match one analyze_epoch call per epoch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,28 +34,32 @@ void expect_identical_runs(const rosa::SearchResult& unfused,
   EXPECT_EQ(unfused.stats.peak_bytes, fused.stats.peak_bytes);
   EXPECT_EQ(unfused.stats.state_bytes, fused.stats.state_bytes);
   EXPECT_EQ(unfused.stats.decisive_states, fused.stats.decisive_states);
-  EXPECT_EQ(unfused.stats.spilled_states, fused.stats.spilled_states);
-  EXPECT_EQ(unfused.stats.spill_bytes, fused.stats.spill_bytes);
 }
 
-void expect_fused_matches_unfused(unsigned search_threads, bool cached,
+/// The reference: every query searched on its own, in order.
+std::vector<rosa::SearchResult> standalone_runs(
+    const std::vector<rosa::Query>& queries, const rosa::SearchLimits& limits) {
+  std::vector<rosa::SearchResult> out;
+  out.reserve(queries.size());
+  for (const rosa::Query& q : queries)
+    out.push_back(rosa::search_escalating(q, limits, {}));
+  return out;
+}
+
+// n_threads = 4 runs the fused groups, symmetry, and (cached) the cache's
+// in-flight joins across pool workers; the tsan CI leg runs this suite.
+void expect_fused_matches_unfused(unsigned n_threads, bool cached,
                                   bool reduction) {
   const Matrix m = rosa_test::build_matrix();
 
   rosa::SearchLimits limits = rosa_test::table3_limits();
-  limits.search_threads = search_threads;
   limits.reduction = reduction;
-
-  rosa::SearchLimits unfused_limits = limits;
-  unfused_limits.fused = false;
   const std::vector<rosa::SearchResult> reference =
-      rosa::run_queries(m.queries, unfused_limits, /*n_threads=*/1, {},
-                        nullptr);
+      standalone_runs(m.queries, limits);
 
   rosa::QueryCache cache;
-  const std::vector<rosa::SearchResult> fused =
-      rosa::run_queries(m.queries, limits, /*n_threads=*/1, {},
-                        cached ? &cache : nullptr);
+  const std::vector<rosa::SearchResult> fused = rosa::run_queries(
+      m.queries, limits, n_threads, {}, cached ? &cache : nullptr);
 
   ASSERT_EQ(fused.size(), reference.size());
   std::size_t searches_saved = 0;
@@ -166,11 +170,9 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
       queries.push_back(attacks::build_attack_query(a.id, in));
   }
 
-  rosa::SearchLimits limits = rosa_test::table3_limits();
-  rosa::SearchLimits unfused_limits = limits;
-  unfused_limits.fused = false;
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
   const std::vector<rosa::SearchResult> reference =
-      rosa::run_queries(queries, unfused_limits, 1, {}, nullptr);
+      standalone_runs(queries, limits);
   const std::vector<rosa::SearchResult> fused =
       rosa::run_queries(queries, limits, 1, {}, nullptr);
 
@@ -186,38 +188,14 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
   EXPECT_EQ(saved, 6u);  // two groups, each fanning 4 goals into 1 search
 }
 
-// Spilling is frontier-order-dependent in ways the per-member replay does
-// not model, so spill-enabled limits opt out of fusion wholesale.
-TEST(FusedDiffTest, SpillEnabledLimitsDoNotFuse) {
-  const attacks::ScenarioInput in =
-      handmade_epoch(rosa::AttackerModel::Full);
-  std::vector<rosa::Query> queries;
-  for (const attacks::AttackInfo& a : attacks::modeled_attacks())
-    queries.push_back(attacks::build_attack_query(a.id, in));
-
-  rosa::SearchLimits limits = rosa_test::table3_limits();
-  limits.spill_dir = ::testing::TempDir();
-  limits.max_bytes = std::size_t{1} << 30;  // never actually spills
-  ASSERT_TRUE(limits.spill_enabled());
-
-  const std::vector<rosa::SearchResult> results =
-      rosa::run_queries(queries, limits, 1, {}, nullptr);
-  for (const rosa::SearchResult& r : results) {
-    EXPECT_EQ(r.stats.fused_group_size, 0u);
-    EXPECT_EQ(r.stats.fused_searches_saved, 0u);
-    EXPECT_EQ(r.stats.fused_world_states, 0u);
-  }
-}
-
 // Escalation regression: two goals over one shared world, where one decides
 // in the base round and the other needs multiple escalation rounds. The
 // ladder must re-run only the still-undecided goal, and every accumulated
 // counter must match the standalone escalating searches.
 TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   // One world: proc 1 may open each of 3 files (2^3 reachable states). Both
-  // goals touch only proc 1's fd table, so the queries share an independence
-  // table and fuse; a goal with a different POR footprint (say,
-  // goal_proc_terminated) would land in its own group by design.
+  // goals are identity-invariant, so the queries share symmetry eligibility
+  // as well as the world signature and fuse.
   rosa::Query fast = rosa_test::open_query(
       3, 0600, rosa::goal_file_in_rdfset(1, 2));  // decided at 2 states
   rosa::Query slow = rosa_test::open_query(
@@ -253,30 +231,35 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   EXPECT_EQ(batch[0].stats.fused_group_size, 2u);
 }
 
-// Fused and unfused pipelines agree on every verdict cell and vulnerable
+// The pipeline's fused matrix agrees with one analyze_epoch call per epoch
+// (every attack a standalone search) on every verdict cell and vulnerable
 // fraction — the paper-facing numbers, not just the engine counters.
 TEST(FusedDiffTest, PipelineFractionsMatchUnfused) {
-  privanalyzer::PipelineOptions fused_opts;
-  fused_opts.rosa_limits = rosa_test::table3_limits();
-  fused_opts.rosa_threads = 1;
-  privanalyzer::PipelineOptions unfused_opts = fused_opts;
-  unfused_opts.rosa_limits.fused = false;
-
-  const std::vector<privanalyzer::ProgramAnalysis> fused =
-      privanalyzer::analyze_baseline(fused_opts);
-  const std::vector<privanalyzer::ProgramAnalysis> unfused =
-      privanalyzer::analyze_baseline(unfused_opts);
-  ASSERT_EQ(fused.size(), unfused.size());
-  for (std::size_t p = 0; p < fused.size(); ++p) {
-    SCOPED_TRACE(fused[p].program);
-    ASSERT_EQ(fused[p].verdicts.size(), unfused[p].verdicts.size());
-    for (std::size_t e = 0; e < fused[p].verdicts.size(); ++e)
-      for (std::size_t a = 0; a < fused[p].verdicts[e].verdicts.size(); ++a)
-        EXPECT_EQ(fused[p].verdicts[e].verdicts[a],
-                  unfused[p].verdicts[e].verdicts[a]);
+  privanalyzer::PipelineOptions opts;
+  opts.rosa_limits = rosa_test::table3_limits();
+  opts.rosa_threads = 1;
+  for (const programs::ProgramSpec& spec : programs::all_baseline_programs()) {
+    const privanalyzer::ProgramAnalysis fused =
+        privanalyzer::analyze_program(spec, opts);
+    SCOPED_TRACE(fused.program);
+    ASSERT_EQ(fused.verdicts.size(), fused.chrono.rows.size());
+    privanalyzer::ProgramAnalysis unfused = fused;
+    const std::vector<std::string> syscalls = spec.syscalls_used();
+    for (std::size_t e = 0; e < fused.chrono.rows.size(); ++e) {
+      const chronopriv::EpochRow& row = fused.chrono.rows[e];
+      unfused.verdicts[e] = attacks::analyze_epoch(
+          row,
+          attacks::scenario_from_epoch(row, syscalls,
+                                       spec.scenario_extra_users,
+                                       spec.scenario_extra_groups),
+          opts.rosa_limits);
+      for (std::size_t a = 0; a < fused.verdicts[e].verdicts.size(); ++a)
+        EXPECT_EQ(fused.verdicts[e].verdicts[a],
+                  unfused.verdicts[e].verdicts[a]);
+    }
     for (std::size_t a = 0; a < 4; ++a)
-      EXPECT_DOUBLE_EQ(fused[p].vulnerable_fraction(a),
-                       unfused[p].vulnerable_fraction(a));
+      EXPECT_DOUBLE_EQ(fused.vulnerable_fraction(a),
+                       unfused.vulnerable_fraction(a));
   }
 }
 

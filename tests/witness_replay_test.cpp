@@ -4,6 +4,8 @@
 // must end up in the kernel-side equivalent of the goal state.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "attacks/scenario.h"
 #include "rosa/query.h"
 #include "rosa/replay.h"
@@ -68,6 +70,11 @@ struct ReplayCase {
   bool reachable;
 };
 
+// Names each case by its `name`. gtest's default prints the struct's raw
+// bytes, which include the `name` pointer and padding, so the test names
+// would differ from run to run.
+void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
+
 class WitnessReplay : public ::testing::TestWithParam<ReplayCase> {};
 
 TEST_P(WitnessReplay, WitnessExecutesOnKernel) {
@@ -108,10 +115,7 @@ INSTANTIATE_TEST_SUITE_P(
         ReplayCase{"setuid_kill", {Capability::Setuid}, 1000,
                    AttackId::KillServer, true},
         ReplayCase{"kill_safe", {Capability::Setgid}, 1000,
-                   AttackId::KillServer, false}),
-    [](const ::testing::TestParamInfo<ReplayCase>& info) {
-      return info.param.name;
-    });
+                   AttackId::KillServer, false}));
 
 TEST(WitnessReplayManual, PaperExampleWitnessExecutes) {
   // The Fig. 2-4 example: replay chown -> chmod -> open on the kernel.

@@ -5,8 +5,7 @@
 //     --max-states N     ROSA state budget per query
 //     --escalate-rounds N budget escalation rounds
 //     --no-cache         bypass the daemon's resident verdict cache
-//     --no-reduction     disable symmetry + partial-order search reduction
-//     --no-fused-search  disable fused multi-goal exploration per epoch
+//     --no-reduction     disable symmetry search reduction
 //     --filters MODE     EpochFilter mode: off (default) | report | enforce
 //     --no-wait          print the job id and exit without waiting
 //   pa_client --socket PATH status JOB_ID
@@ -34,7 +33,6 @@ int usage(const char* argv0) {
             << " --socket PATH COMMAND\n"
                "  submit FILE|builtin:NAME [--deadline S] [--max-states N]\n"
                "         [--escalate-rounds N] [--no-cache] [--no-reduction]\n"
-               "         [--no-fused-search]\n"
                "         [--filters off|report|enforce] [--no-wait]\n"
                "  status JOB_ID | cancel JOB_ID | ping | shutdown [--abort]\n";
   return privanalyzer::kExitUsage;
@@ -49,7 +47,6 @@ int cmd_submit(daemon::Client& client, const std::vector<std::string>& args) {
     if (a == "--no-wait") wait = false;
     else if (a == "--no-cache") req.use_cache = false;
     else if (a == "--no-reduction") req.reduction = false;
-    else if (a == "--no-fused-search") req.fused = false;
     else if (a == "--filters" && i + 1 < args.size()) {
       req.filters = args[++i];
       if (!privanalyzer::parse_filter_mode(req.filters))

@@ -10,16 +10,6 @@
 //     --rosa-threads N     worker threads for the (epoch x attack) query
 //                          matrix (0 = hardware_concurrency, 1 = serial;
 //                          verdicts are identical for every N)
-//     --search-threads N   worker threads INSIDE each ROSA search
-//                          (work-stealing layered BFS; 0 =
-//                          hardware_concurrency, default 1 = classic serial
-//                          loop; results are bit-identical for every N)
-//     --spill-dir DIR      with --max-bytes: spill cold frontier states to
-//                          chunk files under DIR once the in-memory arena
-//                          exceeds the byte budget, so over-budget searches
-//                          complete (same verdicts) instead of reporting
-//                          Timeout; the per-search temp subdirectory is
-//                          removed when the search ends
 //     --escalate-rounds N  retry ResourceLimit queries with geometrically
 //                          doubled budgets, up to N extra rounds (default 0;
 //                          shrinks the presumed-invulnerable bucket)
@@ -74,10 +64,9 @@
 //
 // SIGINT/SIGTERM trigger cooperative cancellation, not _exit: the flag is
 // threaded into every ROSA search (rosa::SearchLimits::cancel), so in-flight
-// searches stop at their next frontier pop, spill directories are removed by
-// their normal RAII cleanup, the persistent --rosa-cache file keeps the
-// atomic checkpoints already written for completed programs, and the batch
-// exits with the distinct code 4.
+// searches stop at their next frontier pop, the persistent --rosa-cache file
+// keeps the atomic checkpoints already written for completed programs, and
+// the batch exits with the distinct code 4.
 #include <atomic>
 #include <csignal>
 #include <cstring>
@@ -119,8 +108,7 @@ void install_signal_handlers() {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <prog.pir> [more programs...] [--no-rosa] [--max-states N]\n"
-               "       [--max-bytes N] [--search-threads N] [--spill-dir DIR]\n"
-               "       [--no-reduction] [--no-fused-search]\n"
+               "       [--max-bytes N] [--no-reduction]\n"
                "       [--rosa-threads N] [--escalate-rounds N] [--deadline SECS]\n"
                "       [--attacker full|cfi-ordered|fixed-args] [--print-ir]\n"
                "       [--indirect-calls conservative|refined|assume-none]\n"
@@ -353,16 +341,8 @@ int main(int argc, char** argv) {
       unsigned long long n = 0;
       if (!parse_count(argv[++i], &n)) return usage(argv[0]);
       opts.rosa_limits.max_bytes = static_cast<std::size_t>(n);
-    } else if (arg == "--search-threads" && i + 1 < argc) {
-      unsigned long long n = 0;
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.rosa_limits.search_threads = static_cast<unsigned>(n);
-    } else if (arg == "--spill-dir" && i + 1 < argc) {
-      opts.rosa_limits.spill_dir = argv[++i];
     } else if (arg == "--no-reduction") {
       opts.rosa_limits.reduction = false;
-    } else if (arg == "--no-fused-search") {
-      opts.rosa_limits.fused = false;
     } else if (arg == "--attacker" && i + 1 < argc) {
       std::string m = argv[++i];
       if (m == "full") attacker = rosa::AttackerModel::Full;
@@ -398,8 +378,8 @@ int main(int argc, char** argv) {
     opts.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
 
   // Cooperative interruption: every search polls this flag at its frontier
-  // pops, so Ctrl-C unwinds through the normal return path (spill-dir RAII
-  // cleanup, per-program cache flushes) instead of killing the process.
+  // pops, so Ctrl-C unwinds through the normal return path (per-program
+  // cache flushes) instead of killing the process.
   opts.rosa_limits.cancel = &g_interrupted;
 
   // Per-program isolation: one bad file reports its diagnostics and the
