@@ -2,13 +2,6 @@
 
 namespace pa::chronopriv {
 
-void EpochTracker::on_instruction(const os::Process& p,
-                                  const ir::Function& fn) {
-  // Legacy point-free entry: block -1 means "no point info", so point
-  // capture (which needs real block/ip coordinates) records nothing.
-  on_instruction_at(p, fn, /*block=*/-1, /*ip=*/0);
-}
-
 void EpochTracker::record_point(const ir::Function& fn, int block,
                                 std::size_t ip) {
   if (block < 0) return;
@@ -17,11 +10,10 @@ void EpochTracker::record_point(const ir::Function& fn, int block,
   if (!inserted && ip < it->second) it->second = ip;
 }
 
-void EpochTracker::on_instruction_at(const os::Process& p,
-                                     const ir::Function& fn, int block,
-                                     std::size_t ip) {
-  ++total_;
-  // Fast path: privilege state unchanged since the previous instruction.
+void EpochTracker::on_run(const os::Process& p, const ir::Function& fn,
+                          int block, std::size_t ip, std::uint64_t n) {
+  total_ += n;
+  // Fast path: privilege state unchanged since the previous run.
   // ChronoPriv records the permitted set and the real/effective/saved
   // uid/gid triples; supplementary groups are not part of the epoch key
   // (they are not among the credentials the paper's Table III reports).
@@ -29,35 +21,36 @@ void EpochTracker::on_instruction_at(const os::Process& p,
       p.privs.permitted() == current_key_.permitted &&
       p.creds.uid == current_key_.creds.uid &&
       p.creds.gid == current_key_.creds.gid) {
-    ++epochs_[current_index_].instructions;
-    ++timeline_.back().length;
+    epochs_[current_index_].instructions += n;
+    timeline_.back().length += n;
     if (record_points_) {
       // Record every non-straight-line transfer: function entries, branch
       // targets, and return sites all start a fresh suffix of execution
-      // whose syscalls must be in this epoch's filter.
+      // whose syscalls must be in this epoch's filter. Block -1 (no point
+      // info) records nothing.
       const bool sequential =
           &fn == last_fn_ && block == last_block_ && ip == last_ip_ + 1;
       if (!sequential) record_point(fn, block, ip);
       last_fn_ = &fn;
       last_block_ = block;
-      last_ip_ = ip;
+      last_ip_ = ip + (n - 1);
     }
     return;
   }
 
   EpochKey key{p.privs.permitted(),
                caps::Credentials{p.creds.uid, p.creds.gid, {}}};
-  timeline_.push_back(EpochSegment{key, total_ - 1, 1});
+  timeline_.push_back(EpochSegment{key, total_ - n, n});
   current_index_ = SIZE_MAX;
   for (std::size_t i = 0; i < epochs_.size(); ++i) {
     if (epochs_[i].key == key) {
-      ++epochs_[i].instructions;
+      epochs_[i].instructions += n;
       current_index_ = i;
       break;
     }
   }
   if (current_index_ == SIZE_MAX) {
-    epochs_.push_back(Epoch{key, 1, static_cast<int>(epochs_.size())});
+    epochs_.push_back(Epoch{key, n, static_cast<int>(epochs_.size())});
     points_.emplace_back();
     current_index_ = epochs_.size() - 1;
   }
@@ -67,7 +60,7 @@ void EpochTracker::on_instruction_at(const os::Process& p,
     record_point(fn, block, ip);
     last_fn_ = &fn;
     last_block_ = block;
-    last_ip_ = ip;
+    last_ip_ = ip + (n - 1);
   }
   if (on_epoch_change_) on_epoch_change_(current_index_);
 }

@@ -45,10 +45,8 @@ struct EpochSegment {
 /// keys are merged; order of first appearance is preserved.
 class EpochTracker final : public vm::Tracer {
  public:
-  void on_instruction(const os::Process& p,
-                      const ir::Function& fn) override;
-  void on_instruction_at(const os::Process& p, const ir::Function& fn,
-                         int block, std::size_t ip) override;
+  void on_run(const os::Process& p, const ir::Function& fn, int block,
+              std::size_t ip, std::uint64_t n) override;
 
   /// Observed entry points into one epoch: (function, block) -> lowest
   /// instruction offset at which execution entered the block while the
@@ -64,8 +62,8 @@ class EpochTracker final : public vm::Tracer {
   const std::vector<PointMap>& epoch_points() const { return points_; }
 
   /// Invoked with the new epoch index whenever execution crosses into a
-  /// different epoch row (including the very first instruction), before the
-  /// instruction's effects. Drives the kernel's per-epoch filter transition
+  /// different epoch row (including the very first run), before the run's
+  /// effects. Drives the kernel's per-epoch filter transition
   /// in enforcement mode.
   void set_epoch_change_hook(std::function<void(std::size_t)> hook) {
     on_epoch_change_ = std::move(hook);
@@ -91,8 +89,8 @@ class EpochTracker final : public vm::Tracer {
   std::size_t current_index_ = SIZE_MAX;
   // Point capture: a point is recorded whenever control flow is not
   // straight-line (function entry, branch target, return site, epoch
-  // boundary) — i.e. whenever the instruction is not the sequential
-  // successor of the previous one.
+  // boundary) — i.e. whenever a run does not start at the sequential
+  // successor of the previous run's last instruction.
   bool record_points_ = false;
   const ir::Function* last_fn_ = nullptr;
   int last_block_ = -1;

@@ -2,9 +2,12 @@
 // it under an EpochTracker.
 //
 // The paper's ChronoPriv is an LLVM pass that inserts per-basic-block
-// counting code; in this reproduction the VM natively counts executed
-// instructions and the tracker attributes each one to the privilege state in
-// force, which yields the same measurement without mutating the module.
+// counting code; in this reproduction the VM does the counting natively. It
+// reports each straight-line run (a block suffix ending at the next syscall,
+// priv_* op, call, callind or terminator) to the tracker once, with its
+// length, and the tracker adds that length to the privilege state in force.
+// Privilege state changes only at a run's last instruction, so this yields
+// the paper's block-granular measurement without mutating the module.
 // This file also exposes the static per-block counts (what the inserted
 // counters would have added) so tests can cross-check dynamic totals.
 #pragma once

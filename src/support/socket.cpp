@@ -106,7 +106,7 @@ bool Socket::readable(int timeout_ms) {
 UnixListener::UnixListener(const std::string& path, int backlog) : path_(path) {
   const sockaddr_un addr = make_addr(path);
   ::unlink(path.c_str());  // stale socket from a crashed predecessor
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd_ < 0) fail_io("socket");
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
       ::listen(fd_, backlog) < 0) {
@@ -135,10 +135,13 @@ UnixListener::~UnixListener() {
 }
 
 void UnixListener::shutdown() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-    ::unlink(path_.c_str());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+      ::unlink(path_.c_str());
+    }
   }
   if (wake_pipe_[1] >= 0) {
     const char b = 0;
@@ -147,8 +150,15 @@ void UnixListener::shutdown() {
 }
 
 std::optional<Socket> UnixListener::accept(int timeout_ms) {
-  if (fd_ < 0) return std::nullopt;
-  pollfd ps[2] = {{fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    fd = fd_;
+  }
+  if (fd < 0) return std::nullopt;
+  // shutdown() may close `fd` during the poll; its wake-pipe byte ends the
+  // poll, and the check under the lock below then sees the socket closed.
+  pollfd ps[2] = {{fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
   for (;;) {
     const int r = ::poll(ps, 2, timeout_ms);
     if (r == 0) return std::nullopt;
@@ -158,6 +168,7 @@ std::optional<Socket> UnixListener::accept(int timeout_ms) {
     }
     break;
   }
+  std::lock_guard<std::mutex> lock(mu_);
   if (ps[1].revents != 0 || fd_ < 0) return std::nullopt;  // shut down
   PA_FAULTPOINT("daemon.accept");
   for (;;) {

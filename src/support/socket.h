@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -70,14 +71,17 @@ class UnixListener {
   /// throws on accept errors (and at the `daemon.accept` fault point).
   std::optional<Socket> accept(int timeout_ms);
 
-  /// Wake any blocked accept() and make every future accept return nullopt.
+  /// Close the listening socket, wake any blocked accept() and make every
+  /// future accept return nullopt. Safe to call while another thread is in
+  /// accept().
   void shutdown();
 
   const std::string& path() const { return path_; }
 
  private:
   std::string path_;
-  int fd_ = -1;
+  std::mutex mu_;  // guards fd_ between shutdown() and accept()
+  int fd_ = -1;    // non-blocking, so accept() never waits holding mu_
   int wake_pipe_[2] = {-1, -1};  // self-pipe: shutdown() wakes poll()
 };
 

@@ -13,23 +13,21 @@
 
 namespace pa::vm {
 
-/// Execution observer. on_instruction fires once per executed instruction,
-/// BEFORE the instruction's effects, so the instruction is attributed to the
-/// privilege state in force while it executes. `fn` is the function whose
-/// instruction is executing.
+/// Execution observer. on_run fires once per straight-line run of `n`
+/// instructions starting at instruction `ip` of block `block` of `fn`, BEFORE
+/// the run's effects. A run never spans a change of privilege state,
+/// credentials or function (it ends at the first syscall, priv_*, call,
+/// callind or terminator), so every instruction in it is attributed to the
+/// state in force when it starts. `block` is -1 when the caller has no
+/// program point (the on_instruction helper).
 class Tracer {
  public:
   virtual ~Tracer() = default;
-  virtual void on_instruction(const os::Process& p, const ir::Function& fn) = 0;
-  /// Point-precise variant: additionally carries the basic-block index and
-  /// the instruction's offset within it. The interpreter calls this one;
-  /// tracers that don't care about program points inherit the default
-  /// forwarding to on_instruction.
-  virtual void on_instruction_at(const os::Process& p, const ir::Function& fn,
-                                 int block, std::size_t ip) {
-    (void)block;
-    (void)ip;
-    on_instruction(p, fn);
+  virtual void on_run(const os::Process& p, const ir::Function& fn, int block,
+                      std::size_t ip, std::uint64_t n) = 0;
+  /// One instruction at no particular program point.
+  void on_instruction(const os::Process& p, const ir::Function& fn) {
+    on_run(p, fn, /*block=*/-1, /*ip=*/0, 1);
   }
 };
 
@@ -39,6 +37,9 @@ struct RunLimits {
 
 class Interpreter {
  public:
+  /// Decodes `module` for execution as process `pid`, which must exist in
+  /// `kernel`. Neither the module nor the kernel may be destroyed, and the
+  /// module may not change, while the interpreter exists.
   Interpreter(os::Kernel& kernel, const ir::Module& module, os::Pid pid);
 
   void set_tracer(Tracer* t) { tracer_ = t; }
@@ -51,14 +52,14 @@ class Interpreter {
   long run(const std::string& entry = "main",
            std::vector<ir::RtValue> args = {});
 
-  // -- Stepping API (used by vm::Scheduler for multi-process runs) ----------
-  /// Prepare to execute `entry`; the program runs via step().
+  // -- Turn API (used by vm::Scheduler for multi-process runs) --------------
+  /// Prepare to execute `entry`; the program runs via run_turn().
   void start(const std::string& entry = "main",
              std::vector<ir::RtValue> args = {});
-  /// Execute one instruction. Returns false once the program has finished
-  /// (returned from the entry frame, executed exit, or been killed); the
-  /// process is marked zombie at that point.
-  bool step();
+  /// Execute at most `quantum` instructions. Returns false once the program
+  /// has finished (returned from the entry frame, executed exit, or been
+  /// killed); the process is marked zombie at that point.
+  bool run_turn(std::uint64_t quantum);
   bool finished() const;
   long exit_code() const { return exit_code_; }
 
@@ -67,6 +68,7 @@ class Interpreter {
  private:
   struct Frame {
     const ir::Function* fn;
+    std::size_t index = 0;  // fn's position in module_->functions()
     int block = 0;
     std::size_t ip = 0;
     std::vector<ir::RtValue> regs;
@@ -74,15 +76,28 @@ class Interpreter {
   };
 
   ir::RtValue eval(const Frame& frame, const ir::Operand& op) const;
+  /// eval() followed by ir::rt_as_int(), without building the RtValue.
+  std::int64_t eval_int(const Frame& frame, const ir::Operand& op) const;
   void push_frame(const std::string& fname, std::vector<ir::RtValue> args,
                   int dest_in_caller);
+  /// Executes a straight-line instruction; leaves frame.ip to the caller.
+  void compute(Frame& frame, const ir::Instruction& inst);
+  /// Executes any instruction, advancing frame.ip or transferring control.
+  void execute(Frame& frame, const ir::Instruction& inst);
   void deliver_pending_signal();
 
   os::Kernel* kernel_;
   const ir::Module* module_;
   os::Pid pid_;
+  os::Process* proc_;
   Tracer* tracer_ = nullptr;
   RunLimits limits_;
+
+  // Decoded module, parallel to module_->functions(): each function's frame
+  // size, and for each (block, ip) the length of the straight-line run that
+  // starts there.
+  std::vector<int> frame_size_;
+  std::vector<std::vector<std::vector<std::uint32_t>>> run_len_;
 
   std::vector<Frame> stack_;
   std::uint64_t executed_ = 0;

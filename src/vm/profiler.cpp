@@ -7,16 +7,14 @@
 
 namespace pa::vm {
 
-void FunctionProfiler::on_instruction(const os::Process&,
-                                      const ir::Function& fn) {
-  ++total_;
-  if (&fn == last_fn_ && last_slot_) {
-    ++*last_slot_;
-    return;
+void FunctionProfiler::on_run(const os::Process&, const ir::Function& fn,
+                              int, std::size_t, std::uint64_t n) {
+  total_ += n;
+  if (&fn != last_fn_ || !last_slot_) {
+    last_fn_ = &fn;
+    last_slot_ = &counts_[fn.name()];
   }
-  last_fn_ = &fn;
-  last_slot_ = &counts_[fn.name()];
-  ++*last_slot_;
+  *last_slot_ += n;
 }
 
 std::vector<FunctionProfiler::Entry> FunctionProfiler::entries() const {

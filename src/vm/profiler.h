@@ -16,7 +16,8 @@ namespace pa::vm {
 
 class FunctionProfiler final : public Tracer {
  public:
-  void on_instruction(const os::Process& p, const ir::Function& fn) override;
+  void on_run(const os::Process& p, const ir::Function& fn, int block,
+              std::size_t ip, std::uint64_t n) override;
 
   struct Entry {
     std::string function;
@@ -45,13 +46,9 @@ class MultiTracer final : public Tracer {
   explicit MultiTracer(std::vector<Tracer*> tracers)
       : tracers_(std::move(tracers)) {}
 
-  void on_instruction(const os::Process& p, const ir::Function& fn) override {
-    for (Tracer* t : tracers_) t->on_instruction(p, fn);
-  }
-
-  void on_instruction_at(const os::Process& p, const ir::Function& fn,
-                         int block, std::size_t ip) override {
-    for (Tracer* t : tracers_) t->on_instruction_at(p, fn, block, ip);
+  void on_run(const os::Process& p, const ir::Function& fn, int block,
+              std::size_t ip, std::uint64_t n) override {
+    for (Tracer* t : tracers_) t->on_run(p, fn, block, ip, n);
   }
 
  private:

@@ -15,13 +15,8 @@ Interpreter& Scheduler::add(const ir::Module& module, os::Pid pid,
 bool Scheduler::step_round(std::uint64_t quantum) {
   bool any_alive = false;
   for (Task& task : tasks_) {
-    if (task.interp->finished()) {
-      // Let the interpreter finalize (zombie marking) exactly once.
-      task.interp->step();
-      continue;
-    }
-    for (std::uint64_t i = 0; i < quantum; ++i)
-      if (!task.interp->step()) break;
+    // A finished program is finalized (zombie marking) by its next turn.
+    task.interp->run_turn(quantum);
     any_alive |= !task.interp->finished();
   }
   return any_alive;

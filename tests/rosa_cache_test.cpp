@@ -11,6 +11,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "privanalyzer/pipeline.h"
 #include "privmodels/solaris.h"
 #include "rosa/cache.h"
@@ -331,7 +333,15 @@ TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
 
 class PersistentCacheTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rosa_cache_test.cache";
+  // ctest runs every case as its own process, concurrently, so each case
+  // gets its own file: named after the running test and the pid.
+  std::string path_ = [] {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/rosa_cache_test." +
+           test->test_suite_name() + "." + test->name() + "." +
+           std::to_string(::getpid()) + ".cache";
+  }();
 
   void TearDown() override { std::remove(path_.c_str()); }
 

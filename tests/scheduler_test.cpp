@@ -3,73 +3,34 @@
 #include <gtest/gtest.h>
 
 #include "chronopriv/epoch.h"
-#include "ir/builder.h"
+#include "scheduler_scenarios.h"
+#include "vm/profiler.h"
 #include "vm/scheduler.h"
 
 namespace pa::vm {
 namespace {
 
-using ir::IRBuilder;
-using B = IRBuilder;
 using caps::Capability;
-using caps::Credentials;
 
 TEST(SchedulerTest, TwoProcessesBothFinish) {
-  ir::Module m("t");
-  IRBuilder b(m);
-  b.begin_function("main", 1);
-  b.nop(50);
-  b.ret(B::r(0));
-  b.end_function();
-
-  os::Kernel k;
-  os::Pid p1 = k.spawn("a", Credentials::of_user(1000, 1000), {});
-  os::Pid p2 = k.spawn("b", Credentials::of_user(1001, 1001), {});
-  Scheduler sched(k);
-  sched.add(m, p1, "main", {std::int64_t{7}});
-  sched.add(m, p2, "main", {std::int64_t{8}});
+  scenarios::Scenario s = scenarios::two_processes();
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
   std::uint64_t total = sched.run_all(/*quantum=*/10);
 
   EXPECT_EQ(sched.exit_code(0), 7);
   EXPECT_EQ(sched.exit_code(1), 8);
-  EXPECT_FALSE(k.process(p1).alive());
-  EXPECT_FALSE(k.process(p2).alive());
+  EXPECT_FALSE(s.kernel.process(s.pid(0)).alive());
+  EXPECT_FALSE(s.kernel.process(s.pid(1)).alive());
   EXPECT_GE(total, 102u);
 }
 
 TEST(SchedulerTest, CrossProcessSignalDelivery) {
   // Process A registers a SIGTERM handler and loops; process B kills A.
   // A's handler exits with a recognizable code.
-  ir::Module ma("a");
-  {
-    IRBuilder b(ma);
-    b.begin_function("on_term", 1);
-    b.exit(B::i(99));
-    b.end_function();
-    b.begin_function("main", 0);
-    b.syscall("signal", {B::i(os::kSigTerm), B::f("on_term")});
-    b.br("loop");
-    b.at("loop");
-    b.nop(3);
-    b.br("loop");  // spins until signalled
-    b.end_function();
-  }
-  ir::Module mb("b");
-  os::Kernel k;
-  os::Pid pa_ = k.spawn("A", Credentials::of_user(1000, 1000), {});
-  os::Pid pb = k.spawn("B", Credentials::of_user(1000, 1000), {});
-  {
-    IRBuilder b(mb);
-    b.begin_function("main", 0);
-    b.nop(40);  // let A get going
-    b.syscall("kill", {B::i(pa_), B::i(os::kSigTerm)});
-    b.ret(B::i(0));
-    b.end_function();
-  }
-
-  Scheduler sched(k);
-  sched.add(ma, pa_);
-  sched.add(mb, pb);
+  scenarios::Scenario s = scenarios::cross_process_signal();
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
   sched.run_all(/*quantum=*/8);
 
   EXPECT_EQ(sched.exit_code(0), 99);  // handler ran
@@ -77,37 +38,12 @@ TEST(SchedulerTest, CrossProcessSignalDelivery) {
 }
 
 TEST(SchedulerTest, SigkillTerminatesVictimMidRun) {
-  ir::Module victim("v");
-  {
-    IRBuilder b(victim);
-    b.begin_function("main", 0);
-    b.br("loop");
-    b.at("loop");
-    b.nop(2);
-    b.br("loop");
-    b.end_function();
-  }
-  ir::Module killer("k");
-  os::Kernel k;
-  os::Pid pv = k.spawn("v", Credentials::of_user(109, 109), {});
-  os::Pid pk = k.spawn("k", Credentials::of_user(1000, 1000),
-                       {Capability::Kill});
-  {
-    IRBuilder b(killer);
-    b.begin_function("main", 0);
-    b.priv_raise({Capability::Kill});
-    b.syscall("kill", {B::i(pv), B::i(os::kSigKill)});
-    b.priv_lower({Capability::Kill});
-    b.ret(B::i(0));
-    b.end_function();
-  }
-
-  Scheduler sched(k);
-  sched.add(victim, pv);
-  sched.add(killer, pk);
+  scenarios::Scenario s = scenarios::sigkill_victim();
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
   sched.run_all();
-  EXPECT_FALSE(k.process(pv).alive());
-  EXPECT_EQ(k.process(pv).exit_code, 128 + os::kSigKill);
+  EXPECT_FALSE(s.kernel.process(s.pid(0)).alive());
+  EXPECT_EQ(s.kernel.process(s.pid(0)).exit_code, 128 + os::kSigKill);
 }
 
 TEST(SchedulerTest, PrivilegeSeparatedPair) {
@@ -115,61 +51,80 @@ TEST(SchedulerTest, PrivilegeSeparatedPair) {
   // and binds the privileged port; the worker (a separate process with an
   // EMPTY permitted set) does the long-running request work. ChronoPriv on
   // the worker shows zero capability exposure regardless of how long it runs.
-  ir::Module monitor("monitor");
-  {
-    IRBuilder b(monitor);
-    b.begin_function("main", 0);
-    int s = b.syscall("socket", {B::i(0)});
-    b.priv_raise({Capability::NetBindService});
-    b.syscall("bind", {B::r(s), B::i(22)});
-    b.priv_lower({Capability::NetBindService});
-    b.nop(10);
-    b.exit(B::i(0));
-    b.end_function();
-  }
-  ir::Module worker("worker");
-  {
-    IRBuilder b(worker);
-    b.begin_function("main", 0);
-    b.nop(400);  // request handling
-    b.exit(B::i(0));
-    b.end_function();
-  }
-
-  os::Kernel k;
-  os::Pid pm = k.spawn("monitor", Credentials::of_user(1000, 1000),
-                       {Capability::NetBindService});
-  os::Pid pw = k.spawn("worker", Credentials::of_user(1000, 1000), {});
-
+  scenarios::Scenario s = scenarios::privsep_pair();
   chronopriv::EpochTracker worker_epochs;
-  Scheduler sched(k);
-  sched.add(monitor, pm);
-  Interpreter& wi = sched.add(worker, pw);
-  wi.set_tracer(&worker_epochs);
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
+  sched.interpreter(1).set_tracer(&worker_epochs);
   sched.run_all();
 
-  EXPECT_EQ(k.net().port_owner(22), pm);  // the monitor bound the port
+  EXPECT_EQ(s.kernel.net().port_owner(22), s.pid(0));  // the monitor bound it
   ASSERT_EQ(worker_epochs.epochs().size(), 1u);
   EXPECT_TRUE(worker_epochs.epochs()[0].key.permitted.empty());
   EXPECT_GT(worker_epochs.total_instructions(), 400u);
 }
 
 TEST(SchedulerTest, StepRoundReportsLiveness) {
-  ir::Module m("t");
-  IRBuilder b(m);
-  b.begin_function("main", 0);
-  b.nop(5);
-  b.ret(B::i(0));
-  b.end_function();
-
-  os::Kernel k;
-  os::Pid p = k.spawn("p", Credentials::of_user(1000, 1000), {});
-  Scheduler sched(k);
-  sched.add(m, p);
+  scenarios::Scenario s = scenarios::short_program();
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
   EXPECT_TRUE(sched.step_round(/*quantum=*/2));   // 2 of 6 instructions
   EXPECT_TRUE(sched.step_round(2));
   EXPECT_FALSE(sched.step_round(100));            // finishes here
   EXPECT_FALSE(sched.step_round(100));            // idempotent when done
+}
+
+TEST(SchedulerTest, QuantumEndingMidBlockSplitsTheRun) {
+  // 5 nops and priv_remove(CAP_SETUID) run with CAP_SETUID permitted, the
+  // last 5 nops and ret without it. Per-instruction stepping at quantum 2
+  // gives 2, 4, ... 12 instructions and splits the timeline at 6.
+  scenarios::Scenario s = scenarios::mid_block_epoch();
+  chronopriv::EpochTracker epochs;
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
+  sched.interpreter(0).set_tracer(&epochs);
+  const caps::CapSet setuid{Capability::Setuid};
+  for (std::uint64_t round = 1; round <= 6; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_EQ(sched.step_round(2), round < 6);
+    EXPECT_EQ(sched.interpreter(0).executed(), 2 * round);
+    const auto& timeline = epochs.timeline();
+    ASSERT_EQ(timeline.size(), round <= 3 ? 1u : 2u);
+    EXPECT_EQ(timeline[0].key.permitted, setuid);
+    EXPECT_EQ(timeline[0].start, 0u);
+    EXPECT_EQ(timeline[0].length, std::min<std::uint64_t>(2 * round, 6));
+    if (round > 3) {
+      EXPECT_TRUE(timeline[1].key.permitted.empty());
+      EXPECT_EQ(timeline[1].start, 6u);
+      EXPECT_EQ(timeline[1].length, 2 * round - 6);
+    }
+  }
+}
+
+TEST(SchedulerTest, SignalFromAnotherProcessRunsHandlerAfterOneInstruction) {
+  // Turn 1 (quantum 4): the victim executes signal, br and two loop nops;
+  // the killer sends SIGTERM and returns. Turn 2: the pending signal is
+  // delivered after ONE more loop instruction, so the handler's exit is
+  // the victim's sixth instruction.
+  scenarios::Scenario s = scenarios::signal_mid_block();
+  FunctionProfiler profile;
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
+  sched.interpreter(0).set_tracer(&profile);
+
+  EXPECT_TRUE(sched.step_round(4));
+  EXPECT_EQ(sched.interpreter(0).executed(), 4u);
+  EXPECT_TRUE(sched.interpreter(1).finished());
+
+  EXPECT_FALSE(sched.step_round(4));
+  EXPECT_EQ(sched.interpreter(0).executed(), 6u);
+  EXPECT_EQ(sched.exit_code(0), 99);
+  const auto entries = profile.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].function, "main");
+  EXPECT_EQ(entries[0].instructions, 5u);
+  EXPECT_EQ(entries[1].function, "on_term");
+  EXPECT_EQ(entries[1].instructions, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "chronopriv/epoch.h"
 #include "ir/builder.h"
 #include "support/error.h"
 #include "vm/interpreter.h"
@@ -164,6 +165,30 @@ TEST_F(VmFixture, InstructionBudgetEnforced) {
   Interpreter interp(k, m, p);
   interp.set_limits({.max_instructions = 1000});
   EXPECT_THROW(interp.run("main"), Error);
+}
+
+TEST_F(VmFixture, BudgetCutsAStraightLineBlock) {
+  // The budget runs out 1000 instructions into a 4097-instruction run: the
+  // tracer sees exactly the budget, and the fault is the same as when the
+  // budget ends a loop.
+  IRBuilder b(m);
+  b.begin_function("main", 0);
+  b.nop(4096);
+  b.ret(B::i(0));
+  b.end_function();
+  os::Pid p = spawn();
+  Interpreter interp(k, m, p);
+  chronopriv::EpochTracker epochs;
+  interp.set_tracer(&epochs);
+  interp.set_limits({.max_instructions = 1000});
+  try {
+    interp.run("main");
+    ADD_FAILURE() << "budget not enforced";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "instruction budget exhausted (1000)");
+  }
+  EXPECT_EQ(epochs.total_instructions(), 1000u);
+  EXPECT_EQ(interp.executed(), 1001u);  // the refused instruction counts
 }
 
 TEST_F(VmFixture, SignalDeliveryRunsHandler) {
