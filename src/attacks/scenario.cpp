@@ -37,13 +37,9 @@ ScenarioInput scenario_from_epoch(const chronopriv::EpochRow& row,
 
 CellVerdict run_attack(AttackId attack, const ScenarioInput& input,
                        const rosa::SearchLimits& limits,
-                       rosa::SearchResult* result,
-                       const rosa::EscalationPolicy& escalation,
-                       rosa::QueryCache* cache) {
-  rosa::Query q = build_attack_query(attack, input);
-  rosa::SearchResult r = cache
-                             ? cache->run_cached(q, limits, escalation)
-                             : rosa::search_escalating(q, limits, escalation);
+                       rosa::SearchResult* result) {
+  rosa::SearchResult r =
+      rosa::search(build_attack_query(attack, input), limits);
   CellVerdict verdict = cell_from_verdict(r.verdict);
   if (result) *result = std::move(r);
   return verdict;
@@ -51,15 +47,12 @@ CellVerdict run_attack(AttackId attack, const ScenarioInput& input,
 
 EpochVerdicts analyze_epoch(const chronopriv::EpochRow& row,
                             const ScenarioInput& input,
-                            const rosa::SearchLimits& limits,
-                            const rosa::EscalationPolicy& escalation,
-                            rosa::QueryCache* cache) {
+                            const rosa::SearchLimits& limits) {
   EpochVerdicts out;
   out.epoch_name = row.name;
   for (std::size_t i = 0; i < modeled_attacks().size(); ++i) {
     const AttackId id = modeled_attacks()[i].id;
-    out.verdicts[i] =
-        run_attack(id, input, limits, &out.results[i], escalation, cache);
+    out.verdicts[i] = run_attack(id, input, limits, &out.results[i]);
   }
   return out;
 }

@@ -41,26 +41,25 @@ ScenarioInput scenario_from_epoch(const chronopriv::EpochRow& row,
 /// Map a search verdict to the matrix cell it renders as.
 CellVerdict cell_from_verdict(rosa::Verdict v);
 
-/// Run all four attacks against one epoch. `escalation` retries
-/// ResourceLimit queries with geometrically grown budgets
-/// (rosa::search_escalating), shrinking the presumed-invulnerable bucket.
-/// `cache` (optional, non-owning) memoizes results by content fingerprint
-/// (rosa/cache.h) — epochs posing the same reachability question are
-/// searched once.
+/// Run all four attacks against one epoch, one rosa::search each, uncached
+/// and without escalation: the per-epoch reference the fused matrix of
+/// analyze_epochs is checked against (tests/rosa_fused_diff_test.cpp).
 EpochVerdicts analyze_epoch(const chronopriv::EpochRow& row,
                             const ScenarioInput& input,
-                            const rosa::SearchLimits& limits = {},
-                            const rosa::EscalationPolicy& escalation = {},
-                            rosa::QueryCache* cache = nullptr);
+                            const rosa::SearchLimits& limits = {});
 
 /// Run the whole (epoch × attack) matrix as one rosa::run_queries batch,
 /// fanned out across `n_threads` ROSA workers (0 = hardware_concurrency),
 /// so each epoch's four attacks fuse into one shared exploration. rows and
 /// inputs are parallel vectors; the result is ordered like rows. Every
 /// thread count produces the verdicts and witnesses per-epoch
-/// analyze_epoch calls would — including escalated ones, since both run
-/// the same per-query escalation ladder (tests/rosa_parallel_diff_test.cpp,
+/// analyze_epoch calls would (tests/rosa_parallel_diff_test.cpp,
 /// tests/rosa_fused_diff_test.cpp, tests/pipeline_robustness_test.cpp).
+/// `escalation` retries ResourceLimit queries with geometrically grown
+/// budgets (rosa::search_escalating), shrinking the presumed-invulnerable
+/// bucket; `cache` (optional, non-owning) memoizes results by content
+/// fingerprint (rosa/cache.h), so epochs posing the same reachability
+/// question are searched once.
 std::vector<EpochVerdicts> analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
@@ -68,11 +67,10 @@ std::vector<EpochVerdicts> analyze_epochs(
     const rosa::EscalationPolicy& escalation = {},
     rosa::QueryCache* cache = nullptr);
 
-/// Run one attack; maps the search verdict to a cell verdict.
+/// Run one attack (one rosa::search); maps the search verdict to a cell
+/// verdict.
 CellVerdict run_attack(AttackId attack, const ScenarioInput& input,
                        const rosa::SearchLimits& limits,
-                       rosa::SearchResult* result = nullptr,
-                       const rosa::EscalationPolicy& escalation = {},
-                       rosa::QueryCache* cache = nullptr);
+                       rosa::SearchResult* result = nullptr);
 
 }  // namespace pa::attacks

@@ -67,7 +67,10 @@ programs::ProgramSpec resolve_program(const JobRequest& req) {
     if (!req.name.empty()) spec.name = req.name;
     return spec;
   }
-  std::string_view default_name = req.name.empty() ? "job" : req.name;
+  // Both arms are views: a "job" : req.name conditional would build a
+  // temporary std::string that dies before the loaders read the view.
+  const std::string_view default_name =
+      req.name.empty() ? std::string_view("job") : std::string_view(req.name);
   if (req.kind == "pir")
     return privanalyzer::load_program(req.source, default_name);
   if (req.kind == "pc")

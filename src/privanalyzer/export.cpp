@@ -155,7 +155,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
   os << "program,epoch,attack,verdict,states,transitions,dedup_hits,"
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
         "symmetry_pruned,escalations,fused_group_size,fused_searches_saved,"
-        "fused_world_states,cache_hits,cache_misses,cache_joins,seconds\n";
+        "fused_world_states,cache_hits,cache_misses,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
       for (std::size_t atk = 0; atk < attacks::modeled_attacks().size();
@@ -173,8 +173,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.fused_searches_saved << ','
            << r.stats.fused_world_states << ','
            << r.stats.cache_hits << ',' << r.stats.cache_misses << ','
-           << r.stats.cache_joins << ',' << str::fixed(r.stats.seconds, 6)
-           << '\n';
+           << str::fixed(r.stats.seconds, 6) << '\n';
       }
     }
   }

@@ -1,5 +1,5 @@
 // Chunked append-only arena with byte-level memory accounting — the node
-// store behind rosa::search().
+// store of ROSA's one search loop (rosa::detail::search_fused).
 //
 // Two properties matter to the search loop:
 //
@@ -97,11 +97,11 @@ class Arena {
 
 namespace detail {
 
-/// One explored state, shared by the serial and the fused engines. Both
-/// append SearchNodes to an Arena<SearchNode> and register the same heap
-/// bytes, so a fused member's replayed byte schedule (ArenaSim) — and with
-/// it every max_bytes verdict and peak_bytes figure — matches its
-/// standalone run. `aux` is the intrusive hash-chain link: the next node
+/// One explored state. The search loop appends SearchNodes to an
+/// Arena<SearchNode> and registers each node's heap bytes with it; each
+/// member's replayed byte schedule (ArenaSim) registers the same bytes, so
+/// its max_bytes verdict and peak_bytes figure match what the member's lone
+/// run would report. `aux` is the intrusive hash-chain link: the next node
 /// with the same 64-bit digest, -1 = chain end.
 struct SearchNode {
   State state;

@@ -1,10 +1,8 @@
 #include "rosa/cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,22 +19,6 @@
 namespace pa::rosa {
 
 namespace {
-
-/// Replicates search_escalating's budget growth exactly: max_states after
-/// `times` escalation rounds (0 = unlimited stays unlimited).
-std::size_t grow_budget(std::size_t base, double factor, unsigned times) {
-  std::size_t b = base;
-  for (unsigned i = 0; i < times && b; ++i)
-    b = static_cast<std::size_t>(static_cast<double>(b) * factor);
-  return b;
-}
-
-/// The largest state budget a (limits, escalation) pair can ever try.
-std::size_t max_escalated_budget(const SearchLimits& limits,
-                                 const EscalationPolicy& esc) {
-  return grow_budget(limits.max_states, esc.factor,
-                     esc.enabled() ? esc.rounds : 0);
-}
 
 std::optional<std::uint64_t> parse_u64(std::string_view s) {
   if (s.empty()) return std::nullopt;
@@ -91,15 +73,6 @@ struct QueryCache::Entry {
 
 namespace {
 
-/// One fingerprint's slot: the stored entry plus the in-flight handshake.
-struct Slot {
-  std::mutex m;
-  std::condition_variable cv;
-  bool computing = false;
-  bool has_entry = false;
-  QueryCache::Entry entry;
-};
-
 bool sig_matches(const QueryCache::Entry& e, const SearchLimits& limits,
                  const EscalationPolicy& esc) {
   return e.sig_max_states == limits.max_states &&
@@ -117,7 +90,8 @@ bool reusable(const QueryCache::Entry& e, const SearchLimits& limits,
   // request to be states-bounded only: a byte budget could trip before the
   // state budget at a point these rules cannot predict.
   if (limits.max_seconds != 0 || limits.max_bytes != 0) return false;
-  const std::size_t bmax = max_escalated_budget(limits, esc);
+  // The largest state budget this request's escalation ladder can try.
+  const std::size_t bmax = esc.attempt_limits(limits, esc.rounds).max_states;
   if (e.verdict == Verdict::ResourceLimit) {
     // Rule 3: equal-or-smaller pure states-bounded budgets only.
     return e.decisive_budget != 0 && bmax != 0 && bmax <= e.decisive_budget;
@@ -142,7 +116,8 @@ std::optional<QueryCache::Entry> make_entry(const SearchResult& r,
   e.verdict = r.verdict;
   if (r.verdict == Verdict::ResourceLimit) {
     e.decisive_budget =
-        grow_budget(limits.max_states, esc.factor, r.stats.escalations);
+        esc.attempt_limits(limits, static_cast<unsigned>(r.stats.escalations))
+            .max_states;
     // The decisive attempt's state count can only reach max_states at the
     // in-search budget check itself, so >= proves genuine exhaustion. A
     // ResourceLimit caused by a deadline, cancellation, or the byte budget
@@ -152,10 +127,10 @@ std::optional<QueryCache::Entry> make_entry(const SearchResult& r,
       return std::nullopt;
   }
   e.stats = r.stats;
-  e.stats.cache_hits = e.stats.cache_misses = e.stats.cache_joins = 0;
+  e.stats.cache_hits = e.stats.cache_misses = 0;
   // Mode-of-computation observability, not query cost: a warm hit must be
   // byte-identical whether the entry was computed by a fused group or a
-  // standalone search.
+  // lone search.
   e.stats.fused_group_size = 0;
   e.stats.fused_searches_saved = 0;
   e.stats.fused_world_states = 0;
@@ -188,224 +163,97 @@ SearchResult result_from_entry(const QueryCache::Entry& e) {
 }
 
 /// Estimated resident footprint of one stored entry, for the byte-budget
-/// eviction policy. Deliberately coarse (container headers + payload plus a
-/// flat allowance for the map node and control block): the budget bounds
-/// growth, it does not meter an allocator.
+/// eviction policy. Deliberately coarse (the entry and its witness payload
+/// plus a flat allowance for the map node, the recency-list node and their
+/// bookkeeping): the budget bounds growth, it does not meter an allocator.
 std::size_t entry_bytes(const QueryCache::Entry& e) {
-  std::size_t b = sizeof(Slot) + sizeof(Fingerprint) + 96;
+  std::size_t b = sizeof(QueryCache::Entry) + sizeof(Fingerprint) + 192;
   b += e.witness.capacity() * sizeof(Action);
   for (const Action& a : e.witness) b += a.args.capacity() * sizeof(int);
   return b;
 }
 
+/// One stored fingerprint: its entry, estimated footprint, and place in the
+/// recency list.
+struct Resident {
+  QueryCache::Entry entry;
+  std::size_t bytes = 0;
+  std::list<Fingerprint>::iterator recency;
+};
+
 }  // namespace
 
-struct QueryCache::Shard {
-  mutable std::mutex map_mu;
-  std::unordered_map<Fingerprint, std::shared_ptr<Slot>, FingerprintHash>
-      slots;
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> misses{0};
-  std::atomic<std::size_t> joins{0};
-  std::atomic<std::size_t> entries{0};
-  std::atomic<std::size_t> loaded{0};
-};
-
-/// Recency bookkeeping for the byte-budget eviction policy. Leaf lock: mu is
-/// never held while a shard map_mu or slot mutex is acquired (victims are
-/// collected under mu, then evicted after releasing it), so it cannot
-/// participate in a lock cycle. The LRU order is approximate under races —
-/// an entry touched between victim collection and eviction is still dropped
-/// — which costs at most a recompute, never correctness.
-struct QueryCache::Lru {
+struct QueryCache::Store {
   std::mutex mu;
-  std::list<Fingerprint> order;  // front = most recently used
-  std::unordered_map<Fingerprint,
-                     std::pair<std::list<Fingerprint>::iterator, std::size_t>,
-                     FingerprintHash>
-      pos;
-  std::size_t bytes = 0;   // estimated resident footprint
-  std::size_t budget = 0;  // 0 = unlimited
-  std::atomic<std::size_t> evictions{0};
+  std::unordered_map<Fingerprint, Resident, FingerprintHash> map;
+  std::list<Fingerprint> recency;  // front = most recently used
+  std::size_t bytes = 0;           // estimated resident footprint
+  std::size_t budget = 0;          // 0 = unlimited
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t loaded = 0;
+  std::size_t evictions = 0;
+
+  void touch(Resident& r) {
+    recency.splice(recency.begin(), recency, r.recency);
+  }
+
+  /// Insert or replace fp's entry as the most recently used one.
+  void put(const Fingerprint& fp, Entry e) {
+    const auto [it, fresh] = map.try_emplace(fp);
+    Resident& r = it->second;
+    if (fresh) {
+      recency.push_front(fp);
+      r.recency = recency.begin();
+    } else {
+      touch(r);
+      bytes -= r.bytes;
+    }
+    r.entry = std::move(e);
+    r.bytes = entry_bytes(r.entry);
+    bytes += r.bytes;
+  }
+
+  /// Evict from the cold tail until the footprint fits the budget, keeping
+  /// at least `keep` entries: a store keeps the entry it just made even
+  /// when that alone exceeds the budget (dropping it would only thrash).
+  void evict(std::size_t keep) {
+    while (budget != 0 && bytes > budget && map.size() > keep) {
+      const auto it = map.find(recency.back());
+      bytes -= it->second.bytes;
+      map.erase(it);
+      recency.pop_back();
+      ++evictions;
+    }
+  }
 };
 
-QueryCache::QueryCache(unsigned shards) : lru_(std::make_unique<Lru>()) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (unsigned i = 0; i < shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
+QueryCache::QueryCache() : store_(std::make_unique<Store>()) {}
 
 QueryCache::~QueryCache() = default;
 
 void QueryCache::set_byte_budget(std::size_t bytes) {
-  std::vector<Fingerprint> victims;
-  {
-    std::lock_guard<std::mutex> lk(lru_->mu);
-    lru_->budget = bytes;
-    while (lru_->budget != 0 && lru_->bytes > lru_->budget &&
-           !lru_->order.empty()) {
-      const Fingerprint victim = lru_->order.back();
-      lru_->bytes -= lru_->pos.at(victim).second;
-      lru_->pos.erase(victim);
-      lru_->order.pop_back();
-      victims.push_back(victim);
-    }
-  }
-  for (const Fingerprint& fp : victims) evict_entry(fp);
-}
-
-void QueryCache::lru_note(const Fingerprint& fp, std::size_t bytes) {
-  std::vector<Fingerprint> victims;
-  {
-    std::lock_guard<std::mutex> lk(lru_->mu);
-    auto it = lru_->pos.find(fp);
-    if (it != lru_->pos.end()) {
-      lru_->order.splice(lru_->order.begin(), lru_->order, it->second.first);
-      if (bytes != 0) {
-        lru_->bytes -= it->second.second;
-        lru_->bytes += bytes;
-        it->second.second = bytes;
-      }
-    } else if (bytes != 0) {
-      lru_->order.push_front(fp);
-      lru_->pos.emplace(fp, std::make_pair(lru_->order.begin(), bytes));
-      lru_->bytes += bytes;
-    } else {
-      return;  // touch of an entry the budget already dropped
-    }
-    // Evict from the cold tail; the >1 guard keeps the entry just used even
-    // when it alone exceeds the budget (dropping it would only thrash).
-    while (lru_->budget != 0 && lru_->bytes > lru_->budget &&
-           lru_->order.size() > 1) {
-      const Fingerprint victim = lru_->order.back();
-      lru_->bytes -= lru_->pos.at(victim).second;
-      lru_->pos.erase(victim);
-      lru_->order.pop_back();
-      victims.push_back(victim);
-    }
-  }
-  for (const Fingerprint& victim : victims) evict_entry(victim);
-}
-
-void QueryCache::evict_entry(const Fingerprint& fp) {
-  Shard& sh = shard_for(fp);
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lk(sh.map_mu);
-    auto it = sh.slots.find(fp);
-    if (it == sh.slots.end()) return;
-    slot = it->second;
-  }
-  std::lock_guard<std::mutex> lk(slot->m);
-  if (!slot->has_entry) return;
-  slot->has_entry = false;
-  slot->entry = Entry{};
-  sh.entries.fetch_sub(1, std::memory_order_relaxed);
-  lru_->evictions.fetch_add(1, std::memory_order_relaxed);
-}
-
-QueryCache::Shard& QueryCache::shard_for(const Fingerprint& fp) const {
-  return *shards_[static_cast<std::size_t>(FingerprintHash{}(fp)) %
-                  shards_.size()];
-}
-
-SearchResult QueryCache::run_cached(const Query& query,
-                                    const SearchLimits& limits,
-                                    const EscalationPolicy& escalation) {
-  const std::optional<Fingerprint> fp = fingerprint_query(query, limits);
-  if (!fp) return search_escalating(query, limits, escalation);
-
-  Shard& sh = shard_for(*fp);
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lk(sh.map_mu);
-    std::shared_ptr<Slot>& s = sh.slots[*fp];
-    if (!s) s = std::make_shared<Slot>();
-    slot = s;
-  }
-
-  bool joined = false;
-  std::unique_lock<std::mutex> lk(slot->m);
-  for (;;) {
-    if (slot->has_entry && reusable(slot->entry, limits, escalation)) {
-      SearchResult r = result_from_entry(slot->entry);
-      r.stats.cache_hits = 1;
-      r.stats.cache_joins = joined ? 1 : 0;
-      sh.hits.fetch_add(1, std::memory_order_relaxed);
-      if (joined) sh.joins.fetch_add(1, std::memory_order_relaxed);
-      lk.unlock();
-      lru_note(*fp, 0);  // refresh recency so hot entries survive the budget
-      return r;
-    }
-    if (!slot->computing) break;
-    joined = true;
-    slot->cv.wait(lk);
-  }
-  slot->computing = true;
-  lk.unlock();
-
-  SearchResult r;
-  try {
-    r = search_escalating(query, limits, escalation);
-  } catch (...) {
-    std::lock_guard<std::mutex> relk(slot->m);
-    slot->computing = false;
-    slot->cv.notify_all();
-    throw;
-  }
-
-  lk.lock();
-  slot->computing = false;
-  std::size_t stored_bytes = 0;
-  if (std::optional<Entry> e = make_entry(r, limits, escalation)) {
-    if (!slot->has_entry) {
-      slot->has_entry = true;
-      slot->entry = std::move(*e);
-      sh.entries.fetch_add(1, std::memory_order_relaxed);
-      stored_bytes = entry_bytes(slot->entry);
-    } else if (should_replace(slot->entry, *e)) {
-      slot->entry = std::move(*e);
-      stored_bytes = entry_bytes(slot->entry);
-    }
-  }
-  slot->cv.notify_all();
-  lk.unlock();
-  if (stored_bytes != 0) lru_note(*fp, stored_bytes);
-
-  r.stats.cache_misses = 1;
-  r.stats.cache_joins = joined ? 1 : 0;
-  sh.misses.fetch_add(1, std::memory_order_relaxed);
-  if (joined) sh.joins.fetch_add(1, std::memory_order_relaxed);
-  return r;
+  std::lock_guard<std::mutex> lk(store_->mu);
+  store_->budget = bytes;
+  store_->evict(0);
 }
 
 std::optional<SearchResult> QueryCache::lookup(
     const Fingerprint& fp, const SearchLimits& limits,
     const EscalationPolicy& escalation) {
-  Shard& sh = shard_for(fp);
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lk(sh.map_mu);
-    std::shared_ptr<Slot>& s = sh.slots[fp];
-    if (!s) s = std::make_shared<Slot>();
-    slot = s;
+  std::lock_guard<std::mutex> lk(store_->mu);
+  const auto it = store_->map.find(fp);
+  if (it == store_->map.end() ||
+      !reusable(it->second.entry, limits, escalation)) {
+    ++store_->misses;
+    return std::nullopt;
   }
-  std::optional<SearchResult> r;
-  {
-    std::lock_guard<std::mutex> lk(slot->m);
-    if (slot->has_entry && reusable(slot->entry, limits, escalation)) {
-      r = result_from_entry(slot->entry);
-      r->stats.cache_hits = 1;
-      sh.hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (r) {
-    lru_note(fp, 0);  // refresh recency so hot entries survive the budget
-    return r;
-  }
-  sh.misses.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  // Refresh recency so hot entries survive the budget.
+  store_->touch(it->second);
+  ++store_->hits;
+  SearchResult r = result_from_entry(it->second.entry);
+  r.stats.cache_hits = 1;
+  return r;
 }
 
 void QueryCache::store(const Fingerprint& fp, const SearchResult& result,
@@ -413,52 +261,29 @@ void QueryCache::store(const Fingerprint& fp, const SearchResult& result,
                        const EscalationPolicy& escalation) {
   std::optional<Entry> e = make_entry(result, limits, escalation);
   if (!e) return;
-  Shard& sh = shard_for(fp);
-  std::shared_ptr<Slot> slot;
-  {
-    std::lock_guard<std::mutex> lk(sh.map_mu);
-    std::shared_ptr<Slot>& s = sh.slots[fp];
-    if (!s) s = std::make_shared<Slot>();
-    slot = s;
-  }
-  std::size_t stored_bytes = 0;
-  {
-    std::lock_guard<std::mutex> lk(slot->m);
-    if (!slot->has_entry) {
-      slot->has_entry = true;
-      slot->entry = std::move(*e);
-      sh.entries.fetch_add(1, std::memory_order_relaxed);
-      stored_bytes = entry_bytes(slot->entry);
-    } else if (should_replace(slot->entry, *e)) {
-      slot->entry = std::move(*e);
-      stored_bytes = entry_bytes(slot->entry);
-    }
-  }
-  if (stored_bytes != 0) lru_note(fp, stored_bytes);
+  std::lock_guard<std::mutex> lk(store_->mu);
+  const auto it = store_->map.find(fp);
+  if (it != store_->map.end() && !should_replace(it->second.entry, *e))
+    return;
+  store_->put(fp, std::move(*e));
+  store_->evict(1);
 }
 
 QueryCache::Totals QueryCache::totals() const {
+  std::lock_guard<std::mutex> lk(store_->mu);
   Totals t;
-  for (const auto& sh : shards_) {
-    t.hits += sh->hits.load(std::memory_order_relaxed);
-    t.misses += sh->misses.load(std::memory_order_relaxed);
-    t.joins += sh->joins.load(std::memory_order_relaxed);
-    t.entries += sh->entries.load(std::memory_order_relaxed);
-    t.loaded += sh->loaded.load(std::memory_order_relaxed);
-  }
-  t.evictions = lru_->evictions.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(lru_->mu);
-    t.resident_bytes = lru_->bytes;
-  }
+  t.hits = store_->hits;
+  t.misses = store_->misses;
+  t.entries = store_->map.size();
+  t.loaded = store_->loaded;
+  t.evictions = store_->evictions;
+  t.resident_bytes = store_->bytes;
   return t;
 }
 
 std::size_t QueryCache::size() const {
-  std::size_t n = 0;
-  for (const auto& sh : shards_)
-    n += sh->entries.load(std::memory_order_relaxed);
-  return n;
+  std::lock_guard<std::mutex> lk(store_->mu);
+  return store_->map.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -649,40 +474,25 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
   }
   if (!saw_end) return fail("missing end sentinel (truncated file)");
 
-  std::vector<std::pair<Fingerprint, std::size_t>> accepted;
+  // Entries already resident stay; loading more than the budget evicts the
+  // oldest-loaded entries as the newer ones arrive.
+  std::lock_guard<std::mutex> lk(store_->mu);
   for (auto& [fp, e] : parsed) {
-    Shard& sh = shard_for(fp);
-    std::shared_ptr<Slot> slot;
-    {
-      std::lock_guard<std::mutex> lk(sh.map_mu);
-      std::shared_ptr<Slot>& s = sh.slots[fp];
-      if (!s) s = std::make_shared<Slot>();
-      slot = s;
-    }
-    std::lock_guard<std::mutex> lk(slot->m);
-    if (!slot->has_entry) {
-      slot->has_entry = true;
-      slot->entry = std::move(e);
-      sh.entries.fetch_add(1, std::memory_order_relaxed);
-      sh.loaded.fetch_add(1, std::memory_order_relaxed);
-      accepted.emplace_back(fp, entry_bytes(slot->entry));
-    }
+    if (store_->map.contains(fp)) continue;
+    store_->put(fp, std::move(e));
+    ++store_->loaded;
+    store_->evict(1);
   }
-  // Budget accounting outside every shard/slot lock; loading more than the
-  // budget immediately evicts the oldest-loaded entries.
-  for (const auto& [fp, bytes] : accepted) lru_note(fp, bytes);
   return true;
 }
 
 bool QueryCache::save_file(const std::string& path,
                            std::string* warning) const {
   std::vector<std::pair<std::string, std::string>> rendered;  // hex -> block
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> maplk(sh->map_mu);
-    for (const auto& [fp, slot] : sh->slots) {
-      std::lock_guard<std::mutex> lk(slot->m);
-      if (!slot->has_entry) continue;
-      const Entry& e = slot->entry;
+  {
+    std::lock_guard<std::mutex> lk(store_->mu);
+    for (const auto& [fp, resident] : store_->map) {
+      const Entry& e = resident.entry;
       std::string block = str::cat(
           "e ", fp.to_hex(), " ", verdict_name(e.verdict), " ",
           e.stats.states, " ", e.stats.transitions, " ",

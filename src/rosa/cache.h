@@ -6,7 +6,9 @@
 // space from scratch. QueryCache memoizes whole-query SearchResults by
 // content fingerprint (rosa/fingerprint.h) so each distinct fingerprint is
 // searched once per batch and its result fanned out to every duplicate
-// cell, with optional persistence across runs (--rosa-cache FILE).
+// cell, with optional persistence across runs (--rosa-cache FILE). Its only
+// client is rosa::run_queries: each fused task looks its members up,
+// searches the misses, and stores their results.
 //
 // ## Correctness model
 //
@@ -42,19 +44,21 @@
 //
 // ## Concurrency
 //
-// The fingerprint → entry map is sharded and mutex-striped; run_cached is
-// safe to call from every worker of rosa::run_queries. In-flight
-// deduplication: the first worker to miss on a fingerprint computes it
-// while any concurrent duplicate blocks on the entry's slot and adopts the
-// result (recorded in SearchStats::cache_joins), so two workers never race
-// the same search.
+// One mutex guards the fingerprint → entry map, the recency list and the
+// counters, so every call is safe from every worker of rosa::run_queries,
+// and LRU eviction happens under the same lock as the store that caused
+// it. No lock is held during a search, and there is no in-flight
+// handshake: equal fingerprints imply equal world signatures, so within
+// one batch duplicates land in the same fused task, which searches the
+// fingerprint once. Two concurrent batches sharing a cache (privanalyzerd
+// jobs) may both miss and search the same fingerprint; both compute the
+// same deterministic result, so whichever store lands serves later lookups.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "rosa/fingerprint.h"
 #include "rosa/search.h"
@@ -63,7 +67,7 @@ namespace pa::rosa {
 
 class QueryCache {
  public:
-  explicit QueryCache(unsigned shards = 16);
+  QueryCache();
   ~QueryCache();
 
   QueryCache(const QueryCache&) = delete;
@@ -86,37 +90,25 @@ class QueryCache {
   /// resident multi-tenant cache without unbounded growth.
   void set_byte_budget(std::size_t bytes);
 
-  /// Memoized search_escalating(): fingerprint the query, return a stored
-  /// reusable result if present, otherwise search and (when the result is
-  /// storable per the rules above) store it. Uncacheable queries fall
-  /// through to a plain search with all cache counters zero; memoized
-  /// results report exactly one of stats.cache_hits / stats.cache_misses.
-  SearchResult run_cached(const Query& query, const SearchLimits& limits,
-                          const EscalationPolicy& escalation = {});
-
-  /// The two halves of run_cached, decomposed for the fused search path
-  /// (rosa::run_queries): a fused group consults the cache per member
-  /// fingerprint before the shared exploration and stores each member's
-  /// result after it. lookup() returns a reusable stored result
-  /// (stats.cache_hits = 1, recency refreshed) or nullopt after counting a
-  /// miss; store() applies run_cached's storability and replacement rules
-  /// verbatim. Neither takes part in the in-flight slot handshake — fused
-  /// callers never race identical fingerprints, because equal fingerprints
-  /// imply equal world signatures and therefore land in the same fused
-  /// task.
+  /// A stored result reusable under the reuse rules above
+  /// (stats.cache_hits = 1, recency refreshed), or nullopt after counting a
+  /// miss.
   std::optional<SearchResult> lookup(const Fingerprint& fp,
                                      const SearchLimits& limits,
                                      const EscalationPolicy& escalation = {});
+  /// Store a freshly computed result for `fp` when the storability rule
+  /// (rule 3) admits it and it should replace any entry already there
+  /// (definite verdicts win; between ResourceLimits the larger decisive
+  /// budget does), then evict to the byte budget.
   void store(const Fingerprint& fp, const SearchResult& result,
              const SearchLimits& limits,
              const EscalationPolicy& escalation = {});
 
-  /// Lifetime aggregate of every run_cached call (monotone except the
-  /// resident gauges; thread-safe).
+  /// Lifetime aggregate of every lookup (monotone except the resident
+  /// gauges; thread-safe).
   struct Totals {
     std::size_t hits = 0;    // served from a stored entry
     std::size_t misses = 0;  // searched (and possibly stored)
-    std::size_t joins = 0;   // blocked on another worker's in-flight search
     std::size_t entries = 0; // entries currently stored
     std::size_t loaded = 0;  // entries accepted by load_file
     std::size_t evictions = 0;      // entries dropped by the byte budget
@@ -149,21 +141,10 @@ class QueryCache {
   struct Entry;
 
  private:
-  struct Shard;
-  struct Lru;
-
-  Shard& shard_for(const Fingerprint& fp) const;
-
-  /// Record that `fp` was stored/reused with an entry of `bytes` estimated
-  /// footprint (bytes == 0: touch only), then evict whatever the budget no
-  /// longer covers. Must be called WITHOUT any shard/slot lock held.
-  void lru_note(const Fingerprint& fp, std::size_t bytes);
-
-  /// Drop one fingerprint's stored entry (budget eviction).
-  void evict_entry(const Fingerprint& fp);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<Lru> lru_;
+  /// Everything the one mutex guards: the map, the recency list, the byte
+  /// accounting and the counters.
+  struct Store;
+  std::unique_ptr<Store> store_;
 };
 
 }  // namespace pa::rosa

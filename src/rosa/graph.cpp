@@ -88,45 +88,35 @@ StateGraph explore_graph(const Query& query, std::size_t max_states) {
   graph.node_is_goal.push_back(query.goal ? query.goal(init) : false);
 
   const AccessChecker& ck = query.checker ? *query.checker : linux_checker();
+  std::vector<detail::ExpandedTransition> expanded;
+  std::vector<Transition> scratch;
   std::deque<std::size_t> frontier{0};
   while (!frontier.empty()) {
     const std::size_t cur = frontier.front();
     frontier.pop_front();
-    const State cur_state = states[cur];
-
-    for (std::size_t mi = 0; mi < query.messages.size(); ++mi) {
-      const std::uint64_t bit = std::uint64_t{1} << mi;
-      if (!(cur_state.msgs_remaining() & bit)) continue;
-      // Mirror search(): CFI-ordered attackers consume messages in program
-      // order only.
-      if (query.attacker == AttackerModel::CfiOrdered) {
-        const std::uint64_t later = ~((bit << 1) - 1);
-        const std::uint64_t in_range =
-            later & (query.messages.size() == 64
-                         ? ~std::uint64_t{0}
-                         : (std::uint64_t{1} << query.messages.size()) - 1);
-        if ((cur_state.msgs_remaining() & in_range) != in_range) continue;
-      }
-      for (Transition& tr :
-           apply_message(cur_state, query.messages[mi], query.attacker, ck)) {
-        tr.next.set_msgs_remaining(cur_state.msgs_remaining() & ~bit);
-        std::string key = tr.next.canonical();
-        auto [it, inserted] = seen.emplace(std::move(key), states.size());
-        if (inserted) {
-          if (states.size() >= max_states) {
-            graph.truncated = true;
-            seen.erase(it);
-            continue;
-          }
-          states.push_back(tr.next);
-          graph.node_labels.push_back(label_of(tr.next));
-          graph.node_is_goal.push_back(query.goal ? query.goal(tr.next)
-                                                  : false);
-          frontier.push_back(it->second);
+    // The search loop's own expansion, so the graph honours the message
+    // mask and the CFI program order exactly as search() does. It is done
+    // before the pushes below can reallocate `states`.
+    detail::expand_state(states[cur], query, ck, query.msg_mask, expanded,
+                         scratch);
+    for (detail::ExpandedTransition& et : expanded) {
+      Transition& tr = et.tr;
+      std::string key = tr.next.canonical();
+      auto [it, inserted] = seen.emplace(std::move(key), states.size());
+      if (inserted) {
+        if (states.size() >= max_states) {
+          graph.truncated = true;
+          seen.erase(it);
+          continue;
         }
-        graph.edges.push_back(
-            StateGraph::Edge{cur, it->second, std::move(tr.action)});
+        states.push_back(tr.next);
+        graph.node_labels.push_back(label_of(tr.next));
+        graph.node_is_goal.push_back(query.goal ? query.goal(tr.next)
+                                                : false);
+        frontier.push_back(it->second);
       }
+      graph.edges.push_back(
+          StateGraph::Edge{cur, it->second, std::move(tr.action)});
     }
   }
   return graph;

@@ -36,7 +36,11 @@ struct StateGraph {
 
 /// Explore the query's reachable space (up to `max_states` distinct
 /// states), recording every transition including those into already-known
-/// states.
+/// states. States expand through the search loop's own
+/// detail::expand_state, so msg_mask and CfiOrdered program order shape the
+/// graph exactly as they shape search(): for an unreduced query whose space
+/// fits, node_count() equals search(query).states_explored() whenever the
+/// search exhausts the space.
 StateGraph explore_graph(const Query& query, std::size_t max_states = 10000);
 
 }  // namespace pa::rosa

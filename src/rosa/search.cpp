@@ -50,7 +50,6 @@ void SearchStats::merge(const SearchStats& other) {
   seconds += other.seconds;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
-  cache_joins += other.cache_joins;
   fused_group_size = std::max(fused_group_size, other.fused_group_size);
   fused_searches_saved += other.fused_searches_saved;
   fused_world_states += other.fused_world_states;
@@ -74,7 +73,7 @@ std::string SearchStats::to_string() const {
                   " fused-saved=", fused_searches_saved,
                   " fused-world-states=", fused_world_states,
                   " cache-hits=", cache_hits,
-                  " cache-misses=", cache_misses, " cache-joins=", cache_joins,
+                  " cache-misses=", cache_misses,
                   " time=", str::fixed(seconds, 3), "s");
 }
 
@@ -88,6 +87,21 @@ std::string SearchResult::to_string() const {
     for (const Action& step : witness) out += "\n    " + step.to_string();
   }
   return out;
+}
+
+SearchLimits EscalationPolicy::attempt_limits(const SearchLimits& base,
+                                              unsigned attempt) const {
+  SearchLimits grown = base;
+  for (unsigned round = 0; round < attempt; ++round) {
+    if (grown.max_states)
+      grown.max_states = static_cast<std::size_t>(
+          static_cast<double>(grown.max_states) * factor);
+    if (grown.max_seconds > 0) grown.max_seconds *= factor;
+    if (grown.max_bytes)
+      grown.max_bytes = static_cast<std::size_t>(
+          static_cast<double>(grown.max_bytes) * factor);
+  }
+  return grown;
 }
 
 namespace {
@@ -127,54 +141,9 @@ std::uint64_t state_key(const State& st, const SearchLimits& limits) {
 
 /// The symmetry plan for one search: disabled when limits.reduction is off
 /// or the query is ineligible (compute_symmetry), in which case the search
-/// loops degenerate to the unreduced reference search.
+/// loop degenerates to the unreduced search.
 SymmetryInfo symmetry_for(const Query& query, const SearchLimits& limits) {
   return limits.reduction ? compute_symmetry(query) : SymmetryInfo{};
-}
-
-/// One buffered successor: the message index that produced it plus the
-/// transition (next state already has msgs_remaining cleared).
-struct ExpandedTransition {
-  unsigned msg = 0;
-  Transition tr;
-};
-
-/// Expand one state: apply every unconsumed message allowed by `fire_mask`
-/// in ascending index order, appending the successors to `out` in exactly
-/// the order the serial loop commits them. `fire_mask` is the query's
-/// msg_mask for standalone searches and the union of the live members'
-/// masks for the fused engine; masked-out messages stay in msgs_remaining
-/// forever (shared canonical representation across masks) and simply
-/// never fire. The CfiOrdered program-order gate is applied against the
-/// FULL message list: masked-out later messages are never consumed, so the
-/// gate degenerates to program order over the mask's subsequence — the
-/// same semantics a tailored per-attack message list had. `scratch` is
-/// reusable transition storage.
-void expand_state(const State& cur, const Query& query,
-                  const AccessChecker& checker, std::uint64_t full_msg_mask,
-                  std::uint64_t fire_mask,
-                  std::vector<ExpandedTransition>& out,
-                  std::vector<Transition>& scratch) {
-  out.clear();
-  const std::uint64_t cur_msgs = cur.msgs_remaining();
-  const std::uint64_t fire = cur_msgs & fire_mask;
-  for (std::size_t mi = 0; mi < query.messages.size(); ++mi) {
-    const std::uint64_t bit = std::uint64_t{1} << mi;
-    if (!(fire & bit)) continue;
-    // CFI-ordered attackers must issue syscalls in program order: message
-    // i is usable only while every later message is still unconsumed
-    // (skipping forward is allowed, going back is not).
-    if (query.attacker == AttackerModel::CfiOrdered) {
-      const std::uint64_t later_in_range = ~((bit << 1) - 1) & full_msg_mask;
-      if ((cur_msgs & later_in_range) != later_in_range) continue;
-    }
-    apply_message(cur, query.messages[mi], query.attacker, checker, scratch);
-    for (Transition& tr : scratch) {
-      tr.next.set_msgs_remaining(cur_msgs & ~bit);
-      out.push_back(
-          ExpandedTransition{static_cast<unsigned>(mi), std::move(tr)});
-    }
-  }
 }
 
 /// The witness ending at `goal_node`, translated back into the original
@@ -202,204 +171,6 @@ std::vector<Action> witness_to(
   return witness;
 }
 
-/// Grow every set budget by `factor` — one rung of an escalation ladder.
-void grow_budgets(SearchLimits& limits, double factor) {
-  if (limits.max_states)
-    limits.max_states = static_cast<std::size_t>(
-        static_cast<double>(limits.max_states) * factor);
-  if (limits.max_seconds > 0) limits.max_seconds *= factor;
-  if (limits.max_bytes)
-    limits.max_bytes = static_cast<std::size_t>(
-        static_cast<double>(limits.max_bytes) * factor);
-}
-
-}  // namespace
-
-SearchResult search(const Query& query, const SearchLimits& limits) {
-  PA_FAULTPOINT("rosa.search");
-  PA_CHECK(query.messages.size() <= 64,
-           "ROSA tracks at most 64 one-shot messages");
-  PA_CHECK(static_cast<bool>(query.goal), "query has no goal predicate");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto elapsed = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  SearchResult result;
-
-  // Chunked arena: node addresses are stable across appends (no whole-array
-  // reallocation), and bytes() gives the footprint SearchLimits::max_bytes
-  // bounds and SearchStats::peak_bytes reports. A node's `aux` is the
-  // intrusive hash chain: the seen-map stores one head index per hash, and
-  // genuine collisions extend the chain instead of allocating per-key
-  // buckets.
-  Arena<SearchNode> nodes;
-  // Hash of canonical form -> head of the node chain with that hash. Keying
-  // on 8-byte digests instead of full canonical() strings removes one string
-  // build + hash per generated successor; exactness is restored by
-  // canonical_equal() along the (almost always length-1) chain.
-  std::unordered_map<std::uint64_t, std::size_t> seen;
-  std::deque<std::size_t> frontier;
-
-  // Size the seen-set for the typical attack query up front so early growth
-  // never rehashes; it still grows for the huge exhaustive searches.
-  const std::size_t reserve_hint =
-      limits.max_states ? std::min<std::size_t>(limits.max_states, 4096)
-                        : 4096;
-  seen.reserve(reserve_hint);
-
-  const std::uint64_t full_msg_mask = low_bits(query.messages.size());
-
-  State init = query.initial;
-  init.normalize();
-  init.set_msgs_remaining(full_msg_mask);
-
-  // Byte accounting: the skeleton once, plus each node's own heap
-  // allocations registered with the arena as it is appended.
-  const std::size_t skeleton = skeleton_bytes(init);
-  auto arena_bytes = [&] { return skeleton + nodes.bytes(); };
-
-  const SymmetryInfo sym = symmetry_for(query, limits);
-  // Node index -> the (non-identity) renaming its state underwent during
-  // canonicalization, needed to translate witness actions back into the
-  // original identity frame. Sparse: most canonicalizations are identities.
-  std::unordered_map<std::size_t, Renaming> renames;
-
-  auto finish = [&](Verdict v, std::int64_t goal_node) {
-    result.verdict = v;
-    result.stats.seconds = elapsed();
-    result.stats.decisive_states = result.stats.states;
-    if (goal_node >= 0) result.witness = witness_to(nodes, renames, goal_node);
-    return result;
-  };
-
-  {
-    const std::uint64_t init_key = state_key(init, limits);
-    SearchNode& root =
-        nodes.push_back(SearchNode{std::move(init), -1, Action{}, -1});
-    nodes.add_bytes(root.state.heap_bytes());
-    result.stats.state_bytes = sizeof(State) + root.state.heap_bytes();
-    seen.emplace(init_key, 0);
-    frontier.push_back(0);
-    result.stats.states = 1;
-    result.stats.peak_frontier = 1;
-    result.stats.peak_bytes = arena_bytes();
-    if (query.goal(root.state)) return finish(Verdict::Reachable, 0);
-  }
-
-  // Hoisted out of the pop loop: the checker never changes mid-search, and
-  // the successor scratch vectors keep their capacity across every
-  // expansion instead of allocating per (state, message) pair.
-  const AccessChecker& ck = query.checker ? *query.checker : linux_checker();
-  std::vector<Transition> scratch;
-  std::vector<ExpandedTransition> expanded;
-
-  while (!frontier.empty()) {
-    // The wall-clock budget, the batch-wide deadline, and the cooperative
-    // cancel flag are all enforced here, once per frontier pop: a
-    // per-message-loop check alone is blind to searches whose per-state
-    // fanout is tiny but whose frontier is enormous.
-    if (limits.max_seconds > 0 && elapsed() > limits.max_seconds)
-      return finish(Verdict::ResourceLimit, -1);
-    if (limits.expired()) return finish(Verdict::ResourceLimit, -1);
-
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    // Arena addresses are stable, so the popped node's state can be
-    // referenced across successor appends without re-fetching by index.
-    const State& cur_state = nodes[cur].state;
-
-    expand_state(cur_state, query, ck, full_msg_mask, query.msg_mask,
-                 expanded, scratch);
-    for (ExpandedTransition& et : expanded) {
-      Transition& tr = et.tr;
-      ++result.stats.transitions;
-      Renaming sigma;
-      if (sym.enabled()) {
-        sigma = canonicalize(tr.next, sym);
-        if (!sigma.identity()) ++result.stats.symmetry_pruned;
-      }
-
-      const std::size_t ni = nodes.size();
-      if (!limits.no_dedup) {
-        auto [it, inserted] = seen.try_emplace(state_key(tr.next, limits), ni);
-        if (!inserted) {
-          // Hash already present: walk the chain; exact match = duplicate,
-          // otherwise it is a genuine 64-bit collision and the new state
-          // joins the chain.
-          std::size_t idx = it->second;
-          bool duplicate = false;
-          for (;;) {
-            if (canonical_equal(nodes[idx].state, tr.next)) {
-              duplicate = true;
-              break;
-            }
-            if (nodes[idx].aux < 0) break;
-            idx = static_cast<std::size_t>(nodes[idx].aux);
-          }
-          if (duplicate) {
-            ++result.stats.dedup_hits;
-            continue;
-          }
-          ++result.stats.hash_collisions;
-          nodes[idx].aux = static_cast<std::int64_t>(ni);
-        }
-      }
-      SearchNode& added =
-          nodes.push_back(SearchNode{std::move(tr.next),
-                                     static_cast<std::int64_t>(cur),
-                                     std::move(tr.action), -1});
-      nodes.add_bytes(added.state.heap_bytes() +
-                      added.action.args.capacity() * sizeof(int));
-      result.stats.state_bytes += sizeof(State) + added.state.heap_bytes();
-      if (!sigma.identity()) renames.emplace(ni, std::move(sigma));
-      ++result.stats.states;
-      result.stats.peak_bytes =
-          std::max(result.stats.peak_bytes, arena_bytes());
-
-      if (query.goal(added.state))
-        return finish(Verdict::Reachable, static_cast<std::int64_t>(ni));
-
-      if (limits.max_states && result.stats.states >= limits.max_states)
-        return finish(Verdict::ResourceLimit, -1);
-      if (limits.max_bytes && arena_bytes() > limits.max_bytes)
-        return finish(Verdict::ResourceLimit, -1);
-      frontier.push_back(ni);
-      result.stats.peak_frontier =
-          std::max(result.stats.peak_frontier, frontier.size());
-    }
-  }
-  return finish(Verdict::Unreachable, -1);
-}
-
-SearchResult search_escalating(const Query& query, const SearchLimits& limits,
-                               const EscalationPolicy& policy) {
-  SearchResult result = search(query, limits);
-  if (!policy.enabled()) return result;
-
-  SearchStats accumulated = result.stats;
-  SearchLimits grown = limits;
-  for (unsigned round = 0; round < policy.rounds; ++round) {
-    if (result.verdict != Verdict::ResourceLimit) break;
-    // A batch deadline or cancellation caused (or would immediately re-cause)
-    // the ResourceLimit; retrying past it is wasted work.
-    if (grown.expired()) break;
-    grow_budgets(grown, policy.factor);
-    result = search(query, grown);
-    accumulated.add_retry(result.stats);
-  }
-  // The decisive attempt's verdict/witness with whole-query work accounting.
-  result.stats = accumulated;
-  return result;
-}
-
-namespace detail {
-
-namespace {
-
 /// Visit the set bits of `bits` as member indices, ascending.
 template <typename Fn>
 void for_members(std::uint64_t bits, Fn&& fn) {
@@ -412,11 +183,49 @@ void for_members(std::uint64_t bits, Fn&& fn) {
 
 }  // namespace
 
+SearchResult search(const Query& query, const SearchLimits& limits) {
+  return std::move(detail::search_fused({&query, 1}, limits)[0]);
+}
+
+SearchResult search_escalating(const Query& query, const SearchLimits& limits,
+                               const EscalationPolicy& policy) {
+  return std::move(
+      detail::search_fused_escalating({&query, 1}, limits, policy)[0]);
+}
+
+namespace detail {
+
+void expand_state(const State& cur, const Query& query,
+                  const AccessChecker& checker, std::uint64_t fire_mask,
+                  std::vector<ExpandedTransition>& out,
+                  std::vector<Transition>& scratch) {
+  out.clear();
+  const std::uint64_t full_msg_mask = low_bits(query.messages.size());
+  const std::uint64_t cur_msgs = cur.msgs_remaining();
+  const std::uint64_t fire = cur_msgs & fire_mask;
+  for (std::size_t mi = 0; mi < query.messages.size(); ++mi) {
+    const std::uint64_t bit = std::uint64_t{1} << mi;
+    if (!(fire & bit)) continue;
+    // CFI-ordered attackers must issue syscalls in program order: message
+    // i is usable only while every later message is still unconsumed
+    // (skipping forward is allowed, going back is not).
+    if (query.attacker == AttackerModel::CfiOrdered) {
+      const std::uint64_t later_in_range = ~((bit << 1) - 1) & full_msg_mask;
+      if ((cur_msgs & later_in_range) != later_in_range) continue;
+    }
+    apply_message(cur, query.messages[mi], query.attacker, checker, scratch);
+    for (Transition& tr : scratch) {
+      tr.next.set_msgs_remaining(cur_msgs & ~bit);
+      out.push_back(
+          ExpandedTransition{static_cast<unsigned>(mi), std::move(tr)});
+    }
+  }
+}
+
 std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits) {
   PA_CHECK(!group.empty(), "search_fused needs at least one query");
   PA_CHECK(group.size() <= 64, "fused groups are capped at 64 members");
-  if (group.size() == 1) return {search(group[0], limits)};
   for (const Query& q : group) {
     PA_FAULTPOINT("rosa.search");
     PA_CHECK(q.messages.size() <= 64,
@@ -473,6 +282,12 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     return ms;
   };
 
+  // Chunked arena: node addresses are stable across appends, and bytes()
+  // is the footprint max_bytes bounds. A node's `aux` is the intrusive hash
+  // chain: `seen` maps each 64-bit digest to the head of its chain, and
+  // genuine collisions extend the chain (exactness comes from
+  // canonical_equal along it). The seen-set is sized for the typical attack
+  // query up front so early growth never rehashes.
   Arena<SearchNode> nodes;
   std::unordered_map<std::uint64_t, std::size_t> seen;
   std::deque<std::size_t> frontier;
@@ -498,7 +313,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     mem.stats.seconds = elapsed();
     mem.stats.decisive_states = mem.stats.states;
     // Every node on the path is m-intrinsic (ancestors consume subsets),
-    // so the walk is identical to the standalone finish().
+    // so the walk is the one m's lone run would take.
     if (goal_node >= 0) res.witness = witness_to(nodes, renames, goal_node);
     res.stats = mem.stats;
     live &= ~(std::uint64_t{1} << m);
@@ -531,6 +346,9 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   std::vector<ExpandedTransition> expanded;
 
   while (live && !frontier.empty()) {
+    // The wall-clock budget, the batch deadline and the cancel flag are
+    // checked once per frontier pop, so searches with a tiny fanout but an
+    // enormous frontier still respect them.
     if ((limits.max_seconds > 0 && elapsed() > limits.max_seconds) ||
         limits.expired()) {
       for_members(live,
@@ -549,8 +367,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     for_members(live_owners, [&](std::size_t m) { --members[m].frontier; });
     if (!live_owners) continue;
 
-    expand_state(cur_state, world_q, ck, full_msg_mask, live_fire, expanded,
-                 scratch);
+    expand_state(cur_state, world_q, ck, live_fire, expanded, scratch);
     for (ExpandedTransition& et : expanded) {
       if (!live) break;
       Transition& tr = et.tr;
@@ -657,7 +474,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   for_members(live,
               [&](std::size_t m) { decide(m, Verdict::Unreachable, -1); });
 
-  results[0].stats.fused_world_states = nodes.size();
+  if (n_members > 1) results[0].stats.fused_world_states = nodes.size();
   return results;
 }
 
@@ -671,7 +488,6 @@ std::vector<SearchResult> search_fused_escalating(
   accumulated.reserve(results.size());
   for (const SearchResult& r : results) accumulated.push_back(r.stats);
 
-  SearchLimits grown = limits;
   std::vector<Query> pending_queries;
   std::vector<std::size_t> pending;  // indices into `group`
   for (unsigned round = 0; round < policy.rounds; ++round) {
@@ -682,8 +498,10 @@ std::vector<SearchResult> search_fused_escalating(
     // a witness at any larger budget and Unreachable exhausted the graph —
     // only the starved members re-run.
     if (pending.empty()) break;
-    if (grown.expired()) break;
-    grow_budgets(grown, policy.factor);
+    // A batch deadline or cancellation caused (or would immediately
+    // re-cause) the ResourceLimit; retrying past it is wasted work.
+    if (limits.expired()) break;
+    const SearchLimits grown = policy.attempt_limits(limits, round + 1);
     pending_queries.clear();
     for (std::size_t i : pending) pending_queries.push_back(group[i]);
     std::vector<SearchResult> round_results =
@@ -713,25 +531,29 @@ SearchResult cancelled_result() {
   return r;
 }
 
-/// Execute one fused task (≥ 2 queries sharing a world signature and
-/// symmetry eligibility): dedupe members by full fingerprint, consult the
-/// cache per representative, run the remaining representatives through ONE
-/// fused exploration, then store/adopt so every per-query result — verdict,
-/// witness, stats, cache entry, and cache counters — is what the unfused
-/// path would have produced.
-void run_fused_task(std::span<const Query> queries,
-                    const std::vector<std::size_t>& task,
+/// One unit of run_queries work. A fused task holds fingerprintable
+/// queries that share a world signature and symmetry eligibility (at most
+/// 64), with fps[k] the fingerprint of queries[members[k]]. A task without
+/// fingerprints holds one unfingerprintable query, which runs uncached.
+struct Task {
+  std::vector<std::size_t> members;
+  std::vector<Fingerprint> fps;
+};
+
+/// Execute one fused task: dedupe members by fingerprint, consult the cache
+/// per representative, run the remaining representatives through ONE
+/// exploration (a plain search when one remains), then store/adopt so every
+/// per-query result — verdict, witness, stats, cache entry, and cache
+/// counters — is what searching that query alone would have produced.
+void run_fused_task(std::span<const Query> queries, const Task& task,
                     const SearchLimits& limits,
                     const EscalationPolicy& escalation, QueryCache* cache,
                     std::vector<SearchResult>& results) {
-  const std::size_t n = task.size();
-  std::vector<Fingerprint> fps(n);
+  const std::size_t n = task.members.size();
   std::vector<std::size_t> adopt(n);
   std::unordered_map<Fingerprint, std::size_t, FingerprintHash> rep_of;
   for (std::size_t i = 0; i < n; ++i) {
-    // Grouping only fuses fingerprintable queries, so the optionals hold.
-    fps[i] = *fingerprint_query(queries[task[i]], limits);
-    const auto [it, inserted] = rep_of.try_emplace(fps[i], i);
+    const auto [it, inserted] = rep_of.try_emplace(task.fps[i], i);
     adopt[i] = it->second;
   }
 
@@ -739,8 +561,8 @@ void run_fused_task(std::span<const Query> queries,
   for (std::size_t i = 0; i < n; ++i) {
     if (adopt[i] != i) continue;
     if (cache) {
-      if (auto hit = cache->lookup(fps[i], limits, escalation)) {
-        results[task[i]] = std::move(*hit);
+      if (auto hit = cache->lookup(task.fps[i], limits, escalation)) {
+        results[task.members[i]] = std::move(*hit);
         continue;
       }
     }
@@ -748,17 +570,12 @@ void run_fused_task(std::span<const Query> queries,
   }
 
   if (!to_run.empty()) {
-    std::vector<SearchResult> computed;
-    if (to_run.size() == 1) {
-      // A lone representative gets the classic engine — no fusion overhead
-      // and trivially bit-identical to the unfused path.
-      computed.push_back(
-          search_escalating(queries[task[to_run[0]]], limits, escalation));
-    } else {
-      std::vector<Query> sub;
-      sub.reserve(to_run.size());
-      for (std::size_t i : to_run) sub.push_back(queries[task[i]]);
-      computed = detail::search_fused_escalating(sub, limits, escalation);
+    std::vector<Query> sub;
+    sub.reserve(to_run.size());
+    for (std::size_t i : to_run) sub.push_back(queries[task.members[i]]);
+    std::vector<SearchResult> computed =
+        detail::search_fused_escalating(sub, limits, escalation);
+    if (to_run.size() > 1) {
       for (SearchResult& r : computed)
         r.stats.fused_group_size = to_run.size();
       computed[0].stats.fused_searches_saved = to_run.size() - 1;
@@ -766,32 +583,32 @@ void run_fused_task(std::span<const Query> queries,
     for (std::size_t k = 0; k < to_run.size(); ++k) {
       const std::size_t i = to_run[k];
       if (cache) {
-        cache->store(fps[i], computed[k], limits, escalation);
+        cache->store(task.fps[i], computed[k], limits, escalation);
         computed[k].stats.cache_misses = 1;
       }
-      results[task[i]] = std::move(computed[k]);
+      results[task.members[i]] = std::move(computed[k]);
     }
   }
 
   // Duplicates adopt their representative: through the cache when the entry
-  // landed (replicating an unfused warm hit, global counters included),
-  // else by copying the representative's deterministic result — exactly
-  // what re-running the identical query would have produced, minus the
-  // fused-run observability fields, which describe the shared exploration
-  // and are not the duplicate's own.
+  // landed (replicating a warm hit, global counters included), else by
+  // copying the representative's deterministic result — exactly what
+  // re-running the identical query would have produced, minus the fused-run
+  // observability fields, which describe the shared exploration and are not
+  // the duplicate's own.
   for (std::size_t i = 0; i < n; ++i) {
     if (adopt[i] == i) continue;
     if (cache) {
-      if (auto hit = cache->lookup(fps[i], limits, escalation)) {
-        results[task[i]] = std::move(*hit);
+      if (auto hit = cache->lookup(task.fps[i], limits, escalation)) {
+        results[task.members[i]] = std::move(*hit);
         continue;
       }
     }
-    SearchResult copy = results[task[adopt[i]]];
+    SearchResult copy = results[task.members[adopt[i]]];
     copy.stats.fused_group_size = 0;
     copy.stats.fused_searches_saved = 0;
     copy.stats.fused_world_states = 0;
-    results[task[i]] = std::move(copy);
+    results[task.members[i]] = std::move(copy);
   }
 }
 
@@ -804,53 +621,48 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       QueryCache* cache) {
   std::vector<SearchResult> results(queries.size());
 
-  // Partition the batch into execution tasks. Queries sharing a world
-  // signature AND symmetry eligibility fuse into one multi-goal exploration
-  // (capped at 64 members — the membership-bitmask width); unfingerprintable
-  // queries stay singletons on the classic path.
-  std::vector<std::vector<std::size_t>> tasks;
+  // Partition the batch into execution tasks, fingerprinting each query
+  // once. Queries sharing a world signature AND symmetry eligibility fuse
+  // into one multi-goal exploration (capped at 64 members — the
+  // membership-bitmask width); unfingerprintable queries stay alone.
+  std::vector<Task> tasks;
   {
     // [symmetry enabled] -> world signature -> index of the group's newest
     // task (a full task chains into a fresh one).
     std::unordered_map<Fingerprint, std::size_t, FingerprintHash> open[2];
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
+      const std::optional<Fingerprint> fp = fingerprint_query(q, limits);
       std::optional<Fingerprint> sig;
-      if (fingerprint_query(q, limits)) sig = world_signature(q, limits);
+      if (fp) sig = world_signature(q, limits);
       if (!sig) {
-        tasks.push_back({i});
+        tasks.push_back(Task{{i}, {}});
         continue;
       }
       const bool sym = symmetry_for(q, limits).enabled();
       const auto [it, fresh] = open[sym].try_emplace(*sig, tasks.size());
-      if (fresh || tasks[it->second].size() == 64) {
+      if (fresh || tasks[it->second].members.size() == 64) {
         it->second = tasks.size();
         tasks.emplace_back();
       }
-      tasks[it->second].push_back(i);
+      tasks[it->second].members.push_back(i);
+      tasks[it->second].fps.push_back(*fp);
     }
   }
 
-  // Memoized or direct execution of one query; rosa/cache.h guarantees the
-  // cached path returns what the direct path would have computed.
-  auto run_one = [&escalation, cache](const Query& q, const SearchLimits& lim) {
-    return cache ? cache->run_cached(q, lim, escalation)
-                 : search_escalating(q, lim, escalation);
-  };
-  auto run_task = [&](const std::vector<std::size_t>& task,
-                      const SearchLimits& lim) {
-    if (task.size() == 1) {
-      results[task[0]] = run_one(queries[task[0]], lim);
-      return;
-    }
-    run_fused_task(queries, task, lim, escalation, cache, results);
+  auto run_task = [&](const Task& task, const SearchLimits& lim) {
+    if (task.fps.empty())
+      results[task.members[0]] =
+          search_escalating(queries[task.members[0]], lim, escalation);
+    else
+      run_fused_task(queries, task, lim, escalation, cache, results);
   };
 
   if (n_threads == 0) n_threads = support::ThreadPool::hardware_threads();
   if (n_threads <= 1 || tasks.size() <= 1) {
-    for (const std::vector<std::size_t>& task : tasks) {
+    for (const Task& task : tasks) {
       if (limits.expired()) {
-        for (std::size_t i : task) results[i] = cancelled_result();
+        for (std::size_t i : task.members) results[i] = cancelled_result();
         continue;
       }
       run_task(task, limits);
@@ -864,10 +676,10 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
   // in a flag of their own, which then governs).
   SearchLimits task_limits = limits;
   if (!task_limits.cancel) task_limits.cancel = pool.cancel_token();
-  for (const std::vector<std::size_t>& task : tasks)
+  for (const Task& task : tasks)
     pool.submit([&task_limits, &results, &pool, &run_task, &task] {
       if (task_limits.expired()) {
-        for (std::size_t i : task) results[i] = cancelled_result();
+        for (std::size_t i : task.members) results[i] = cancelled_result();
         return;
       }
       run_task(task, task_limits);

@@ -172,6 +172,14 @@ struct EscalationPolicy {
   double factor = 2.0;   // budget multiplier per round
 
   bool enabled() const { return rounds > 0; }
+
+  /// The limits of attempt `attempt` (0 = the base search): every set
+  /// budget (max_states, max_seconds, max_bytes) multiplied by `factor` and
+  /// truncated, once per round. The one growth rule: the escalation ladder
+  /// runs these limits, and the verdict cache's reuse rules 2–3
+  /// (rosa/cache.h) predict budgets with them, which is only sound while
+  /// both read the same function.
+  SearchLimits attempt_limits(const SearchLimits& base, unsigned attempt) const;
 };
 
 enum class Verdict {
@@ -207,10 +215,10 @@ struct SearchStats {
   /// search would have treated as distinct from its orbit representative.
   std::size_t symmetry_pruned = 0;
   std::size_t escalations = 0;      // budget-doubled retries after ResourceLimit
-  /// Fused multi-goal search observability (zero on unfused runs; never
-  /// part of bit-identity comparisons or persistent cache entries).
-  /// Size of the world group this query was decided in (1 = ran alone);
-  /// aggregated by max, so the matrix figure reports the largest group.
+  /// Fused multi-goal search observability (zero when the query ran alone;
+  /// never part of bit-identity comparisons or persistent cache entries).
+  /// Size of the world group this query was decided in; aggregated by max,
+  /// so the matrix figure reports the largest group.
   std::size_t fused_group_size = 0;
   /// Whole explorations the group fan-in avoided, charged once per group to
   /// its first member (group size minus explorations actually run).
@@ -237,14 +245,11 @@ struct SearchStats {
                   : 0.0;
   }
   /// Verdict-cache counters (rosa/cache.h). For a memoized query exactly one
-  /// of cache_hits / cache_misses is 1 (uncacheable queries leave both 0);
-  /// cache_joins marks a worker that blocked on another worker already
-  /// computing the same fingerprint. In a parallel batch, *which* duplicate
-  /// cell records the miss is scheduling-dependent, but the aggregate over
-  /// the batch is deterministic: one miss per distinct fingerprint.
+  /// of cache_hits / cache_misses is 1 (uncacheable queries leave both 0).
+  /// Duplicates of one fingerprint always land in the same fused task, so
+  /// a batch records one miss per distinct fingerprint it searched.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  std::size_t cache_joins = 0;
 
   /// Accumulate another query's counters (peak_frontier takes the max).
   void merge(const SearchStats& other);
@@ -274,25 +279,27 @@ struct SearchResult {
   std::string to_string() const;
 };
 
-/// Run the bounded search.
+/// Run the bounded search: a one-member detail::search_fused.
 SearchResult search(const Query& query, const SearchLimits& limits = {});
 
 /// search() with adaptive budget escalation: on ResourceLimit, retry with
 /// geometrically grown limits per `policy` until a definite verdict, the
 /// round cap, or the batch deadline/cancel flag. The returned result is the
 /// decisive attempt's, except stats, which accumulate work across every
-/// attempt and record the retry count in stats.escalations.
+/// attempt and record the retry count in stats.escalations. A one-member
+/// detail::search_fused_escalating.
 SearchResult search_escalating(const Query& query, const SearchLimits& limits,
                                const EscalationPolicy& policy);
 
 /// Run a batch of independent queries, fanned out across `n_threads`
-/// workers (0 = hardware_concurrency). Queries that share a world signature
-/// (rosa/fingerprint.h) and symmetry eligibility are fused into one
-/// multi-goal exploration (detail::search_fused); the rest run search()
-/// alone. results[i] always corresponds to queries[i] regardless of
-/// completion order, and every result is bit-identical to a standalone
-/// search() of queries[i] apart from the fused_* counters, at every thread
-/// count. Exceptions from any query propagate to the caller.
+/// workers (0 = hardware_concurrency). Fingerprintable queries that share a
+/// world signature (rosa/fingerprint.h) and symmetry eligibility are fused
+/// into one multi-goal exploration (detail::search_fused); a query with no
+/// partner runs as a group of one, and an unfingerprintable query runs
+/// search_escalating() alone. results[i] always corresponds to queries[i]
+/// regardless of completion order, and every result is bit-identical to a
+/// standalone search() of queries[i] apart from the fused_* counters, at
+/// every thread count. Exceptions from any query propagate to the caller.
 ///
 /// `escalation` applies search_escalating() per query. When limits carries a
 /// deadline, the first worker to observe it expiring cancels the rest
@@ -300,9 +307,11 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 /// ResourceLimit results (0 states), so the batch always completes and
 /// results stay position-complete.
 ///
-/// `cache` (optional) memoizes whole-query results by content fingerprint:
-/// each distinct fingerprint is searched once and its result fanned out to
-/// every duplicate, with in-flight deduplication across workers. Cached and
+/// `cache` (optional) memoizes whole-query results by content fingerprint;
+/// run_queries is its only client. Each fused group looks its members up,
+/// searches the misses together, and stores their results. Duplicate
+/// fingerprints share a world signature, so they land in the same group,
+/// which searches the fingerprint once and fans the result out. Cached and
 /// uncached batches are bit-identical in verdicts, witnesses, and work
 /// counters because identical fingerprints imply identical deterministic
 /// searches (rosa/cache.h spells out the reuse rules).
@@ -314,19 +323,43 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
 
 namespace detail {
 
-/// Fused multi-goal search: ONE exploration over a group of queries that
-/// share a world (initial state, pools, message list, attacker, checker
-/// identity) and differ only in goal and msg_mask. results[i] is
-/// bit-identical to search(group[i], limits) — verdict, witness, and every
-/// work counter — because each member's run is replayed exactly inside the
+/// One successor produced by expand_state: the index of the message that
+/// fired plus the transition (its next state has that message consumed).
+struct ExpandedTransition {
+  unsigned msg = 0;
+  Transition tr;
+};
+
+/// Expand one state: apply every unconsumed message allowed by `fire_mask`
+/// in ascending index order, replacing `out` with the successors in exactly
+/// the order the search loop commits them. `fire_mask` is the union of the
+/// live members' msg_masks (one member: its own mask). Masked-out messages
+/// stay in msgs_remaining forever, which keeps state representations shared
+/// across masks, and simply never fire. The CfiOrdered program-order gate
+/// is applied against the FULL message list: masked-out later messages are
+/// never consumed, so the gate degenerates to program order over the mask's
+/// subsequence. `scratch` is reusable transition storage. The one state
+/// expansion, shared by search_fused and explore_graph (rosa/graph.h).
+void expand_state(const State& cur, const Query& query,
+                  const AccessChecker& checker, std::uint64_t fire_mask,
+                  std::vector<ExpandedTransition>& out,
+                  std::vector<Transition>& scratch);
+
+/// The one search loop. Fused multi-goal search: ONE exploration over a
+/// group of queries that share a world (initial state, pools, message list,
+/// attacker, checker identity) and differ only in goal and msg_mask; a
+/// group of one is a plain search. results[i] is bit-identical to running
+/// group[i] alone — verdict, witness, and every work counter except the
+/// fused_* ones — because each member's run is replayed exactly inside the
 /// shared exploration: a state belongs to member m iff its consumed-message
 /// set lies inside m's mask (an intrinsic property of the state, so the
 /// m-subsequence of the fused FIFO commit order IS m's standalone order,
 /// and dedup/collision decisions restricted to m's states match m's own
 /// seen-set), per-member frontier and arena-byte schedules are simulated
-/// against the serial engine's exact formulas, and each goal's first hit is
-/// recorded at its serial decisive rank. Decided goals retire from the
+/// against a lone run's exact formulas, and each goal's first hit is
+/// recorded at its standalone decisive rank. Decided goals retire from the
 /// live set; exploration ends when all are decided or the frontier drains.
+/// Only groups of two or more charge fused_world_states.
 ///
 /// Preconditions (the run_queries grouping guarantees them; callers passing
 /// hand-built groups must too): every member has the same symmetry

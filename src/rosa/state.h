@@ -154,7 +154,7 @@ struct State {
   // XORed out, the field mutation applied, and the new sub-hash XORed in.
   // Code that mutates the public vectors directly (state construction,
   // tests) must call invalidate_hash() afterwards — or simply normalize(),
-  // which invalidates too. search() can cross-check the incremental digest
+  // which invalidates too. The search can cross-check the incremental digest
   // against full_hash() via SearchLimits::check_hashes.
 
   /// Mutate the object with this id through `fn`, keeping the cached digest

@@ -19,7 +19,7 @@ constexpr const char* kCompiledInPoints[] = {
     "verifier.verify",      // ir/verifier.cpp: verify_or_throw entry
     "world.make",           // programs/world.cpp: both world factories
     "thread_pool.task",     // support/thread_pool.cpp: task boundary
-    "rosa.search",          // rosa/search.cpp: search() entry
+    "rosa.search",          // rosa/search.cpp: search entry, per member
     "rosa.cache_load",      // privanalyzer/pipeline.cpp: --rosa-cache load
     "rosa.cache_store",     // rosa/cache.cpp: persistent-file I/O attempt
                             // (recoverable: one fault = one retried attempt)

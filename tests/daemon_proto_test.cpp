@@ -234,6 +234,16 @@ TEST(JobStateTest, NamesAndTerminality) {
     EXPECT_TRUE(is_terminal(s)) << job_state_name(s);
 }
 
+TEST(ResolveProgramTest, UnnamedPirJobWithoutNameDirectiveIsNamedJob) {
+  // The loader reads the default name while it parses, so the default must
+  // outlive the call; under ASan a dangling one aborts here.
+  JobRequest req;
+  req.kind = "pir";
+  req.source =
+      "; !permitted: CapSetuid\nfunc @main(0) {\nentry:\n  ret 0\n}\n";
+  EXPECT_EQ(resolve_program(req).name, "job");
+}
+
 TEST(UnknownKeyTest, ForwardCompatibleWithinAVersion) {
   // A newer client may send keys this build does not know; they are ignored
   // rather than rejected (the version field gates incompatible changes).

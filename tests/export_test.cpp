@@ -129,7 +129,7 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
             1 + a.verdicts.size() * attacks::modeled_attacks().size());
   EXPECT_TRUE(str::starts_with(lines[0], "program,epoch,attack,verdict"));
   // The verdict-cache and fused-search counters ride along in the export.
-  EXPECT_NE(lines[0].find("cache_hits,cache_misses,cache_joins,seconds"),
+  EXPECT_NE(lines[0].find("cache_hits,cache_misses,seconds"),
             std::string::npos);
   EXPECT_NE(lines[0].find("fused_group_size,fused_searches_saved,"
                           "fused_world_states"),
@@ -157,7 +157,6 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
   EXPECT_NE(table.find("PeakFront"), std::string::npos);
   EXPECT_NE(table.find("Hits"), std::string::npos);
   EXPECT_NE(table.find("Miss"), std::string::npos);
-  EXPECT_NE(table.find("Joins"), std::string::npos);
 }
 
 // --- Full-pipeline integration for the remaining Table III programs -------

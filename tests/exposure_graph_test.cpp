@@ -6,6 +6,7 @@
 #include "privanalyzer/pipeline.h"
 #include "rosa/graph.h"
 #include "rosa/query.h"
+#include "rosa_test_util.h"
 
 namespace pa {
 namespace {
@@ -136,6 +137,27 @@ TEST(GraphTest, CfiOrderingMatchesSearch) {
   q.attacker = rosa::AttackerModel::Full;
   EXPECT_EQ(rosa::search(q).verdict, rosa::Verdict::Reachable);
   EXPECT_TRUE(rosa::explore_graph(q).any_goal());
+}
+
+TEST(GraphTest, WalksTheSearchGraphOnEveryUnreachableTableTwoQuery) {
+  // The Table-II attack queries pose masked attacks against one union
+  // world per epoch; explore_graph must honour the mask (and the CFI gate)
+  // exactly like the search, so on every exhausted query the graph has one
+  // node per explored state and no goal.
+  const rosa_test::Matrix m = rosa_test::build_matrix();
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
+  std::size_t unreachable = 0;
+  for (std::size_t i = 0; i < m.queries.size(); ++i) {
+    const rosa::SearchResult r = rosa::search(m.queries[i], limits);
+    if (r.verdict != rosa::Verdict::Unreachable) continue;
+    SCOPED_TRACE(m.labels[i]);
+    ++unreachable;
+    const rosa::StateGraph g = rosa::explore_graph(m.queries[i]);
+    EXPECT_FALSE(g.truncated);
+    EXPECT_EQ(g.node_count(), r.states_explored());
+    EXPECT_FALSE(g.any_goal());
+  }
+  EXPECT_EQ(unreachable, 45u);
 }
 
 TEST(TimelineRenderTest, ListsSegments) {

@@ -84,7 +84,7 @@ void expect_filter_invariants(const ProgramAnalysis& a) {
 
 // ---------------------------------------------------------------------------
 // Table II: the full differential at both ROSA worker counts (4 runs the
-// fused groups and the cache's in-flight joins across pool workers), report
+// fused groups and the verdict cache across pool workers), report
 // and enforce, plus the acceptance bar that filtering strictly reduces at
 // least one epoch's surface somewhere in the batch.
 

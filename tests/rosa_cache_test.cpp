@@ -32,6 +32,14 @@ using rosa_test::reachable_query;
 using rosa_test::states_budget;
 using rosa_test::unreachable_query;
 
+/// The cache's one client path for one query: a one-query run_queries
+/// batch, which looks the query up, searches on a miss, and stores.
+SearchResult run_cached(QueryCache& cache, const Query& q,
+                        const SearchLimits& lim,
+                        const EscalationPolicy& esc = {}) {
+  return run_queries({&q, 1}, lim, /*n_threads=*/1, esc, &cache)[0];
+}
+
 std::string hex_of(const Query& q, const SearchLimits& lim = {}) {
   std::optional<Fingerprint> fp = fingerprint_query(q, lim);
   return fp ? fp->to_hex() : std::string("<uncacheable>");
@@ -124,13 +132,13 @@ TEST(FingerprintTest, UncacheableQueries) {
 TEST(QueryCacheTest, ExactRepeatIsABitIdenticalHit) {
   QueryCache cache;
   const SearchLimits lim = states_budget(10'000);
-  SearchResult miss = cache.run_cached(reachable_query(), lim);
+  SearchResult miss = run_cached(cache, reachable_query(), lim);
   EXPECT_EQ(miss.verdict, Verdict::Reachable);
   EXPECT_EQ(miss.stats.cache_misses, 1u);
   EXPECT_EQ(miss.stats.cache_hits, 0u);
   ASSERT_FALSE(miss.witness.empty());
 
-  SearchResult hit = cache.run_cached(reachable_query(), lim);
+  SearchResult hit = run_cached(cache, reachable_query(), lim);
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   EXPECT_EQ(hit.stats.cache_misses, 0u);
   expect_same_work(miss, hit);
@@ -171,21 +179,21 @@ TEST(QueryCacheTest, RunQueriesSearchesEachFingerprintOnce) {
 
 TEST(QueryCacheTest, ReachableVerdictTransfersToCompatibleBudgets) {
   QueryCache cache;
-  SearchResult proved = cache.run_cached(reachable_query(), states_budget(10'000));
+  SearchResult proved = run_cached(cache, reachable_query(), states_budget(10'000));
   ASSERT_EQ(proved.verdict, Verdict::Reachable);
   const std::size_t g = proved.states_explored();
   ASSERT_GT(g, 1u);
 
   // Reusable at exactly G explored states and at an unlimited budget.
-  SearchResult at_g = cache.run_cached(reachable_query(), states_budget(g));
+  SearchResult at_g = run_cached(cache, reachable_query(), states_budget(g));
   EXPECT_EQ(at_g.stats.cache_hits, 1u);
   expect_same_work(proved, at_g);
-  SearchResult unlimited = cache.run_cached(reachable_query(), states_budget(0));
+  SearchResult unlimited = run_cached(cache, reachable_query(), states_budget(0));
   EXPECT_EQ(unlimited.stats.cache_hits, 1u);
 
   // Below G the cache must re-search — and agree bit-for-bit with the
   // uncached engine at that budget, whatever it decides.
-  SearchResult below = cache.run_cached(reachable_query(), states_budget(g - 1));
+  SearchResult below = run_cached(cache, reachable_query(), states_budget(g - 1));
   EXPECT_EQ(below.stats.cache_misses, 1u);
   expect_same_work(search_escalating(reachable_query(), states_budget(g - 1), {}),
                    below);
@@ -194,20 +202,20 @@ TEST(QueryCacheTest, ReachableVerdictTransfersToCompatibleBudgets) {
 TEST(QueryCacheTest, UnreachableBoundaryIsStrict) {
   QueryCache cache;
   SearchResult proved =
-      cache.run_cached(unreachable_query(), states_budget(10'000));
+      run_cached(cache, unreachable_query(), states_budget(10'000));
   ASSERT_EQ(proved.verdict, Verdict::Unreachable);
   const std::size_t u = proved.states_explored();  // full space size
   ASSERT_GT(u, 1u);
 
   // Budget U+1 would have exhausted the space: hit.
-  SearchResult above = cache.run_cached(unreachable_query(), states_budget(u + 1));
+  SearchResult above = run_cached(cache, unreachable_query(), states_budget(u + 1));
   EXPECT_EQ(above.stats.cache_hits, 1u);
   EXPECT_EQ(above.verdict, Verdict::Unreachable);
 
   // Budget exactly U hits the in-search budget check while inserting the
   // U-th state, so the honest answer is ResourceLimit, not Unreachable —
   // the cache must not paper over the boundary.
-  SearchResult at_u = cache.run_cached(unreachable_query(), states_budget(u));
+  SearchResult at_u = run_cached(cache, unreachable_query(), states_budget(u));
   EXPECT_EQ(at_u.stats.cache_misses, 1u);
   EXPECT_EQ(at_u.verdict, Verdict::ResourceLimit);
   expect_same_work(search_escalating(unreachable_query(), states_budget(u), {}),
@@ -215,7 +223,7 @@ TEST(QueryCacheTest, UnreachableBoundaryIsStrict) {
 
   // The fresh ResourceLimit must not displace the definite verdict.
   SearchResult still =
-      cache.run_cached(unreachable_query(), states_budget(u + 1));
+      run_cached(cache, unreachable_query(), states_budget(u + 1));
   EXPECT_EQ(still.stats.cache_hits, 1u);
   EXPECT_EQ(still.verdict, Verdict::Unreachable);
 }
@@ -223,31 +231,31 @@ TEST(QueryCacheTest, UnreachableBoundaryIsStrict) {
 TEST(QueryCacheTest, ResourceLimitReusableOnlyAtSmallerBudgets) {
   QueryCache cache;
   const Query q = unreachable_query(3);  // 8-state space
-  SearchResult rl = cache.run_cached(q, states_budget(3));
+  SearchResult rl = run_cached(cache, q, states_budget(3));
   ASSERT_EQ(rl.verdict, Verdict::ResourceLimit);
   ASSERT_EQ(rl.states_explored(), 3u);
 
   // Equal and smaller budgets: exploring 3 states without a decision
   // implies the same at budget <= 3.
-  EXPECT_EQ(cache.run_cached(q, states_budget(3)).stats.cache_hits, 1u);
-  EXPECT_EQ(cache.run_cached(q, states_budget(2)).stats.cache_hits, 1u);
-  EXPECT_EQ(cache.run_cached(q, states_budget(2)).verdict,
+  EXPECT_EQ(run_cached(cache, q, states_budget(3)).stats.cache_hits, 1u);
+  EXPECT_EQ(run_cached(cache, q, states_budget(2)).stats.cache_hits, 1u);
+  EXPECT_EQ(run_cached(cache, q, states_budget(2)).verdict,
             Verdict::ResourceLimit);
 
   // A larger budget must search afresh; the deeper ResourceLimit replaces
   // the shallower entry, then serves budgets up to its decisive budget.
-  SearchResult deeper = cache.run_cached(q, states_budget(5));
+  SearchResult deeper = run_cached(cache, q, states_budget(5));
   EXPECT_EQ(deeper.stats.cache_misses, 1u);
   ASSERT_EQ(deeper.verdict, Verdict::ResourceLimit);
-  EXPECT_EQ(cache.run_cached(q, states_budget(4)).stats.cache_hits, 1u);
+  EXPECT_EQ(run_cached(cache, q, states_budget(4)).stats.cache_hits, 1u);
 
   // An unlimited request exhausts the space: the definite verdict replaces
   // the ResourceLimit entry for good.
-  SearchResult definite = cache.run_cached(q, states_budget(0));
+  SearchResult definite = run_cached(cache, q, states_budget(0));
   EXPECT_EQ(definite.stats.cache_misses, 1u);
   ASSERT_EQ(definite.verdict, Verdict::Unreachable);
   SearchResult served =
-      cache.run_cached(q, states_budget(definite.states_explored() + 1));
+      run_cached(cache, q, states_budget(definite.states_explored() + 1));
   EXPECT_EQ(served.stats.cache_hits, 1u);
   EXPECT_EQ(served.verdict, Verdict::Unreachable);
 }
@@ -256,19 +264,19 @@ TEST(QueryCacheTest, EscalatedDecisiveResultIsCached) {
   QueryCache cache;
   const Query q = unreachable_query(3);  // 8-state space
   const EscalationPolicy esc{3, 2.0};    // budgets 2, 4, 8, 16
-  SearchResult miss = cache.run_cached(q, states_budget(2), esc);
+  SearchResult miss = run_cached(cache, q, states_budget(2), esc);
   ASSERT_EQ(miss.verdict, Verdict::Unreachable);
   EXPECT_EQ(miss.stats.escalations, 3u);
 
   // Rule 1: the same (limits, escalation) signature replays verbatim,
   // escalation counters included.
-  SearchResult hit = cache.run_cached(q, states_budget(2), esc);
+  SearchResult hit = run_cached(cache, q, states_budget(2), esc);
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   expect_same_work(miss, hit);
 
   // Rule 2: the definite verdict also serves a plain request whose budget
   // clears the 8 explored states.
-  SearchResult plain = cache.run_cached(q, states_budget(9));
+  SearchResult plain = run_cached(cache, q, states_budget(9));
   EXPECT_EQ(plain.stats.cache_hits, 1u);
   EXPECT_EQ(plain.verdict, Verdict::Unreachable);
 }
@@ -277,12 +285,12 @@ TEST(QueryCacheTest, ByteBudgetIsPartOfTheExactSignature) {
   QueryCache cache;
   SearchLimits bounded = states_budget(10'000);
   bounded.max_bytes = 1u << 30;  // generous: never actually fires
-  SearchResult miss = cache.run_cached(reachable_query(), bounded);
+  SearchResult miss = run_cached(cache, reachable_query(), bounded);
   ASSERT_EQ(miss.verdict, Verdict::Reachable);
   EXPECT_EQ(miss.stats.cache_misses, 1u);
 
   // Rule 1: identical byte budget replays verbatim.
-  SearchResult hit = cache.run_cached(reachable_query(), bounded);
+  SearchResult hit = run_cached(cache, reachable_query(), bounded);
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   expect_same_work(miss, hit);
 
@@ -291,7 +299,7 @@ TEST(QueryCacheTest, ByteBudgetIsPartOfTheExactSignature) {
   // stored entry proves nothing about where a byte cap would have fired).
   SearchLimits other = bounded;
   other.max_bytes = 1u << 29;
-  SearchResult re = cache.run_cached(reachable_query(), other);
+  SearchResult re = run_cached(cache, reachable_query(), other);
   EXPECT_EQ(re.stats.cache_misses, 1u);
   expect_same_work(miss, re);  // same work either way — the cap never fires
 }
@@ -300,7 +308,7 @@ TEST(QueryCacheTest, ByteLimitedResourceLimitIsNotStored) {
   QueryCache cache;
   SearchLimits starved = states_budget(10'000);
   starved.max_bytes = 1;  // root node alone exceeds this
-  SearchResult rl = cache.run_cached(unreachable_query(), starved);
+  SearchResult rl = run_cached(cache, unreachable_query(), starved);
   ASSERT_EQ(rl.verdict, Verdict::ResourceLimit);
   // A byte-induced ResourceLimit says nothing about states-bounded budgets,
   // so it must not enter the cache (like deadline-induced ones).
@@ -308,23 +316,35 @@ TEST(QueryCacheTest, ByteLimitedResourceLimitIsNotStored) {
 
   // And a pure states-bounded request afterwards searches fresh.
   SearchResult fresh =
-      cache.run_cached(unreachable_query(), states_budget(10'000));
+      run_cached(cache, unreachable_query(), states_budget(10'000));
   EXPECT_EQ(fresh.stats.cache_misses, 1u);
   EXPECT_EQ(fresh.verdict, Verdict::Unreachable);
 }
 
 TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
   QueryCache cache;
-  std::atomic<bool> stop{true};
+  // The cancel flag rises while the search runs (a batch never starts a
+  // query whose flag is already up): evaluating the goal on the root sets
+  // it, so the search stops at its first frontier pop. Same predicate, same
+  // key — the query keeps reachable_query()'s fingerprint.
+  std::atomic<bool> stop{false};
+  Query q = reachable_query();
+  q.goal = Goal(
+               [&stop, goal = q.goal](const State& st) {
+                 stop = true;
+                 return goal(st);
+               },
+               q.goal.cache_key())
+               .with_info(q.goal.info());
   SearchLimits lim = states_budget(10'000);
   lim.cancel = &stop;
-  SearchResult cancelled = cache.run_cached(reachable_query(), lim);
+  SearchResult cancelled = run_cached(cache, q, lim);
   EXPECT_EQ(cancelled.verdict, Verdict::ResourceLimit);
   EXPECT_EQ(cancelled.stats.cache_misses, 1u);
   // A cancellation artifact proves nothing about any budget.
   EXPECT_EQ(cache.totals().entries, 0u);
 
-  SearchResult fresh = cache.run_cached(reachable_query(), states_budget(10'000));
+  SearchResult fresh = run_cached(cache, reachable_query(), states_budget(10'000));
   EXPECT_EQ(fresh.stats.cache_misses, 1u);
   EXPECT_EQ(fresh.verdict, Verdict::Reachable);
 }
@@ -368,8 +388,8 @@ class PersistentCacheTest : public ::testing::Test {
 TEST_F(PersistentCacheTest, SaveLoadRoundTripServesVerbatimHits) {
   QueryCache writer;
   const SearchLimits lim = states_budget(10'000);
-  SearchResult reach = writer.run_cached(reachable_query(), lim);
-  SearchResult unreach = writer.run_cached(unreachable_query(), lim);
+  SearchResult reach = run_cached(writer, reachable_query(), lim);
+  SearchResult unreach = run_cached(writer, unreachable_query(), lim);
   ASSERT_EQ(reach.verdict, Verdict::Reachable);
   ASSERT_FALSE(reach.witness.empty());
   std::string warn;
@@ -380,10 +400,10 @@ TEST_F(PersistentCacheTest, SaveLoadRoundTripServesVerbatimHits) {
   EXPECT_EQ(reader.totals().loaded, 2u);
   EXPECT_EQ(reader.size(), 2u);
 
-  SearchResult hit = reader.run_cached(reachable_query(), lim);
+  SearchResult hit = run_cached(reader, reachable_query(), lim);
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   expect_same_work(reach, hit);  // witness survives the round trip
-  SearchResult hit2 = reader.run_cached(unreachable_query(), lim);
+  SearchResult hit2 = run_cached(reader, unreachable_query(), lim);
   EXPECT_EQ(hit2.stats.cache_hits, 1u);
   expect_same_work(unreach, hit2);
   EXPECT_EQ(reader.totals().misses, 0u);
@@ -417,7 +437,7 @@ TEST_F(PersistentCacheTest, GarbageFileIsIgnoredWithWarning) {
 
 TEST_F(PersistentCacheTest, StaleModelVersionIsIgnoredWholesale) {
   QueryCache writer;
-  writer.run_cached(reachable_query(), states_budget(10'000));
+  run_cached(writer, reachable_query(), states_budget(10'000));
   ASSERT_TRUE(writer.save_file(path_));
   tamper("model=", "model=stale-");
   QueryCache cache;
@@ -443,14 +463,14 @@ TEST_F(PersistentCacheTest, V4FileIsAStaleHeaderColdStart) {
   EXPECT_EQ(cache.totals().loaded, 0u);
   // Cold start: the first query searches afresh.
   const SearchResult r =
-      cache.run_cached(unreachable_query(), states_budget(10'000));
+      run_cached(cache, unreachable_query(), states_budget(10'000));
   EXPECT_EQ(r.stats.cache_misses, 1u);
   EXPECT_EQ(r.verdict, Verdict::Unreachable);
 }
 
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
   QueryCache writer;
-  writer.run_cached(reachable_query(), states_budget(10'000));
+  run_cached(writer, reachable_query(), states_budget(10'000));
   ASSERT_TRUE(writer.save_file(path_));
   std::string text = read_file();
   ASSERT_TRUE(text.ends_with("end\n"));
@@ -464,8 +484,8 @@ TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
 
 TEST_F(PersistentCacheTest, TamperedEntryRejectsTheWholeFile) {
   QueryCache writer;
-  writer.run_cached(reachable_query(), states_budget(10'000));
-  writer.run_cached(unreachable_query(), states_budget(10'000));
+  run_cached(writer, reachable_query(), states_budget(10'000));
+  run_cached(writer, unreachable_query(), states_budget(10'000));
   ASSERT_TRUE(writer.save_file(path_));
   tamper("\ne ", "\nq ");  // corrupt one entry line's tag
   QueryCache cache;
@@ -602,7 +622,7 @@ TEST(CacheEvictionTest, ByteBudgetBoundsResidentEntries) {
   const SearchLimits lim = states_budget(10'000);
   // Distinct mode bits -> distinct fingerprints -> distinct entries.
   for (int i = 0; i < 6; ++i)
-    cache.run_cached(open_query(2, 0600 + i, goal_file_in_rdfset(1, 3)), lim);
+    run_cached(cache, open_query(2, 0600 + i, goal_file_in_rdfset(1, 3)), lim);
 
   QueryCache::Totals t = cache.totals();
   EXPECT_EQ(t.misses, 6u);
@@ -611,18 +631,24 @@ TEST(CacheEvictionTest, ByteBudgetBoundsResidentEntries) {
   // stays bounded instead of growing with the workload.
   EXPECT_LE(cache.size(), 1u);
   EXPECT_LE(t.entries, 1u);
+  // The entry just stored stays even though it alone exceeds the budget
+  // (dropping it would only thrash): the last query repeats as a hit.
+  EXPECT_EQ(run_cached(cache, open_query(2, 0605, goal_file_in_rdfset(1, 3)),
+                       lim)
+                .stats.cache_hits,
+            1u);
 }
 
 TEST(CacheEvictionTest, EvictionOnlyCostsARecompute) {
   QueryCache cache;
   cache.set_byte_budget(1);
   const SearchLimits lim = states_budget(10'000);
-  SearchResult first = cache.run_cached(reachable_query(), lim);
+  SearchResult first = run_cached(cache, reachable_query(), lim);
   // Push the first entry out...
-  cache.run_cached(unreachable_query(), lim);
+  run_cached(cache, unreachable_query(), lim);
   // ...and re-ask the evicted question: a fresh miss, same answer, same
   // work — eviction can never change a verdict or a witness.
-  SearchResult again = cache.run_cached(reachable_query(), lim);
+  SearchResult again = run_cached(cache, reachable_query(), lim);
   EXPECT_EQ(again.stats.cache_misses, 1u);
   EXPECT_EQ(again.stats.cache_hits, 0u);
   expect_same_work(first, again);
@@ -632,7 +658,7 @@ TEST(CacheEvictionTest, UnlimitedBudgetNeverEvicts) {
   QueryCache cache;
   const SearchLimits lim = states_budget(10'000);
   for (int i = 0; i < 6; ++i)
-    cache.run_cached(open_query(2, 0600 + i, goal_file_in_rdfset(1, 3)), lim);
+    run_cached(cache, open_query(2, 0600 + i, goal_file_in_rdfset(1, 3)), lim);
   EXPECT_EQ(cache.totals().evictions, 0u);
   EXPECT_EQ(cache.size(), 6u);
   EXPECT_GT(cache.totals().resident_bytes, 0u);
@@ -643,24 +669,24 @@ TEST(CacheEvictionTest, HitRefreshesRecency) {
   // Entry sizes vary by query, so measure them with an unbudgeted probe
   // first; the budget below fits exactly A plus C, never B.
   QueryCache probe;
-  probe.run_cached(reachable_query(), lim);
+  run_cached(probe, reachable_query(), lim);
   const std::size_t size_a = probe.totals().resident_bytes;
-  probe.run_cached(unreachable_query(), lim);
+  run_cached(probe, unreachable_query(), lim);
   const std::size_t size_ab = probe.totals().resident_bytes;
-  probe.run_cached(open_query(2, 0604, goal_file_in_rdfset(1, 3)), lim);
+  run_cached(probe, open_query(2, 0604, goal_file_in_rdfset(1, 3)), lim);
   const std::size_t size_c = probe.totals().resident_bytes - size_ab;
 
   QueryCache cache;
-  SearchResult a = cache.run_cached(reachable_query(), lim);
-  cache.run_cached(unreachable_query(), lim);
+  SearchResult a = run_cached(cache, reachable_query(), lim);
+  run_cached(cache, unreachable_query(), lim);
   // Touching A makes B the least-recently-used entry, so when the budget
   // bites it is B that goes — recency is refreshed on hits, not just stores.
-  SearchResult touch = cache.run_cached(reachable_query(), lim);
+  SearchResult touch = run_cached(cache, reachable_query(), lim);
   EXPECT_EQ(touch.stats.cache_hits, 1u);
   cache.set_byte_budget(size_a + size_c);
-  cache.run_cached(open_query(2, 0604, goal_file_in_rdfset(1, 3)), lim);
+  run_cached(cache, open_query(2, 0604, goal_file_in_rdfset(1, 3)), lim);
   EXPECT_GT(cache.totals().evictions, 0u);
-  SearchResult still_hit = cache.run_cached(reachable_query(), lim);
+  SearchResult still_hit = run_cached(cache, reachable_query(), lim);
   EXPECT_EQ(still_hit.stats.cache_hits, 1u);
   expect_same_work(a, still_hit);
 }
@@ -681,7 +707,7 @@ class CacheStoreRetryTest : public PersistentCacheTest {
 
 TEST_F(CacheStoreRetryTest, SaveRetriesThroughOneInjectedFault) {
   QueryCache cache;
-  cache.run_cached(reachable_query(), states_budget(10'000));
+  run_cached(cache, reachable_query(), states_budget(10'000));
   support::faultpoint::arm("rosa.cache_store");
   std::string warn;
   // One injected fault = one failed attempt; the retry succeeds and the
@@ -696,7 +722,7 @@ TEST_F(CacheStoreRetryTest, SaveRetriesThroughOneInjectedFault) {
 
 TEST_F(CacheStoreRetryTest, SaveDegradesAfterExhaustingAttempts) {
   QueryCache cache;
-  cache.run_cached(reachable_query(), states_budget(10'000));
+  run_cached(cache, reachable_query(), states_budget(10'000));
   // A hopeless destination fails every attempt; an injected fault on the
   // middle retry (arming is single-shot, so only one attempt can be faulted)
   // is folded into the same bounded-attempt accounting.
@@ -709,7 +735,7 @@ TEST_F(CacheStoreRetryTest, SaveDegradesAfterExhaustingAttempts) {
 
 TEST_F(CacheStoreRetryTest, PersistentSaveToBadDirectoryStillFails) {
   QueryCache cache;
-  cache.run_cached(reachable_query(), states_budget(10'000));
+  run_cached(cache, reachable_query(), states_budget(10'000));
   std::string warn;
   // A genuinely impossible path exhausts the retries and degrades with a
   // warning — never throws, never loops forever.
@@ -719,7 +745,7 @@ TEST_F(CacheStoreRetryTest, PersistentSaveToBadDirectoryStillFails) {
 
 TEST_F(CacheStoreRetryTest, LoadRetriesThroughOneInjectedFault) {
   QueryCache writer;
-  writer.run_cached(reachable_query(), states_budget(10'000));
+  run_cached(writer, reachable_query(), states_budget(10'000));
   ASSERT_TRUE(writer.save_file(path_));
   support::faultpoint::arm("rosa.cache_store");
   QueryCache reader;

@@ -3,9 +3,10 @@
 // grouping): one shared exploration answering all four attacks of an epoch
 // must be indistinguishable — bit for bit — from four standalone searches.
 // The full Table-III matrix through run_queries at 1 and 4 workers, cached
-// and uncached, reduction on and off, is diffed against one search() per
-// query, down to the counters the goldens deliberately omit (peak_bytes,
-// state_bytes, decisive_states). Fused witnesses must replay on the SimOS
+// and uncached, reduction on and off, is diffed against one search per
+// query by the standalone reference loop (tests/reference_search.h), down
+// to the counters the goldens deliberately omit (peak_bytes, state_bytes,
+// decisive_states). Fused witnesses must replay on the SimOS
 // kernel, a mixed-attacker batch must NOT fuse across world signatures,
 // the escalation ladder must re-run only still-undecided goals, and the
 // pipeline's matrix must match one analyze_epoch call per epoch.
@@ -18,6 +19,7 @@
 #include "attacks/scenario.h"
 #include "privanalyzer/efficacy.h"
 #include "rosa/cache.h"
+#include "reference_search.h"
 #include "rosa/replay.h"
 #include "rosa_test_util.h"
 
@@ -36,18 +38,19 @@ void expect_identical_runs(const rosa::SearchResult& unfused,
   EXPECT_EQ(unfused.stats.decisive_states, fused.stats.decisive_states);
 }
 
-/// The reference: every query searched on its own, in order.
+/// The reference: every query searched on its own, in order, by the
+/// standalone loop.
 std::vector<rosa::SearchResult> standalone_runs(
     const std::vector<rosa::Query>& queries, const rosa::SearchLimits& limits) {
   std::vector<rosa::SearchResult> out;
   out.reserve(queries.size());
   for (const rosa::Query& q : queries)
-    out.push_back(rosa::search_escalating(q, limits, {}));
+    out.push_back(rosa::reference::search(q, limits));
   return out;
 }
 
 // n_threads = 4 runs the fused groups, symmetry, and (cached) the cache's
-// in-flight joins across pool workers; the tsan CI leg runs this suite.
+// one lock across pool workers; the tsan CI leg runs this suite.
 void expect_fused_matches_unfused(unsigned n_threads, bool cached,
                                   bool reduction) {
   const Matrix m = rosa_test::build_matrix();
@@ -207,9 +210,9 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   const rosa::EscalationPolicy policy{/*rounds=*/4, /*factor=*/2.0};
 
   const rosa::SearchResult fast_ref =
-      rosa::search_escalating(fast, limits, policy);
+      rosa::reference::search_escalating(fast, limits, policy);
   const rosa::SearchResult slow_ref =
-      rosa::search_escalating(slow, limits, policy);
+      rosa::reference::search_escalating(slow, limits, policy);
   ASSERT_EQ(fast_ref.verdict, rosa::Verdict::Reachable);
   ASSERT_EQ(slow_ref.verdict, rosa::Verdict::Reachable);
   EXPECT_EQ(fast_ref.stats.escalations, 0u);

@@ -40,7 +40,7 @@ rosa::SearchLimits reduced_limits() {
 }
 
 // n_threads = 4 runs the reduced fused groups and (cached) the cache's
-// in-flight joins across pool workers; the tsan CI leg runs this suite.
+// one lock across pool workers; the tsan CI leg runs this suite.
 void expect_reduced_matches(unsigned n_threads, bool cached) {
   const Matrix m = rosa_test::build_matrix();
   const rosa::SearchLimits unreduced = rosa_test::table3_limits();

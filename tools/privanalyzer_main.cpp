@@ -19,7 +19,7 @@
 //     --stats              print per-program ROSA search statistics
 //                          (states, transitions, dedup hits, hash
 //                          collisions, peak frontier, escalations, cache
-//                          hits/misses/joins, wall time)
+//                          hits/misses, wall time)
 //     --rosa-cache FILE    persistent ROSA verdict cache: load FILE before
 //                          the query matrix (corrupt/stale files are ignored
 //                          with a warning) and atomically rewrite it after,
