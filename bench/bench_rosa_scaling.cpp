@@ -158,36 +158,6 @@ static void BM_DedupOn(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupOn);
 
-// DESIGN.md decision 13: symmetry reduction. On (the
-// default), the pool's free gids collapse to one orbit representative and
-// the impossible space stops growing with the pool size; off, every
-// wildcard landing multiplies the space.
-static void BM_ReductionOn(benchmark::State& state) {
-  rosa::Query q = impossible_query(static_cast<int>(state.range(0)));
-  rosa::SearchResult last;
-  for (auto _ : state) {
-    last = rosa::search(q);
-    benchmark::DoNotOptimize(last.stats.states);
-  }
-  report(state, last);
-  state.counters["symmetry_pruned"] =
-      static_cast<double>(last.stats.symmetry_pruned);
-}
-BENCHMARK(BM_ReductionOn)->Arg(4)->Arg(6)->Arg(8);
-
-static void BM_ReductionOff(benchmark::State& state) {
-  rosa::Query q = impossible_query(static_cast<int>(state.range(0)));
-  rosa::SearchLimits limits;
-  limits.reduction = false;
-  rosa::SearchResult last;
-  for (auto _ : state) {
-    last = rosa::search(q, limits);
-    benchmark::DoNotOptimize(last.stats.states);
-  }
-  report(state, last);
-}
-BENCHMARK(BM_ReductionOff)->Arg(4)->Arg(6)->Arg(8);
-
 static void BM_DedupOff(benchmark::State& state) {
   rosa::Query q = impossible_query(1);
   rosa::SearchLimits limits;
@@ -265,30 +235,6 @@ void write_perf_json(const std::string& path) {
     metrics.emplace_back(
         prefix + "state_bytes_per_state",
         last.stats.states ? static_cast<double>(last.stats.state_bytes) /
-                                static_cast<double>(last.stats.states)
-                          : 0.0);
-    // The --no-reduction ablation: same space without symmetry. The
-    // ratio is the headline win of DESIGN.md decision 13 and is asserted
-    // (>= 5x) by the CI perf smoke.
-    rosa::SearchLimits unreduced;
-    unreduced.reduction = false;
-    rosa::SearchResult raw;
-    double raw_best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      raw = rosa::search(q, unreduced);
-      raw_best = std::min(
-          raw_best, std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-    }
-    metrics.emplace_back(prefix + "unreduced_states",
-                         static_cast<double>(raw.stats.states));
-    metrics.emplace_back(prefix + "unreduced_states_per_sec",
-                         static_cast<double>(raw.stats.states) / raw_best);
-    metrics.emplace_back(
-        prefix + "reduction_state_ratio",
-        last.stats.states ? static_cast<double>(raw.stats.states) /
                                 static_cast<double>(last.stats.states)
                           : 0.0);
   }

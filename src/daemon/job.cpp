@@ -88,7 +88,6 @@ privanalyzer::PipelineOptions make_pipeline_options(
   opts.run_rosa = req.run_rosa;
   opts.rosa_limits.max_states = req.max_states;
   opts.rosa_limits.max_bytes = req.max_bytes;
-  opts.rosa_limits.reduction = req.reduction;
   opts.rosa_limits.cancel = cancel;
   opts.rosa_threads = req.rosa_threads;
   opts.rosa_escalation_rounds = req.escalate_rounds;

@@ -1,5 +1,6 @@
 #include "daemon/proto.h"
 
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 
@@ -164,26 +165,22 @@ std::string kv_get(const KvPairs& kv, std::string_view key,
 }
 
 std::uint64_t kv_get_u64(const KvPairs& kv, std::string_view key,
-                         std::uint64_t fallback) {
-  std::string v = kv_get(kv, key);
+                         std::uint64_t fallback, std::uint64_t max) {
+  const std::string v = kv_get(kv, key);
   if (v.empty()) return fallback;
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    proto_fail(str::cat("bad integer for key '", std::string(key), "': '", v,
-                        "'"));
-  }
+  const std::optional<std::uint64_t> n = str::parse_u64(v, max);
+  if (!n) proto_fail(str::cat("bad integer for key '", key, "': '", v, "'"));
+  return *n;
 }
 
-double kv_get_double(const KvPairs& kv, std::string_view key, double fallback) {
-  std::string v = kv_get(kv, key);
+double kv_get_seconds(const KvPairs& kv, std::string_view key,
+                      double fallback) {
+  const std::string v = kv_get(kv, key);
   if (v.empty()) return fallback;
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    proto_fail(str::cat("bad number for key '", std::string(key), "': '", v,
-                        "'"));
-  }
+  const std::optional<double> secs = str::parse_seconds(v);
+  if (!secs)
+    proto_fail(str::cat("bad duration for key '", key, "': '", v, "'"));
+  return *secs;
 }
 
 Frame JobRequest::to_frame() const {
@@ -198,7 +195,6 @@ Frame JobRequest::to_frame() const {
       {"deadline_secs", str::fixed(deadline_secs, 3)},
       {"run_rosa", run_rosa ? "1" : "0"},
       {"use_cache", use_cache ? "1" : "0"},
-      {"reduction", reduction ? "1" : "0"},
       {"filters", filters},
   };
   return Frame{MsgType::Submit, encode_kv(kv)};
@@ -212,14 +208,13 @@ JobRequest JobRequest::from_frame(const Frame& f) {
   r.name = kv_get(kv, "name");
   r.max_states = kv_get_u64(kv, "max_states", r.max_states);
   r.max_bytes = kv_get_u64(kv, "max_bytes", r.max_bytes);
-  r.rosa_threads =
-      static_cast<unsigned>(kv_get_u64(kv, "rosa_threads", r.rosa_threads));
+  r.rosa_threads = static_cast<unsigned>(
+      kv_get_u64(kv, "rosa_threads", r.rosa_threads, UINT_MAX));
   r.escalate_rounds = static_cast<unsigned>(
-      kv_get_u64(kv, "escalate_rounds", r.escalate_rounds));
-  r.deadline_secs = kv_get_double(kv, "deadline_secs", r.deadline_secs);
+      kv_get_u64(kv, "escalate_rounds", r.escalate_rounds, UINT_MAX));
+  r.deadline_secs = kv_get_seconds(kv, "deadline_secs", r.deadline_secs);
   r.run_rosa = kv_get_bool(kv, "run_rosa", r.run_rosa);
   r.use_cache = kv_get_bool(kv, "use_cache", r.use_cache);
-  r.reduction = kv_get_bool(kv, "reduction", r.reduction);
   r.filters = kv_get(kv, "filters", r.filters);
   return r;
 }
@@ -291,7 +286,7 @@ ResultMsg ResultMsg::from_frame(const Frame& f) {
   ResultMsg r;
   r.job_id = kv_get_u64(kv, "job_id", 0);
   r.state = kv_get(kv, "state", "unknown");
-  r.exit_code = static_cast<int>(kv_get_u64(kv, "exit_code", 0));
+  r.exit_code = static_cast<int>(kv_get_u64(kv, "exit_code", 0, INT_MAX));
   r.body = kv_get(kv, "body");
   return r;
 }

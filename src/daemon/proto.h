@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -91,9 +92,15 @@ KvPairs decode_kv(std::string_view payload);
 /// First value for `key`; `fallback` when absent.
 std::string kv_get(const KvPairs& kv, std::string_view key,
                    std::string_view fallback = "");
-std::uint64_t kv_get_u64(const KvPairs& kv, std::string_view key,
-                         std::uint64_t fallback);
-double kv_get_double(const KvPairs& kv, std::string_view key, double fallback);
+/// `key` as a count (str::parse_u64: digits only, at most `max`);
+/// `fallback` when absent or empty, a ProtocolError when malformed.
+std::uint64_t kv_get_u64(
+    const KvPairs& kv, std::string_view key, std::uint64_t fallback,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+/// `key` as a duration (str::parse_seconds: finite, >= 0); `fallback` when
+/// absent or empty, a ProtocolError when malformed.
+double kv_get_seconds(const KvPairs& kv, std::string_view key,
+                      double fallback);
 
 // --- messages ---------------------------------------------------------------
 
@@ -113,7 +120,6 @@ struct JobRequest {
   double deadline_secs = 0.0;  // per-job wall budget (0 = server default)
   bool run_rosa = true;
   bool use_cache = true;  // consult the daemon's resident verdict cache
-  bool reduction = true;  // symmetry reduction (rosa/canon.h)
   /// EpochFilter mode: "off" | "report" | "enforce" (filter_mode_name
   /// spelling; unknown values are a job-level usage error, not a protocol
   /// error). Enforced jobs use the default -EPERM violation semantics.

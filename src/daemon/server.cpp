@@ -333,11 +333,15 @@ void Server::housekeeping() {
   pump_tickets();
 
   if (opts_.idle_timeout_secs > 0) {
-    const std::int64_t cutoff =
-        now_ms() - static_cast<std::int64_t>(opts_.idle_timeout_secs * 1000);
+    // Compared in floating point: any finite timeout, however large, is
+    // representable there, where an int64 millisecond cutoff could overflow.
+    const std::int64_t now = now_ms();
+    const double timeout_ms = opts_.idle_timeout_secs * 1000;
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& [id, conn] : conns_)
-      if (conn->last_activity_ms.load(std::memory_order_relaxed) < cutoff)
+      if (static_cast<double>(
+              now - conn->last_activity_ms.load(std::memory_order_relaxed)) >
+          timeout_ms)
         conn->dead.store(true, std::memory_order_relaxed);
   }
   reap_dead_conns(false);

@@ -154,7 +154,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
   std::ostringstream os;
   os << "program,epoch,attack,verdict,states,transitions,dedup_hits,"
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
-        "symmetry_pruned,escalations,fused_group_size,fused_searches_saved,"
+        "escalations,fused_group_size,fused_searches_saved,"
         "fused_world_states,cache_hits,cache_misses,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
@@ -168,7 +168,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.dedup_hits << ',' << r.stats.hash_collisions << ','
            << r.stats.peak_frontier << ',' << r.stats.peak_bytes << ','
            << str::fixed(r.stats.bytes_per_state(), 1) << ','
-           << r.stats.symmetry_pruned << ',' << r.stats.escalations << ','
+           << r.stats.escalations << ','
            << r.stats.fused_group_size << ','
            << r.stats.fused_searches_saved << ','
            << r.stats.fused_world_states << ','

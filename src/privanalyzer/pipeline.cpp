@@ -58,6 +58,24 @@ rosa::SearchStats ProgramAnalysis::search_stats() const {
   return total;
 }
 
+namespace {
+
+/// The steady_clock deadline `seconds` from now, or none (a default
+/// time_point) when `seconds` is not positive or lies beyond what the clock
+/// can represent: an unrepresentable budget is unlimited, never expired.
+std::chrono::steady_clock::time_point deadline_after(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  if (!(seconds > 0)) return {};
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> headroom =
+      Clock::time_point::max() - now;
+  if (!(seconds < headroom.count())) return {};
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
+}  // namespace
+
 ir::Module transformed_module(const programs::ProgramSpec& spec,
                               const autopriv::Options& options) {
   // ProgramSpec factories are cheap; rebuilding gives us a fresh module to
@@ -155,12 +173,7 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
   // runaway-cost stage.
   if (options.run_rosa) {
     rosa::SearchLimits limits = options.rosa_limits;
-    if (options.max_total_seconds > 0)
-      limits.deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(
-                                options.max_total_seconds));
+    limits.deadline = deadline_after(options.max_total_seconds);
     rosa::EscalationPolicy escalation{options.rosa_escalation_rounds, 2.0};
 
     // Verdict cache: an explicit shared instance wins (batch-wide reuse);
@@ -183,10 +196,12 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
     const std::vector<std::string> syscalls = spec.syscalls_used();
     std::vector<attacks::ScenarioInput> inputs;
     inputs.reserve(out.chrono.rows.size());
-    for (const chronopriv::EpochRow& row : out.chrono.rows)
+    for (const chronopriv::EpochRow& row : out.chrono.rows) {
       inputs.push_back(attacks::scenario_from_epoch(
           row, syscalls, spec.scenario_extra_users,
           spec.scenario_extra_groups));
+      inputs.back().attacker = options.attacker;
+    }
     out.verdicts =
         attacks::analyze_epochs(out.chrono.rows, inputs, limits,
                                 options.rosa_threads, escalation, cache.get());
@@ -208,6 +223,7 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
         filtered_inputs.push_back(attacks::scenario_from_epoch(
             out.chrono.rows[i], allowed, spec.scenario_extra_users,
             spec.scenario_extra_groups));
+        filtered_inputs.back().attacker = options.attacker;
       }
       out.filtered_verdicts = attacks::analyze_epochs(
           out.chrono.rows, filtered_inputs, limits, options.rosa_threads,

@@ -35,6 +35,9 @@ struct PipelineOptions {
   /// fused exploration per world signature; results match standalone
   /// searches (tests/rosa_fused_diff_test.cpp).
   rosa::SearchLimits rosa_limits;
+  /// Attacker strength (§X) for every query of both the baseline and the
+  /// filtered matrix (`--attacker`). Full is the paper's model.
+  rosa::AttackerModel attacker = rosa::AttackerModel::Full;
   /// Skip the ROSA stage (ChronoPriv-only runs for tests/benches).
   bool run_rosa = true;
   /// Worker threads for the ROSA stage's (epoch × attack) query matrix:
@@ -53,10 +56,11 @@ struct PipelineOptions {
   unsigned rosa_escalation_rounds = 0;
   /// Pipeline-wide wall-clock budget in seconds for the ROSA stage
   /// (0 = none). When it expires, in-flight searches stop at their next
-  /// frontier pop, queued queries are cancelled through the thread pool's
-  /// cooperative token, remaining cells become Timeout, and the analysis
-  /// completes with a DeadlineExceeded warning diagnostic — a runaway query
-  /// matrix can degrade results but never hang a batch.
+  /// frontier pop, queries not yet started are skipped, remaining cells
+  /// become Timeout, and the analysis completes with a DeadlineExceeded
+  /// warning diagnostic — a runaway query matrix can degrade results but
+  /// never hang a batch. A budget too large for steady_clock to represent
+  /// (e.g. +inf) means no deadline.
   double max_total_seconds = 0.0;
   /// Memoize ROSA searches by content fingerprint (rosa/cache.h): each
   /// distinct (state, messages, attacker, goal, checker) combination in the

@@ -95,8 +95,7 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
      << str::pad_left("States", 12) << str::pad_left("Transitions", 13)
      << str::pad_left("Dedup", 10) << str::pad_left("Collisions", 12)
      << str::pad_left("PeakFront", 11) << str::pad_left("PeakB", 12)
-     << str::pad_left("B/St", 8) << str::pad_left("SymPr", 8)
-     << str::pad_left("Escal", 7)
+     << str::pad_left("B/St", 8) << str::pad_left("Escal", 7)
      << str::pad_left("FSaved", 8) << str::pad_left("FStates", 12)
      << str::pad_left("Hits", 7) << str::pad_left("Miss", 7)
      << str::pad_left("Time", 10) << "\n";
@@ -117,7 +116,6 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
        << str::pad_left(
               str::with_commas(static_cast<long long>(s.peak_bytes)), 12)
        << str::pad_left(str::fixed(s.bytes_per_state(), 1), 8)
-       << str::pad_left(std::to_string(s.symmetry_pruned), 8)
        << str::pad_left(std::to_string(s.escalations), 7)
        << str::pad_left(std::to_string(s.fused_searches_saved), 8)
        << str::pad_left(

@@ -73,7 +73,6 @@ class CapsicumChecker final : public rosa::AccessChecker {
                            caps::CapSet privs) const override;
   std::string_view name() const override { return "capsicum"; }
   std::string_view cache_key() const override { return "capsicum"; }
-  bool identity_symmetric() const override { return true; }
 };
 
 const CapsicumChecker& capsicum_checker();

@@ -90,7 +90,6 @@ class SolarisChecker final : public rosa::AccessChecker {
                         bool is_uid) const override;
   std::string_view name() const override { return "solaris-privileges"; }
   std::string_view cache_key() const override { return "solaris-privileges"; }
-  bool identity_symmetric() const override { return true; }
 };
 
 const SolarisChecker& solaris_checker();

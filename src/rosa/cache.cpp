@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <list>
@@ -20,27 +20,8 @@ namespace pa::rosa {
 
 namespace {
 
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
-    v = v * 10 + d;
-  }
-  return v;
-}
-
-std::optional<double> parse_double(std::string_view s) {
-  if (s.empty()) return std::nullopt;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
-  return v;
-}
+using str::parse_seconds;
+using str::parse_u64;
 
 std::string fmt_double(double v) {
   char buf[64];
@@ -289,31 +270,29 @@ std::size_t QueryCache::size() const {
 // ---------------------------------------------------------------------------
 // Persistence. Versioned text format, all-or-nothing load:
 //
-//   privanalyzer-rosa-cache v5 model=<kRosaModelVersion>
+//   privanalyzer-rosa-cache v6 model=<kRosaModelVersion>
 //   e <fp> <verdict> <states> <transitions> <seconds> <dedup> <collisions>
 //     <peak-frontier> <peak-bytes> <state-bytes> <escalations>
 //     <decisive-states> <sig-max-states> <sig-max-seconds> <sig-max-bytes>
-//     <sig-rounds> <sig-factor> <symmetry-pruned> <decisive-budget>
-//     <n-witness>                                         (one line)
+//     <sig-rounds> <sig-factor> <decisive-budget> <n-witness>  (one line)
 //   w <sys> <proc> <privs> <n-args> <args...>           (n-witness lines)
 //   end
 //
 // <states> is the cumulative across-retries total; <decisive-states> is the
-// final attempt's count, which the reuse rules reason over. Reduced and
-// unreduced runs never share an entry: SearchLimits::reduction is salted
-// into the fingerprint. v5 dropped v4's frontier-spill signature bit and
-// its spill and partial-order-reduction counters together with those
-// mechanisms. Older files are rejected by the version header like any
-// other stale cache. Any deviation — wrong version,
-// wrong model salt, malformed line, missing `end` sentinel (truncation) —
-// rejects the whole file: a cache may always be discarded, never trusted
-// partially.
+// final attempt's count, which the reuse rules reason over. Numbers go
+// through the strict str::parse_u64 / str::parse_seconds. v6 dropped v5's
+// symmetry-pruned counter with symmetry reduction; v5 had dropped v4's
+// frontier-spill signature bit and its spill and partial-order-reduction
+// counters. Older files are rejected by the version header like any other
+// stale cache. Any deviation — wrong version, wrong model salt, malformed
+// line, missing `end` sentinel (truncation) — rejects the whole file: a
+// cache may always be discarded, never trusted partially.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 std::string header_line() {
-  return str::cat("privanalyzer-rosa-cache v5 model=", kRosaModelVersion);
+  return str::cat("privanalyzer-rosa-cache v6 model=", kRosaModelVersion);
 }
 
 std::vector<std::string_view> fields(std::string_view line) {
@@ -386,12 +365,12 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
       continue;
     }
     const std::vector<std::string_view> f = fields(line);
-    if (f.size() != 21 || f[0] != "e") return fail("malformed entry line");
+    if (f.size() != 20 || f[0] != "e") return fail("malformed entry line");
     const std::optional<Fingerprint> fp = Fingerprint::from_hex(f[1]);
     const std::optional<Verdict> verdict = parse_verdict(f[2]);
     const auto states = parse_u64(f[3]);
     const auto transitions = parse_u64(f[4]);
-    const auto seconds = parse_double(f[5]);
+    const auto seconds = parse_seconds(f[5]);
     const auto dedup = parse_u64(f[6]);
     const auto collisions = parse_u64(f[7]);
     const auto peak = parse_u64(f[8]);
@@ -400,18 +379,18 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
     const auto escalations = parse_u64(f[11]);
     const auto decisive_states = parse_u64(f[12]);
     const auto sig_states = parse_u64(f[13]);
-    const auto sig_seconds = parse_double(f[14]);
+    const auto sig_seconds = parse_seconds(f[14]);
     const auto sig_bytes = parse_u64(f[15]);
-    const auto sig_rounds = parse_u64(f[16]);
-    const auto sig_factor = parse_double(f[17]);
-    const auto symmetry_pruned = parse_u64(f[18]);
-    const auto decisive = parse_u64(f[19]);
-    const auto n_witness = parse_u64(f[20]);
+    const auto sig_rounds = parse_u64(f[16], UINT_MAX);
+    // A growth factor is a finite non-negative decimal, like a duration.
+    const auto sig_factor = parse_seconds(f[17]);
+    const auto decisive = parse_u64(f[18]);
+    const auto n_witness = parse_u64(f[19]);
     if (!fp || !verdict || !states || !transitions || !seconds || !dedup ||
         !collisions || !peak || !peak_bytes || !state_bytes ||
         !escalations || !decisive_states || !sig_states || !sig_seconds ||
-        !sig_bytes || !sig_rounds || !sig_factor || !symmetry_pruned ||
-        !decisive || !n_witness || *n_witness > 4096)
+        !sig_bytes || !sig_rounds || !sig_factor || !decisive ||
+        !n_witness || *n_witness > 4096)
       return fail("malformed entry line");
 
     Entry e;
@@ -431,7 +410,6 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
     e.sig_max_bytes = *sig_bytes;
     e.sig_rounds = static_cast<unsigned>(*sig_rounds);
     e.sig_factor = *sig_factor;
-    e.stats.symmetry_pruned = *symmetry_pruned;
     e.decisive_budget = *decisive;
     if (e.stats.decisive_states > e.stats.states)
       return fail("inconsistent entry (decisive > cumulative states)");
@@ -445,7 +423,7 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
       const std::vector<std::string_view> wf = fields(line);
       if (wf.size() < 5 || wf[0] != "w") return fail("malformed witness line");
       const std::optional<Sys> sys = parse_sys(wf[1]);
-      const auto proc = parse_u64(wf[2]);
+      const auto proc = parse_u64(wf[2], INT_MAX);
       const auto privs = parse_u64(wf[3]);
       const auto n_args = parse_u64(wf[4]);
       if (!sys || !proc || !privs || !n_args ||
@@ -463,7 +441,7 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
           neg = true;
           av.remove_prefix(1);
         }
-        const auto mag = parse_u64(av);
+        const auto mag = parse_u64(av, INT_MAX);
         if (!mag) return fail("malformed witness arg");
         a.args.push_back(neg ? -static_cast<int>(*mag)
                              : static_cast<int>(*mag));
@@ -502,8 +480,7 @@ bool QueryCache::save_file(const std::string& path,
           e.stats.escalations, " ", e.stats.decisive_states, " ",
           e.sig_max_states, " ", fmt_double(e.sig_max_seconds), " ",
           e.sig_max_bytes, " ", e.sig_rounds, " ", fmt_double(e.sig_factor),
-          " ", e.stats.symmetry_pruned, " ", e.decisive_budget, " ",
-          e.witness.size(), "\n");
+          " ", e.decisive_budget, " ", e.witness.size(), "\n");
       for (const Action& a : e.witness) {
         block += str::cat("w ", sys_name(a.sys), " ", a.proc, " ",
                           a.privs.raw(), " ", a.args.size());

@@ -65,16 +65,6 @@ class AccessChecker {
   /// uncacheable — queries evaluated against it bypass the cache entirely,
   /// which is always safe.
   virtual std::string_view cache_key() const { return {}; }
-
-  /// True when every decision is invariant under any permutation of uid
-  /// values and (separately) gid values applied consistently to the
-  /// credentials and metadata passed in: decisions may compare ids for
-  /// equality or set membership but must not treat any particular numeric
-  /// id specially. This is the precondition for symmetry reduction
-  /// (rosa/canon.h); the conservative default opts custom checkers out.
-  /// All three shipped models qualify — even root's DAC override is a
-  /// capability bit here, not a literal uid-0 test.
-  virtual bool identity_symmetric() const { return false; }
 };
 
 /// Linux DAC + capabilities — the paper's model and the default.
@@ -102,7 +92,6 @@ class LinuxChecker final : public AccessChecker {
                         bool is_uid) const override;
   std::string_view name() const override { return "linux-capabilities"; }
   std::string_view cache_key() const override { return "linux-capabilities"; }
-  bool identity_symmetric() const override { return true; }
 };
 
 /// The process-wide default checker instance.

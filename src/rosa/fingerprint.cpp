@@ -87,11 +87,6 @@ void hash_query_world(Hasher128& h, const Query& query,
   h.str(checker.cache_key());
   if (goal_key) h.str(*goal_key);
   h.u64(limits.no_dedup ? 1 : 0);
-  // Reduction changes the work counters a cached entry stores (never the
-  // verdict), so reduced and unreduced runs must not share entries. The
-  // salt is appended only when ON to keep unreduced fingerprints byte-
-  // identical with pre-reduction builds' golden values.
-  if (limits.reduction) h.str("reduction-v1");
 
   // canonical() covers every search-mutable field; the user/group pools are
   // deliberately excluded from it (immutable during one search) but DO

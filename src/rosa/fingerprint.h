@@ -58,7 +58,7 @@ std::optional<Fingerprint> fingerprint_query(const Query& query,
 /// Fingerprint of the *world* a query explores: every fingerprint_query
 /// ingredient except the goal identity and the message mask. Queries with
 /// equal world signatures walk the same state graph (same initial state,
-/// pools, messages, attacker, checker, no_dedup, reduction salt), differing
+/// pools, messages, attacker, checker, no_dedup), differing
 /// only in which messages may fire and what is being looked for — exactly
 /// the precondition for fusing them into one exploration. Unlike
 /// fingerprint_query this does not require a goal cache key (the goal is

@@ -2,7 +2,6 @@
 
 #include "rosa/arena.h"
 #include "rosa/cache.h"
-#include "rosa/canon.h"
 #include "rosa/rules.h"
 
 #include <algorithm>
@@ -44,7 +43,6 @@ void SearchStats::merge(const SearchStats& other) {
   peak_frontier = std::max(peak_frontier, other.peak_frontier);
   peak_bytes = std::max(peak_bytes, other.peak_bytes);
   state_bytes += other.state_bytes;
-  symmetry_pruned += other.symmetry_pruned;
   escalations += other.escalations;
   decisive_states += other.decisive_states;
   seconds += other.seconds;
@@ -67,7 +65,6 @@ std::string SearchStats::to_string() const {
                   " hash-collisions=", hash_collisions,
                   " peak-frontier=", peak_frontier,
                   " peak-bytes=", peak_bytes,
-                  " symmetry-pruned=", symmetry_pruned,
                   " escalations=", escalations,
                   " fused-group=", fused_group_size,
                   " fused-saved=", fused_searches_saved,
@@ -139,35 +136,15 @@ std::uint64_t state_key(const State& st, const SearchLimits& limits) {
   return limits.hash_override ? limits.hash_override(st) : st.hash();
 }
 
-/// The symmetry plan for one search: disabled when limits.reduction is off
-/// or the query is ineligible (compute_symmetry), in which case the search
-/// loop degenerates to the unreduced search.
-SymmetryInfo symmetry_for(const Query& query, const SearchLimits& limits) {
-  return limits.reduction ? compute_symmetry(query) : SymmetryInfo{};
-}
-
-/// The witness ending at `goal_node`, translated back into the original
-/// identity frame. Stored actions live in the canonical frame of their
-/// parent, i.e. the original frame composed with rho = sigma_{i-1} ∘ … ∘
-/// sigma_1; undo rho per step, then fold in this step's own renaming.
-std::vector<Action> witness_to(
-    const Arena<SearchNode>& nodes,
-    const std::unordered_map<std::size_t, Renaming>& renames,
-    std::int64_t goal_node) {
-  std::vector<std::size_t> path;
+/// The witness ending at `goal_node`: the actions along its parent chain,
+/// root first.
+std::vector<Action> witness_to(const Arena<SearchNode>& nodes,
+                               std::int64_t goal_node) {
+  std::vector<Action> witness;
   for (std::int64_t n = goal_node; n > 0;
        n = nodes[static_cast<std::size_t>(n)].parent)
-    path.push_back(static_cast<std::size_t>(n));
-  std::reverse(path.begin(), path.end());
-  std::vector<Action> witness;
-  Renaming rho;
-  for (std::size_t n : path) {
-    Action step = nodes[n].action;
-    unrename_action(step, rho);
-    witness.push_back(std::move(step));
-    const auto it = renames.find(n);
-    if (it != renames.end()) compose_renaming(rho, it->second);
-  }
+    witness.push_back(nodes[static_cast<std::size_t>(n)].action);
+  std::reverse(witness.begin(), witness.end());
   return witness;
 }
 
@@ -251,9 +228,9 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
 
   // Per-member replay: the fused exploration walks the union graph once,
   // and each member's standalone run is re-enacted on the side — membership
-  // is state-intrinsic (consumed ⊆ mask survives canonicalization and is
-  // equal across equal states), so every counter a standalone run would
-  // have produced is derivable from the union walk.
+  // is state-intrinsic (consumed ⊆ mask is equal across equal states), so
+  // every counter a standalone run would have produced is derivable from
+  // the union walk.
   struct Member {
     std::uint64_t mask = 0;  // normalized msg_mask
     SearchStats stats;
@@ -301,11 +278,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   init.set_msgs_remaining(full_msg_mask);
   const std::size_t skeleton = skeleton_bytes(init);
 
-  // Grouping (run_queries) guarantees every member computes this same
-  // symmetry plan: symmetry eligibility is part of the group key.
-  const SymmetryInfo sym = symmetry_for(world_q, limits);
-  std::unordered_map<std::size_t, Renaming> renames;
-
   auto decide = [&](std::size_t m, Verdict v, std::int64_t goal_node) {
     Member& mem = members[m];
     SearchResult& res = results[m];
@@ -314,7 +286,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     mem.stats.decisive_states = mem.stats.states;
     // Every node on the path is m-intrinsic (ancestors consume subsets),
     // so the walk is the one m's lone run would take.
-    if (goal_node >= 0) res.witness = witness_to(nodes, renames, goal_node);
+    if (goal_node >= 0) res.witness = witness_to(nodes, goal_node);
     res.stats = mem.stats;
     live &= ~(std::uint64_t{1} << m);
     refresh_fire();
@@ -381,14 +353,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       if (!live_tr) continue;
       for_members(live_tr,
                   [&](std::size_t m) { ++members[m].stats.transitions; });
-      Renaming sigma;
-      if (sym.enabled()) {
-        sigma = canonicalize(tr.next, sym);
-        if (!sigma.identity())
-          for_members(live_tr, [&](std::size_t m) {
-            ++members[m].stats.symmetry_pruned;
-          });
-      }
 
       const std::size_t ni = nodes.size();
       if (!limits.no_dedup) {
@@ -434,7 +398,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       const std::size_t extra =
           heap + added.action.args.capacity() * sizeof(int);
       nodes.add_bytes(extra);
-      if (!sigma.identity()) renames.emplace(ni, std::move(sigma));
 
       for_members(live_tr, [&](std::size_t m) {
         Member& mem = members[m];
@@ -532,9 +495,9 @@ SearchResult cancelled_result() {
 }
 
 /// One unit of run_queries work. A fused task holds fingerprintable
-/// queries that share a world signature and symmetry eligibility (at most
-/// 64), with fps[k] the fingerprint of queries[members[k]]. A task without
-/// fingerprints holds one unfingerprintable query, which runs uncached.
+/// queries that share a world signature (at most 64), with fps[k] the
+/// fingerprint of queries[members[k]]. A task without fingerprints holds
+/// one unfingerprintable query, which runs uncached.
 struct Task {
   std::vector<std::size_t> members;
   std::vector<Fingerprint> fps;
@@ -622,14 +585,14 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
   std::vector<SearchResult> results(queries.size());
 
   // Partition the batch into execution tasks, fingerprinting each query
-  // once. Queries sharing a world signature AND symmetry eligibility fuse
-  // into one multi-goal exploration (capped at 64 members — the
-  // membership-bitmask width); unfingerprintable queries stay alone.
+  // once. Queries sharing a world signature fuse into one multi-goal
+  // exploration (capped at 64 members — the membership-bitmask width);
+  // unfingerprintable queries stay alone.
   std::vector<Task> tasks;
   {
-    // [symmetry enabled] -> world signature -> index of the group's newest
-    // task (a full task chains into a fresh one).
-    std::unordered_map<Fingerprint, std::size_t, FingerprintHash> open[2];
+    // world signature -> index of the group's newest task (a full task
+    // chains into a fresh one).
+    std::unordered_map<Fingerprint, std::size_t, FingerprintHash> open;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
       const std::optional<Fingerprint> fp = fingerprint_query(q, limits);
@@ -639,8 +602,7 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
         tasks.push_back(Task{{i}, {}});
         continue;
       }
-      const bool sym = symmetry_for(q, limits).enabled();
-      const auto [it, fresh] = open[sym].try_emplace(*sig, tasks.size());
+      const auto [it, fresh] = open.try_emplace(*sig, tasks.size());
       if (fresh || tasks[it->second].members.size() == 64) {
         it->second = tasks.size();
         tasks.emplace_back();
@@ -650,43 +612,27 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
     }
   }
 
-  auto run_task = [&](const Task& task, const SearchLimits& lim) {
-    if (task.fps.empty())
+  // A task that starts past the deadline (or after cancellation) is not
+  // searched at all; running searches stop at their next frontier pop.
+  auto run_task = [&](const Task& task) {
+    if (limits.expired())
+      for (std::size_t i : task.members) results[i] = cancelled_result();
+    else if (task.fps.empty())
       results[task.members[0]] =
-          search_escalating(queries[task.members[0]], lim, escalation);
+          search_escalating(queries[task.members[0]], limits, escalation);
     else
-      run_fused_task(queries, task, lim, escalation, cache, results);
+      run_fused_task(queries, task, limits, escalation, cache, results);
   };
 
   if (n_threads == 0) n_threads = support::ThreadPool::hardware_threads();
   if (n_threads <= 1 || tasks.size() <= 1) {
-    for (const Task& task : tasks) {
-      if (limits.expired()) {
-        for (std::size_t i : task.members) results[i] = cancelled_result();
-        continue;
-      }
-      run_task(task, limits);
-    }
+    for (const Task& task : tasks) run_task(task);
     return results;
   }
   support::ThreadPool pool(
       static_cast<unsigned>(std::min<std::size_t>(n_threads, tasks.size())));
-  // Thread the pool's cancel token through each search so the first worker
-  // to observe the deadline stops the whole matrix (unless the caller wired
-  // in a flag of their own, which then governs).
-  SearchLimits task_limits = limits;
-  if (!task_limits.cancel) task_limits.cancel = pool.cancel_token();
   for (const Task& task : tasks)
-    pool.submit([&task_limits, &results, &pool, &run_task, &task] {
-      if (task_limits.expired()) {
-        for (std::size_t i : task.members) results[i] = cancelled_result();
-        return;
-      }
-      run_task(task, task_limits);
-      if (task_limits.has_deadline() &&
-          std::chrono::steady_clock::now() >= task_limits.deadline)
-        pool.request_cancel();
-    });
+    pool.submit([&run_task, &task] { run_task(task); });
   pool.wait_idle();
   return results;
 }

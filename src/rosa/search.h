@@ -28,18 +28,6 @@ namespace pa::rosa {
 
 class QueryCache;  // rosa/cache.h
 
-/// Static annotations on a goal predicate that symmetry reduction
-/// (rosa/canon.h) needs to stay sound. Builders in rosa/query.h fill these
-/// in; ad-hoc lambda goals keep the conservative default, which disables
-/// the reduction for the query.
-struct GoalInfo {
-  /// True when the predicate's value is invariant under any permutation of
-  /// uid values and (separately) gid values across the whole state — the
-  /// precondition for symmetry reduction. All the shipped builders qualify:
-  /// they inspect fdsets, sockets, and running flags, never identities.
-  bool identity_invariant = false;
-};
-
 /// A goal predicate plus an optional stable cache identity. The predicate is
 /// what the search evaluates; the cache key is what the verdict cache
 /// (rosa/cache.h) fingerprints — two goals with the same key MUST accept
@@ -65,16 +53,9 @@ class Goal {
   /// Stable identity for fingerprinting; empty = uncacheable.
   const std::string& cache_key() const { return key_; }
 
-  const GoalInfo& info() const { return info_; }
-  Goal& with_info(GoalInfo info) {
-    info_ = std::move(info);
-    return *this;
-  }
-
  private:
   std::function<bool(const State&)> fn_;
   std::string key_;
-  GoalInfo info_;
 };
 
 /// A search problem: initial configuration, one-shot messages, and the
@@ -124,14 +105,6 @@ struct SearchLimits {
   std::size_t max_bytes = 0;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;
-  /// Symmetry reduction (rosa/canon.h). On by default: states are
-  /// canonicalized modulo permutations of the free wildcard identities
-  /// before dedup. Verdicts, vulnerable_fractions, and witness
-  /// *validity* are preserved exactly (tests/rosa_reduction_diff_test.cpp);
-  /// work counters and the particular witness found may differ from the
-  /// unreduced run, so the flag is salted into cache fingerprints. Set
-  /// false (`--no-reduction`) for A/B ablation against the full space.
-  bool reduction = true;
   /// Debug mode: cross-check every incrementally maintained state digest
   /// against a from-scratch State::full_hash() and abort on mismatch. Costs
   /// a full rehash per generated successor; tests enable it to pin the
@@ -147,10 +120,9 @@ struct SearchLimits {
   /// PipelineOptions::max_total_seconds so a runaway (epoch × attack) matrix
   /// cannot hang a batch.
   std::chrono::steady_clock::time_point deadline{};
-  /// Cooperative cancellation (non-owning; e.g. ThreadPool::cancel_token()).
-  /// When set and *cancel is true, the search stops at the next frontier pop
-  /// with ResourceLimit. run_queries wires this up automatically for its
-  /// deadline handling; callers can also supply their own flag.
+  /// Cooperative cancellation (non-owning; e.g. the CLI's SIGINT flag or a
+  /// daemon job's cancel flag). When set and *cancel is true, the search
+  /// stops at the next frontier pop with ResourceLimit.
   const std::atomic<bool>* cancel = nullptr;
 
   bool has_deadline() const {
@@ -210,10 +182,6 @@ struct SearchStats {
   /// slack), so state_bytes / states measures how compact the state
   /// *representation* is, independently of the arena around it.
   std::size_t state_bytes = 0;
-  /// Successors whose canonicalization applied a non-identity wildcard
-  /// identity renaming (rosa/canon.h) — each one is a state the unreduced
-  /// search would have treated as distinct from its orbit representative.
-  std::size_t symmetry_pruned = 0;
   std::size_t escalations = 0;      // budget-doubled retries after ResourceLimit
   /// Fused multi-goal search observability (zero when the query ran alone;
   /// never part of bit-identity comparisons or persistent cache entries).
@@ -293,19 +261,19 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 
 /// Run a batch of independent queries, fanned out across `n_threads`
 /// workers (0 = hardware_concurrency). Fingerprintable queries that share a
-/// world signature (rosa/fingerprint.h) and symmetry eligibility are fused
-/// into one multi-goal exploration (detail::search_fused); a query with no
-/// partner runs as a group of one, and an unfingerprintable query runs
-/// search_escalating() alone. results[i] always corresponds to queries[i]
+/// world signature (rosa/fingerprint.h) are fused into one multi-goal
+/// exploration (detail::search_fused); a query with no partner runs as a
+/// group of one, and an unfingerprintable query runs search_escalating()
+/// alone. results[i] always corresponds to queries[i]
 /// regardless of completion order, and every result is bit-identical to a
 /// standalone search() of queries[i] apart from the fused_* counters, at
 /// every thread count. Exceptions from any query propagate to the caller.
 ///
-/// `escalation` applies search_escalating() per query. When limits carries a
-/// deadline, the first worker to observe it expiring cancels the rest
-/// through the pool's cancel token; not-yet-started queries return stub
-/// ResourceLimit results (0 states), so the batch always completes and
-/// results stay position-complete.
+/// `escalation` applies search_escalating() per query. Once limits' deadline
+/// passes (or its cancel flag is raised), running searches stop at their
+/// next frontier pop and not-yet-started queries return stub ResourceLimit
+/// results (0 states), so the batch always completes and results stay
+/// position-complete.
 ///
 /// `cache` (optional) memoizes whole-query results by content fingerprint;
 /// run_queries is its only client. Each fused group looks its members up,
@@ -361,10 +329,8 @@ void expand_state(const State& cur, const Query& query,
 /// live set; exploration ends when all are decided or the frontier drains.
 /// Only groups of two or more charge fused_world_states.
 ///
-/// Preconditions (the run_queries grouping guarantees them; callers passing
-/// hand-built groups must too): every member has the same symmetry
-/// eligibility (compute_symmetry, rosa/canon.h), and the group has at most
-/// 64 members.
+/// Precondition (the run_queries grouping guarantees it; callers passing
+/// hand-built groups must too): the group has at most 64 members.
 std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits);
 

@@ -1,6 +1,7 @@
 #include "support/str.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 
@@ -71,6 +72,28 @@ std::string pad_left(std::string s, std::size_t width) {
 std::string pad_right(std::string s, std::size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
   return s;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view s, std::uint64_t max) {
+  // from_chars reads digits only for unsigned types: no sign, no whitespace.
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size() || v > max)
+    return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_seconds(std::string_view s) {
+  // from_chars would take a '-' sign, "inf" and "nan"; a leading digit or
+  // '.' rules those out (it reads no '+', whitespace or hex), and overflow
+  // ("1e999") is its out-of-range error, so what parses is finite.
+  if (s.empty() || !(std::isdigit(static_cast<unsigned char>(s.front())) ||
+                     s.front() == '.'))
+    return std::nullopt;
+  double v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return v;
 }
 
 }  // namespace pa::str

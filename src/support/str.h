@@ -2,6 +2,9 @@
 // stream-based helpers instead).
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -42,5 +45,17 @@ std::string fixed(double v, int decimals);
 /// Left-pad / right-pad to `width` with spaces.
 std::string pad_left(std::string s, std::size_t width);
 std::string pad_right(std::string s, std::size_t width);
+
+/// The one strict count parser for every input boundary (CLI flags, PAD1
+/// fields, cache files): decimal digits only — no sign, no whitespace, no
+/// trailing text — and at most `max`. nullopt otherwise.
+std::optional<std::uint64_t> parse_u64(
+    std::string_view s,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// The one strict duration parser: a decimal number, optionally with an
+/// exponent ("1.5", "2e3"), that is finite and >= 0 — no sign, no
+/// whitespace, no trailing text, no "inf"/"nan". nullopt otherwise.
+std::optional<double> parse_seconds(std::string_view s);
 
 }  // namespace pa::str

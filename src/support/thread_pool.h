@@ -12,7 +12,6 @@
 // an inline loop (tests/thread_pool_test.cpp pins this down).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -45,19 +44,6 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Cooperative cancellation. request_cancel() raises a flag that tasks can
-  /// poll — directly via cancel_requested(), or by threading cancel_token()
-  /// into long-running work (e.g. rosa::SearchLimits::cancel, checked once
-  /// per frontier pop). The pool itself never drops queued tasks: each task
-  /// still runs and is expected to early-out, so batch results stay
-  /// position-complete. reset_cancel() re-arms the pool for the next batch.
-  void request_cancel() noexcept { cancel_.store(true, std::memory_order_relaxed); }
-  bool cancel_requested() const noexcept {
-    return cancel_.load(std::memory_order_relaxed);
-  }
-  const std::atomic<bool>* cancel_token() const noexcept { return &cancel_; }
-  void reset_cancel() noexcept { cancel_.store(false, std::memory_order_relaxed); }
-
   /// std::thread::hardware_concurrency(), never 0 (falls back to 1).
   static unsigned hardware_threads();
 
@@ -71,7 +57,6 @@ class ThreadPool {
   std::size_t in_flight_ = 0;  // queued + currently executing tasks
   std::exception_ptr first_error_;
   bool shutting_down_ = false;
-  std::atomic<bool> cancel_{false};
   std::vector<std::thread> workers_;
 };
 

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "daemon/job.h"
 #include "daemon/proto.h"
@@ -197,6 +198,46 @@ TEST(MessageTest, RetiredEngineKeysDecodeToTheDefaultRequest) {
   defaults.source = "ping";
   EXPECT_EQ(JobRequest::from_frame(f).to_frame().payload,
             defaults.to_frame().payload);
+}
+
+TEST(MessageTest, RetiredReductionKeyDecodesToTheDefaultRequest) {
+  // Clients from before symmetry reduction was retired still send its
+  // switch; either value decodes like a frame without the key.
+  JobRequest defaults;
+  defaults.kind = "builtin";
+  defaults.source = "ping";
+  for (const char* value : {"0", "1"}) {
+    SCOPED_TRACE(value);
+    Frame f{MsgType::Submit,
+            encode_kv({{"kind", "builtin"}, {"source", "ping"},
+                       {"reduction", value}})};
+    EXPECT_EQ(JobRequest::from_frame(f).to_frame().payload,
+              defaults.to_frame().payload);
+  }
+}
+
+TEST(MessageTest, MalformedNumbersAreProtocolErrors) {
+  // Signs, trailing text, overflow and non-finite durations never decode:
+  // -1 would wrap to 2^64-1, 12abc would truncate to 12, and an infinite
+  // deadline would overflow the pipeline's clock arithmetic.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"max_states", "-1"},          {"max_states", "12abc"},
+      {"max_bytes", "1e6"},          {"rosa_threads", "-1"},
+      {"rosa_threads", "4294967296"}, {"escalate_rounds", "+2"},
+      {"deadline_secs", "inf"},      {"deadline_secs", "-1"},
+      {"deadline_secs", "12abc"},    {"deadline_secs", "nan"},
+  };
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(key + "=" + value);
+    Frame f{MsgType::Submit,
+            encode_kv({{"kind", "builtin"}, {"source", "ping"}, {key, value}})};
+    try {
+      JobRequest::from_frame(f);
+      ADD_FAILURE() << "malformed number decoded";
+    } catch (const StageError& e) {
+      expect_protocol_error(e);
+    }
+  }
 }
 
 TEST(MessageTest, RepliesRoundTrip) {

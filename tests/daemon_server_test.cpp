@@ -422,6 +422,21 @@ TEST_F(DaemonServerTest, IdleConnectionsAreReaped) {
   EXPECT_TRUE(fresh.ping());
 }
 
+TEST_F(DaemonServerTest, HugeIdleTimeoutNeverReaps) {
+  // --idle-timeout takes any finite duration; one beyond int64
+  // milliseconds must mean "not yet idle", not an overflowed cutoff.
+  ServerOptions opts;
+  opts.socket_path = sock_path("idle-huge");
+  opts.idle_timeout_secs = 1e300;
+  start(opts);
+
+  Client idle(server_->socket_path());
+  ASSERT_TRUE(idle.ping());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(server_->counters().reaped_conns, 0u);
+  EXPECT_TRUE(idle.ping());
+}
+
 TEST_F(DaemonServerTest, WarmRestartServesIdenticalResultsFromTheCacheFile) {
   const std::string cache_file = ::testing::TempDir() + "/pad_restart.cache";
   std::remove(cache_file.c_str());

@@ -3,6 +3,9 @@
 // Table III (baseline programs) and Table V (refactored programs).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "privanalyzer/render.h"
 
 namespace pa::privanalyzer {
@@ -151,6 +154,38 @@ TEST(Pipeline, RendersTables) {
 
   std::string t2 = render_program_table({programs::make_ping()});
   EXPECT_NE(t2.find("ping"), std::string::npos);
+}
+
+// PipelineOptions::attacker reaches both matrices: the baseline is what
+// per-epoch analyze_epoch calls on FixedArgs inputs give, and the filtered
+// matrix, whose attacker is the same one with fewer syscalls, never scores
+// an attack above the baseline.
+TEST(Pipeline, AttackerOptionReachesBothMatrices) {
+  PipelineOptions opts = fast_options();
+  opts.attacker = rosa::AttackerModel::FixedArgs;
+  opts.filters = FilterMode::Report;
+  const programs::ProgramSpec spec = programs::make_su();
+  const ProgramAnalysis a = analyze_program(spec, opts);
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(a.verdicts.size(), a.chrono.rows.size());
+  ASSERT_EQ(a.filtered_verdicts.size(), a.chrono.rows.size());
+  const std::vector<std::string> syscalls = spec.syscalls_used();
+  for (std::size_t e = 0; e < a.chrono.rows.size(); ++e) {
+    SCOPED_TRACE(a.chrono.rows[e].name);
+    attacks::ScenarioInput in = attacks::scenario_from_epoch(
+        a.chrono.rows[e], syscalls, spec.scenario_extra_users,
+        spec.scenario_extra_groups);
+    in.attacker = rosa::AttackerModel::FixedArgs;
+    const attacks::EpochVerdicts ref =
+        attacks::analyze_epoch(a.chrono.rows[e], in, opts.rosa_limits);
+    EXPECT_EQ(a.verdicts[e].verdicts, ref.verdicts);
+  }
+  for (std::size_t atk = 0; atk < attacks::modeled_attacks().size(); ++atk)
+    EXPECT_LE(a.filtered_vulnerable_fraction(atk), a.vulnerable_fraction(atk))
+        << attacks::modeled_attacks()[atk].name;
+  // su's first attack needs a wildcard setuid target, which FixedArgs
+  // forbids: the Full-attacker baseline is strictly worse.
+  EXPECT_LT(a.vulnerable_fraction(0), su_analysis().vulnerable_fraction(0));
 }
 
 TEST(Pipeline, ChronoOnlySkipsRosa) {

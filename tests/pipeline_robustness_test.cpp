@@ -4,6 +4,8 @@
 // ProgramAnalysis::vulnerable_fraction timeout-exclusion accounting.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/builder.h"
 #include "privanalyzer/loader.h"
 #include "privanalyzer/pipeline.h"
@@ -298,15 +300,20 @@ TEST(DeadlineTest, ExpiredDeadlineDegradesToTimeoutCellsNotAHang) {
 TEST(DeadlineTest, GenerousDeadlineChangesNothing) {
   PipelineOptions plain;
   plain.rosa_limits.max_states = 200'000;
-  PipelineOptions with_deadline = plain;
-  with_deadline.max_total_seconds = 3600.0;
-
   ProgramAnalysis a = analyze_program(programs::make_ping(), plain);
-  ProgramAnalysis b = analyze_program(programs::make_ping(), with_deadline);
-  ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
-  for (std::size_t i = 0; i < a.verdicts.size(); ++i)
-    EXPECT_EQ(a.verdicts[i].verdicts, b.verdicts[i].verdicts);
-  EXPECT_TRUE(b.diagnostics.empty());
+  // Budgets too large for steady_clock to represent mean no deadline, not
+  // an already expired one.
+  for (double secs :
+       {3600.0, 1e300, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(secs);
+    PipelineOptions with_deadline = plain;
+    with_deadline.max_total_seconds = secs;
+    ProgramAnalysis b = analyze_program(programs::make_ping(), with_deadline);
+    ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
+    for (std::size_t i = 0; i < a.verdicts.size(); ++i)
+      EXPECT_EQ(a.verdicts[i].verdicts, b.verdicts[i].verdicts);
+    EXPECT_TRUE(b.diagnostics.empty());
+  }
 }
 
 // --- vulnerable_fraction timeout accounting (previously untested) ----------

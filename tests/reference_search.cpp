@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "rosa/arena.h"
-#include "rosa/canon.h"
 #include "rosa/rules.h"
 #include "support/error.h"
 
@@ -44,13 +43,6 @@ std::uint64_t state_key(const State& st, const SearchLimits& limits) {
     PA_CHECK(st.hash() == st.full_hash(),
              "incremental state digest diverged from full rehash");
   return limits.hash_override ? limits.hash_override(st) : st.hash();
-}
-
-/// The symmetry plan for one search: disabled when limits.reduction is off
-/// or the query is ineligible (compute_symmetry), in which case the search
-/// degenerates to the unreduced search.
-SymmetryInfo symmetry_for(const Query& query, const SearchLimits& limits) {
-  return limits.reduction ? compute_symmetry(query) : SymmetryInfo{};
 }
 
 /// One buffered successor: the message index that produced it plus the
@@ -95,28 +87,17 @@ void expand_state(const State& cur, const Query& query,
   }
 }
 
-/// The witness ending at `goal_node`, translated back into the original
-/// identity frame. Stored actions live in the canonical frame of their
-/// parent, i.e. the original frame composed with rho = sigma_{i-1} ∘ … ∘
-/// sigma_1; undo rho per step, then fold in this step's own renaming.
-std::vector<Action> witness_to(
-    const Arena<SearchNode>& nodes,
-    const std::unordered_map<std::size_t, Renaming>& renames,
-    std::int64_t goal_node) {
+/// The witness ending at `goal_node`: the actions along its parent chain,
+/// root first.
+std::vector<Action> witness_to(const Arena<SearchNode>& nodes,
+                               std::int64_t goal_node) {
   std::vector<std::size_t> path;
   for (std::int64_t n = goal_node; n > 0;
        n = nodes[static_cast<std::size_t>(n)].parent)
     path.push_back(static_cast<std::size_t>(n));
   std::reverse(path.begin(), path.end());
   std::vector<Action> witness;
-  Renaming rho;
-  for (std::size_t n : path) {
-    Action step = nodes[n].action;
-    unrename_action(step, rho);
-    witness.push_back(std::move(step));
-    const auto it = renames.find(n);
-    if (it != renames.end()) compose_renaming(rho, it->second);
-  }
+  for (std::size_t n : path) witness.push_back(nodes[n].action);
   return witness;
 }
 
@@ -179,17 +160,11 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
   const std::size_t skeleton = skeleton_bytes(init);
   auto arena_bytes = [&] { return skeleton + nodes.bytes(); };
 
-  const SymmetryInfo sym = symmetry_for(query, limits);
-  // Node index -> the (non-identity) renaming its state underwent during
-  // canonicalization, needed to translate witness actions back into the
-  // original identity frame. Sparse: most canonicalizations are identities.
-  std::unordered_map<std::size_t, Renaming> renames;
-
   auto finish = [&](Verdict v, std::int64_t goal_node) {
     result.verdict = v;
     result.stats.seconds = elapsed();
     result.stats.decisive_states = result.stats.states;
-    if (goal_node >= 0) result.witness = witness_to(nodes, renames, goal_node);
+    if (goal_node >= 0) result.witness = witness_to(nodes, goal_node);
     return result;
   };
 
@@ -234,11 +209,6 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
     for (ExpandedTransition& et : expanded) {
       Transition& tr = et.tr;
       ++result.stats.transitions;
-      Renaming sigma;
-      if (sym.enabled()) {
-        sigma = canonicalize(tr.next, sym);
-        if (!sigma.identity()) ++result.stats.symmetry_pruned;
-      }
 
       const std::size_t ni = nodes.size();
       if (!limits.no_dedup) {
@@ -272,7 +242,6 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
       nodes.add_bytes(added.state.heap_bytes() +
                       added.action.args.capacity() * sizeof(int));
       result.stats.state_bytes += sizeof(State) + added.state.heap_bytes();
-      if (!sigma.identity()) renames.emplace(ni, std::move(sigma));
       ++result.stats.states;
       result.stats.peak_bytes =
           std::max(result.stats.peak_bytes, arena_bytes());

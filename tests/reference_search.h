@@ -4,7 +4,7 @@
 // differential tests (tests/rosa_search_diff_test.cpp and
 // tests/rosa_fused_diff_test.cpp). It carries its own copies of the state
 // expansion (message mask and CFI program-order gate), the budget growth
-// rule and the witness translation, and counts every SearchStats field the
+// rule and the witness walk, and counts every SearchStats field the
 // way the library did before it had one loop. Only tests link it.
 #pragma once
 

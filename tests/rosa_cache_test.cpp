@@ -330,12 +330,11 @@ TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
   std::atomic<bool> stop{false};
   Query q = reachable_query();
   q.goal = Goal(
-               [&stop, goal = q.goal](const State& st) {
-                 stop = true;
-                 return goal(st);
-               },
-               q.goal.cache_key())
-               .with_info(q.goal.info());
+      [&stop, goal = q.goal](const State& st) {
+        stop = true;
+        return goal(st);
+      },
+      q.goal.cache_key());
   SearchLimits lim = states_budget(10'000);
   lim.cancel = &stop;
   SearchResult cancelled = run_cached(cache, q, lim);
@@ -466,6 +465,43 @@ TEST_F(PersistentCacheTest, V4FileIsAStaleHeaderColdStart) {
       run_cached(cache, unreachable_query(), states_budget(10'000));
   EXPECT_EQ(r.stats.cache_misses, 1u);
   EXPECT_EQ(r.verdict, Verdict::Unreachable);
+}
+
+TEST_F(PersistentCacheTest, V5FileIsAStaleHeaderColdStart) {
+  // A file from before v6 dropped the symmetry-pruned counter: a v5 header
+  // over a 21-field entry line.
+  write_file(str::cat("privanalyzer-rosa-cache v5 model=", kRosaModelVersion,
+                      "\ne ", std::string(32, 'a'),
+                      " UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0"
+                      " 2 0 0 0\nend\n"));
+  QueryCache cache;
+  std::string warn;
+  EXPECT_FALSE(cache.load_file(path_, &warn));
+  EXPECT_NE(warn.find("stale version/model header"), std::string::npos)
+      << warn;
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.totals().loaded, 0u);
+  // Cold start: the first query searches afresh.
+  const SearchResult r =
+      run_cached(cache, unreachable_query(), states_budget(10'000));
+  EXPECT_EQ(r.stats.cache_misses, 1u);
+  EXPECT_EQ(r.verdict, Verdict::Unreachable);
+
+  // The rewrite is a v6 file with 20-field entry lines, and it loads warm.
+  ASSERT_TRUE(cache.save_file(path_));
+  const std::string text = read_file();
+  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v6 model=")) << text;
+  const std::size_t line = text.find("\ne ") + 1;
+  EXPECT_EQ(str::split(text.substr(line, text.find('\n', line) - line), ' ')
+                .size(),
+            20u);
+  QueryCache reader;
+  ASSERT_TRUE(reader.load_file(path_, &warn)) << warn;
+  EXPECT_EQ(reader.totals().loaded, 1u);
+  const SearchResult hit =
+      run_cached(reader, unreachable_query(), states_budget(10'000));
+  EXPECT_EQ(hit.stats.cache_hits, 1u);
+  expect_same_work(r, hit);
 }
 
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {

@@ -3,13 +3,13 @@
 // grouping): one shared exploration answering all four attacks of an epoch
 // must be indistinguishable — bit for bit — from four standalone searches.
 // The full Table-III matrix through run_queries at 1 and 4 workers, cached
-// and uncached, reduction on and off, is diffed against one search per
-// query by the standalone reference loop (tests/reference_search.h), down
-// to the counters the goldens deliberately omit (peak_bytes, state_bytes,
-// decisive_states). Fused witnesses must replay on the SimOS
-// kernel, a mixed-attacker batch must NOT fuse across world signatures,
-// the escalation ladder must re-run only still-undecided goals, and the
-// pipeline's matrix must match one analyze_epoch call per epoch.
+// and uncached, is diffed against one search per query by the standalone
+// reference loop (tests/reference_search.h), down to the counters the
+// goldens deliberately omit (peak_bytes, state_bytes, decisive_states).
+// Fused witnesses must replay on the SimOS kernel, a mixed-attacker batch
+// must NOT fuse across world signatures, the escalation ladder must re-run
+// only still-undecided goals, and the pipeline's matrix must match one
+// analyze_epoch call per epoch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,14 +49,12 @@ std::vector<rosa::SearchResult> standalone_runs(
   return out;
 }
 
-// n_threads = 4 runs the fused groups, symmetry, and (cached) the cache's
-// one lock across pool workers; the tsan CI leg runs this suite.
-void expect_fused_matches_unfused(unsigned n_threads, bool cached,
-                                  bool reduction) {
+// n_threads = 4 runs the fused groups and (cached) the cache's one lock
+// across pool workers; the tsan CI leg runs this suite.
+void expect_fused_matches_unfused(unsigned n_threads, bool cached) {
   const Matrix m = rosa_test::build_matrix();
 
-  rosa::SearchLimits limits = rosa_test::table3_limits();
-  limits.reduction = reduction;
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
   const std::vector<rosa::SearchResult> reference =
       standalone_runs(m.queries, limits);
 
@@ -88,27 +86,19 @@ void expect_fused_matches_unfused(unsigned n_threads, bool cached,
 }
 
 TEST(FusedDiffTest, SerialUncachedMatchesUnfused) {
-  expect_fused_matches_unfused(1, false, false);
+  expect_fused_matches_unfused(1, false);
 }
 
 TEST(FusedDiffTest, SerialCachedMatchesUnfused) {
-  expect_fused_matches_unfused(1, true, false);
+  expect_fused_matches_unfused(1, true);
 }
 
 TEST(FusedDiffTest, FourWorkerUncachedMatchesUnfused) {
-  expect_fused_matches_unfused(4, false, false);
+  expect_fused_matches_unfused(4, false);
 }
 
 TEST(FusedDiffTest, FourWorkerCachedMatchesUnfused) {
-  expect_fused_matches_unfused(4, true, false);
-}
-
-TEST(FusedDiffTest, SerialReducedMatchesUnfusedReduced) {
-  expect_fused_matches_unfused(1, false, true);
-}
-
-TEST(FusedDiffTest, FourWorkerReducedMatchesUnfusedReduced) {
-  expect_fused_matches_unfused(4, false, true);
+  expect_fused_matches_unfused(4, true);
 }
 
 // Fused witnesses are not just string-identical to the standalone ones —
@@ -196,9 +186,8 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
 // ladder must re-run only the still-undecided goal, and every accumulated
 // counter must match the standalone escalating searches.
 TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
-  // One world: proc 1 may open each of 3 files (2^3 reachable states). Both
-  // goals are identity-invariant, so the queries share symmetry eligibility
-  // as well as the world signature and fuse.
+  // One world: proc 1 may open each of 3 files (2^3 reachable states). The
+  // queries share the world signature, so they fuse.
   rosa::Query fast = rosa_test::open_query(
       3, 0600, rosa::goal_file_in_rdfset(1, 2));  // decided at 2 states
   rosa::Query slow = rosa_test::open_query(

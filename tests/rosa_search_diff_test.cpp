@@ -4,12 +4,11 @@
 // they replaced (tests/reference_search.h): same verdict, same witness, and
 // the same value in every SearchStats field except wall time.
 //
-// Every Table-III query runs with reduction on and off under default
-// limits, a states budget that ends in ResourceLimit, a byte budget that
-// trips, a constant hash override (every insert collides), and the
-// CfiOrdered and FixedArgs attackers. Small handmade queries cover
-// no_dedup, the escalation ladder, and symmetry reduction with renamed
-// witnesses.
+// Every Table-III query runs under default limits, a states budget that
+// ends in ResourceLimit, a byte budget that trips, a constant hash override
+// (every insert collides), and the CfiOrdered and FixedArgs attackers. Small
+// handmade queries cover no_dedup and the escalation ladder, and a
+// pool-heavy query covers large wildcard id pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +29,7 @@ using rosa_test::Matrix;
 // A new SearchStats field must be compared below; this fails to compile
 // until expect_identical is taught about it.
 static_assert(sizeof(rosa::SearchStats) ==
-                  15 * sizeof(std::size_t) + sizeof(double),
+                  14 * sizeof(std::size_t) + sizeof(double),
               "compare the new SearchStats field in expect_identical");
 
 /// Verdict, witness, and every SearchStats field except seconds.
@@ -46,7 +45,6 @@ void expect_identical(const rosa::SearchResult& ref,
   EXPECT_EQ(a.peak_frontier, b.peak_frontier);
   EXPECT_EQ(a.peak_bytes, b.peak_bytes);
   EXPECT_EQ(a.state_bytes, b.state_bytes);
-  EXPECT_EQ(a.symmetry_pruned, b.symmetry_pruned);
   EXPECT_EQ(a.escalations, b.escalations);
   EXPECT_EQ(a.fused_group_size, b.fused_group_size);
   EXPECT_EQ(a.fused_searches_saved, b.fused_searches_saved);
@@ -66,31 +64,28 @@ struct Tally {
   std::size_t collisions = 0;
 };
 
-/// Every Table-III query, reduction off and on, through rosa::search and
-/// the reference under the limits `tweak` shapes (after any attacker
-/// change `edit` makes to the query).
+/// Every Table-III query through rosa::search and the reference under the
+/// limits `tweak` shapes (after any attacker change `edit` makes to the
+/// query).
 Tally expect_matrix_matches(
     const std::function<void(rosa::SearchLimits&)>& tweak,
     const std::function<void(rosa::Query&)>& edit = {}) {
   const Matrix m = rosa_test::build_matrix();
   Tally tally;
-  for (bool reduction : {false, true}) {
-    rosa::SearchLimits limits;
-    limits.reduction = reduction;
-    tweak(limits);
-    for (std::size_t i = 0; i < m.queries.size(); ++i) {
-      SCOPED_TRACE(m.labels[i] + (reduction ? " reduced" : " unreduced"));
-      rosa::Query q = m.queries[i];
-      if (edit) edit(q);
-      const rosa::SearchResult ref = rosa::reference::search(q, limits);
-      const rosa::SearchResult got = rosa::search(q, limits);
-      expect_identical(ref, got);
-      if (got.verdict == rosa::Verdict::ResourceLimit)
-        ++tally.resource_limit;
-      else
-        ++tally.decided;
-      tally.collisions += got.stats.hash_collisions;
-    }
+  rosa::SearchLimits limits;
+  tweak(limits);
+  for (std::size_t i = 0; i < m.queries.size(); ++i) {
+    SCOPED_TRACE(m.labels[i]);
+    rosa::Query q = m.queries[i];
+    if (edit) edit(q);
+    const rosa::SearchResult ref = rosa::reference::search(q, limits);
+    const rosa::SearchResult got = rosa::search(q, limits);
+    expect_identical(ref, got);
+    if (got.verdict == rosa::Verdict::ResourceLimit)
+      ++tally.resource_limit;
+    else
+      ++tally.decided;
+    tally.collisions += got.stats.hash_collisions;
   }
   return tally;
 }
@@ -176,7 +171,8 @@ TEST(SearchDiffTest, EscalationLadderMatchesReference) {
   EXPECT_GT(escalated, 0u);
 }
 
-/// A pool-heavy attack world where symmetry reduction renames states.
+/// A pool-heavy attack world: three extra uids and gids for the wildcard
+/// set*id and chown arguments to range over.
 rosa::Query pool_query(rosa::AttackerModel attacker) {
   attacks::ScenarioInput in;
   in.permitted = {Capability::Setgid, Capability::Setuid};
@@ -190,21 +186,15 @@ rosa::Query pool_query(rosa::AttackerModel attacker) {
   return attacks::build_attack_query(attacks::AttackId::ReadDevMem, in);
 }
 
+// The test keeps the name it had while ROSA had symmetry reduction, which
+// only ever fired on pool-heavy worlds like this one.
 TEST(SearchDiffTest, SymmetryReducedSearchesMatchReference) {
-  std::size_t pruned = 0;
   for (rosa::AttackerModel attacker :
        {rosa::AttackerModel::Full, rosa::AttackerModel::CfiOrdered}) {
+    SCOPED_TRACE(std::string(rosa::attacker_model_name(attacker)));
     const rosa::Query q = pool_query(attacker);
-    for (bool reduction : {false, true}) {
-      SCOPED_TRACE(std::string(reduction ? "reduced" : "unreduced"));
-      rosa::SearchLimits limits;
-      limits.reduction = reduction;
-      const rosa::SearchResult got = rosa::search(q, limits);
-      expect_identical(rosa::reference::search(q, limits), got);
-      pruned += got.stats.symmetry_pruned;
-    }
+    expect_identical(rosa::reference::search(q), rosa::search(q));
   }
-  EXPECT_GT(pruned, 0u);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <vector>
 
+#include "attacks/attacks.h"
 #include "rosa/query.h"
 #include "rosa/search.h"
 
@@ -276,6 +278,34 @@ TEST(SearchTest, IncrementalHashMatchesFullRehash) {
   SearchResult rw = search(wide, limits);
   EXPECT_EQ(rw.verdict, Verdict::Unreachable);
   EXPECT_GT(rw.stats.states, 1u);
+}
+
+// The paper's §VIII: the refactored programs verify slower because their
+// extra users and groups widen the pools wildcard set*id and chown
+// arguments range over. The query is bench_rosa_scaling's impossible_query:
+// WriteDevMem under CAP_SETGID, unreachable, so the search exhausts the
+// space, and every extra uid/gid pair must grow it.
+TEST(SearchTest, PoolScalingGrowsTheImpossibleSpace) {
+  const std::vector<std::size_t> expected = {56, 131, 254, 437, 692};
+  std::size_t previous = 0;
+  for (int extra = 0; extra < static_cast<int>(expected.size()); ++extra) {
+    SCOPED_TRACE(extra);
+    attacks::ScenarioInput in;
+    in.permitted = {Capability::Setgid};
+    in.creds = caps::Credentials::of_user(1000, 1000);
+    in.syscalls = {"setresgid", "open",   "chmod", "chown",
+                   "setgid",    "setuid", "unlink"};
+    for (int i = 0; i < extra; ++i) {
+      in.extra_users.push_back(2000 + i);
+      in.extra_groups.push_back(3000 + i);
+    }
+    const SearchResult r = search(
+        attacks::build_attack_query(attacks::AttackId::WriteDevMem, in));
+    EXPECT_EQ(r.verdict, Verdict::Unreachable);
+    EXPECT_EQ(r.stats.states, expected[static_cast<std::size_t>(extra)]);
+    EXPECT_GT(r.stats.states, previous);
+    previous = r.stats.states;
+  }
 }
 
 TEST(GoalTest, Combinators) {

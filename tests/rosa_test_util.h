@@ -1,8 +1,8 @@
 // Shared fixtures for the ROSA differential test suites: the Table-III golden
 // matrix (query construction, limits, rendered line format, golden loader)
 // and the small handmade open-file queries with deterministic budgets. The
-// repr-diff, cache, parallel-diff, fused-diff, and reduction-diff suites all
-// compare engines against the same seed capture, so the fixture lives once
+// repr-diff, cache, parallel-diff, and fused-diff suites all compare
+// engines against the same seed capture, so the fixture lives once
 // here — a drift between two copies of build_matrix() would silently weaken
 // the differential guarantee.
 #pragma once
@@ -94,11 +94,6 @@ inline rosa::SearchLimits table3_limits() {
   rosa::SearchLimits limits;
   limits.max_states = 1'000'000;
   limits.check_hashes = true;  // pin incremental digests to full_hash()
-  // The golden matrix pins the *unreduced* reference engine: its state /
-  // transition counts, fingerprints, and witnesses predate symmetry
-  // reduction. tests/rosa_reduction_diff_test.cpp proves the reduced engine
-  // agrees on every verdict and fraction.
-  limits.reduction = false;
   return limits;
 }
 
@@ -170,7 +165,6 @@ inline void expect_same_work(const rosa::SearchResult& a,
   EXPECT_EQ(a.stats.dedup_hits, b.stats.dedup_hits);
   EXPECT_EQ(a.stats.hash_collisions, b.stats.hash_collisions);
   EXPECT_EQ(a.stats.peak_frontier, b.stats.peak_frontier);
-  EXPECT_EQ(a.stats.symmetry_pruned, b.stats.symmetry_pruned);
   EXPECT_EQ(a.stats.escalations, b.stats.escalations);
   ASSERT_EQ(a.witness.size(), b.witness.size());
   for (std::size_t i = 0; i < a.witness.size(); ++i)

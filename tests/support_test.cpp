@@ -2,6 +2,8 @@
 // new epoch timeline / multi-process ROSA behaviours.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "chronopriv/epoch.h"
 #include "rosa/query.h"
 #include "support/error.h"
@@ -72,6 +74,31 @@ TEST(StrTest, Padding) {
   EXPECT_EQ(str::pad_left("x", 3), "  x");
   EXPECT_EQ(str::pad_right("x", 3), "x  ");
   EXPECT_EQ(str::pad_left("long", 2), "long");
+}
+
+TEST(StrTest, ParseU64TakesDigitsOnlyWithinRange) {
+  EXPECT_EQ(str::parse_u64("0"), 0u);
+  EXPECT_EQ(str::parse_u64("007"), 7u);
+  EXPECT_EQ(str::parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(str::parse_u64("4294967295", UINT32_MAX), UINT32_MAX);
+  for (const char* bad :
+       {"", "-1", "-0", "+5", " 5", "5 ", "12abc", "abc", "1.5", "1e3", "0x10",
+        "18446744073709551616", "99999999999999999999999"})
+    EXPECT_FALSE(str::parse_u64(bad)) << bad;
+  EXPECT_FALSE(str::parse_u64("4294967296", UINT32_MAX));
+}
+
+TEST(StrTest, ParseSecondsTakesFiniteNonNegativeDecimals) {
+  EXPECT_EQ(str::parse_seconds("0"), 0.0);
+  EXPECT_EQ(str::parse_seconds("1.5"), 1.5);
+  EXPECT_EQ(str::parse_seconds(".25"), 0.25);
+  EXPECT_EQ(str::parse_seconds("2e3"), 2000.0);
+  EXPECT_EQ(str::parse_seconds("1e300"), 1e300);
+  EXPECT_EQ(str::parse_seconds("1.0000000000000001e-05"), 1e-05);
+  for (const char* bad :
+       {"", "-1", "-0", "+1", " 1", "1 ", "1s", "abc", "inf", "infinity",
+        "nan", "0x10", "1e999", "1e", "."})
+    EXPECT_FALSE(str::parse_seconds(bad)) << bad;
 }
 
 TEST(TimelineTest, SegmentsRecordOrderedRuns) {

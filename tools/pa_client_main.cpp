@@ -5,7 +5,6 @@
 //     --max-states N     ROSA state budget per query
 //     --escalate-rounds N budget escalation rounds
 //     --no-cache         bypass the daemon's resident verdict cache
-//     --no-reduction     disable symmetry search reduction
 //     --filters MODE     EpochFilter mode: off (default) | report | enforce
 //     --no-wait          print the job id and exit without waiting
 //   pa_client --socket PATH status JOB_ID
@@ -16,6 +15,8 @@
 // `submit` waits for the result by default, streams progress events to
 // stderr, prints the result body to stdout, and exits with the job's exit
 // code (the one-shot CLI contract: 0 analyzed, 1 failed).
+#include <climits>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "daemon/client.h"
 #include "privanalyzer/pipeline.h"
 #include "support/error.h"
+#include "support/str.h"
 
 using namespace pa;
 
@@ -32,7 +34,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --socket PATH COMMAND\n"
                "  submit FILE|builtin:NAME [--deadline S] [--max-states N]\n"
-               "         [--escalate-rounds N] [--no-cache] [--no-reduction]\n"
+               "         [--escalate-rounds N] [--no-cache]\n"
                "         [--filters off|report|enforce] [--no-wait]\n"
                "  status JOB_ID | cancel JOB_ID | ping | shutdown [--abort]\n";
   return privanalyzer::kExitUsage;
@@ -46,22 +48,27 @@ int cmd_submit(daemon::Client& client, const std::vector<std::string>& args) {
     const std::string& a = args[i];
     if (a == "--no-wait") wait = false;
     else if (a == "--no-cache") req.use_cache = false;
-    else if (a == "--no-reduction") req.reduction = false;
     else if (a == "--filters" && i + 1 < args.size()) {
       req.filters = args[++i];
       if (!privanalyzer::parse_filter_mode(req.filters))
         return privanalyzer::kExitUsage;
-    }
-    else if (a == "--deadline" && i + 1 < args.size())
-      req.deadline_secs = std::stod(args[++i]);
-    else if (a == "--max-states" && i + 1 < args.size())
-      req.max_states = std::stoull(args[++i]);
-    else if (a == "--escalate-rounds" && i + 1 < args.size())
-      req.escalate_rounds = static_cast<unsigned>(std::stoul(args[++i]));
-    else if (target.empty() && !a.empty() && a[0] != '-')
+    } else if (a == "--deadline" && i + 1 < args.size()) {
+      const auto secs = str::parse_seconds(args[++i]);
+      if (!secs) return privanalyzer::kExitUsage;
+      req.deadline_secs = *secs;
+    } else if (a == "--max-states" && i + 1 < args.size()) {
+      const auto n = str::parse_u64(args[++i]);
+      if (!n) return privanalyzer::kExitUsage;
+      req.max_states = *n;
+    } else if (a == "--escalate-rounds" && i + 1 < args.size()) {
+      const auto n = str::parse_u64(args[++i], UINT_MAX);
+      if (!n) return privanalyzer::kExitUsage;
+      req.escalate_rounds = static_cast<unsigned>(*n);
+    } else if (target.empty() && !a.empty() && a[0] != '-') {
       target = a;
-    else
+    } else {
       return privanalyzer::kExitUsage;
+    }
   }
   if (target.empty()) return privanalyzer::kExitUsage;
 
@@ -124,16 +131,15 @@ int main(int argc, char** argv) {
   try {
     daemon::Client client(socket_path);
     if (cmd == "submit") return cmd_submit(client, rest);
-    if (cmd == "status" && rest.size() == 1) {
-      daemon::StatusReply r = client.status(std::stoull(rest[0]));
+    if ((cmd == "status" || cmd == "cancel") && rest.size() == 1) {
+      const auto job_id = str::parse_u64(rest[0]);
+      if (!job_id) return usage(argv[0]);
+      const daemon::StatusReply r =
+          cmd == "status" ? client.status(*job_id) : client.cancel(*job_id);
       std::cout << r.state << "\n";
-      return r.state == "unknown" ? privanalyzer::kExitAllFailed
-                                  : privanalyzer::kExitOk;
-    }
-    if (cmd == "cancel" && rest.size() == 1) {
-      daemon::StatusReply r = client.cancel(std::stoull(rest[0]));
-      std::cout << r.state << "\n";
-      return privanalyzer::kExitOk;
+      return cmd == "status" && r.state == "unknown"
+                 ? privanalyzer::kExitAllFailed
+                 : privanalyzer::kExitOk;
     }
     if (cmd == "ping") {
       client.ping();

@@ -3,7 +3,7 @@
 //
 //   privanalyzer prog.pir [more.pir ...] [options]
 //     --no-rosa            ChronoPriv epochs only (skip attack analysis)
-//     --max-states N       ROSA search budget per query (default 1000000)
+//     --max-states N       ROSA search budget per query (default 2000000)
 //     --max-bytes N        ROSA memory budget per query in arena bytes
 //                          (default unlimited; exceeded searches report as
 //                          Timeout like exhausted state budgets)
@@ -27,7 +27,9 @@
 //     --no-rosa-cache      disable ROSA verdict memoization (on by default;
 //                          cached runs are bit-identical, this is for A/B
 //                          measurement)
-//     --attacker MODEL     full | cfi-ordered | fixed-args
+//     --attacker MODEL     full | cfi-ordered | fixed-args: the attacker of
+//                          every query, in the baseline and the filtered
+//                          matrix alike (default full, the paper's model)
 //     --print-ir           dump the transformed (post-AutoPriv) program
 //     --indirect-calls M   indirect-call resolution for AutoPriv (and
 //                          --lint): conservative (every address-taken
@@ -68,7 +70,9 @@
 // keeps the atomic checkpoints already written for completed programs, and
 // the batch exits with the distinct code 4.
 #include <atomic>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -86,6 +90,7 @@
 #include "privanalyzer/render.h"
 #include "support/diagnostics.h"
 #include "support/error.h"
+#include "support/str.h"
 
 using namespace pa;
 
@@ -108,7 +113,7 @@ void install_signal_handlers() {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <prog.pir> [more programs...] [--no-rosa] [--max-states N]\n"
-               "       [--max-bytes N] [--no-reduction]\n"
+               "       [--max-bytes N]\n"
                "       [--rosa-threads N] [--escalate-rounds N] [--deadline SECS]\n"
                "       [--attacker full|cfi-ordered|fixed-args] [--print-ir]\n"
                "       [--indirect-calls conservative|refined|assume-none]\n"
@@ -123,30 +128,11 @@ int usage(const char* argv0) {
   return privanalyzer::kExitUsage;
 }
 
-// Parse a non-negative integer flag value. Returns false (caller prints
-// usage) on garbage instead of letting std::stoull terminate the process;
-// the parse failure itself is reported so the user sees *why* the flag was
-// rejected, not just the usage text.
-bool parse_count(const std::string& s, unsigned long long* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stoull(s, &pos);
-    return !s.empty() && pos == s.size();
-  } catch (const std::exception& e) {
-    std::cerr << "error: bad count '" << s << "': " << e.what() << "\n";
-    return false;
-  }
-}
-
-bool parse_seconds(const std::string& s, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(s, &pos);
-    return !s.empty() && pos == s.size() && *out >= 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: bad duration '" << s << "': " << e.what() << "\n";
-    return false;
-  }
+/// A numeric flag value the strict parsers (support/str.h) rejected: say
+/// which, then print the usage text.
+int bad_value(const char* argv0, const std::string& flag, const char* value) {
+  std::cerr << "error: bad value '" << value << "' for " << flag << "\n";
+  return usage(argv0);
 }
 
 std::optional<ir::IndirectCallPolicy> parse_policy(const std::string& m) {
@@ -188,7 +174,7 @@ int run_lint_batch(const std::vector<std::string>& paths,
 /// returned analysis (never thrown) so the batch loop keeps going.
 privanalyzer::ProgramAnalysis run_one(
     const std::string& path, const privanalyzer::PipelineOptions& opts,
-    rosa::AttackerModel attacker, bool print_ir, bool print_stats) {
+    bool print_ir, bool print_stats) {
   programs::ProgramSpec spec;
   try {
     spec = privanalyzer::load_program_file(path);
@@ -212,24 +198,6 @@ privanalyzer::ProgramAnalysis run_one(
     return analysis;
   }
 
-  // Re-run the scenarios manually when a non-default attacker model is
-  // requested (the model is threaded through the ScenarioInputs).
-  if (attacker != rosa::AttackerModel::Full && opts.run_rosa) {
-    auto syscalls = spec.syscalls_used();
-    std::vector<attacks::ScenarioInput> inputs;
-    for (const chronopriv::EpochRow& row : analysis.chrono.rows) {
-      attacks::ScenarioInput in = attacks::scenario_from_epoch(
-          row, syscalls, spec.scenario_extra_users,
-          spec.scenario_extra_groups);
-      in.attacker = attacker;
-      inputs.push_back(std::move(in));
-    }
-    analysis.verdicts = attacks::analyze_epochs(
-        analysis.chrono.rows, inputs, opts.rosa_limits, opts.rosa_threads,
-        rosa::EscalationPolicy{opts.rosa_escalation_rounds, 2.0},
-        opts.rosa_cache_instance.get());
-  }
-
   std::cout << "Loaded " << spec.name << " ("
             << spec.module.countable_instructions()
             << " static instructions), launch permitted {"
@@ -247,9 +215,8 @@ privanalyzer::ProgramAnalysis run_one(
     std::cout << privanalyzer::render_attack_table() << "\n"
               << privanalyzer::render_efficacy_table(
                      {analysis},
-                     std::string("Efficacy (attacker: ") +
-                         std::string(rosa::attacker_model_name(attacker)) +
-                         ")");
+                     str::cat("Efficacy (attacker: ",
+                              rosa::attacker_model_name(opts.attacker), ")"));
     if (print_stats)
       std::cout << "\n" << privanalyzer::render_search_stats({analysis});
   }
@@ -267,7 +234,6 @@ int main(int argc, char** argv) {
   install_signal_handlers();
   std::vector<std::string> paths;
   privanalyzer::PipelineOptions opts;
-  rosa::AttackerModel attacker = rosa::AttackerModel::Full;
   bool print_ir = false;
   bool print_stats = false;
   bool lint_mode = false;
@@ -282,17 +248,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--rosa-threads" && i + 1 < argc) {
-      unsigned long long n = 0;
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.rosa_threads = static_cast<unsigned>(n);
+      const auto n = str::parse_u64(argv[++i], UINT_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.rosa_threads = static_cast<unsigned>(*n);
     } else if (arg == "--escalate-rounds" && i + 1 < argc) {
-      unsigned long long n = 0;
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.rosa_escalation_rounds = static_cast<unsigned>(n);
+      const auto n = str::parse_u64(argv[++i], UINT_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.rosa_escalation_rounds = static_cast<unsigned>(*n);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      double secs = 0;
-      if (!parse_seconds(argv[++i], &secs)) return usage(argv[0]);
-      opts.max_total_seconds = secs;
+      const auto secs = str::parse_seconds(argv[++i]);
+      if (!secs) return bad_value(argv[0], arg, argv[i]);
+      opts.max_total_seconds = *secs;
     } else if (arg == "--rosa-cache" && i + 1 < argc) {
       opts.rosa_cache_file = argv[++i];
     } else if (arg == "--no-rosa-cache") {
@@ -334,20 +300,20 @@ int main(int argc, char** argv) {
       std::string wpath = argv[++i];
       opts.world_factory = [wpath] { return os::world_from_file(wpath); };
     } else if (arg == "--max-states" && i + 1 < argc) {
-      unsigned long long n = 0;
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.rosa_limits.max_states = static_cast<std::size_t>(n);
+      const auto n = str::parse_u64(argv[++i], SIZE_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.rosa_limits.max_states = static_cast<std::size_t>(*n);
     } else if (arg == "--max-bytes" && i + 1 < argc) {
-      unsigned long long n = 0;
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.rosa_limits.max_bytes = static_cast<std::size_t>(n);
-    } else if (arg == "--no-reduction") {
-      opts.rosa_limits.reduction = false;
+      const auto n = str::parse_u64(argv[++i], SIZE_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.rosa_limits.max_bytes = static_cast<std::size_t>(*n);
     } else if (arg == "--attacker" && i + 1 < argc) {
       std::string m = argv[++i];
-      if (m == "full") attacker = rosa::AttackerModel::Full;
-      else if (m == "cfi-ordered") attacker = rosa::AttackerModel::CfiOrdered;
-      else if (m == "fixed-args") attacker = rosa::AttackerModel::FixedArgs;
+      if (m == "full") opts.attacker = rosa::AttackerModel::Full;
+      else if (m == "cfi-ordered")
+        opts.attacker = rosa::AttackerModel::CfiOrdered;
+      else if (m == "fixed-args")
+        opts.attacker = rosa::AttackerModel::FixedArgs;
       else return usage(argv[0]);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
@@ -390,7 +356,7 @@ int main(int argc, char** argv) {
     if (g_interrupted.load()) break;
     if (i > 0) std::cout << "\n" << std::string(72, '=') << "\n\n";
     analyses.push_back(
-        run_one(paths[i], opts, attacker, print_ir, print_stats));
+        run_one(paths[i], opts, print_ir, print_stats));
   }
   if (g_interrupted.load()) {
     std::cerr << "interrupted: cancelled in-flight searches and skipped "

@@ -21,13 +21,16 @@
 // and running jobs, flush the cache, exit 0); a second one aborts (cancel
 // every job cooperatively, then the same cleanup).
 #include <atomic>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <iostream>
 #include <thread>
 
 #include "daemon/server.h"
 #include "privanalyzer/pipeline.h"
 #include "support/error.h"
+#include "support/str.h"
 
 using namespace pa;
 
@@ -46,26 +49,11 @@ int usage(const char* argv0) {
   return privanalyzer::kExitUsage;
 }
 
-bool parse_count(const std::string& s, unsigned long long* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stoull(s, &pos);
-    return !s.empty() && pos == s.size();
-  } catch (const std::exception& e) {
-    std::cerr << "error: bad count '" << s << "': " << e.what() << "\n";
-    return false;
-  }
-}
-
-bool parse_seconds(const std::string& s, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(s, &pos);
-    return !s.empty() && pos == s.size() && *out >= 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: bad duration '" << s << "': " << e.what() << "\n";
-    return false;
-  }
+/// A numeric flag value the strict parsers (support/str.h) rejected: say
+/// which, then print the usage text.
+int bad_value(const char* argv0, const std::string& flag, const char* value) {
+  std::cerr << "error: bad value '" << value << "' for " << flag << "\n";
+  return usage(argv0);
 }
 
 }  // namespace
@@ -74,29 +62,34 @@ int main(int argc, char** argv) {
   daemon::ServerOptions opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    unsigned long long n = 0;
     if (arg == "--socket" && i + 1 < argc) {
       opts.socket_path = argv[++i];
     } else if (arg == "--workers" && i + 1 < argc) {
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.workers = static_cast<unsigned>(n);
+      const auto n = str::parse_u64(argv[++i], UINT_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.workers = static_cast<unsigned>(*n);
     } else if (arg == "--max-queue" && i + 1 < argc) {
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.max_queue = static_cast<std::size_t>(n);
+      const auto n = str::parse_u64(argv[++i], SIZE_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.max_queue = static_cast<std::size_t>(*n);
     } else if (arg == "--cache-bytes" && i + 1 < argc) {
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.cache_bytes = static_cast<std::size_t>(n);
+      const auto n = str::parse_u64(argv[++i], SIZE_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.cache_bytes = static_cast<std::size_t>(*n);
     } else if (arg == "--rosa-cache" && i + 1 < argc) {
       opts.cache_file = argv[++i];
     } else if (arg == "--checkpoint-jobs" && i + 1 < argc) {
-      if (!parse_count(argv[++i], &n)) return usage(argv[0]);
-      opts.checkpoint_jobs = static_cast<unsigned>(n);
+      const auto n = str::parse_u64(argv[++i], UINT_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      opts.checkpoint_jobs = static_cast<unsigned>(*n);
     } else if (arg == "--idle-timeout" && i + 1 < argc) {
-      if (!parse_seconds(argv[++i], &opts.idle_timeout_secs))
-        return usage(argv[0]);
+      const auto secs = str::parse_seconds(argv[++i]);
+      if (!secs) return bad_value(argv[0], arg, argv[i]);
+      opts.idle_timeout_secs = *secs;
     } else if (arg == "--deadline" && i + 1 < argc) {
-      if (!parse_seconds(argv[++i], &opts.default_deadline_secs))
-        return usage(argv[0]);
+      const auto secs = str::parse_seconds(argv[++i]);
+      if (!secs) return bad_value(argv[0], arg, argv[i]);
+      opts.default_deadline_secs = *secs;
     } else {
       return usage(argv[0]);
     }

@@ -7,6 +7,7 @@
 //     --attacker MODEL    full | cfi-ordered | fixed-args
 //     --model MODEL       linux | solaris | capsicum (privilege semantics)
 //     --replay            re-execute a found witness on the SimOS kernel
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "rosa/replay.h"
 #include "rosa/text.h"
 #include "support/error.h"
+#include "support/str.h"
 
 using namespace pa;
 
@@ -29,6 +31,13 @@ int usage(const char* argv0) {
                "       [--model linux|solaris|capsicum] [--replay]\n"
                "       [--dot out.dot]\n";
   return 2;
+}
+
+/// A numeric flag value the strict parsers (support/str.h) rejected: say
+/// which, then print the usage text.
+int bad_value(const char* argv0, const std::string& flag, const char* value) {
+  std::cerr << "error: bad value '" << value << "' for " << flag << "\n";
+  return usage(argv0);
 }
 
 }  // namespace
@@ -49,9 +58,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--dot" && i + 1 < argc) {
       dot_path = argv[++i];
     } else if (arg == "--max-states" && i + 1 < argc) {
-      limits.max_states = static_cast<std::size_t>(std::stoll(argv[++i]));
+      const auto n = str::parse_u64(argv[++i], SIZE_MAX);
+      if (!n) return bad_value(argv[0], arg, argv[i]);
+      limits.max_states = static_cast<std::size_t>(*n);
     } else if (arg == "--max-seconds" && i + 1 < argc) {
-      limits.max_seconds = std::stod(argv[++i]);
+      const auto secs = str::parse_seconds(argv[++i]);
+      if (!secs) return bad_value(argv[0], arg, argv[i]);
+      limits.max_seconds = *secs;
     } else if (arg == "--attacker" && i + 1 < argc) {
       std::string m = argv[++i];
       if (m == "full") attacker = rosa::AttackerModel::Full;
