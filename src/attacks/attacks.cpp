@@ -220,4 +220,15 @@ rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
   return q;
 }
 
+void narrow_to_allowlist(Query& query, const std::set<std::string>& allowed) {
+  // Syscall names map 1:1 to rosa::Sys, and add_messages emits the messages
+  // of input.syscalls in order, so the surviving bits select exactly the
+  // messages the allowlisted sublist would have built, in the same order.
+  std::uint64_t keep = 0;
+  for (std::size_t i = 0; i < query.messages.size(); ++i)
+    if (allowed.contains(std::string(rosa::sys_name(query.messages[i].sys))))
+      keep |= std::uint64_t{1} << i;
+  query.msg_mask &= keep;
+}
+
 }  // namespace pa::attacks

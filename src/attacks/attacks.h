@@ -9,6 +9,7 @@
 // privilege set — the paper's strong attack model.
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -69,5 +70,15 @@ struct ScenarioInput {
 /// Build the ROSA query asking "starting from this epoch, can the attacker
 /// reach the attack's compromised state?"
 rosa::Query build_attack_query(AttackId attack, const ScenarioInput& input);
+
+/// Narrow a build_attack_query result to a per-epoch syscall allowlist (an
+/// EpochFilter's conservative set): a message keeps its msg_mask bit only
+/// if `allowed` names its syscall. The world is untouched, so the narrowed
+/// query shares its baseline's world signature and fuses with it, yet it
+/// decides exactly what the same query built over the allowlisted sublist
+/// of input.syscalls would (tests/rosa_fused_diff_test.cpp). An empty
+/// allowlist leaves no message fireable.
+void narrow_to_allowlist(rosa::Query& query,
+                         const std::set<std::string>& allowed);
 
 }  // namespace pa::attacks

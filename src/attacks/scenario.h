@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,18 +49,37 @@ EpochVerdicts analyze_epoch(const chronopriv::EpochRow& row,
                             const ScenarioInput& input,
                             const rosa::SearchLimits& limits = {});
 
+/// Both vulnerability matrices of one analysis, each ordered like its rows.
+struct EpochMatrices {
+  std::vector<EpochVerdicts> baseline;
+  /// Empty when no allowlists were given.
+  std::vector<EpochVerdicts> filtered;
+};
+
 /// Run the whole (epoch × attack) matrix as one rosa::run_queries batch,
 /// fanned out across `n_threads` ROSA workers (0 = hardware_concurrency),
 /// so each epoch's four attacks fuse into one shared exploration. rows and
-/// inputs are parallel vectors; the result is ordered like rows. Every
-/// thread count produces the verdicts and witnesses per-epoch
-/// analyze_epoch calls would (tests/rosa_parallel_diff_test.cpp,
-/// tests/rosa_fused_diff_test.cpp, tests/pipeline_robustness_test.cpp).
-/// `escalation` retries ResourceLimit queries with geometrically grown
-/// budgets (rosa::search_escalating), shrinking the presumed-invulnerable
-/// bucket; `cache` (optional, non-owning) memoizes results by content
-/// fingerprint (rosa/cache.h), so epochs posing the same reachability
-/// question are searched once.
+/// inputs are parallel vectors. Every thread count produces the verdicts
+/// and witnesses per-epoch analyze_epoch calls would
+/// (tests/rosa_parallel_diff_test.cpp, tests/rosa_fused_diff_test.cpp,
+/// tests/pipeline_robustness_test.cpp). `escalation` retries ResourceLimit
+/// queries with geometrically grown budgets (rosa::search_escalating),
+/// shrinking the presumed-invulnerable bucket; `cache` (optional,
+/// non-owning) memoizes results by content fingerprint (rosa/cache.h), so
+/// epochs posing the same reachability question are searched once.
+///
+/// `allowlists` is empty (no filtered matrix) or parallel to rows: each
+/// epoch's syscall allowlist. The filtered matrix poses every baseline
+/// query again through narrow_to_allowlist, in the SAME batch, so an
+/// epoch's eight queries share one world and one fused exploration.
+EpochMatrices analyze_epochs(
+    const std::vector<chronopriv::EpochRow>& rows,
+    const std::vector<ScenarioInput>& inputs,
+    const std::vector<std::set<std::string>>& allowlists,
+    const rosa::SearchLimits& limits, unsigned n_threads,
+    const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache);
+
+/// The baseline matrix alone: analyze_epochs without allowlists.
 std::vector<EpochVerdicts> analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,

@@ -1,6 +1,7 @@
 #include "privanalyzer/pipeline.h"
 
 #include <chrono>
+#include <set>
 
 #include "ir/transforms.h"
 #include "privanalyzer/loader.h"
@@ -53,8 +54,9 @@ double ProgramAnalysis::filtered_vulnerable_fraction(std::size_t attack) const {
 
 rosa::SearchStats ProgramAnalysis::search_stats() const {
   rosa::SearchStats total;
-  for (const attacks::EpochVerdicts& ev : verdicts)
-    for (const rosa::SearchResult& r : ev.results) total.merge(r.stats);
+  for (const auto* matrix : {&verdicts, &filtered_verdicts})
+    for (const attacks::EpochVerdicts& ev : *matrix)
+      for (const rosa::SearchResult& r : ev.results) total.merge(r.stats);
   return total;
 }
 
@@ -202,33 +204,25 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
           spec.scenario_extra_groups));
       inputs.back().attacker = options.attacker;
     }
-    out.verdicts =
-        attacks::analyze_epochs(out.chrono.rows, inputs, limits,
-                                options.rosa_threads, escalation, cache.get());
 
-    // The filtered matrix: the same queries with each epoch's attacker
-    // constrained to the epoch's conservative allowlist — what an exploit
-    // could still do with the filters installed. The baseline matrix above
-    // is untouched (Off/Report/Enforce all report identical baselines).
+    // With filters on, the filtered matrix rides in the same batch: each
+    // baseline query with its attacker constrained to the epoch's
+    // conservative allowlist — what an exploit could still do with the
+    // filters installed. An epoch the report does not cover may issue
+    // nothing. The baseline matrix is untouched (Off/Report/Enforce all
+    // report identical baselines).
+    std::vector<std::set<std::string>> allowlists;
     if (options.filters != FilterMode::Off && !out.filter_report.empty()) {
-      std::vector<attacks::ScenarioInput> filtered_inputs;
-      filtered_inputs.reserve(out.chrono.rows.size());
-      for (std::size_t i = 0; i < out.chrono.rows.size(); ++i) {
-        std::vector<std::string> allowed;
-        if (i < out.filter_report.epochs.size()) {
-          for (const std::string& s : syscalls)
-            if (out.filter_report.epochs[i].conservative.contains(s))
-              allowed.push_back(s);
-        }
-        filtered_inputs.push_back(attacks::scenario_from_epoch(
-            out.chrono.rows[i], allowed, spec.scenario_extra_users,
-            spec.scenario_extra_groups));
-        filtered_inputs.back().attacker = options.attacker;
-      }
-      out.filtered_verdicts = attacks::analyze_epochs(
-          out.chrono.rows, filtered_inputs, limits, options.rosa_threads,
-          escalation, cache.get());
+      allowlists.resize(out.chrono.rows.size());
+      for (std::size_t i = 0;
+           i < allowlists.size() && i < out.filter_report.epochs.size(); ++i)
+        allowlists[i] = out.filter_report.epochs[i].conservative;
     }
+    attacks::EpochMatrices matrices = attacks::analyze_epochs(
+        out.chrono.rows, inputs, allowlists, limits, options.rosa_threads,
+        escalation, cache.get());
+    out.verdicts = std::move(matrices.baseline);
+    out.filtered_verdicts = std::move(matrices.filtered);
 
     if (cache && !options.rosa_cache_file.empty()) {
       std::string warn;

@@ -19,9 +19,10 @@
 namespace pa::privanalyzer {
 
 /// EpochFilter modes (--filters): Report synthesizes per-epoch syscall
-/// allowlists and re-runs the attack matrix under them; Enforce additionally
-/// installs the conservative allowlists in the kernel and re-executes the
-/// program under them (a no-op for legitimate runs — the soundness gate).
+/// allowlists and decides a filtered attack matrix under them, in the same
+/// ROSA batch as the baseline; Enforce additionally installs the
+/// conservative allowlists in the kernel and re-executes the program under
+/// them (a no-op for legitimate runs — the soundness gate).
 enum class FilterMode { Off, Report, Enforce };
 
 std::string_view filter_mode_name(FilterMode m);
@@ -132,9 +133,11 @@ struct ProgramAnalysis {
   /// Per-epoch syscall allowlists (empty when PipelineOptions::filters was
   /// Off). Rows parallel to chrono.rows.
   filters::FilterReport filter_report;
-  /// The attack matrix re-run with each epoch's attacker constrained to its
-  /// conservative allowlist; parallel to chrono.rows, empty unless filters
-  /// were on and ROSA ran. The baseline `verdicts` are untouched.
+  /// The attack matrix with each epoch's attacker constrained to its
+  /// conservative allowlist: every baseline query with its message mask
+  /// narrowed (attacks::narrow_to_allowlist), decided in the baseline's
+  /// batch and fused explorations. Parallel to chrono.rows, empty unless
+  /// filters were on and ROSA ran. The baseline `verdicts` are untouched.
   std::vector<attacks::EpochVerdicts> filtered_verdicts;
   /// Syscalls the enforced filters denied (Enforce mode; 0 for sound
   /// conservative filters — anything else raises a FilterViolation warning).
@@ -158,7 +161,8 @@ struct ProgramAnalysis {
   double filtered_vulnerable_fraction(std::size_t attack) const;
 
   /// Aggregate ROSA counters over every (epoch × attack) query this
-  /// analysis ran (rendered by `privanalyzer --stats`).
+  /// analysis ran, in both `verdicts` and `filtered_verdicts` (rendered by
+  /// `privanalyzer --stats`).
   rosa::SearchStats search_stats() const;
 };
 

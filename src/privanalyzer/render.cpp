@@ -101,8 +101,9 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
      << str::pad_left("Time", 10) << "\n";
   for (const ProgramAnalysis& a : analyses) {
     const rosa::SearchStats s = a.search_stats();
-    const std::size_t queries =
-        a.verdicts.size() * attacks::modeled_attacks().size();
+    const std::size_t queries = (a.verdicts.size() +
+                                 a.filtered_verdicts.size()) *
+                                attacks::modeled_attacks().size();
     os << "  " << str::pad_right(a.program, 14)
        << str::pad_left(std::to_string(queries), 9)
        << str::pad_left(str::with_commas(static_cast<long long>(s.states)), 12)

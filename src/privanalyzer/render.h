@@ -31,8 +31,8 @@ std::string render_refactor_diff_table();
 
 /// Per-program ROSA search statistics (states, transitions, dedup hits,
 /// hash collisions, peak frontier, escalation rounds, wall time) summed
-/// over the whole (epoch × attack) matrix — the `privanalyzer --stats`
-/// block.
+/// over every (epoch × attack) query the analysis ran, baseline and
+/// filtered matrix alike — the `privanalyzer --stats` block.
 std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses);
 
 /// One program's status line + structured diagnostics, for batch runs with
@@ -41,7 +41,7 @@ std::string render_analysis_diagnostics(const ProgramAnalysis& analysis);
 
 /// EpochFilter block (--filters=report|enforce): per-epoch allowlist sizes
 /// against the program's full syscall surface, the filtered verdict columns
-/// when the matrix was re-run, and per-attack vulnerable-fraction deltas.
+/// when ROSA ran, and per-attack vulnerable-fraction deltas.
 /// Empty string for analyses without a filter report.
 std::string render_filter_report(const std::vector<ProgramAnalysis>& analyses);
 

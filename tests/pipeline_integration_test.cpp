@@ -3,6 +3,7 @@
 // Table III (baseline programs) and Table V (refactored programs).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,62 @@ TEST(Pipeline, AttackerOptionReachesBothMatrices) {
   // su's first attack needs a wildcard setuid target, which FixedArgs
   // forbids: the Full-attacker baseline is strictly worse.
   EXPECT_LT(a.vulnerable_fraction(0), su_analysis().vulnerable_fraction(0));
+}
+
+// --stats covers every query the analysis ran: with filters on, the
+// aggregate sums the filtered matrix too, and the Queries column counts
+// both matrices (su: 6 epochs × 4 attacks × 2).
+TEST(Pipeline, SearchStatsCoverBothMatrices) {
+  PipelineOptions opts = fast_options();
+  opts.filters = FilterMode::Report;
+  const ProgramAnalysis a = analyze_program(programs::make_su(), opts);
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(a.filtered_verdicts.size(), a.verdicts.size());
+  std::size_t states = 0;
+  for (const auto* matrix : {&a.verdicts, &a.filtered_verdicts})
+    for (const attacks::EpochVerdicts& ev : *matrix)
+      for (const rosa::SearchResult& r : ev.results) states += r.stats.states;
+  EXPECT_EQ(a.search_stats().states, states);
+
+  const std::string table = render_search_stats({a});
+  const std::size_t row = table.find("\n  su ");
+  ASSERT_NE(row, std::string::npos) << table;
+  std::istringstream fields(table.substr(row));
+  std::string program, queries;
+  fields >> program >> queries;
+  EXPECT_EQ(queries, "48") << table;
+}
+
+// Both matrices share one exploration: a filtered query is its baseline
+// query with a narrower message mask, decided in the baseline's fused
+// group, so with filters on the union states summed over both matrices
+// equal the filters-off exploration. Pinned counts, not a speed claim.
+TEST(Pipeline, FilteredMatrixAddsNoUnionStatesOnRefactoredPrograms) {
+  auto union_states = [](const ProgramAnalysis& a) {
+    std::size_t total = 0;
+    for (const auto* matrix : {&a.verdicts, &a.filtered_verdicts})
+      for (const attacks::EpochVerdicts& ev : *matrix)
+        for (const rosa::SearchResult& r : ev.results)
+          total += r.stats.fused_world_states;
+    return total;
+  };
+  struct Case {
+    programs::ProgramSpec spec;
+    std::size_t filters_off_union_states;
+  };
+  const Case cases[] = {{programs::make_passwd_refactored(), 805},
+                        {programs::make_su_refactored(), 42'870},
+                        {programs::make_sshd_refactored(), 21'165}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec.name);
+    PipelineOptions opts = fast_options();
+    EXPECT_EQ(union_states(analyze_program(c.spec, opts)),
+              c.filters_off_union_states);
+    opts.filters = FilterMode::Report;
+    const ProgramAnalysis filtered = analyze_program(c.spec, opts);
+    ASSERT_EQ(filtered.filtered_verdicts.size(), filtered.chrono.rows.size());
+    EXPECT_EQ(union_states(filtered), c.filters_off_union_states);
+  }
 }
 
 TEST(Pipeline, ChronoOnlySkipsRosa) {

@@ -9,10 +9,16 @@
 // Fused witnesses must replay on the SimOS kernel, a mixed-attacker batch
 // must NOT fuse across world signatures, the escalation ladder must re-run
 // only still-undecided goals, and the pipeline's matrix must match one
-// analyze_epoch call per epoch.
+// analyze_epoch call per epoch. The filtered matrix, each baseline query
+// with its message mask narrowed to an allowlist and fused with the
+// baseline, must match the standalone search of the sublist world it
+// replaces, and random nested allowlists must agree with their sublists
+// and never lose a reachable attack when widened.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -253,6 +259,166 @@ TEST(FusedDiffTest, PipelineFractionsMatchUnfused) {
       EXPECT_DOUBLE_EQ(fused.vulnerable_fraction(a),
                        unfused.vulnerable_fraction(a));
   }
+}
+
+/// The 8 paper programs: Table II and the three refactorings.
+std::vector<programs::ProgramSpec> paper_programs() {
+  std::vector<programs::ProgramSpec> specs = programs::all_baseline_programs();
+  specs.push_back(programs::make_passwd_refactored());
+  specs.push_back(programs::make_su_refactored());
+  specs.push_back(programs::make_sshd_refactored());
+  return specs;
+}
+
+/// The program's syscalls that `allowed` names, in program order: the
+/// sublist a filtered world is built from.
+std::vector<std::string> allowed_sublist(
+    const std::vector<std::string>& syscalls,
+    const std::set<std::string>& allowed) {
+  std::vector<std::string> out;
+  for (const std::string& s : syscalls)
+    if (allowed.contains(s)) out.push_back(s);
+  return out;
+}
+
+/// The query a filtered cell replaces: the attack posed in a world whose
+/// message list holds only the allowlisted syscalls.
+rosa::Query sublist_query(AttackId attack, const chronopriv::EpochRow& row,
+                          const programs::ProgramSpec& spec,
+                          const std::set<std::string>& allowed,
+                          rosa::AttackerModel attacker) {
+  attacks::ScenarioInput in = attacks::scenario_from_epoch(
+      row, allowed_sublist(spec.syscalls_used(), allowed),
+      spec.scenario_extra_users, spec.scenario_extra_groups);
+  in.attacker = attacker;
+  return attacks::build_attack_query(attack, in);
+}
+
+// A filtered cell is its baseline query with the message mask narrowed to
+// the epoch's conservative allowlist, decided in the baseline's batch and
+// fused exploration. It must be indistinguishable from a standalone search
+// of the sublist world it replaces: verdict, witness and every work
+// counter, under each attacker model, cached, at 1 and 4 workers.
+void expect_filtered_cells_match_sublist_worlds(unsigned n_threads) {
+  for (const programs::ProgramSpec& spec : paper_programs()) {
+    for (rosa::AttackerModel attacker :
+         {rosa::AttackerModel::Full, rosa::AttackerModel::CfiOrdered,
+          rosa::AttackerModel::FixedArgs}) {
+      privanalyzer::PipelineOptions opts;
+      opts.rosa_limits = rosa_test::table3_limits();
+      opts.rosa_threads = n_threads;
+      opts.attacker = attacker;
+      opts.filters = privanalyzer::FilterMode::Report;
+      const privanalyzer::ProgramAnalysis a =
+          privanalyzer::analyze_program(spec, opts);
+      SCOPED_TRACE(str::cat(a.program, " attacker ",
+                            static_cast<int>(attacker)));
+      ASSERT_TRUE(a.ok());
+      ASSERT_EQ(a.filtered_verdicts.size(), a.chrono.rows.size());
+      ASSERT_EQ(a.filter_report.epochs.size(), a.chrono.rows.size());
+      for (std::size_t e = 0; e < a.chrono.rows.size(); ++e) {
+        const chronopriv::EpochRow& row = a.chrono.rows[e];
+        for (std::size_t k = 0; k < attacks::modeled_attacks().size(); ++k) {
+          const attacks::AttackInfo& attack = attacks::modeled_attacks()[k];
+          SCOPED_TRACE(str::cat(row.name, "/", attack.name));
+          const rosa::SearchResult reference = rosa::reference::search(
+              sublist_query(attack.id, row, spec,
+                            a.filter_report.epochs[e].conservative, attacker),
+              opts.rosa_limits);
+          expect_identical_runs(reference, a.filtered_verdicts[e].results[k]);
+          EXPECT_EQ(a.filtered_verdicts[e].verdicts[k],
+                    attacks::cell_from_verdict(reference.verdict));
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedDiffTest, SerialFilteredCellsMatchSublistWorlds) {
+  expect_filtered_cells_match_sublist_worlds(1);
+}
+
+TEST(FusedDiffTest, FourWorkerFilteredCellsMatchSublistWorlds) {
+  expect_filtered_cells_match_sublist_worlds(4);
+}
+
+/// A seeded random subset of `from`: each name kept with probability 1/2.
+std::set<std::string> random_subset(const std::set<std::string>& from,
+                                    std::mt19937& rng) {
+  std::set<std::string> out;
+  for (const std::string& s : from)
+    if (rng() & 1u) out.insert(s);
+  return out;
+}
+
+// Metamorphic pair on random allowlists. For nested sub-allowlists A ⊆ B of
+// every Table-II epoch's syscalls, narrowing the mask equals building the
+// sublist world (under A and under B, fused in one batch with the
+// baseline), and widening an allowlist never loses an attack: Reachable
+// under A implies Reachable under B. Timeout cells prove nothing either
+// way and are skipped.
+TEST(FusedDiffTest, NestedAllowlistsMatchSublistsAndStayMonotone) {
+  privanalyzer::PipelineOptions chrono_only;
+  chrono_only.run_rosa = false;
+  const std::vector<privanalyzer::ProgramAnalysis> analyses =
+      privanalyzer::analyze_baseline(chrono_only);
+  const std::vector<programs::ProgramSpec> specs =
+      programs::all_baseline_programs();
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
+  const std::size_t n_attacks = attacks::modeled_attacks().size();
+  std::mt19937 rng(20261017);
+
+  std::size_t reachable_under_a = 0;
+  for (std::size_t p = 0; p < specs.size(); ++p) {
+    const std::vector<std::string> syscalls = specs[p].syscalls_used();
+    const std::set<std::string> surface(syscalls.begin(), syscalls.end());
+    for (const chronopriv::EpochRow& row : analyses[p].chrono.rows) {
+      for (int draw = 0; draw < 3; ++draw) {
+        const std::set<std::string> b = random_subset(surface, rng);
+        const std::set<std::string> a = random_subset(b, rng);
+        attacks::ScenarioInput in = attacks::scenario_from_epoch(
+            row, syscalls, specs[p].scenario_extra_users,
+            specs[p].scenario_extra_groups);
+        // Per attack: the baseline, then its A- and B-narrowed twins.
+        std::vector<rosa::Query> batch;
+        for (const attacks::AttackInfo& attack : attacks::modeled_attacks()) {
+          const rosa::Query base = attacks::build_attack_query(attack.id, in);
+          batch.push_back(base);
+          for (const std::set<std::string>* allowed : {&a, &b}) {
+            batch.push_back(base);
+            attacks::narrow_to_allowlist(batch.back(), *allowed);
+          }
+        }
+        const std::vector<rosa::SearchResult> results =
+            rosa::run_queries(batch, limits, 1, {}, nullptr);
+        for (std::size_t k = 0; k < n_attacks; ++k) {
+          const attacks::AttackInfo& attack = attacks::modeled_attacks()[k];
+          SCOPED_TRACE(str::cat(row.name, "/", attack.name, " draw ", draw));
+          const rosa::SearchResult& under_a = results[3 * k + 1];
+          const rosa::SearchResult& under_b = results[3 * k + 2];
+          expect_identical_runs(
+              rosa::reference::search(
+                  sublist_query(attack.id, row, specs[p], a,
+                                rosa::AttackerModel::Full),
+                  limits),
+              under_a);
+          expect_identical_runs(
+              rosa::reference::search(
+                  sublist_query(attack.id, row, specs[p], b,
+                                rosa::AttackerModel::Full),
+                  limits),
+              under_b);
+          if (under_a.verdict != rosa::Verdict::Reachable ||
+              under_b.verdict == rosa::Verdict::ResourceLimit)
+            continue;
+          ++reachable_under_a;
+          EXPECT_EQ(under_b.verdict, rosa::Verdict::Reachable);
+        }
+      }
+    }
+  }
+  // The draws must actually exercise the implication.
+  EXPECT_GT(reachable_under_a, 0u);
 }
 
 }  // namespace

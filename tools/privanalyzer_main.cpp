@@ -44,7 +44,7 @@
 //                          --indirect-calls says otherwise.
 //     --lint-json          as --lint, but emit a JSON array on stdout
 //     --filters MODE       EpochFilter allowlists: off (default) | report
-//                          (synthesize per-epoch syscall filters + re-run
+//                          (synthesize per-epoch syscall filters + decide
 //                          the attack matrix against them, print the
 //                          EpochFilter block) | enforce (as report, but the
 //                          measured run is replayed under kernel-side
