@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <charconv>
 
 #include "support/error.h"
 #include "support/str.h"
@@ -62,7 +63,15 @@ class Cursor {
     if (pos_ == start || (pos_ == start + 1 && !std::isdigit(
                               static_cast<unsigned char>(s_[start]))))
       err("expected integer");
-    return std::stoll(std::string(s_.substr(start, pos_ - start)));
+    // from_chars takes a '-' sign but not a '+'; the scan above bounds the
+    // digits, so only the range can fail.
+    const char* first = s_.data() + start + (s_[start] == '+' ? 1 : 0);
+    std::int64_t v = 0;
+    if (std::from_chars(first, s_.data() + pos_, v).ec != std::errc{}) {
+      pos_ = start;
+      err("integer literal out of range");
+    }
+    return v;
   }
 
   std::string quoted() {

@@ -5,8 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "support/error.h"
-
 namespace pa::ir {
 namespace {
 
@@ -60,25 +58,11 @@ TransformCounts fold_constants(Function& f) {
           auto a = const_int(inst.operands[0]);
           auto b = const_int(inst.operands[1]);
           if (!a || !b) break;
-          if (inst.op == Opcode::Div && *b == 0) break;
-          std::int64_t v = 0;
-          switch (inst.op) {
-            case Opcode::Add: v = *a + *b; break;
-            case Opcode::Sub: v = *a - *b; break;
-            case Opcode::Mul: v = *a * *b; break;
-            case Opcode::Div: v = *a / *b; break;
-            case Opcode::CmpEq: v = *a == *b; break;
-            case Opcode::CmpNe: v = *a != *b; break;
-            case Opcode::CmpLt: v = *a < *b; break;
-            case Opcode::CmpLe: v = *a <= *b; break;
-            case Opcode::CmpGt: v = *a > *b; break;
-            case Opcode::CmpGe: v = *a >= *b; break;
-            case Opcode::And: v = (*a != 0) && (*b != 0); break;
-            case Opcode::Or: v = (*a != 0) || (*b != 0); break;
-            default: PA_UNREACHABLE("fold");
-          }
+          // A faulting division stays, to fault when it runs.
+          const IntResult r = int_binop(inst.op, *a, *b);
+          if (r.fault) break;
           inst.op = Opcode::Mov;
-          inst.operands = {Operand::imm(v)};
+          inst.operands = {Operand::imm(r.value)};
           ++counts.folded_instructions;
           break;
         }

@@ -26,7 +26,8 @@ TransformCounts remove_unreachable_blocks(Function& f);
 
 /// Fold constant arithmetic/comparisons and `condbr` on constants (the
 /// latter becomes an unconditional `br`, possibly exposing unreachable
-/// blocks). Only operates on integer immediates.
+/// blocks). Only operates on integer immediates, by ir::int_binop's rule;
+/// a division that would fault is left to fault when it runs.
 TransformCounts fold_constants(Function& f);
 
 /// Merge a block into its unique predecessor when the predecessor ends in

@@ -1,6 +1,7 @@
 #include "privc/lexer.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "caps/capability.h"
@@ -101,9 +102,16 @@ std::vector<Token> lex(std::string_view src) {
       // Octal with a leading 0 (mode literals), else decimal.
       while (i < src.size() && std::isdigit(static_cast<unsigned char>(src[i])))
         ++i;
-      std::string digits(src.substr(start, i - start));
+      const std::string_view digits = src.substr(start, i - start);
       const int base = digits.size() > 1 && digits[0] == '0' ? 8 : 10;
-      push(Tok::Number, digits, std::stoll(digits, nullptr, base));
+      std::int64_t value = 0;
+      const char* last = digits.data() + digits.size();
+      const auto [end, ec] =
+          std::from_chars(digits.data(), last, value, base);
+      if (end != last && ec == std::errc{})
+        err(str::cat("invalid digit '", *end, "' in octal literal"));
+      if (ec != std::errc{}) err("integer literal out of range");
+      push(Tok::Number, std::string(digits), value);
       continue;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {

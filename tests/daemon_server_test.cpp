@@ -167,14 +167,27 @@ TEST_F(DaemonServerTest, BadJobsFailWithoutHurtingTheServer) {
   ASSERT_TRUE(s2.accepted);
   EXPECT_EQ(client.wait_result(s2.job_id).state, "failed");
 
+  // A program whose arithmetic faults at runtime: INT64_MIN / -1.
+  JobRequest overflow;
+  overflow.kind = "pir";
+  overflow.source =
+      "func @main(0) {\nentry:\n  %0 = mov -9223372036854775808\n"
+      "  %1 = div %0, -1\n  ret %1\n}\n";
+  overflow.name = "overflow";
+  SubmitReply s3 = client.submit(overflow);
+  ASSERT_TRUE(s3.accepted);
+  ResultMsg r3 = client.wait_result(s3.job_id);
+  EXPECT_EQ(r3.state, "failed");
+  EXPECT_NE(r3.body.find("division overflow"), std::string::npos) << r3.body;
+
   // The failures were isolated to their jobs.
   EXPECT_TRUE(client.ping());
   JobRequest good;
   good.kind = "builtin";
   good.source = "ping";
-  SubmitReply s3 = client.submit(good);
-  ASSERT_TRUE(s3.accepted);
-  EXPECT_EQ(client.wait_result(s3.job_id).state, "done");
+  SubmitReply s4 = client.submit(good);
+  ASSERT_TRUE(s4.accepted);
+  EXPECT_EQ(client.wait_result(s4.job_id).state, "done");
 }
 
 TEST_F(DaemonServerTest, ZeroQueueRejectsEverySubmitWithBackpressure) {

@@ -112,6 +112,11 @@ TEST(ParserTest, ErrorsCarryLineNumbers) {
   EXPECT_FALSE(try_parse("func @main(0) {\nentry:\n  bogus_op 1\n}\n", &err));
   EXPECT_NE(err.find("line 3"), std::string::npos);
   EXPECT_NE(err.find("bogus_op"), std::string::npos);
+  EXPECT_FALSE(try_parse(
+      "func @main(0) {\nentry:\n  %0 = mov 9223372036854775808\n  ret 0\n}\n",
+      &err));
+  EXPECT_NE(err.find("line 3: integer literal out of range"),
+            std::string::npos);
 }
 
 TEST(ParserTest, RejectsInstructionOutsideFunction) {

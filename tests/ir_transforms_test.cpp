@@ -1,6 +1,8 @@
 // Tests for the PrivIR cleanup transformations and the dominator analysis.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "autopriv/report.h"
 #include "chronopriv/instrument.h"
 #include "ir/builder.h"
@@ -23,17 +25,21 @@ TEST(FoldConstantsTest, ArithmeticAndComparisons) {
   int y = b.mul(B::r(x), B::i(10));  // not constant: operand is a register
   b.cmp_lt(B::i(1), B::i(2));
   b.not_(B::i(0));
+  b.add(B::i(std::numeric_limits<std::int64_t>::max()), B::i(1));
   b.ret(B::r(y));
   b.end_function();
 
   TransformCounts c = fold_constants(m.function("main"));
-  EXPECT_EQ(c.folded_instructions, 3);  // add, cmplt, not — mul stays
+  EXPECT_EQ(c.folded_instructions, 4);  // add, cmplt, not, add — mul stays
   const auto& insts = m.function("main").block(0).instructions;
   EXPECT_EQ(insts[0].op, Opcode::Mov);
   EXPECT_EQ(insts[0].operands[0].int_value(), 5);
   EXPECT_EQ(insts[1].op, Opcode::Mul);
   EXPECT_EQ(insts[2].operands[0].int_value(), 1);
   EXPECT_EQ(insts[3].operands[0].int_value(), 1);  // !0
+  // int64 arithmetic wraps.
+  EXPECT_EQ(insts[4].operands[0].int_value(),
+            std::numeric_limits<std::int64_t>::min());
   EXPECT_TRUE(verify(m).empty());
 }
 
@@ -42,6 +48,9 @@ TEST(FoldConstantsTest, DivByZeroNotFolded) {
   IRBuilder b(m);
   b.begin_function("main", 0);
   int x = b.binop(Opcode::Div, B::i(4), B::i(0));
+  // INT64_MIN / -1 has no int64 value: it faults at runtime too.
+  b.binop(Opcode::Div, B::i(std::numeric_limits<std::int64_t>::min()),
+          B::i(-1));
   b.ret(B::r(x));
   b.end_function();
   EXPECT_EQ(fold_constants(m.function("main")).folded_instructions, 0);

@@ -8,6 +8,7 @@
 #include "privanalyzer/loader.h"
 #include "privanalyzer/pipeline.h"
 #include "rosa/text.h"
+#include "support/diagnostics.h"
 #include "support/error.h"
 
 namespace pa::privanalyzer {
@@ -72,6 +73,29 @@ TEST(LoaderTest, Errors) {
   EXPECT_THROW(
       load_program("; !name: a\n; !name: b\nfunc @main(0) {\nentry:\n ret 0\n}\n"),
       Error);
+  // Bad integer literals are positioned parse failures in both formats.
+  try {
+    load_program(
+        "func @main(0) {\nentry:\n  %0 = mov -9223372036854775809\n"
+        "  ret 0\n}\n",
+        "big");
+    ADD_FAILURE() << "out-of-range literal loaded";
+  } catch (const support::StageError& e) {
+    EXPECT_EQ(e.diagnostic().code, support::DiagCode::ParseFailed);
+    EXPECT_EQ(e.diagnostic().line, 3);
+    EXPECT_NE(e.diagnostic().message.find("integer literal out of range"),
+              std::string::npos);
+  }
+  try {
+    load_privc_program("fn main() {\n  var mode = 0778;\n  return 0;\n}\n",
+                       "octal");
+    ADD_FAILURE() << "non-octal digit loaded";
+  } catch (const support::StageError& e) {
+    EXPECT_EQ(e.diagnostic().code, support::DiagCode::ParseFailed);
+    EXPECT_NE(e.diagnostic().message.find(
+                  "line 2: invalid digit '8' in octal literal"),
+              std::string::npos);
+  }
 }
 
 std::string read_file(const std::string& path) {

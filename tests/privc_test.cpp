@@ -51,6 +51,18 @@ TEST(LexerTest, OctalAndStringLiterals) {
 TEST(LexerTest, Errors) {
   EXPECT_THROW(lex("fn main() { @ }"), Error);
   EXPECT_THROW(lex("\"unterminated"), Error);
+  // A literal with a leading 0 is octal, and every literal fits int64.
+  EXPECT_THROW(lex("var x = 0778;"), Error);
+  EXPECT_THROW(lex("var x = 9223372036854775808;"), Error);
+  try {
+    lex("fn main() {\n  var x = 09;\n}");
+    ADD_FAILURE() << "09 lexed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 2: invalid digit '9' in octal literal"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ParserTest, Structure) {
@@ -166,6 +178,16 @@ fn main() {
   EXPECT_EQ(run_main(m), 42);
   // The callee is address-taken (visible to AutoPriv's call graph).
   EXPECT_TRUE(m.function("double").address_taken());
+}
+
+TEST(CodegenTest, CallsToFunctionsDefinedLater) {
+  ir::Module m = compile_source(R"(
+fn main() { return helper(3) + is_even(10) * 10; }
+fn helper(x) { return x * 2; }
+fn is_even(n) { if (n == 0) { return 1; } return is_odd(n - 1); }
+fn is_odd(n) { if (n == 0) { return 0; } return is_even(n - 1); }
+)", "t");
+  EXPECT_EQ(run_main(m), 16);
 }
 
 TEST(CodegenTest, Errors) {

@@ -119,14 +119,25 @@ bool Interpreter::step() {
           const bool eq = av == bv;
           out = (inst.op == ir::Opcode::CmpEq) ? eq : !eq;
         } else {
+          // PrivIR integers are int64 two's complement: add, sub and mul
+          // wrap, and div faults where the quotient has no int64 value.
           const std::int64_t a = ir::rt_as_int(av);
           const std::int64_t b = ir::rt_as_int(bv);
+          const auto ua = static_cast<std::uint64_t>(a);
+          const auto ub = static_cast<std::uint64_t>(b);
           switch (inst.op) {
-            case ir::Opcode::Add: out = a + b; break;
-            case ir::Opcode::Sub: out = a - b; break;
-            case ir::Opcode::Mul: out = a * b; break;
+            case ir::Opcode::Add:
+              out = static_cast<std::int64_t>(ua + ub);
+              break;
+            case ir::Opcode::Sub:
+              out = static_cast<std::int64_t>(ua - ub);
+              break;
+            case ir::Opcode::Mul:
+              out = static_cast<std::int64_t>(ua * ub);
+              break;
             case ir::Opcode::Div:
               PA_CHECK(b != 0, "division by zero");
+              PA_CHECK(a != INT64_MIN || b != -1, "division overflow");
               out = a / b;
               break;
             case ir::Opcode::CmpLt: out = a < b; break;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -270,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomModuleDiff, ::testing::Range(0u, 48u));
 
 // --- Faults ------------------------------------------------------------------
 
-programs::ProgramSpec fault_spec(const std::string& name,
+programs::ProgramSpec build_spec(const std::string& name,
                                  void (*build)(ir::IRBuilder&)) {
   programs::ProgramSpec spec;
   spec.name = name;
@@ -284,14 +285,14 @@ programs::ProgramSpec fault_spec(const std::string& name,
 
 TEST(FaultDiff, FaultsThrowTheSameMessage) {
   const std::vector<programs::ProgramSpec> faults = {
-      fault_spec("unreachable",
+      build_spec("unreachable",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    b.nop(3);
                    b.unreachable();
                    b.end_function();
                  }),
-      fault_spec("raise_not_permitted",
+      build_spec("raise_not_permitted",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    b.nop(2);
@@ -299,7 +300,7 @@ TEST(FaultDiff, FaultsThrowTheSameMessage) {
                    b.ret(B::i(0));
                    b.end_function();
                  }),
-      fault_spec("callind_through_int",
+      build_spec("callind_through_int",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    int v = b.mov(B::i(5));
@@ -307,7 +308,7 @@ TEST(FaultDiff, FaultsThrowTheSameMessage) {
                    b.ret(B::i(0));
                    b.end_function();
                  }),
-      fault_spec("call_unknown_function",
+      build_spec("call_unknown_function",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    b.nop(1);
@@ -315,7 +316,7 @@ TEST(FaultDiff, FaultsThrowTheSameMessage) {
                    b.ret(B::i(0));
                    b.end_function();
                  }),
-      fault_spec("call_arity_mismatch",
+      build_spec("call_arity_mismatch",
                  [](ir::IRBuilder& b) {
                    b.begin_function("callee", 2);
                    b.ret(B::i(0));
@@ -325,10 +326,30 @@ TEST(FaultDiff, FaultsThrowTheSameMessage) {
                    b.ret(B::i(0));
                    b.end_function();
                  }),
-      fault_spec("fell_off_block",
+      build_spec("fell_off_block",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    b.nop(4);
+                   b.end_function();
+                 }),
+      // The div ends its block, so it ends its run in both engines.
+      build_spec("division_overflow",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   int m = b.mov(
+                       B::i(std::numeric_limits<std::int64_t>::min()));
+                   b.nop(2);
+                   b.binop(ir::Opcode::Div, B::r(m), B::i(-1));
+                   b.end_function();
+                 }),
+      build_spec("signal_to_missing_handler",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   b.syscall("signal", {B::i(os::kSigTerm), B::f("missing")});
+                   int pid = b.syscall("getpid");
+                   b.syscall("kill", {B::r(pid), B::i(os::kSigTerm)});
+                   b.nop(2);
+                   b.ret(B::i(0));
                    b.end_function();
                  }),
   };
@@ -345,7 +366,7 @@ TEST(FaultDiff, FaultInsideARunThrowsTheSameMessage) {
   // The decoded engine has already counted the rest of the faulting run
   // (DESIGN.md decision 16), so only the fault itself must match.
   const std::vector<programs::ProgramSpec> faults = {
-      fault_spec("division_by_zero_mid_run",
+      build_spec("division_by_zero_mid_run",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    int z = b.mov(B::i(0));
@@ -355,7 +376,7 @@ TEST(FaultDiff, FaultInsideARunThrowsTheSameMessage) {
                    b.ret(B::i(0));
                    b.end_function();
                  }),
-      fault_spec("string_arithmetic_mid_run",
+      build_spec("string_arithmetic_mid_run",
                  [](ir::IRBuilder& b) {
                    b.begin_function("main", 0);
                    int s = b.mov(B::s("text"));
@@ -378,7 +399,7 @@ TEST(FaultDiff, BudgetEndsInsideARun) {
   // A budget that is not a multiple of the run length ends inside a run:
   // the 9-instruction loop body, and thttpd's 30-instruction loop bodies
   // in every setup (under the killing filter, thttpd dies first).
-  const programs::ProgramSpec loop = fault_spec("budget_in_loop",
+  const programs::ProgramSpec loop = build_spec("budget_in_loop",
       [](ir::IRBuilder& b) {
         b.begin_function("main", 0);
         b.br("loop");
@@ -402,6 +423,232 @@ TEST(FaultDiff, BudgetEndsInsideARun) {
                 "fault instruction budget exhausted (100003)");
     }
     EXPECT_EQ(observe<Decoded>(thttpd, budgeted), want_thttpd);
+  }
+}
+
+// --- Value kinds and integer arithmetic -------------------------------------
+
+/// A register holding sum(bits[i] << i), so one exit code pins several
+/// comparison results.
+int bitmask(ir::IRBuilder& b, const std::vector<int>& bits) {
+  int sum = b.mov(B::i(0));
+  for (std::size_t i = 0; i < bits.size(); ++i)
+    sum = b.add(B::r(sum), B::r(b.mul(B::r(bits[i]), B::i(1 << i))));
+  return sum;
+}
+
+TEST(HandmadeModuleDiff, DecodedMatchesReference) {
+  // Strings and function references moving through registers, calls,
+  // returns and syscalls, and int64 arithmetic at its limits. The plain
+  // run's first line is pinned, so each module keeps testing what it
+  // claims; then every setup must match the reference.
+  std::vector<std::pair<programs::ProgramSpec, std::string>> cases;
+  cases.emplace_back(
+      build_spec("equal_strings_from_three_sources",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("path", 0);
+                   b.ret(B::s("/etc/passwd"));
+                   b.end_function();
+                   b.begin_function("main", 1);  // %0: entry argument
+                   const int arg = b.param(0);
+                   int imm = b.mov(B::s("/etc/passwd"));
+                   int got = b.call("path");
+                   b.ret(B::r(bitmask(
+                       b, {b.cmpeq(B::r(arg), B::r(imm)),
+                           b.cmpeq(B::r(arg), B::r(got)),
+                           b.cmpeq(B::r(imm), B::r(got)),
+                           b.cmpeq(B::r(got), B::s("/etc/passwd")),
+                           b.cmpne(B::r(got), B::s("/etc/shadow")),
+                           b.cmpne(B::r(arg), B::r(imm))})));
+                   b.end_function();
+                 }),
+      "exit 31");
+  cases.back().first.args = {std::string("/etc/passwd")};
+  cases.emplace_back(
+      build_spec("mixed_kind_equality",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   int s5 = b.mov(B::s("5"));
+                   int i5 = b.mov(B::i(5));
+                   int f = b.mov(B::f("main"));
+                   int m = b.mov(B::s("main"));
+                   b.ret(B::r(bitmask(
+                       b, {b.cmpeq(B::r(i5), B::r(s5)),
+                           b.cmpne(B::r(s5), B::r(i5)),
+                           b.cmpeq(B::r(f), B::r(m)),
+                           b.cmpne(B::r(m), B::f("main")),
+                           b.cmpeq(B::r(f), B::f("main")),
+                           b.cmpeq(B::i(0), B::s("")),
+                           b.cmpeq(B::s("main"), B::f("main"))})));
+                   b.end_function();
+                 }),
+      "exit 26");
+  cases.emplace_back(
+      build_spec("funcaddr_vs_func_operand",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("helper", 1);
+                   b.ret(B::r(b.add(B::r(b.param(0)), B::i(1))));
+                   b.end_function();
+                   b.begin_function("other", 1);
+                   b.ret(B::r(b.param(0)));
+                   b.end_function();
+                   b.begin_function("main", 0);
+                   int a = b.funcaddr("helper");
+                   int m = b.mov(B::f("helper"));
+                   int o = b.funcaddr("other");
+                   int bits = bitmask(
+                       b, {b.cmpeq(B::r(a), B::r(m)),
+                           b.cmpeq(B::r(a), B::f("helper")),
+                           b.cmpne(B::r(a), B::r(o)),
+                           b.cmpeq(B::r(a), B::s("helper"))});
+                   int x = b.callind(B::r(a), {B::i(10)});
+                   int y = b.callind(B::r(m), {B::r(x)});
+                   int scaled = b.mul(B::r(y), B::i(16));
+                   b.ret(B::r(b.add(B::r(bits), B::r(scaled))));
+                   b.end_function();
+                 }),
+      "exit 199");
+  cases.emplace_back(
+      build_spec("callind_through_moved_function",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("twice", 1);
+                   b.ret(B::r(b.mul(B::r(b.param(0)), B::i(2))));
+                   b.end_function();
+                   b.begin_function("pick", 0);
+                   b.ret(B::f("twice"));
+                   b.end_function();
+                   b.begin_function("main", 0);
+                   int f = b.mov(B::f("twice"));
+                   int g = b.mov(B::r(f));
+                   int x = b.callind(B::r(g), {B::i(21)});
+                   int picked = b.call("pick");
+                   b.ret(B::r(b.callind(B::r(picked), {B::r(x)})));
+                   b.end_function();
+                 }),
+      "exit 84");
+  cases.emplace_back(
+      build_spec("string_registers_to_open",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("path", 0);
+                   b.ret(B::s("/etc/passwd"));
+                   b.end_function();
+                   b.begin_function("main", 0);
+                   int p = b.mov(B::s("/etc/passwd"));
+                   int fd = b.syscall("open", {B::r(p), B::i(1)});
+                   int q = b.call("path");
+                   int fd2 = b.syscall("open", {B::r(q), B::i(1)});
+                   int s = b.mov(B::s("/etc/shadow"));
+                   int fd3 = b.syscall("open", {B::r(s), B::i(1)});
+                   b.ret(B::r(bitmask(
+                       b, {b.cmp_ge(B::r(fd), B::i(0)),
+                           b.cmp_ge(B::r(fd2), B::i(0)),
+                           b.cmp_lt(B::r(fd3), B::i(0))})));
+                   b.end_function();
+                 }),
+      "exit 7");
+  cases.emplace_back(
+      build_spec("signal_handlers",
+                 [](ir::IRBuilder& b) {
+                   // SIGHUP's handler raises SIGTERM, whose handler
+                   // exits: exit 115 shows both ran.
+                   b.begin_function("on_term", 1);
+                   b.exit(B::r(b.add(B::r(b.param(0)), B::i(100))));
+                   b.end_function();
+                   b.begin_function("on_hup", 1);
+                   int self = b.syscall("getpid");
+                   b.syscall("kill", {B::r(self), B::i(os::kSigTerm)});
+                   b.ret(B::i(0));
+                   b.end_function();
+                   b.begin_function("main", 0);
+                   b.syscall("signal", {B::i(os::kSigHup), B::f("on_hup")});
+                   int h = b.mov(B::f("on_term"));
+                   b.syscall("signal", {B::i(os::kSigTerm), B::r(h)});
+                   int pid = b.syscall("getpid");
+                   b.syscall("kill", {B::r(pid), B::i(os::kSigHup)});
+                   b.nop(2);
+                   b.ret(B::i(3));
+                   b.end_function();
+                 }),
+      "exit 115");
+  // The add ends its block, so the fault ends its run in both engines.
+  cases.emplace_back(
+      build_spec("string_arithmetic_on_call_result",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("name", 0);
+                   b.ret(B::s("text"));
+                   b.end_function();
+                   b.begin_function("main", 0);
+                   int s = b.call("name");
+                   b.nop(2);
+                   b.add(B::r(s), B::i(1));
+                   b.end_function();
+                 }),
+      "fault runtime value is not an integer");
+  cases.emplace_back(
+      build_spec("wrapping_arithmetic",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   int min = b.mov(
+                       B::i(std::numeric_limits<std::int64_t>::min()));
+                   int max = b.mov(
+                       B::i(std::numeric_limits<std::int64_t>::max()));
+                   int add = b.add(B::r(max), B::i(1));
+                   int sub = b.sub(B::r(min), B::i(1));
+                   int mul = b.mul(B::r(max), B::i(2));
+                   int neg = b.mul(B::r(min), B::i(-1));
+                   int zero_sub = b.sub(B::i(0), B::r(min));
+                   b.ret(B::r(bitmask(
+                       b, {b.cmpeq(B::r(add), B::r(min)),
+                           b.cmpeq(B::r(sub), B::r(max)),
+                           b.cmpeq(B::r(mul), B::i(-2)),
+                           b.cmpeq(B::r(neg), B::r(min)),
+                           b.cmpeq(B::r(zero_sub), B::r(min))})));
+                   b.end_function();
+                 }),
+      "exit 31");
+  // Callees defined after their callers, directly, indirectly and as a
+  // mutually recursive pair: is_even(6) calls is_odd(5), ..., is_even(0).
+  cases.emplace_back(
+      build_spec("calls_to_later_functions",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   int seven = b.call("seven");
+                   int even = b.call("is_even", {B::i(6)});
+                   int odd = b.call("is_odd", {B::i(6)});
+                   int f = b.mov(B::f("seven"));
+                   int again = b.callind(B::r(f), {});
+                   int sum = b.add(B::r(seven), B::r(again));
+                   b.ret(B::r(b.add(B::r(sum), B::r(bitmask(
+                       b, {b.cmpeq(B::r(even), B::i(1)),
+                           b.cmpeq(B::r(odd), B::i(0))})))));
+                   b.end_function();
+                   b.begin_function("is_even", 1);
+                   b.condbr(B::r(b.param(0)), "recurse", "base");
+                   b.at("recurse");
+                   b.ret(B::r(b.call(
+                       "is_odd", {B::r(b.sub(B::r(b.param(0)), B::i(1)))})));
+                   b.at("base");
+                   b.ret(B::i(1));
+                   b.end_function();
+                   b.begin_function("is_odd", 1);
+                   b.condbr(B::r(b.param(0)), "recurse", "base");
+                   b.at("recurse");
+                   b.ret(B::r(b.call(
+                       "is_even", {B::r(b.sub(B::r(b.param(0)), B::i(1)))})));
+                   b.at("base");
+                   b.ret(B::i(0));
+                   b.end_function();
+                   b.begin_function("seven", 0);
+                   b.ret(B::i(7));
+                   b.end_function();
+                 }),
+      "exit 17");
+
+  const RunSetup plain{"plain", false, std::nullopt};
+  for (const auto& [spec, want] : cases) {
+    SCOPED_TRACE(spec.name);
+    EXPECT_EQ(first_line(observe<Reference>(spec, plain)), want);
+    expect_same_runs(spec);
   }
 }
 
