@@ -60,24 +60,6 @@ rosa::SearchStats ProgramAnalysis::search_stats() const {
   return total;
 }
 
-namespace {
-
-/// The steady_clock deadline `seconds` from now, or none (a default
-/// time_point) when `seconds` is not positive or lies beyond what the clock
-/// can represent: an unrepresentable budget is unlimited, never expired.
-std::chrono::steady_clock::time_point deadline_after(double seconds) {
-  using Clock = std::chrono::steady_clock;
-  if (!(seconds > 0)) return {};
-  const Clock::time_point now = Clock::now();
-  const std::chrono::duration<double> headroom =
-      Clock::time_point::max() - now;
-  if (!(seconds < headroom.count())) return {};
-  return now + std::chrono::duration_cast<Clock::duration>(
-                   std::chrono::duration<double>(seconds));
-}
-
-}  // namespace
-
 ir::Module transformed_module(const programs::ProgramSpec& spec,
                               const autopriv::Options& options) {
   // ProgramSpec factories are cheap; rebuilding gives us a fresh module to
@@ -175,7 +157,7 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
   // runaway-cost stage.
   if (options.run_rosa) {
     rosa::SearchLimits limits = options.rosa_limits;
-    limits.deadline = deadline_after(options.max_total_seconds);
+    limits.deadline = rosa::deadline_after(options.max_total_seconds);
     rosa::EscalationPolicy escalation{options.rosa_escalation_rounds, 2.0};
 
     // Verdict cache: an explicit shared instance wins (batch-wide reuse);

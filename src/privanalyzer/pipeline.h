@@ -48,8 +48,10 @@ struct PipelineOptions {
   /// single-threaded); enforced by tests/rosa_parallel_diff_test.cpp.
   unsigned rosa_threads = 0;
   /// Adaptive budget escalation for the ROSA stage: a query that returns
-  /// Verdict::ResourceLimit is retried with its SearchLimits (max_states and
-  /// max_seconds) geometrically doubled, up to this many extra rounds.
+  /// Verdict::ResourceLimit is retried with its SearchLimits budgets
+  /// (max_states and max_bytes) geometrically doubled, up to this many extra
+  /// rounds; the deadline is never extended. The rounds are part of each
+  /// verdict-cache key, so a cached cell answers only this round count.
   /// 0 = off (the timed-out cell stays presumed-invulnerable, as the paper
   /// treats it). Escalation is per-query and identical on the serial and
   /// parallel paths, so verdicts stay bit-identical at every thread count;

@@ -12,47 +12,35 @@
 //
 // ## Correctness model
 //
-// A search is a deterministic function of its fingerprint plus its budget
-// signature (max_states, max_seconds, max_bytes, escalation rounds/factor),
-// except where wall-clock limits, batch deadlines, or cancellation
-// intervene (the byte budget is capacity-accounted and thus deterministic).
-// The reuse rules below never return a verdict the uncached path could not
-// have produced:
+// One rule: an entry is keyed by the query's fingerprint plus its
+// deterministic budget — max_states, max_bytes, escalation rounds, and the
+// escalation factor when rounds > 0 — and a lookup hits only an entry with
+// an equal key. A search is a deterministic function of that key (the byte
+// budget is capacity-accounted, hence deterministic) unless the batch
+// deadline or the cancel flag stops it. So a hit replays verbatim exactly
+// what the uncached path would compute: verdict, witness, and every work
+// counter. Every stored verdict was searched under the budget it answers
+// for, Unreachable included — "no witness within this budget" is never
+// stretched to another budget.
 //
-//  1. Exact signature match → the stored result is reused verbatim and is
-//     bit-identical to what the duplicate cell would have computed
-//     (verdict, witness, and every work counter). This is the in-batch
-//     case: all cells of one run share one signature.
-//  2. Definite verdicts (Reachable/Unreachable) transfer to pure
-//     states-bounded requests (no wall-clock or byte budget):
-//     Reachable decided at G explored states is reusable iff the request's
-//     largest escalated budget Bmax is unlimited or >= G; Unreachable
-//     decided after exhausting U states is reusable iff Bmax is unlimited
-//     or > U (the search declares ResourceLimit the instant the Nth state
-//     is inserted, so exhausting exactly N states under budget N does NOT
-//     yield Unreachable).
-//  3. ResourceLimit entries are stored only when provably budget-exhausted
-//     (states_explored reached the decisive attempt's max_states — a
-//     deadline- or cancel-induced ResourceLimit never qualifies) and are
-//     reusable only at equal-or-smaller budgets: 0 != Bmax <= stored
-//     decisive budget. Exploring D states without a decision implies the
-//     same at every budget <= D.
-//
-// Cross-budget reuse (rules 2–3) returns the stored work counters — the
-// cost of the search that proved the verdict — not what a re-search at the
-// new budget would have counted.
+// Storability: Reachable and Unreachable results are always stored; a
+// ResourceLimit only when !limits.expired() at store time. The deadline
+// (steady_clock is monotone) and every cancel flag (only ever set to true)
+// stay raised once raised, so an unexpired limits object proves neither
+// stopped the search, and the ResourceLimit is a fact of its budget. The
+// deadline and cancel flag are not part of the key.
 //
 // ## Concurrency
 //
-// One mutex guards the fingerprint → entry map, the recency list and the
+// One mutex guards the key → result map, the recency list and the
 // counters, so every call is safe from every worker of rosa::run_queries,
 // and LRU eviction happens under the same lock as the store that caused
 // it. No lock is held during a search, and there is no in-flight
 // handshake: equal fingerprints imply equal world signatures, so within
 // one batch duplicates land in the same fused task, which searches the
 // fingerprint once. Two concurrent batches sharing a cache (privanalyzerd
-// jobs) may both miss and search the same fingerprint; both compute the
-// same deterministic result, so whichever store lands serves later lookups.
+// jobs) may both miss and search the same key; both compute the same
+// deterministic result, so whichever store lands serves later lookups.
 #pragma once
 
 #include <cstddef>
@@ -85,21 +73,21 @@ class QueryCache {
   /// store pushes the estimated resident footprint past the budget,
   /// least-recently-used entries are evicted (never the entry just stored
   /// or reused) until it fits again. Eviction only ever costs a future
-  /// recompute — a re-submitted query misses and searches afresh — so every
-  /// reuse rule stays intact. This is what lets privanalyzerd keep one
-  /// resident multi-tenant cache without unbounded growth.
+  /// recompute — a re-submitted query misses and searches afresh. This is
+  /// what lets privanalyzerd keep one resident multi-tenant cache without
+  /// unbounded growth.
   void set_byte_budget(std::size_t bytes);
 
-  /// A stored result reusable under the reuse rules above
+  /// The result stored under this fingerprint and budget
   /// (stats.cache_hits = 1, recency refreshed), or nullopt after counting a
   /// miss.
   std::optional<SearchResult> lookup(const Fingerprint& fp,
                                      const SearchLimits& limits,
                                      const EscalationPolicy& escalation = {});
-  /// Store a freshly computed result for `fp` when the storability rule
-  /// (rule 3) admits it and it should replace any entry already there
-  /// (definite verdicts win; between ResourceLimits the larger decisive
-  /// budget does), then evict to the byte budget.
+  /// Store a freshly computed result under this fingerprint and budget when
+  /// the storability rule above admits it, overwriting any entry with the
+  /// same key (equal keys compute equal results), then evict to the byte
+  /// budget.
   void store(const Fingerprint& fp, const SearchResult& result,
              const SearchLimits& limits,
              const EscalationPolicy& escalation = {});
@@ -129,16 +117,12 @@ class QueryCache {
   bool load_file(const std::string& path, std::string* warning = nullptr);
 
   /// Atomically rewrite `path` (write temp + rename) with every stored
-  /// entry in deterministic (fingerprint-sorted) order. Each temp
+  /// entry in deterministic order (by fingerprint, then budget). Each temp
   /// write/rename attempt passes the `rosa.cache_store` fault point;
   /// transient failures are retried up to kIoAttempts times with
   /// exponential backoff. Returns false with `*warning` set once every
   /// attempt failed.
   bool save_file(const std::string& path, std::string* warning = nullptr) const;
-
-  /// Implementation detail (public only so cache.cpp's file-local helpers
-  /// can name it): one stored result plus its budget signature.
-  struct Entry;
 
  private:
   /// Everything the one mutex guards: the map, the recency list, the byte

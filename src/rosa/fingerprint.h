@@ -5,10 +5,8 @@
 // which canonical() omits but wildcard instantiation consumes), the ordered
 // message list, the attacker model, the goal and access-checker identities,
 // and the semantics-bearing part of SearchLimits (no_dedup). Budgets
-// (max_states / max_seconds / escalation) are deliberately NOT part of the
-// fingerprint: the cache layer (rosa/cache.h) reasons about budget
-// monotonicity instead, so a verdict proved at one budget can be reused at
-// compatible budgets.
+// (max_states / max_bytes / escalation) are not fingerprinted; the cache
+// keys on fingerprint plus budget (rosa/cache.h).
 //
 // Every fingerprint is salted with kRosaModelVersion; bump it whenever the
 // transition rules, state model, or search semantics change so persistent
@@ -32,7 +30,8 @@ struct Fingerprint {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
 
-  bool operator==(const Fingerprint&) const = default;
+  /// (hi, lo) order, which is to_hex() order.
+  auto operator<=>(const Fingerprint&) const = default;
 
   /// 32 lowercase hex digits (hi then lo) — the persistent-cache key format.
   std::string to_hex() const;

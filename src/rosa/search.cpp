@@ -44,7 +44,6 @@ void SearchStats::merge(const SearchStats& other) {
   peak_bytes = std::max(peak_bytes, other.peak_bytes);
   state_bytes += other.state_bytes;
   escalations += other.escalations;
-  decisive_states += other.decisive_states;
   seconds += other.seconds;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
@@ -56,7 +55,6 @@ void SearchStats::merge(const SearchStats& other) {
 void SearchStats::add_retry(const SearchStats& retry) {
   merge(retry);
   ++escalations;
-  decisive_states = retry.decisive_states;
 }
 
 std::string SearchStats::to_string() const {
@@ -86,6 +84,17 @@ std::string SearchResult::to_string() const {
   return out;
 }
 
+std::chrono::steady_clock::time_point deadline_after(double seconds) {
+  using Clock = std::chrono::steady_clock;
+  if (!(seconds > 0)) return {};
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> headroom =
+      Clock::time_point::max() - now;
+  if (!(seconds < headroom.count())) return {};
+  return now + std::chrono::duration_cast<Clock::duration>(
+                   std::chrono::duration<double>(seconds));
+}
+
 SearchLimits EscalationPolicy::attempt_limits(const SearchLimits& base,
                                               unsigned attempt) const {
   SearchLimits grown = base;
@@ -93,7 +102,6 @@ SearchLimits EscalationPolicy::attempt_limits(const SearchLimits& base,
     if (grown.max_states)
       grown.max_states = static_cast<std::size_t>(
           static_cast<double>(grown.max_states) * factor);
-    if (grown.max_seconds > 0) grown.max_seconds *= factor;
     if (grown.max_bytes)
       grown.max_bytes = static_cast<std::size_t>(
           static_cast<double>(grown.max_bytes) * factor);
@@ -283,7 +291,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     SearchResult& res = results[m];
     res.verdict = v;
     mem.stats.seconds = elapsed();
-    mem.stats.decisive_states = mem.stats.states;
     // Every node on the path is m-intrinsic (ancestors consume subsets),
     // so the walk is the one m's lone run would take.
     if (goal_node >= 0) res.witness = witness_to(nodes, goal_node);
@@ -318,11 +325,10 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   std::vector<ExpandedTransition> expanded;
 
   while (live && !frontier.empty()) {
-    // The wall-clock budget, the batch deadline and the cancel flag are
-    // checked once per frontier pop, so searches with a tiny fanout but an
-    // enormous frontier still respect them.
-    if ((limits.max_seconds > 0 && elapsed() > limits.max_seconds) ||
-        limits.expired()) {
+    // The deadline and the cancel flag are checked once per frontier pop,
+    // so searches with a tiny fanout but an enormous frontier still respect
+    // them.
+    if (limits.expired()) {
       for_members(live,
                   [&](std::size_t m) { decide(m, Verdict::ResourceLimit, -1); });
       break;

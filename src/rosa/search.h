@@ -94,9 +94,6 @@ struct SearchLimits {
   /// Stop after exploring this many distinct states (0 = unlimited). This is
   /// the bound that produces the paper's "timed out" verdicts.
   std::size_t max_states = 2'000'000;
-  /// Wall-clock budget in seconds (0 = unlimited). Checked once per frontier
-  /// pop, so even huge-frontier/tiny-fanout searches respect the budget.
-  double max_seconds = 0.0;
   /// Memory budget in bytes for the search's node arena (0 = unlimited).
   /// Exceeding it returns ResourceLimit, exactly like max_states. The
   /// accounting is capacity-based (arena chunks + per-state heap bytes), not
@@ -114,15 +111,20 @@ struct SearchLimits {
   /// force every insert through the collision-fallback path). Verdicts must
   /// not change under any override (tests/rosa_hash_test.cpp).
   std::function<std::uint64_t(const State&)> hash_override;
-  /// Absolute batch-wide deadline (default-constructed = none). Checked once
-  /// per frontier pop like max_seconds; past-deadline searches return
-  /// ResourceLimit. The pipeline derives this from
+  /// Absolute batch-wide deadline (default-constructed = none), the one
+  /// wall-clock limit. Checked once per frontier pop, so even
+  /// huge-frontier/tiny-fanout searches respect it; past-deadline searches
+  /// return ResourceLimit. The pipeline derives this from
   /// PipelineOptions::max_total_seconds so a runaway (epoch × attack) matrix
-  /// cannot hang a batch.
+  /// cannot hang a batch. steady_clock is monotone, so once passed a
+  /// deadline stays passed.
   std::chrono::steady_clock::time_point deadline{};
   /// Cooperative cancellation (non-owning; e.g. the CLI's SIGINT flag or a
   /// daemon job's cancel flag). When set and *cancel is true, the search
-  /// stops at the next frontier pop with ResourceLimit.
+  /// stops at the next frontier pop with ResourceLimit. A flag is only ever
+  /// set to true, so once raised it stays raised. With the deadline, this
+  /// is what lets the verdict cache (rosa/cache.h) decide from expired()
+  /// at store time whether a ResourceLimit came from the budget alone.
   const std::atomic<bool>* cancel = nullptr;
 
   bool has_deadline() const {
@@ -134,11 +136,18 @@ struct SearchLimits {
   }
 };
 
-/// Geometric budget escalation for queries that hit Outcome
-/// Verdict::ResourceLimit: retry with max_states and max_seconds multiplied
-/// by `factor` each round, up to `rounds` extra attempts. Escalation shrinks
-/// the paper's presumed-invulnerable (timed-out) bucket; the retries are
-/// deterministic whenever the limits are (states-based limits always are).
+/// The steady_clock deadline `seconds` from now, or none (a default
+/// time_point) when `seconds` is not positive or lies beyond what the clock
+/// can represent: an unrepresentable budget is unlimited, never expired.
+std::chrono::steady_clock::time_point deadline_after(double seconds);
+
+/// Geometric budget escalation for queries that hit
+/// Verdict::ResourceLimit: retry with max_states and max_bytes multiplied by
+/// `factor` each round, up to `rounds` extra attempts. Escalation shrinks
+/// the paper's presumed-invulnerable (timed-out) bucket. Both budgets are
+/// deterministic, so the retries are too; the deadline and cancel flag are
+/// never grown, and once either stops a search the ladder stops with it.
+/// The verdict cache keys on rounds and factor (factor only when rounds > 0).
 struct EscalationPolicy {
   unsigned rounds = 0;   // extra attempts after the base search (0 = off)
   double factor = 2.0;   // budget multiplier per round
@@ -146,11 +155,8 @@ struct EscalationPolicy {
   bool enabled() const { return rounds > 0; }
 
   /// The limits of attempt `attempt` (0 = the base search): every set
-  /// budget (max_states, max_seconds, max_bytes) multiplied by `factor` and
-  /// truncated, once per round. The one growth rule: the escalation ladder
-  /// runs these limits, and the verdict cache's reuse rules 2–3
-  /// (rosa/cache.h) predict budgets with them, which is only sound while
-  /// both read the same function.
+  /// budget (max_states, max_bytes) multiplied by `factor` and truncated,
+  /// once per round.
   SearchLimits attempt_limits(const SearchLimits& base, unsigned attempt) const;
 };
 
@@ -196,13 +202,6 @@ struct SearchStats {
   /// comparing against the sum of per-query `states` (which replay the
   /// standalone counts) measures the fused states-explored reduction.
   std::size_t fused_world_states = 0;
-  /// States explored by the decisive (final) attempt. Equal to `states`
-  /// except under escalation, where `states` accumulates work across every
-  /// retry while this keeps the count of the attempt whose verdict the
-  /// result carries. The verdict cache's reuse rules reason over this:
-  /// "would a smaller budget have reached the same verdict" is a question
-  /// about one attempt, not about the sum of all retries (rosa/cache.cpp).
-  std::size_t decisive_states = 0;
   double seconds = 0.0;             // wall time
 
   /// Average arena bytes per explored state (0 when nothing was explored) —
@@ -222,9 +221,8 @@ struct SearchStats {
   /// Accumulate another query's counters (peak_frontier takes the max).
   void merge(const SearchStats& other);
   /// Fold one escalation retry into this query's running total: the work
-  /// counters accumulate as in merge(), escalations counts the retry, and
-  /// decisive_states becomes the retry's — the attempt whose verdict now
-  /// stands. The one accumulation rule for every escalation ladder.
+  /// counters accumulate as in merge() and escalations counts the retry.
+  /// The one accumulation rule for every escalation ladder.
   void add_retry(const SearchStats& retry);
 
   std::string to_string() const;
@@ -281,8 +279,8 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 /// fingerprints share a world signature, so they land in the same group,
 /// which searches the fingerprint once and fans the result out. Cached and
 /// uncached batches are bit-identical in verdicts, witnesses, and work
-/// counters because identical fingerprints imply identical deterministic
-/// searches (rosa/cache.h spells out the reuse rules).
+/// counters because an entry answers only the fingerprint and budget that
+/// produced it, and that search is deterministic (rosa/cache.h).
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits = {},
                                       unsigned n_threads = 0,

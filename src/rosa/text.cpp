@@ -1,6 +1,8 @@
 #include "rosa/text.h"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "rosa/query.h"
 #include "support/error.h"
@@ -70,17 +72,27 @@ class LineScanner {
     return std::string(line_.substr(start, pos_ - start));
   }
 
+  /// An optional '-', then decimal digits, or octal digits after a leading
+  /// 0 ("010" is 8; "09" is an error, not 0). Every digit must be consumed
+  /// and the value must fit an int.
   int integer() {
     skip_ws();
-    std::size_t start = pos_;
+    const std::size_t start = pos_;
     if (pos_ < line_.size() && line_[pos_] == '-') ++pos_;
-    bool octal = pos_ < line_.size() && line_[pos_] == '0';
+    const std::size_t digits = pos_;
     while (pos_ < line_.size() &&
            std::isdigit(static_cast<unsigned char>(line_[pos_])))
       ++pos_;
-    if (pos_ == start) err("expected integer");
-    std::string digits(line_.substr(start, pos_ - start));
-    return static_cast<int>(std::stol(digits, nullptr, octal ? 8 : 10));
+    if (pos_ == digits) err("expected integer");
+    const int base = pos_ - digits > 1 && line_[digits] == '0' ? 8 : 10;
+    const char* last = line_.data() + pos_;
+    int value = 0;
+    const auto [end, ec] =
+        std::from_chars(line_.data() + start, last, value, base);
+    if (end != last && ec == std::errc{})
+      err(str::cat("invalid digit '", *end, "' in octal integer"));
+    if (ec != std::errc{}) err("integer out of range");
+    return value;
   }
 
   std::string quoted() {

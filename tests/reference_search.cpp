@@ -106,7 +106,6 @@ void grow_budgets(SearchLimits& limits, double factor) {
   if (limits.max_states)
     limits.max_states = static_cast<std::size_t>(
         static_cast<double>(limits.max_states) * factor);
-  if (limits.max_seconds > 0) limits.max_seconds *= factor;
   if (limits.max_bytes)
     limits.max_bytes = static_cast<std::size_t>(
         static_cast<double>(limits.max_bytes) * factor);
@@ -163,7 +162,6 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
   auto finish = [&](Verdict v, std::int64_t goal_node) {
     result.verdict = v;
     result.stats.seconds = elapsed();
-    result.stats.decisive_states = result.stats.states;
     if (goal_node >= 0) result.witness = witness_to(nodes, goal_node);
     return result;
   };
@@ -190,12 +188,10 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
   std::vector<ExpandedTransition> expanded;
 
   while (!frontier.empty()) {
-    // The wall-clock budget, the batch-wide deadline, and the cooperative
-    // cancel flag are all enforced here, once per frontier pop: a
-    // per-message-loop check alone is blind to searches whose per-state
-    // fanout is tiny but whose frontier is enormous.
-    if (limits.max_seconds > 0 && elapsed() > limits.max_seconds)
-      return finish(Verdict::ResourceLimit, -1);
+    // The batch-wide deadline and the cooperative cancel flag are enforced
+    // here, once per frontier pop: a per-message-loop check alone is blind
+    // to searches whose per-state fanout is tiny but whose frontier is
+    // enormous.
     if (limits.expired()) return finish(Verdict::ResourceLimit, -1);
 
     const std::size_t cur = frontier.front();

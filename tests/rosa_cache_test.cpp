@@ -1,15 +1,20 @@
 // Tests for the content-addressed ROSA verdict cache (rosa/fingerprint.h +
-// rosa/cache.h): fingerprint stability/sensitivity, the three reuse rules
-// (exact signature, definite-verdict transfer, ResourceLimit monotonicity),
-// persistent-file robustness (corrupt/stale/truncated files degrade to a
-// cold cache, never wrong answers), and differential cached-vs-uncached
-// equivalence through the full pipeline — the property that makes it safe
-// to leave the cache on by default.
+// rosa/cache.h): fingerprint stability/sensitivity, the one reuse rule
+// (an entry answers only its own fingerprint plus budget) and the
+// storability rule for ResourceLimits, persistent-file robustness
+// (corrupt/stale/truncated files degrade to a cold cache, never wrong
+// answers), and differential cached-vs-uncached equivalence through the
+// full pipeline — the property that makes it safe to leave the cache on by
+// default.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -110,7 +115,7 @@ TEST(FingerprintTest, SensitiveToEverySemanticInput) {
 TEST(FingerprintTest, BudgetsDoNotAffectTheFingerprint) {
   SearchLimits small = states_budget(10);
   SearchLimits big = states_budget(1'000'000);
-  big.max_seconds = 3.5;
+  big.max_bytes = 1u << 30;
   big.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
   EXPECT_EQ(hex_of(reachable_query(), small), hex_of(reachable_query(), big));
 }
@@ -127,7 +132,7 @@ TEST(FingerprintTest, UncacheableQueries) {
   EXPECT_FALSE(fingerprint_query(reachable_query(), lim).has_value());
 }
 
-// --- In-memory reuse rules -------------------------------------------------
+// --- In-memory reuse and storability ---------------------------------------
 
 TEST(QueryCacheTest, ExactRepeatIsABitIdenticalHit) {
   QueryCache cache;
@@ -142,7 +147,7 @@ TEST(QueryCacheTest, ExactRepeatIsABitIdenticalHit) {
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   EXPECT_EQ(hit.stats.cache_misses, 0u);
   expect_same_work(miss, hit);
-  // Rule-1 reuse is verbatim, down to the stored wall time.
+  // A hit is verbatim, down to the stored wall time.
   EXPECT_EQ(hit.seconds(), miss.seconds());
   EXPECT_EQ(hit.stats.seconds, miss.stats.seconds);
 
@@ -177,87 +182,55 @@ TEST(QueryCacheTest, RunQueriesSearchesEachFingerprintOnce) {
   EXPECT_EQ(t.entries, 1u);
 }
 
-TEST(QueryCacheTest, ReachableVerdictTransfersToCompatibleBudgets) {
+TEST(QueryCacheTest, EachBudgetIsItsOwnEntry) {
   QueryCache cache;
-  SearchResult proved = run_cached(cache, reachable_query(), states_budget(10'000));
-  ASSERT_EQ(proved.verdict, Verdict::Reachable);
-  const std::size_t g = proved.states_explored();
-  ASSERT_GT(g, 1u);
-
-  // Reusable at exactly G explored states and at an unlimited budget.
-  SearchResult at_g = run_cached(cache, reachable_query(), states_budget(g));
-  EXPECT_EQ(at_g.stats.cache_hits, 1u);
-  expect_same_work(proved, at_g);
-  SearchResult unlimited = run_cached(cache, reachable_query(), states_budget(0));
-  EXPECT_EQ(unlimited.stats.cache_hits, 1u);
-
-  // Below G the cache must re-search — and agree bit-for-bit with the
-  // uncached engine at that budget, whatever it decides.
-  SearchResult below = run_cached(cache, reachable_query(), states_budget(g - 1));
-  EXPECT_EQ(below.stats.cache_misses, 1u);
-  expect_same_work(search_escalating(reachable_query(), states_budget(g - 1), {}),
-                   below);
-}
-
-TEST(QueryCacheTest, UnreachableBoundaryIsStrict) {
-  QueryCache cache;
-  SearchResult proved =
-      run_cached(cache, unreachable_query(), states_budget(10'000));
-  ASSERT_EQ(proved.verdict, Verdict::Unreachable);
-  const std::size_t u = proved.states_explored();  // full space size
+  const Query q = unreachable_query();
+  const SearchLimits a = states_budget(10'000);
+  const SearchResult at_a = run_cached(cache, q, a);
+  EXPECT_EQ(at_a.stats.cache_misses, 1u);
+  ASSERT_EQ(at_a.verdict, Verdict::Unreachable);
+  const std::size_t u = at_a.states_explored();  // the size of the space
   ASSERT_GT(u, 1u);
 
-  // Budget U+1 would have exhausted the space: hit.
-  SearchResult above = run_cached(cache, unreachable_query(), states_budget(u + 1));
-  EXPECT_EQ(above.stats.cache_hits, 1u);
-  EXPECT_EQ(above.verdict, Verdict::Unreachable);
+  // Budget U is another entry. The search declares ResourceLimit the
+  // instant it inserts the U-th state, so exhausting exactly U states under
+  // budget U is not Unreachable, and the stored verdict must not say it is.
+  const SearchLimits b = states_budget(u);
+  const SearchResult at_b = run_cached(cache, q, b);
+  EXPECT_EQ(at_b.stats.cache_misses, 1u);
+  EXPECT_EQ(at_b.verdict, Verdict::ResourceLimit);
+  expect_same_work(search_escalating(q, b, {}), at_b);
 
-  // Budget exactly U hits the in-search budget check while inserting the
-  // U-th state, so the honest answer is ResourceLimit, not Unreachable —
-  // the cache must not paper over the boundary.
-  SearchResult at_u = run_cached(cache, unreachable_query(), states_budget(u));
-  EXPECT_EQ(at_u.stats.cache_misses, 1u);
-  EXPECT_EQ(at_u.verdict, Verdict::ResourceLimit);
-  expect_same_work(search_escalating(unreachable_query(), states_budget(u), {}),
-                   at_u);
+  // Each budget now hits its own entry.
+  const SearchResult hit_a = run_cached(cache, q, a);
+  EXPECT_EQ(hit_a.stats.cache_hits, 1u);
+  expect_same_work(at_a, hit_a);
+  const SearchResult hit_b = run_cached(cache, q, b);
+  EXPECT_EQ(hit_b.stats.cache_hits, 1u);
+  expect_same_work(at_b, hit_b);
+  EXPECT_EQ(cache.totals().entries, 2u);
 
-  // The fresh ResourceLimit must not displace the definite verdict.
-  SearchResult still =
-      run_cached(cache, unreachable_query(), states_budget(u + 1));
-  EXPECT_EQ(still.stats.cache_hits, 1u);
-  EXPECT_EQ(still.verdict, Verdict::Unreachable);
-}
+  // A save and load keeps both.
+  const std::string path =
+      str::cat(::testing::TempDir(), "/rosa_cache_test.EachBudget.",
+               ::getpid(), ".cache");
+  ASSERT_TRUE(cache.save_file(path));
+  QueryCache reader;
+  std::string warn;
+  EXPECT_TRUE(reader.load_file(path, &warn)) << warn;
+  std::remove(path.c_str());
+  EXPECT_EQ(reader.totals().loaded, 2u);
+  expect_same_work(at_a, run_cached(reader, q, a));
+  expect_same_work(at_b, run_cached(reader, q, b));
+  EXPECT_EQ(reader.totals().misses, 0u);
 
-TEST(QueryCacheTest, ResourceLimitReusableOnlyAtSmallerBudgets) {
-  QueryCache cache;
-  const Query q = unreachable_query(3);  // 8-state space
-  SearchResult rl = run_cached(cache, q, states_budget(3));
-  ASSERT_EQ(rl.verdict, Verdict::ResourceLimit);
-  ASSERT_EQ(rl.states_explored(), 3u);
-
-  // Equal and smaller budgets: exploring 3 states without a decision
-  // implies the same at budget <= 3.
-  EXPECT_EQ(run_cached(cache, q, states_budget(3)).stats.cache_hits, 1u);
-  EXPECT_EQ(run_cached(cache, q, states_budget(2)).stats.cache_hits, 1u);
-  EXPECT_EQ(run_cached(cache, q, states_budget(2)).verdict,
-            Verdict::ResourceLimit);
-
-  // A larger budget must search afresh; the deeper ResourceLimit replaces
-  // the shallower entry, then serves budgets up to its decisive budget.
-  SearchResult deeper = run_cached(cache, q, states_budget(5));
-  EXPECT_EQ(deeper.stats.cache_misses, 1u);
-  ASSERT_EQ(deeper.verdict, Verdict::ResourceLimit);
-  EXPECT_EQ(run_cached(cache, q, states_budget(4)).stats.cache_hits, 1u);
-
-  // An unlimited request exhausts the space: the definite verdict replaces
-  // the ResourceLimit entry for good.
-  SearchResult definite = run_cached(cache, q, states_budget(0));
-  EXPECT_EQ(definite.stats.cache_misses, 1u);
-  ASSERT_EQ(definite.verdict, Verdict::Unreachable);
-  SearchResult served =
-      run_cached(cache, q, states_budget(definite.states_explored() + 1));
-  EXPECT_EQ(served.stats.cache_hits, 1u);
-  EXPECT_EQ(served.verdict, Verdict::Unreachable);
+  // Without escalation rounds the factor is unused, so it is no part of
+  // the key: factors 2.0 and 3.0 share A's entry.
+  const SearchResult other_factor =
+      run_cached(cache, q, a, EscalationPolicy{0, 3.0});
+  EXPECT_EQ(other_factor.stats.cache_hits, 1u);
+  expect_same_work(at_a, other_factor);
+  EXPECT_EQ(cache.totals().entries, 2u);
 }
 
 TEST(QueryCacheTest, EscalatedDecisiveResultIsCached) {
@@ -268,17 +241,27 @@ TEST(QueryCacheTest, EscalatedDecisiveResultIsCached) {
   ASSERT_EQ(miss.verdict, Verdict::Unreachable);
   EXPECT_EQ(miss.stats.escalations, 3u);
 
-  // Rule 1: the same (limits, escalation) signature replays verbatim,
-  // escalation counters included.
+  // The same budget and escalation replay verbatim, escalation counters
+  // included.
   SearchResult hit = run_cached(cache, q, states_budget(2), esc);
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   expect_same_work(miss, hit);
 
-  // Rule 2: the definite verdict also serves a plain request whose budget
-  // clears the 8 explored states.
-  SearchResult plain = run_cached(cache, q, states_budget(9));
-  EXPECT_EQ(plain.stats.cache_hits, 1u);
-  EXPECT_EQ(plain.verdict, Verdict::Unreachable);
+  // Any other budget searches, even a plain one that clears the 8 explored
+  // states, and so do other rounds or factors: each matches an uncached
+  // search at its own budget.
+  const std::vector<std::pair<SearchLimits, EscalationPolicy>> others = {
+      {states_budget(9), {}},
+      {states_budget(2), {2, 2.0}},  // budgets 2, 4, 8: ResourceLimit
+      {states_budget(2), {3, 3.0}},
+  };
+  for (const auto& [lim, other] : others) {
+    SCOPED_TRACE(str::cat(lim.max_states, " x", other.rounds, "@",
+                          other.factor));
+    const SearchResult r = run_cached(cache, q, lim, other);
+    EXPECT_EQ(r.stats.cache_misses, 1u);
+    expect_same_work(search_escalating(q, lim, other), r);
+  }
 }
 
 TEST(QueryCacheTest, ByteBudgetIsPartOfTheExactSignature) {
@@ -289,14 +272,13 @@ TEST(QueryCacheTest, ByteBudgetIsPartOfTheExactSignature) {
   ASSERT_EQ(miss.verdict, Verdict::Reachable);
   EXPECT_EQ(miss.stats.cache_misses, 1u);
 
-  // Rule 1: identical byte budget replays verbatim.
+  // An identical byte budget replays verbatim.
   SearchResult hit = run_cached(cache, reachable_query(), bounded);
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   expect_same_work(miss, hit);
 
-  // A different byte budget is a different signature, and a byte-budgeted
-  // request must not borrow a definite verdict via rule 2 either (the
-  // stored entry proves nothing about where a byte cap would have fired).
+  // A different byte budget is a different key (the stored entry proves
+  // nothing about where another byte cap would have fired).
   SearchLimits other = bounded;
   other.max_bytes = 1u << 29;
   SearchResult re = run_cached(cache, reachable_query(), other);
@@ -304,17 +286,21 @@ TEST(QueryCacheTest, ByteBudgetIsPartOfTheExactSignature) {
   expect_same_work(miss, re);  // same work either way — the cap never fires
 }
 
-TEST(QueryCacheTest, ByteLimitedResourceLimitIsNotStored) {
+TEST(QueryCacheTest, ByteLimitedResourceLimitIsStoredUnderItsBudget) {
   QueryCache cache;
   SearchLimits starved = states_budget(10'000);
-  starved.max_bytes = 1;  // root node alone exceeds this
+  starved.max_bytes = 1;  // the first successor already exceeds this
   SearchResult rl = run_cached(cache, unreachable_query(), starved);
   ASSERT_EQ(rl.verdict, Verdict::ResourceLimit);
-  // A byte-induced ResourceLimit says nothing about states-bounded budgets,
-  // so it must not enter the cache (like deadline-induced ones).
-  EXPECT_EQ(cache.totals().entries, 0u);
+  EXPECT_EQ(rl.stats.cache_misses, 1u);
+  // The byte budget is deterministic and part of the key, so the
+  // ResourceLimit is stored, and the same starved budget replays it.
+  EXPECT_EQ(cache.totals().entries, 1u);
+  SearchResult hit = run_cached(cache, unreachable_query(), starved);
+  EXPECT_EQ(hit.stats.cache_hits, 1u);
+  expect_same_work(rl, hit);
 
-  // And a pure states-bounded request afterwards searches fresh.
+  // A states-only request is another key and searches afresh.
   SearchResult fresh =
       run_cached(cache, unreachable_query(), states_budget(10'000));
   EXPECT_EQ(fresh.stats.cache_misses, 1u);
@@ -322,30 +308,49 @@ TEST(QueryCacheTest, ByteLimitedResourceLimitIsNotStored) {
 }
 
 TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
-  QueryCache cache;
-  // The cancel flag rises while the search runs (a batch never starts a
-  // query whose flag is already up): evaluating the goal on the root sets
-  // it, so the search stops at its first frontier pop. Same predicate, same
-  // key — the query keeps reachable_query()'s fingerprint.
-  std::atomic<bool> stop{false};
-  Query q = reachable_query();
-  q.goal = Goal(
-      [&stop, goal = q.goal](const State& st) {
-        stop = true;
-        return goal(st);
-      },
-      q.goal.cache_key());
-  SearchLimits lim = states_budget(10'000);
-  lim.cancel = &stop;
-  SearchResult cancelled = run_cached(cache, q, lim);
-  EXPECT_EQ(cancelled.verdict, Verdict::ResourceLimit);
-  EXPECT_EQ(cancelled.stats.cache_misses, 1u);
-  // A cancellation artifact proves nothing about any budget.
-  EXPECT_EQ(cache.totals().entries, 0u);
+  // The stop condition rises while the search runs (a batch never starts a
+  // query whose limits have already expired): the goal raises it when it
+  // tests the root, so the search stops at its first frontier pop. Same
+  // predicate, same key: the query keeps reachable_query()'s fingerprint.
+  auto expect_not_stored = [](const SearchLimits& lim,
+                              const std::function<void()>& raise) {
+    QueryCache cache;
+    Query q = reachable_query();
+    q.goal = Goal(
+        [raise, goal = q.goal](const State& st) {
+          raise();
+          return goal(st);
+        },
+        q.goal.cache_key());
+    SearchResult stopped = run_cached(cache, q, lim);
+    EXPECT_EQ(stopped.verdict, Verdict::ResourceLimit);
+    EXPECT_EQ(stopped.stats.cache_misses, 1u);
+    // A stopped search proves nothing about its budget.
+    EXPECT_EQ(cache.totals().entries, 0u);
 
-  SearchResult fresh = run_cached(cache, reachable_query(), states_budget(10'000));
-  EXPECT_EQ(fresh.stats.cache_misses, 1u);
-  EXPECT_EQ(fresh.verdict, Verdict::Reachable);
+    SearchResult fresh =
+        run_cached(cache, reachable_query(), states_budget(10'000));
+    EXPECT_EQ(fresh.stats.cache_misses, 1u);
+    EXPECT_EQ(fresh.verdict, Verdict::Reachable);
+  };
+
+  std::atomic<bool> stop{false};
+  SearchLimits cancelled = states_budget(10'000);
+  cancelled.cancel = &stop;
+  {
+    SCOPED_TRACE("cancel flag");
+    expect_not_stored(cancelled, [&stop] { stop = true; });
+  }
+  // Far enough ahead that the batch starts the query; the goal waits it out.
+  SearchLimits timed = states_budget(10'000);
+  timed.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+  {
+    SCOPED_TRACE("deadline");
+    expect_not_stored(timed, [&timed] {
+      std::this_thread::sleep_until(timed.deadline);
+    });
+  }
 }
 
 // --- Persistence -----------------------------------------------------------
@@ -354,12 +359,14 @@ class PersistentCacheTest : public ::testing::Test {
  protected:
   // ctest runs every case as its own process, concurrently, so each case
   // gets its own file: named after the running test and the pid.
+  // Parameterized names contain '/', which must not become a directory.
   std::string path_ = [] {
     const ::testing::TestInfo* test =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    return ::testing::TempDir() + "/rosa_cache_test." +
-           test->test_suite_name() + "." + test->name() + "." +
-           std::to_string(::getpid()) + ".cache";
+    std::string name = str::cat(test->test_suite_name(), ".", test->name());
+    std::replace(name.begin(), name.end(), '/', '.');
+    return str::cat(::testing::TempDir(), "/rosa_cache_test.", name, ".",
+                    ::getpid(), ".cache");
   }();
 
   void TearDown() override { std::remove(path_.c_str()); }
@@ -446,34 +453,23 @@ TEST_F(PersistentCacheTest, StaleModelVersionIsIgnoredWholesale) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST_F(PersistentCacheTest, V4FileIsAStaleHeaderColdStart) {
-  // A file from before v5 dropped the spill and partial-order-reduction
-  // fields: a v4 header over a 25-field entry line.
-  write_file(str::cat("privanalyzer-rosa-cache v4 model=", kRosaModelVersion,
-                      "\ne ", std::string(32, 'a'),
-                      " UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0"
-                      " 2 0 0 0 0 0 0 0\nend\n"));
-  QueryCache cache;
-  std::string warn;
-  EXPECT_FALSE(cache.load_file(path_, &warn));
-  EXPECT_NE(warn.find("stale version/model header"), std::string::npos)
-      << warn;
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.totals().loaded, 0u);
-  // Cold start: the first query searches afresh.
-  const SearchResult r =
-      run_cached(cache, unreachable_query(), states_budget(10'000));
-  EXPECT_EQ(r.stats.cache_misses, 1u);
-  EXPECT_EQ(r.verdict, Verdict::Unreachable);
-}
+/// A file in an older format: its version and one entry line's fields
+/// after the fingerprint.
+struct StaleFile {
+  const char* version;
+  const char* entry;
+};
 
-TEST_F(PersistentCacheTest, V5FileIsAStaleHeaderColdStart) {
-  // A file from before v6 dropped the symmetry-pruned counter: a v5 header
-  // over a 21-field entry line.
-  write_file(str::cat("privanalyzer-rosa-cache v5 model=", kRosaModelVersion,
-                      "\ne ", std::string(32, 'a'),
-                      " UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0"
-                      " 2 0 0 0\nend\n"));
+void PrintTo(const StaleFile& f, std::ostream* os) { *os << f.version; }
+
+class StaleHeaderTest : public PersistentCacheTest,
+                        public ::testing::WithParamInterface<StaleFile> {};
+
+TEST_P(StaleHeaderTest, ColdStartThenWarmV7Rewrite) {
+  write_file(str::cat("privanalyzer-rosa-cache ", GetParam().version,
+                      " model=", kRosaModelVersion, "\ne ",
+                      std::string(32, 'a'), " ", GetParam().entry,
+                      "\nend\n"));
   QueryCache cache;
   std::string warn;
   EXPECT_FALSE(cache.load_file(path_, &warn));
@@ -487,14 +483,14 @@ TEST_F(PersistentCacheTest, V5FileIsAStaleHeaderColdStart) {
   EXPECT_EQ(r.stats.cache_misses, 1u);
   EXPECT_EQ(r.verdict, Verdict::Unreachable);
 
-  // The rewrite is a v6 file with 20-field entry lines, and it loads warm.
+  // The rewrite is a v7 file with 17-field entry lines, and it loads warm.
   ASSERT_TRUE(cache.save_file(path_));
   const std::string text = read_file();
-  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v6 model=")) << text;
+  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v7 model=")) << text;
   const std::size_t line = text.find("\ne ") + 1;
   EXPECT_EQ(str::split(text.substr(line, text.find('\n', line) - line), ' ')
                 .size(),
-            20u);
+            17u);
   QueryCache reader;
   ASSERT_TRUE(reader.load_file(path_, &warn)) << warn;
   EXPECT_EQ(reader.totals().loaded, 1u);
@@ -503,6 +499,22 @@ TEST_F(PersistentCacheTest, V5FileIsAStaleHeaderColdStart) {
   EXPECT_EQ(hit.stats.cache_hits, 1u);
   expect_same_work(r, hit);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    OldFormats, StaleHeaderTest,
+    ::testing::Values(
+        // v5 dropped v4's spill and partial-order-reduction fields: 25.
+        StaleFile{"v4",
+                  "UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0 2 0 0"
+                  " 0 0 0 0 0"},
+        // v6 dropped v5's symmetry-pruned counter: 21.
+        StaleFile{"v5",
+                  "UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0 2 0 0"
+                  " 0"},
+        // v7 keyed entries by budget and dropped v6's decisive-state and
+        // decisive-budget fields: 20.
+        StaleFile{"v6",
+                  "UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0 2 0 0"}));
 
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
   QueryCache writer;
@@ -520,16 +532,41 @@ TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
 
 TEST_F(PersistentCacheTest, TamperedEntryRejectsTheWholeFile) {
   QueryCache writer;
-  run_cached(writer, reachable_query(), states_budget(10'000));
+  const SearchResult reach =
+      run_cached(writer, reachable_query(), states_budget(10'000));
   run_cached(writer, unreachable_query(), states_budget(10'000));
+  ASSERT_FALSE(reach.witness.empty());
   ASSERT_TRUE(writer.save_file(path_));
-  tamper("\ne ", "\nq ");  // corrupt one entry line's tag
-  QueryCache cache;
-  std::string warn;
-  EXPECT_FALSE(cache.load_file(path_, &warn));
-  EXPECT_FALSE(warn.empty());
-  // All-or-nothing: the intact entry is NOT salvaged.
-  EXPECT_EQ(cache.size(), 0u);
+  const std::string saved = read_file();
+
+  const Action& step = reach.witness[0];
+  const std::string step_head =
+      str::cat("\nw ", sys_name(step.sys), " ", step.proc, " ");
+  const std::string n_witness = str::cat(" ", reach.witness.size(), "\nw ");
+  const std::vector<std::pair<std::string, std::string>> tamperings = {
+      {"\ne ", "\nq "},  // one entry line's tag
+      // A key with a factor but no rounds, and a result with more
+      // escalations than its key's rounds: no search writes either.
+      {" 10000 0 0 0 ", " 10000 0 0 2 "},
+      {" 0" + n_witness, " 1" + n_witness},
+      // A privilege bit past the 38 capabilities, at the boundary and
+      // beyond: loading it would replay the step as needing no privilege.
+      {str::cat(step_head, step.privs.raw(), " "),
+       str::cat(step_head, std::uint64_t{1} << caps::kNumCapabilities, " ")},
+      {str::cat(step_head, step.privs.raw(), " "),
+       str::cat(step_head, std::uint64_t{1} << 40, " ")},
+  };
+  for (const auto& [from, to] : tamperings) {
+    SCOPED_TRACE(to);
+    write_file(saved);
+    tamper(from, to);
+    QueryCache cache;
+    std::string warn;
+    EXPECT_FALSE(cache.load_file(path_, &warn));
+    EXPECT_FALSE(warn.empty());
+    // All-or-nothing: the intact entry is NOT salvaged.
+    EXPECT_EQ(cache.size(), 0u);
+  }
 }
 
 // --- Differential equivalence through the full pipeline --------------------

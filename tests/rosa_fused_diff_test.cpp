@@ -5,7 +5,7 @@
 // The full Table-III matrix through run_queries at 1 and 4 workers, cached
 // and uncached, is diffed against one search per query by the standalone
 // reference loop (tests/reference_search.h), down to the counters the
-// goldens deliberately omit (peak_bytes, state_bytes, decisive_states).
+// goldens deliberately omit (peak_bytes, state_bytes).
 // Fused witnesses must replay on the SimOS kernel, a mixed-attacker batch
 // must NOT fuse across world signatures, the escalation ladder must re-run
 // only still-undecided goals, and the pipeline's matrix must match one
@@ -41,7 +41,6 @@ void expect_identical_runs(const rosa::SearchResult& unfused,
   rosa_test::expect_same_work(unfused, fused);
   EXPECT_EQ(unfused.stats.peak_bytes, fused.stats.peak_bytes);
   EXPECT_EQ(unfused.stats.state_bytes, fused.stats.state_bytes);
-  EXPECT_EQ(unfused.stats.decisive_states, fused.stats.decisive_states);
 }
 
 /// The reference: every query searched on its own, in order, by the

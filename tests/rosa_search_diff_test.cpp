@@ -29,7 +29,7 @@ using rosa_test::Matrix;
 // A new SearchStats field must be compared below; this fails to compile
 // until expect_identical is taught about it.
 static_assert(sizeof(rosa::SearchStats) ==
-                  14 * sizeof(std::size_t) + sizeof(double),
+                  13 * sizeof(std::size_t) + sizeof(double),
               "compare the new SearchStats field in expect_identical");
 
 /// Verdict, witness, and every SearchStats field except seconds.
@@ -49,7 +49,6 @@ void expect_identical(const rosa::SearchResult& ref,
   EXPECT_EQ(a.fused_group_size, b.fused_group_size);
   EXPECT_EQ(a.fused_searches_saved, b.fused_searches_saved);
   EXPECT_EQ(a.fused_world_states, b.fused_world_states);
-  EXPECT_EQ(a.decisive_states, b.decisive_states);
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
   ASSERT_EQ(ref.witness.size(), got.witness.size());

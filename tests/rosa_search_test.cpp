@@ -99,8 +99,8 @@ TEST(SearchTest, TimeLimitYieldsResourceLimit) {
   Query q = paper_example();
   q.goal = [](const State&) { return false; };
   SearchLimits limits;
-  limits.max_states = 0;          // unlimited states
-  limits.max_seconds = 1e-9;      // instantly exhausted
+  limits.max_states = 0;                   // unlimited states
+  limits.deadline = deadline_after(1e-9);  // instantly passed
   SearchResult r = search(q, limits);
   // Either the tiny space finished first or the clock fired; both verdicts
   // are legal, but with a space this small exhaustion wins. Use a goal
@@ -115,8 +115,8 @@ TEST(SearchTest, TimeLimitRespectedWithHugeFrontierAndTinyFanout) {
   // Regression for the clock blind spot: the time check used to fire only
   // every 64 message applications inside the per-state loop, so a search
   // whose frontier is enormous but whose per-state fanout is tiny could
-  // blow past max_seconds unboundedly. The check now runs on every
-  // frontier pop.
+  // blow past its time budget unboundedly. The deadline check now runs on
+  // every frontier pop.
   Query q = paper_example();
   q.goal = [](const State&) { return false; };
   // Widen the wildcard pools massively: setuid/chown instantiate against
@@ -128,8 +128,8 @@ TEST(SearchTest, TimeLimitRespectedWithHugeFrontierAndTinyFanout) {
 
   SearchLimits limits;
   limits.max_states = 0;      // unlimited states: only the clock can stop us
-  limits.max_seconds = 0.05;
   const auto t0 = std::chrono::steady_clock::now();
+  limits.deadline = deadline_after(0.05);
   SearchResult r = search(q, limits);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

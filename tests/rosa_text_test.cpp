@@ -3,6 +3,7 @@
 
 #include "rosa/search.h"
 #include "rosa/text.h"
+#include "support/str.h"
 
 namespace pa::rosa {
 namespace {
@@ -90,6 +91,21 @@ TEST(TextTest, Errors) {
       try_parse_query("msg frobnicate(1, {})\ngoal terminated 1\n", &err));
   EXPECT_FALSE(try_parse_query(
       "process 1 uid 1 1 1 gid 1 1 1\ngoal rdfset 1 holds 3\n", &err));
+
+  // Malformed integers are positioned parse errors: never an escaping
+  // exception, a truncated int, or an octal prefix read as 0.
+  for (const char* user :
+       {"99999999999999999999", "-", "4294967306", "09"}) {
+    SCOPED_TRACE(user);
+    err.clear();
+    EXPECT_FALSE(try_parse_query(
+        str::cat("user ", user, "\ngoal terminated 1\n"), &err));
+    EXPECT_NE(err.find("query parse error at line 1"), std::string::npos)
+        << err;
+  }
+  // A leading 0 still means octal.
+  EXPECT_EQ(parse_query("user 010\ngoal terminated 1\n").initial.users(),
+            (std::vector<int>{8}));
 }
 
 TEST(TextTest, PrintQueryMentionsEverything) {

@@ -3,7 +3,8 @@
 //
 //   rosa_check query.rq [options]
 //     --max-states N      search budget (default 2000000)
-//     --max-seconds S     wall-clock budget
+//     --max-seconds S     wall-clock budget: a deadline S seconds after the
+//                         search starts (0 = none)
 //     --attacker MODEL    full | cfi-ordered | fixed-args
 //     --model MODEL       linux | solaris | capsicum (privilege semantics)
 //     --replay            re-execute a found witness on the SimOS kernel
@@ -46,6 +47,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   std::string path;
   rosa::SearchLimits limits;
+  double seconds = 0;  // --max-seconds; becomes limits.deadline
   rosa::AttackerModel attacker = rosa::AttackerModel::Full;
   const rosa::AccessChecker* checker = nullptr;
   bool replay = false;
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-seconds" && i + 1 < argc) {
       const auto secs = str::parse_seconds(argv[++i]);
       if (!secs) return bad_value(argv[0], arg, argv[i]);
-      limits.max_seconds = *secs;
+      seconds = *secs;
     } else if (arg == "--attacker" && i + 1 < argc) {
       std::string m = argv[++i];
       if (m == "full") attacker = rosa::AttackerModel::Full;
@@ -111,6 +113,7 @@ int main(int argc, char** argv) {
               << ", access model: "
               << (checker ? checker->name() : "linux-capabilities") << "\n\n";
 
+    limits.deadline = rosa::deadline_after(seconds);
     rosa::SearchResult result = rosa::search(query, limits);
     std::cout << result.to_string() << "\n";
 
