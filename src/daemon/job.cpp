@@ -134,8 +134,11 @@ JobOutcome run_job(const JobRequest& req,
   } else {
     out.state = analysis.ok() ? JobState::Done : JobState::Failed;
   }
-  out.exit_code = analysis.ok() ? privanalyzer::kExitOk
-                                : privanalyzer::kExitAllFailed;
+  // A cancelled job exits all-failed even when its analysis got to finish,
+  // exactly like one cancelled before it started.
+  out.exit_code = analysis.ok() && out.state != JobState::Cancelled
+                      ? privanalyzer::kExitOk
+                      : privanalyzer::kExitAllFailed;
   out.body = render_job_result(analysis);
   return out;
 }

@@ -58,8 +58,8 @@ struct JobOutcome {
 
 /// Execute one job end to end; never throws. A loader/pipeline failure (or
 /// an injected fault) becomes state Failed with the diagnostic in the body;
-/// a tripped `cancel` becomes Cancelled; an expired deadline becomes
-/// Timeout.
+/// a tripped `cancel` becomes Cancelled, with kExitAllFailed even when the
+/// analysis finished; an expired deadline becomes Timeout.
 JobOutcome run_job(const JobRequest& req,
                    std::shared_ptr<rosa::QueryCache> cache,
                    const std::atomic<bool>* cancel,

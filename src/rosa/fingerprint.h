@@ -9,8 +9,11 @@
 // keys on fingerprint plus budget (rosa/cache.h).
 //
 // Every fingerprint is salted with kRosaModelVersion; bump it whenever the
-// transition rules, state model, or search semantics change so persistent
-// caches written by older builds are invalidated wholesale.
+// question a fingerprint names changes — the transition rules or the state
+// model — so persistent caches written by older builds are invalidated
+// wholesale. How stored answers were searched (their counters, or which
+// verdict a budget yields) is the cache file header's version instead
+// (rosa/cache.cpp), which leaves every fingerprint unchanged.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +26,9 @@
 
 namespace pa::rosa {
 
-/// Model-version salt. Bump on ANY change to rules/state/search semantics.
+/// Model-version salt. Bump when the rules or the state model change, i.e.
+/// when a fingerprint's question changes; a change in how answers are
+/// searched bumps the cache file header instead.
 inline constexpr std::string_view kRosaModelVersion = "rosa-model-v1";
 
 struct Fingerprint {

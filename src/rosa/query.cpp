@@ -11,7 +11,7 @@ Goal goal_file_in_rdfset(int proc, int file) {
         const ProcObj* p = st.find_proc(proc);
         return p && p->rdfset.contains(file);
       },
-      str::cat("rdfset:", proc, ":", file));
+      str::cat("rdfset:", proc, ":", file), sys_bit(Sys::Open));
 }
 
 Goal goal_file_in_wrfset(int proc, int file) {
@@ -20,7 +20,7 @@ Goal goal_file_in_wrfset(int proc, int file) {
         const ProcObj* p = st.find_proc(proc);
         return p && p->wrfset.contains(file);
       },
-      str::cat("wrfset:", proc, ":", file));
+      str::cat("wrfset:", proc, ":", file), sys_bit(Sys::Open));
 }
 
 Goal goal_privileged_port_bound(int proc) {
@@ -32,7 +32,7 @@ Goal goal_privileged_port_bound(int proc) {
             return true;
         return false;
       },
-      str::cat("privport:", proc));
+      str::cat("privport:", proc), sys_bit(Sys::Bind));
 }
 
 Goal goal_proc_terminated(int victim) {
@@ -41,7 +41,7 @@ Goal goal_proc_terminated(int victim) {
         const ProcObj* p = st.find_proc(victim);
         return p && !p->running;
       },
-      str::cat("terminated:", victim));
+      str::cat("terminated:", victim), sys_bit(Sys::Kill));
 }
 
 namespace {
@@ -52,24 +52,34 @@ std::string compose_key(std::string_view op, const Goal& a, const Goal& b) {
   return str::cat(op, "(", a.cache_key(), ",", b.cache_key(), ")");
 }
 
+/// Composite enabling set: the union when both operands declare one (a
+/// message outside both keeps both operands false, so it keeps their AND
+/// and their OR false), else undeclared.
+SysSet compose_enabling(const Goal& a, const Goal& b) {
+  if (!a.enabling() || !b.enabling()) return 0;
+  return a.enabling() | b.enabling();
+}
+
 }  // namespace
 
 Goal goal_and(Goal a, Goal b) {
   std::string key = compose_key("and", a, b);
+  const SysSet enabling = compose_enabling(a, b);
   return Goal(
       [a = std::move(a), b = std::move(b)](const State& st) {
         return a(st) && b(st);
       },
-      std::move(key));
+      std::move(key), enabling);
 }
 
 Goal goal_or(Goal a, Goal b) {
   std::string key = compose_key("or", a, b);
+  const SysSet enabling = compose_enabling(a, b);
   return Goal(
       [a = std::move(a), b = std::move(b)](const State& st) {
         return a(st) || b(st);
       },
-      std::move(key));
+      std::move(key), enabling);
 }
 
 }  // namespace pa::rosa

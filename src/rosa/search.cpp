@@ -156,6 +156,21 @@ std::vector<Action> witness_to(const Arena<SearchNode>& nodes,
   return witness;
 }
 
+/// The messages of `fire_mask` that a state whose unconsumed messages are
+/// `cur_msgs` may fire: the unconsumed ones, and under CfiOrdered only those
+/// after every consumed message. CFI-ordered attackers must issue syscalls
+/// in program order: message i is usable only while every later message is
+/// still unconsumed (skipping forward is allowed, going back is not).
+std::uint64_t fireable(std::uint64_t cur_msgs, const Query& query,
+                       std::uint64_t fire_mask) {
+  std::uint64_t fire = cur_msgs & fire_mask;
+  const std::uint64_t consumed =
+      low_bits(query.messages.size()) & ~cur_msgs;
+  if (query.attacker == AttackerModel::CfiOrdered && consumed)
+    fire &= ~low_bits(static_cast<std::size_t>(std::bit_width(consumed)));
+  return fire;
+}
+
 /// Visit the set bits of `bits` as member indices, ascending.
 template <typename Fn>
 void for_members(std::uint64_t bits, Fn&& fn) {
@@ -185,22 +200,14 @@ void expand_state(const State& cur, const Query& query,
                   std::vector<ExpandedTransition>& out,
                   std::vector<Transition>& scratch) {
   out.clear();
-  const std::uint64_t full_msg_mask = low_bits(query.messages.size());
   const std::uint64_t cur_msgs = cur.msgs_remaining();
-  const std::uint64_t fire = cur_msgs & fire_mask;
-  for (std::size_t mi = 0; mi < query.messages.size(); ++mi) {
-    const std::uint64_t bit = std::uint64_t{1} << mi;
-    if (!(fire & bit)) continue;
-    // CFI-ordered attackers must issue syscalls in program order: message
-    // i is usable only while every later message is still unconsumed
-    // (skipping forward is allowed, going back is not).
-    if (query.attacker == AttackerModel::CfiOrdered) {
-      const std::uint64_t later_in_range = ~((bit << 1) - 1) & full_msg_mask;
-      if ((cur_msgs & later_in_range) != later_in_range) continue;
-    }
-    apply_message(cur, query.messages[mi], query.attacker, checker, scratch);
+  for (std::uint64_t fire = fireable(cur_msgs, query, fire_mask); fire;
+       fire &= fire - 1) {
+    const int mi = std::countr_zero(fire);
+    apply_message(cur, query.messages[static_cast<std::size_t>(mi)],
+                  query.attacker, checker, scratch);
     for (Transition& tr : scratch) {
-      tr.next.set_msgs_remaining(cur_msgs & ~bit);
+      tr.next.set_msgs_remaining(cur_msgs & ~(std::uint64_t{1} << mi));
       out.push_back(
           ExpandedTransition{static_cast<unsigned>(mi), std::move(tr)});
     }
@@ -241,13 +248,25 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   // the union walk.
   struct Member {
     std::uint64_t mask = 0;  // normalized msg_mask
+    // The mask's messages whose syscall the goal declares enabling: all
+    // the goal probe applies for this member (0 = never probed).
+    std::uint64_t enabling = 0;
     SearchStats stats;
     std::size_t frontier = 0;  // virtual frontier population
     ArenaSim sim;
   };
   std::vector<Member> members(n_members);
-  for (std::size_t m = 0; m < n_members; ++m)
-    members[m].mask = group[m].msg_mask & full_msg_mask;
+  std::uint64_t probed = 0;  // members with enabling messages
+  for (std::size_t m = 0; m < n_members; ++m) {
+    Member& mem = members[m];
+    mem.mask = group[m].msg_mask & full_msg_mask;
+    const SysSet declared = group[m].goal.enabling();
+    for (std::size_t mi = 0; mi < world_q.messages.size(); ++mi)
+      if (declared & sys_bit(world_q.messages[mi].sys))
+        mem.enabling |= std::uint64_t{1} << mi;
+    mem.enabling &= mem.mask;
+    if (mem.enabling) probed |= std::uint64_t{1} << m;
+  }
 
   std::uint64_t live = low_bits(n_members);
   std::uint64_t live_fire = 0;
@@ -275,7 +294,13 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   // query up front so early growth never rehashes.
   Arena<SearchNode> nodes;
   std::unordered_map<std::uint64_t, std::size_t> seen;
-  std::deque<std::size_t> frontier;
+  // A frontier entry carries its node's unconsumed messages, so the goal
+  // probe can pick the nodes it expands without touching their states.
+  struct Queued {
+    std::size_t node;
+    std::uint64_t msgs;
+  };
+  std::deque<Queued> frontier;
   const std::size_t reserve_hint =
       limits.max_states ? std::min<std::size_t>(limits.max_states, 4096)
                         : 4096;
@@ -306,7 +331,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
     const std::size_t heap = root.state.heap_bytes();
     nodes.add_bytes(heap);
     seen.emplace(init_key, 0);
-    frontier.push_back(0);
+    frontier.push_back(Queued{0, full_msg_mask});
     for (std::size_t m = 0; m < n_members; ++m) {
       Member& mem = members[m];
       mem.stats.state_bytes = sizeof(State) + heap;
@@ -324,6 +349,89 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   std::vector<Transition> scratch;
   std::vector<ExpandedTransition> expanded;
 
+  // The goal probe's kept successors for the current layer: per probed
+  // node, in FIFO order, the messages it applied and its children's range
+  // in `kept`, held until the node is popped and spliced into its
+  // expansion.
+  struct ProbedNode {
+    std::size_t node;
+    std::uint64_t applied;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<ProbedNode> probed_nodes;
+  std::vector<ExpandedTransition> kept;
+  std::size_t next_probed = 0;
+
+  // Charge member m's probe hit exactly what committing `tr` would: a
+  // transition, a state, its bytes, and a hash collision when the digest's
+  // chain holds an m-state. A goal child is never a duplicate (every
+  // committed m-state was goal-tested while m was live), so the chain walk
+  // runs to its end, as the commit path's does.
+  auto charge_hit = [&](std::size_t m, const Transition& tr) {
+    Member& mem = members[m];
+    ++mem.stats.transitions;
+    if (!limits.no_dedup) {
+      const auto it = seen.find(state_key(tr.next, limits));
+      if (it != seen.end()) {
+        std::uint64_t chain_members = 0;
+        for (std::int64_t idx = static_cast<std::int64_t>(it->second);
+             idx >= 0; idx = nodes[static_cast<std::size_t>(idx)].aux)
+          chain_members |= members_of(
+              full_msg_mask &
+              ~nodes[static_cast<std::size_t>(idx)].state.msgs_remaining());
+        if (chain_members & (std::uint64_t{1} << m))
+          ++mem.stats.hash_collisions;
+      }
+    }
+    const std::size_t heap = tr.next.heap_bytes();
+    mem.stats.state_bytes += sizeof(State) + heap;
+    mem.sim.push(heap + tr.action.args.capacity() * sizeof(int));
+    ++mem.stats.states;
+    mem.stats.peak_bytes =
+        std::max(mem.stats.peak_bytes, skeleton + mem.sim.bytes());
+  };
+
+  // Probe the layer that starts at `first` (just popped; the rest of the
+  // layer is the whole deque). Each node applies its live owners' enabling
+  // messages; an owner's first goal child decides it with BFS's witness.
+  auto probe_layer = [&](const Queued& first) {
+    probed_nodes.clear();
+    kept.clear();
+    next_probed = 0;
+    auto visit = [&](const Queued& q) {
+      if (!(live & probed) || limits.expired()) return false;
+      const std::size_t node = q.node;
+      std::uint64_t pending =
+          members_of(full_msg_mask & ~q.msgs) & live & probed;
+      std::uint64_t fire = 0;
+      for_members(pending,
+                  [&](std::size_t m) { fire |= members[m].enabling; });
+      fire = fireable(q.msgs, world_q, fire);
+      if (!fire) return true;
+      expand_state(nodes[node].state, world_q, ck, fire, expanded, scratch);
+      const std::size_t begin = kept.size();
+      for (ExpandedTransition& et : expanded) {
+        const std::uint64_t bit = std::uint64_t{1} << et.msg;
+        for_members(pending, [&](std::size_t m) {
+          if (!(members[m].enabling & bit) || !group[m].goal(et.tr.next))
+            return;
+          pending &= ~(std::uint64_t{1} << m);
+          charge_hit(m, et.tr);
+          decide(m, Verdict::Reachable, static_cast<std::int64_t>(node));
+          results[m].witness.push_back(et.tr.action);
+        });
+        kept.push_back(std::move(et));
+      }
+      probed_nodes.push_back(ProbedNode{node, fire, begin, kept.size()});
+      return true;
+    };
+    if (!visit(first)) return;
+    for (const Queued& q : frontier)
+      if (!visit(q)) return;
+  };
+
+  int layer = -1;
   while (live && !frontier.empty()) {
     // The deadline and the cancel flag are checked once per frontier pop,
     // so searches with a tiny fanout but an enormous frontier still respect
@@ -334,20 +442,30 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       break;
     }
 
-    const std::size_t cur = frontier.front();
+    const Queued popped = frontier.front();
     frontier.pop_front();
-    const State& cur_state = nodes[cur].state;
-    const std::uint64_t cur_msgs = cur_state.msgs_remaining();
-    const std::uint64_t consumed_cur = full_msg_mask & ~cur_msgs;
+    const std::size_t cur = popped.node;
+    const std::uint64_t consumed_cur = full_msg_mask & ~popped.msgs;
+    // Every transition consumes one message, so a node's depth is its
+    // consumed count and the FIFO is layered by it: popping the first node
+    // of a deeper layer leaves exactly that layer in the frontier.
+    if (const int depth = std::popcount(consumed_cur); depth != layer) {
+      layer = depth;
+      probe_layer(popped);
+      if (!live) break;
+    }
     const std::uint64_t live_owners = members_of(consumed_cur) & live;
     // Replay each live owner's pop; a node every owner of which has since
     // decided expands to nothing any live member could own, so skip it.
     for_members(live_owners, [&](std::size_t m) { --members[m].frontier; });
+    const ProbedNode* probe = nullptr;
+    if (next_probed < probed_nodes.size() &&
+        probed_nodes[next_probed].node == cur)
+      probe = &probed_nodes[next_probed++];
     if (!live_owners) continue;
 
-    expand_state(cur_state, world_q, ck, live_fire, expanded, scratch);
-    for (ExpandedTransition& et : expanded) {
-      if (!live) break;
+    // Commit one successor of `cur`.
+    auto commit = [&](ExpandedTransition& et) {
       Transition& tr = et.tr;
       const std::uint64_t consumed_next =
           consumed_cur | (std::uint64_t{1} << et.msg);
@@ -356,7 +474,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
       // Orphan candidate: no live member's standalone run generates it, and
       // none ever will (equal states have equal membership, live only
       // shrinks) — drop it before any bookkeeping.
-      if (!live_tr) continue;
+      if (!live_tr) return;
       for_members(live_tr,
                   [&](std::size_t m) { ++members[m].stats.transitions; });
 
@@ -388,7 +506,7 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
             for_members(live_tr, [&](std::size_t m) {
               ++members[m].stats.dedup_hits;
             });
-            continue;
+            return;
           }
           for_members(live_tr & chain_members, [&](std::size_t m) {
             ++members[m].stats.hash_collisions;
@@ -428,7 +546,28 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
         mem.stats.peak_frontier =
             std::max(mem.stats.peak_frontier, mem.frontier);
       });
-      if (tr_members & live) frontier.push_back(ni);
+      if (tr_members & live)
+        frontier.push_back(Queued{ni, full_msg_mask & ~consumed_next});
+    };
+
+    // Splice: apply only what the probe has not, and commit its kept
+    // children and the fresh ones in message order, exactly the sequence one
+    // full expansion yields. A kept child whose message no live member can
+    // fire any more is an orphan, which commit() drops.
+    expand_state(nodes[cur].state, world_q, ck,
+                 probe ? live_fire & ~probe->applied : live_fire, expanded,
+                 scratch);
+    std::size_t k = probe ? probe->begin : 0;
+    const std::size_t k_end = probe ? probe->end : 0;
+    auto fresh = expanded.begin();
+    while (live) {
+      if (k < k_end &&
+          (fresh == expanded.end() || kept[k].msg < fresh->msg))
+        commit(kept[k++]);
+      else if (fresh != expanded.end())
+        commit(*fresh++);
+      else
+        break;
     }
 
     // A live member whose virtual frontier drained has no m-states left

@@ -28,19 +28,30 @@ namespace pa::rosa {
 
 class QueryCache;  // rosa/cache.h
 
-/// A goal predicate plus an optional stable cache identity. The predicate is
-/// what the search evaluates; the cache key is what the verdict cache
-/// (rosa/cache.h) fingerprints — two goals with the same key MUST accept
-/// exactly the same states. Ad-hoc lambdas convert implicitly and carry no
-/// key, which simply makes their queries uncacheable; the builders in
-/// rosa/query.h all return keyed goals.
+/// A set of syscalls, one bit per Sys.
+using SysSet = std::uint32_t;
+constexpr SysSet sys_bit(Sys s) {
+  return SysSet{1} << static_cast<unsigned>(s);
+}
+
+/// A goal predicate plus an optional stable cache identity and an optional
+/// enabling-syscall declaration. The predicate is what the search
+/// evaluates; the cache key is what the verdict cache (rosa/cache.h)
+/// fingerprints — two goals with the same key MUST accept exactly the same
+/// states and declare the same enabling set, since the declaration decides
+/// which witness-preserving shortcut the search takes and so the counters a
+/// cache entry stores. Ad-hoc lambdas convert implicitly and carry neither a
+/// key nor a declaration, which makes their queries uncacheable and never
+/// probed; the builders in rosa/query.h all return keyed, declared goals.
 class Goal {
  public:
   Goal() = default;
-  /// Keyed (cacheable) goal. The key must determine the predicate.
-  Goal(std::function<bool(const State&)> fn, std::string key)
-      : fn_(std::move(fn)), key_(std::move(key)) {}
-  /// Unkeyed goal from any predicate callable (uncacheable).
+  /// Keyed (cacheable) goal. The key must determine the predicate and the
+  /// enabling set.
+  Goal(std::function<bool(const State&)> fn, std::string key,
+       SysSet enabling = 0)
+      : fn_(std::move(fn)), key_(std::move(key)), enabling_(enabling) {}
+  /// Unkeyed, undeclared goal from any predicate callable (uncacheable).
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, Goal> &&
@@ -53,9 +64,16 @@ class Goal {
   /// Stable identity for fingerprinting; empty = uncacheable.
   const std::string& cache_key() const { return key_; }
 
+  /// The syscalls whose messages can turn this goal from false to true;
+  /// a message of any other syscall applied to a non-goal state never
+  /// yields a goal state. 0 = undeclared: the search's per-layer goal probe
+  /// (detail::search_fused) never probes the goal.
+  SysSet enabling() const { return enabling_; }
+
  private:
   std::function<bool(const State&)> fn_;
   std::string key_;
+  SysSet enabling_ = 0;
 };
 
 /// A search problem: initial configuration, one-shot messages, and the
@@ -315,9 +333,10 @@ void expand_state(const State& cur, const Query& query,
 /// group of queries that share a world (initial state, pools, message list,
 /// attacker, checker identity) and differ only in goal and msg_mask; a
 /// group of one is a plain search. results[i] is bit-identical to running
-/// group[i] alone — verdict, witness, and every work counter except the
-/// fused_* ones — because each member's run is replayed exactly inside the
-/// shared exploration: a state belongs to member m iff its consumed-message
+/// group[i] alone (rosa::search) — verdict, witness, and every work counter
+/// except the fused_* ones — because each member's run is replayed exactly
+/// inside the shared exploration: a state belongs to member m iff its
+/// consumed-message
 /// set lies inside m's mask (an intrinsic property of the state, so the
 /// m-subsequence of the fused FIFO commit order IS m's standalone order,
 /// and dedup/collision decisions restricted to m's states match m's own
@@ -326,6 +345,20 @@ void expand_state(const State& cur, const Query& query,
 /// recorded at its standalone decisive rank. Decided goals retire from the
 /// live set; exploration ends when all are decided or the frontier drains.
 /// Only groups of two or more charge fused_world_states.
+///
+/// Per-layer goal probe: the FIFO is layered by depth (the number of
+/// consumed messages), and when a layer starts, the loop first applies to
+/// each of its nodes, in FIFO order, only the messages that can make a live
+/// owner's declared goal true (Goal::enabling). The first goal child a
+/// member meets there is the first its BFS would commit, so the member is
+/// decided Reachable on the spot with BFS's own witness, charged exactly
+/// what committing that child would charge. A member's layers and their
+/// order are the union's restricted to its states, so a fused member is
+/// decided at the same boundary as its lone run. The probe's children are
+/// kept and spliced into their parent's expansion when it is popped, so
+/// every (state, message) pair is still applied once. Unreachable and
+/// ResourceLimit members keep every counter; under a tight max_states a
+/// ResourceLimit may become Reachable.
 ///
 /// Precondition (the run_queries grouping guarantees it; callers passing
 /// hand-built groups must too): the group has at most 64 members.

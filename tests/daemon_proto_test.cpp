@@ -6,6 +6,7 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
@@ -273,6 +274,19 @@ TEST(JobStateTest, NamesAndTerminality) {
   for (JobState s : {JobState::Done, JobState::Failed, JobState::Cancelled,
                      JobState::Timeout, JobState::Rejected})
     EXPECT_TRUE(is_terminal(s)) << job_state_name(s);
+}
+
+// A job whose cancel flag is up when its analysis ends reports Cancelled
+// with the all-failed exit code, as a job cancelled while queued does, even
+// though the analysis itself completed.
+TEST(RunJobTest, CancelledJobExitsAllFailed) {
+  JobRequest req;
+  req.kind = "builtin";
+  req.source = "passwd";
+  const std::atomic<bool> cancel{true};
+  const JobOutcome out = run_job(req, nullptr, &cancel, 0.0);
+  EXPECT_EQ(out.state, JobState::Cancelled);
+  EXPECT_EQ(out.exit_code, privanalyzer::kExitAllFailed);
 }
 
 TEST(ResolveProgramTest, UnnamedPirJobWithoutNameDirectiveIsNamedJob) {

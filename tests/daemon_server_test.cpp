@@ -259,10 +259,13 @@ TEST_F(DaemonServerTest, CancelStopsAQueuedJob) {
   Client client(server_->socket_path());
 
   // Occupy the single worker, then queue more work behind it; the tail job
-  // cannot have started when the cancel lands.
+  // cannot have started when the cancel lands. thttpd, the heaviest builtin
+  // (4.76 M instructions), keeps the worker busy for milliseconds per job
+  // where a passwd job with a warm resident cache finishes within a few
+  // client round trips.
   JobRequest req;
   req.kind = "builtin";
-  req.source = "passwd";
+  req.source = "thttpd";
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 5; ++i) {
     SubmitReply s = client.submit(req);
@@ -325,9 +328,11 @@ TEST_F(DaemonServerTest, AbortShutdownCancelsQueuedJobs) {
   start(opts);
   Client client(server_->socket_path());
 
+  // thttpd jobs, as in CancelStopsAQueuedJob, so the queue's tail is still
+  // waiting when the abort lands.
   JobRequest req;
   req.kind = "builtin";
-  req.source = "passwd";
+  req.source = "thttpd";
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
     SubmitReply s = client.submit(req);

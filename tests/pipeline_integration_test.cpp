@@ -230,9 +230,9 @@ TEST(Pipeline, FilteredMatrixAddsNoUnionStatesOnRefactoredPrograms) {
     programs::ProgramSpec spec;
     std::size_t filters_off_union_states;
   };
-  const Case cases[] = {{programs::make_passwd_refactored(), 805},
-                        {programs::make_su_refactored(), 42'870},
-                        {programs::make_sshd_refactored(), 21'165}};
+  const Case cases[] = {{programs::make_passwd_refactored(), 251},
+                        {programs::make_su_refactored(), 11'223},
+                        {programs::make_sshd_refactored(), 799}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.spec.name);
     PipelineOptions opts = fast_options();

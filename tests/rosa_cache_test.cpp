@@ -465,7 +465,7 @@ void PrintTo(const StaleFile& f, std::ostream* os) { *os << f.version; }
 class StaleHeaderTest : public PersistentCacheTest,
                         public ::testing::WithParamInterface<StaleFile> {};
 
-TEST_P(StaleHeaderTest, ColdStartThenWarmV7Rewrite) {
+TEST_P(StaleHeaderTest, ColdStartThenWarmV8Rewrite) {
   write_file(str::cat("privanalyzer-rosa-cache ", GetParam().version,
                       " model=", kRosaModelVersion, "\ne ",
                       std::string(32, 'a'), " ", GetParam().entry,
@@ -483,10 +483,10 @@ TEST_P(StaleHeaderTest, ColdStartThenWarmV7Rewrite) {
   EXPECT_EQ(r.stats.cache_misses, 1u);
   EXPECT_EQ(r.verdict, Verdict::Unreachable);
 
-  // The rewrite is a v7 file with 17-field entry lines, and it loads warm.
+  // The rewrite is a v8 file with 17-field entry lines, and it loads warm.
   ASSERT_TRUE(cache.save_file(path_));
   const std::string text = read_file();
-  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v7 model=")) << text;
+  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v8 model=")) << text;
   const std::size_t line = text.find("\ne ") + 1;
   EXPECT_EQ(str::split(text.substr(line, text.find('\n', line) - line), ' ')
                 .size(),
@@ -514,7 +514,11 @@ INSTANTIATE_TEST_SUITE_P(
         // v7 keyed entries by budget and dropped v6's decisive-state and
         // decisive-budget fields: 20.
         StaleFile{"v6",
-                  "UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0 2 0 0"}));
+                  "UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 4 10000 0 0 0 2 0 0"},
+        // v8 keeps v7's 17 fields; its answers were searched with the
+        // per-layer goal probe, so v7's stored counters are stale.
+        StaleFile{"v7",
+                  "10000 0 0 0 UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 0"}));
 
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
   QueryCache writer;

@@ -3,9 +3,11 @@
 // grouping): one shared exploration answering all four attacks of an epoch
 // must be indistinguishable — bit for bit — from four standalone searches.
 // The full Table-III matrix through run_queries at 1 and 4 workers, cached
-// and uncached, is diffed against one search per query by the standalone
-// reference loop (tests/reference_search.h), down to the counters the
-// goldens deliberately omit (peak_bytes, state_bytes).
+// and uncached, is diffed against one rosa::search per query (a one-member
+// search_fused), down to the counters the goldens deliberately omit
+// (peak_bytes, state_bytes), and each standalone result is held to the
+// goal-probe contract against the probe-free reference loop
+// (tests/reference_search.h, rosa_test::expect_probe_contract).
 // Fused witnesses must replay on the SimOS kernel, a mixed-attacker batch
 // must NOT fuse across world signatures, the escalation ladder must re-run
 // only still-undecided goals, and the pipeline's matrix must match one
@@ -13,7 +15,9 @@
 // with its message mask narrowed to an allowlist and fused with the
 // baseline, must match the standalone search of the sublist world it
 // replaces, and random nested allowlists must agree with their sublists
-// and never lose a reachable attack when widened.
+// and never lose a reachable attack when widened. Every counter-exact
+// reference is a rosa::search or rosa::search_escalating call, and each is
+// also checked against the probe-free reference under the same contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,14 +47,34 @@ void expect_identical_runs(const rosa::SearchResult& unfused,
   EXPECT_EQ(unfused.stats.state_bytes, fused.stats.state_bytes);
 }
 
-/// The reference: every query searched on its own, in order, by the
-/// standalone loop.
+/// `standalone`, the counter-exact reference (a one-member search_fused),
+/// held to the goal-probe contract against the probe-free reference loop's
+/// result `probe_free` of the same query and limits.
+void expect_probe_free_agrees(const rosa::SearchResult& probe_free,
+                              const rosa::SearchResult& standalone,
+                              const rosa::Query& q,
+                              const rosa::SearchLimits& limits) {
+  rosa_test::expect_probe_contract(probe_free, standalone, q, limits,
+                                   expect_identical_runs,
+                                   rosa::reference::search);
+}
+
+/// rosa::search of `q`, after checking it against the probe-free reference.
+rosa::SearchResult standalone_run(const rosa::Query& q,
+                                  const rosa::SearchLimits& limits) {
+  rosa::SearchResult standalone = rosa::search(q, limits);
+  expect_probe_free_agrees(rosa::reference::search(q, limits), standalone, q,
+                           limits);
+  return standalone;
+}
+
+/// The reference: every query searched on its own, in order.
 std::vector<rosa::SearchResult> standalone_runs(
     const std::vector<rosa::Query>& queries, const rosa::SearchLimits& limits) {
   std::vector<rosa::SearchResult> out;
   out.reserve(queries.size());
   for (const rosa::Query& q : queries)
-    out.push_back(rosa::reference::search(q, limits));
+    out.push_back(standalone_run(q, limits));
   return out;
 }
 
@@ -82,8 +106,8 @@ void expect_fused_matches_unfused(unsigned n_threads, bool cached) {
   // 30 distinct explorations: at least 50 whole searches are fanned in. The
   // state reduction floor is structural — bit-identity pins each member's
   // replayed count, so the shared exploration costs exactly the union of the
-  // members' decisive prefixes (measured 1.8x on this matrix; asserted at
-  // 1.5x for headroom).
+  // members' decisive prefixes (measured 2.65x on this matrix, 292 member
+  // states over 110 union states; asserted at 1.5x for headroom).
   if (!cached) {
     EXPECT_GE(searches_saved, 50u);
     EXPECT_LE(3 * world_states, 2 * standalone_states);
@@ -204,9 +228,15 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   const rosa::EscalationPolicy policy{/*rounds=*/4, /*factor=*/2.0};
 
   const rosa::SearchResult fast_ref =
-      rosa::reference::search_escalating(fast, limits, policy);
+      rosa::search_escalating(fast, limits, policy);
   const rosa::SearchResult slow_ref =
-      rosa::reference::search_escalating(slow, limits, policy);
+      rosa::search_escalating(slow, limits, policy);
+  expect_probe_free_agrees(
+      rosa::reference::search_escalating(fast, limits, policy), fast_ref, fast,
+      limits);
+  expect_probe_free_agrees(
+      rosa::reference::search_escalating(slow, limits, policy), slow_ref, slow,
+      limits);
   ASSERT_EQ(fast_ref.verdict, rosa::Verdict::Reachable);
   ASSERT_EQ(slow_ref.verdict, rosa::Verdict::Reachable);
   EXPECT_EQ(fast_ref.stats.escalations, 0u);
@@ -320,7 +350,7 @@ void expect_filtered_cells_match_sublist_worlds(unsigned n_threads) {
         for (std::size_t k = 0; k < attacks::modeled_attacks().size(); ++k) {
           const attacks::AttackInfo& attack = attacks::modeled_attacks()[k];
           SCOPED_TRACE(str::cat(row.name, "/", attack.name));
-          const rosa::SearchResult reference = rosa::reference::search(
+          const rosa::SearchResult reference = standalone_run(
               sublist_query(attack.id, row, spec,
                             a.filter_report.epochs[e].conservative, attacker),
               opts.rosa_limits);
@@ -396,16 +426,14 @@ TEST(FusedDiffTest, NestedAllowlistsMatchSublistsAndStayMonotone) {
           const rosa::SearchResult& under_a = results[3 * k + 1];
           const rosa::SearchResult& under_b = results[3 * k + 2];
           expect_identical_runs(
-              rosa::reference::search(
-                  sublist_query(attack.id, row, specs[p], a,
-                                rosa::AttackerModel::Full),
-                  limits),
+              standalone_run(sublist_query(attack.id, row, specs[p], a,
+                                           rosa::AttackerModel::Full),
+                             limits),
               under_a);
           expect_identical_runs(
-              rosa::reference::search(
-                  sublist_query(attack.id, row, specs[p], b,
-                                rosa::AttackerModel::Full),
-                  limits),
+              standalone_run(sublist_query(attack.id, row, specs[p], b,
+                                           rosa::AttackerModel::Full),
+                             limits),
               under_b);
           if (under_a.verdict != rosa::Verdict::Reachable ||
               under_b.verdict == rosa::Verdict::ResourceLimit)

@@ -13,6 +13,7 @@
 
 #include "rosa/query.h"
 #include "rosa/search.h"
+#include "rosa_test_util.h"
 
 namespace pa::rosa {
 namespace {
@@ -20,49 +21,7 @@ namespace {
 using caps::Capability;
 using caps::CapSet;
 
-// ---------------------------------------------------------------------------
-// Random state generator (seeded, deterministic)
-// ---------------------------------------------------------------------------
-
-State random_state(std::mt19937& rng) {
-  State st;
-  const int ids[] = {0, 10, 998, 1000, 1001};
-  auto id = [&] { return ids[rng() % 5]; };
-
-  int nprocs = 1 + static_cast<int>(rng() % 3);
-  for (int i = 0; i < nprocs; ++i) {
-    ProcObj p;
-    p.id = 1 + i;
-    p.uid = {id(), id(), id()};
-    p.gid = {id(), id(), id()};
-    p.running = rng() % 4 != 0;
-    if (rng() % 2) p.supplementary.push_back(id());
-    if (rng() % 2) p.rdfset.insert(10 + static_cast<int>(rng() % 3));
-    if (rng() % 2) p.wrfset.insert(10 + static_cast<int>(rng() % 3));
-    st.procs.push_back(p);
-  }
-  const std::uint16_t modes[] = {0600, 0640, 0644, 0666, 0000, 0444, 0755};
-  int nfiles = static_cast<int>(rng() % 4);
-  for (int i = 0; i < nfiles; ++i) {
-    st.files.push_back(
-        FileObj{10 + i, {id(), id(), os::Mode(modes[rng() % 7])}});
-    st.set_name(10 + i, "f" + std::to_string(i));
-  }
-  int ndirs = static_cast<int>(rng() % 3);
-  for (int i = 0; i < ndirs; ++i) {
-    st.dirs.push_back(DirObj{20 + i,
-                             {id(), id(), os::Mode(modes[rng() % 7])},
-                             rng() % 2 ? 10 + i : -1});
-    st.set_name(20 + i, "d" + std::to_string(i));
-  }
-  if (rng() % 2)
-    st.socks.push_back(SockObj{30, 1, rng() % 2 ? 80 : -1});
-  st.set_users({0, 1000});
-  st.set_groups({0, 1000});
-  st.set_msgs_remaining(rng() % 256);
-  st.normalize();
-  return st;
-}
+using rosa_test::random_state;
 
 class HashProperty : public ::testing::TestWithParam<unsigned> {};
 

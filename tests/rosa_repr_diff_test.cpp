@@ -7,6 +7,11 @@
 // incrementally maintained digest is cross-checked against a from-scratch
 // State::full_hash() along the way.
 //
+// The golden's counter columns record the search loop's goal probe. Its
+// fingerprint, verdict and witness columns are vouched for independently:
+// each must equal what the probe-free reference loop
+// (tests/reference_search.h) returns for that query.
+//
 // The golden matrix machinery (build_matrix, table3_limits, render_line,
 // load_golden) is shared with the other differential suites via
 // rosa_test_util.h.
@@ -15,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "reference_search.h"
 #include "rosa/cache.h"
 #include "rosa_test_util.h"
 #include "support/str.h"
@@ -57,6 +63,28 @@ TEST(ReprDiffTest, SerialCachedMatchesSeedGoldens) {
 
 TEST(ReprDiffTest, FourThreadCachedMatchesSeedGoldens) {
   expect_matches_golden(4, true);
+}
+
+/// A golden q-line without its counter columns: fingerprint, verdict,
+/// witness length and witness.
+std::string verdict_columns(const std::string& qline) {
+  const std::vector<std::string> f = str::split(qline, ' ');
+  std::string out = str::cat(f[1], " ", f[2]);
+  for (std::size_t i = 7; i < f.size(); ++i) out += " " + f[i];
+  return out;
+}
+
+TEST(ReprDiffTest, GoldenVerdictsMatchTheProbeFreeReference) {
+  const Golden golden = rosa_test::load_golden();
+  const Matrix m = rosa_test::build_matrix();
+  ASSERT_EQ(m.queries.size(), golden.qlines.size());
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
+  for (std::size_t i = 0; i < m.queries.size(); ++i)
+    EXPECT_EQ(verdict_columns(rosa_test::render_line(
+                  m.queries[i], rosa::reference::search(m.queries[i], limits),
+                  limits)),
+              verdict_columns(golden.qlines[i]))
+        << m.labels[i];
 }
 
 TEST(ReprDiffTest, VulnerableFractionsMatchSeedGoldens) {

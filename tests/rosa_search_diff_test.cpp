@@ -1,8 +1,16 @@
 // Singleton differential for the one ROSA search loop. rosa::search and
 // rosa::search_escalating are one-member calls of rosa::detail::search_fused;
-// here they must be indistinguishable from the standalone loop and ladder
-// they replaced (tests/reference_search.h): same verdict, same witness, and
-// the same value in every SearchStats field except wall time.
+// here they are held to the goal-probe contract against the probe-free
+// standalone loop and ladder they replaced (tests/reference_search.h,
+// rosa_test::expect_probe_contract): where the reference ends Unreachable
+// or ResourceLimit, the same verdict and the same value in every
+// SearchStats field except wall time; where it ends Reachable, the same
+// witness found with no more states or transitions. The one exception is a
+// reference ResourceLimit that the probe decides Reachable before the
+// budget trips, with the unlimited reference's witness. A plain search's
+// Reachable result must also be decided at its layer boundary, with the
+// counters the reference reports when it searches for any state one step
+// deeper (rosa_test::expect_decided_at_layer_boundary).
 //
 // Every Table-III query runs under default limits, a states budget that
 // ends in ResourceLimit, a byte budget that trips, a constant hash override
@@ -61,7 +69,27 @@ struct Tally {
   std::size_t resource_limit = 0;
   std::size_t decided = 0;
   std::size_t collisions = 0;
+  // Reference ResourceLimit cells the probe decided Reachable.
+  std::size_t limit_to_reachable = 0;
 };
+
+/// The probe contract, with expect_identical as its exact half.
+void expect_contract(const rosa::SearchResult& ref,
+                     const rosa::SearchResult& got, const rosa::Query& q,
+                     const rosa::SearchLimits& limits) {
+  rosa_test::expect_probe_contract(ref, got, q, limits, expect_identical,
+                                   rosa::reference::search);
+}
+
+/// The contract for a plain search, plus where a probed goal decides.
+void expect_search_contract(const rosa::SearchResult& ref,
+                            const rosa::SearchResult& got,
+                            const rosa::Query& q,
+                            const rosa::SearchLimits& limits) {
+  expect_contract(ref, got, q, limits);
+  rosa_test::expect_decided_at_layer_boundary(q, limits, got,
+                                              rosa::reference::search);
+}
 
 /// Every Table-III query through rosa::search and the reference under the
 /// limits `tweak` shapes (after any attacker change `edit` makes to the
@@ -79,7 +107,10 @@ Tally expect_matrix_matches(
     if (edit) edit(q);
     const rosa::SearchResult ref = rosa::reference::search(q, limits);
     const rosa::SearchResult got = rosa::search(q, limits);
-    expect_identical(ref, got);
+    expect_search_contract(ref, got, q, limits);
+    if (ref.verdict == rosa::Verdict::ResourceLimit &&
+        got.verdict == rosa::Verdict::Reachable)
+      ++tally.limit_to_reachable;
     if (got.verdict == rosa::Verdict::ResourceLimit)
       ++tally.resource_limit;
     else
@@ -99,6 +130,9 @@ TEST(SearchDiffTest, TableThreeStatesBudgetEndsInResourceLimit) {
       [](rosa::SearchLimits& l) { l.max_states = 2; });
   EXPECT_GT(t.resource_limit, 0u);
   EXPECT_GT(t.decided, 0u);
+  // The root's probe finds one-step witnesses the two-state budget stops
+  // the reference short of.
+  EXPECT_GT(t.limit_to_reachable, 0u);
 }
 
 TEST(SearchDiffTest, TableThreeByteBudgetTrips) {
@@ -143,7 +177,8 @@ TEST(SearchDiffTest, NoDedupSmallQuery) {
   for (const rosa::Query& q :
        {rosa_test::reachable_query(), rosa_test::unreachable_query(3)}) {
     const rosa::SearchResult got = rosa::search(q, limits);
-    expect_identical(rosa::reference::search(q, limits), got);
+    expect_search_contract(rosa::reference::search(q, limits), got, q,
+                           limits);
     // Without dedup the 2^3 subsets are reached along every order.
     if (got.verdict == rosa::Verdict::Unreachable) {
       EXPECT_GT(got.stats.states, 8u);
@@ -162,8 +197,8 @@ TEST(SearchDiffTest, EscalationLadderMatchesReference) {
           rosa_test::unreachable_query(5)}) {
       const rosa::SearchResult got =
           rosa::search_escalating(q, limits, policy);
-      expect_identical(rosa::reference::search_escalating(q, limits, policy),
-                       got);
+      expect_contract(rosa::reference::search_escalating(q, limits, policy),
+                      got, q, limits);
       escalated += got.stats.escalations;
     }
   }
@@ -192,7 +227,8 @@ TEST(SearchDiffTest, SymmetryReducedSearchesMatchReference) {
        {rosa::AttackerModel::Full, rosa::AttackerModel::CfiOrdered}) {
     SCOPED_TRACE(std::string(rosa::attacker_model_name(attacker)));
     const rosa::Query q = pool_query(attacker);
-    expect_identical(rosa::reference::search(q), rosa::search(q));
+    expect_search_contract(rosa::reference::search(q), rosa::search(q), q,
+                           {});
   }
 }
 

@@ -1,15 +1,20 @@
 // Shared fixtures for the ROSA differential test suites: the Table-III golden
-// matrix (query construction, limits, rendered line format, golden loader)
-// and the small handmade open-file queries with deterministic budgets. The
-// repr-diff, cache, parallel-diff, and fused-diff suites all compare
-// engines against the same seed capture, so the fixture lives once
-// here — a drift between two copies of build_matrix() would silently weaken
-// the differential guarantee.
+// matrix (query construction, limits, rendered line format, golden loader),
+// the small handmade open-file queries with deterministic budgets, the
+// seeded random state generator, and the goal-probe contract between the
+// search loop and the probe-free reference. The repr-diff, cache,
+// parallel-diff, and fused-diff suites all compare engines against the
+// same seed capture, so the fixture lives once here — a drift between two
+// copies of build_matrix() would silently weaken the differential
+// guarantee.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -154,6 +159,13 @@ inline rosa::SearchLimits states_budget(std::size_t n) {
   return lim;
 }
 
+inline void expect_same_witness(const rosa::SearchResult& a,
+                                const rosa::SearchResult& b) {
+  ASSERT_EQ(a.witness.size(), b.witness.size());
+  for (std::size_t i = 0; i < a.witness.size(); ++i)
+    EXPECT_EQ(a.witness[i].to_string(), b.witness[i].to_string());
+}
+
 /// Everything except wall time and the cache counters must agree.
 inline void expect_same_work(const rosa::SearchResult& a,
                              const rosa::SearchResult& b) {
@@ -166,9 +178,118 @@ inline void expect_same_work(const rosa::SearchResult& a,
   EXPECT_EQ(a.stats.hash_collisions, b.stats.hash_collisions);
   EXPECT_EQ(a.stats.peak_frontier, b.stats.peak_frontier);
   EXPECT_EQ(a.stats.escalations, b.stats.escalations);
-  ASSERT_EQ(a.witness.size(), b.witness.size());
-  for (std::size_t i = 0; i < a.witness.size(); ++i)
-    EXPECT_EQ(a.witness[i].to_string(), b.witness[i].to_string());
+  expect_same_witness(a, b);
+}
+
+/// The goal-probe contract between the search loop, which probes each BFS
+/// layer for goal children (rosa::detail::search_fused), and the probe-free
+/// reference loop (tests/reference_search.h): `got` and `ref` are their
+/// results for `q` under `limits`. An Unreachable or ResourceLimit
+/// reference is matched by `exact` (every counter). A Reachable reference
+/// must come back Reachable with the identical witness and no more states
+/// or transitions. A ResourceLimit reference may come back Reachable, since
+/// the probe decides at the layer boundary before the budget trips, and
+/// then only with the witness `reference` (the probe-free search function)
+/// finds without budgets, and again with no more work.
+template <typename Exact, typename Reference>
+void expect_probe_contract(const rosa::SearchResult& ref,
+                           const rosa::SearchResult& got, const rosa::Query& q,
+                           const rosa::SearchLimits& limits, Exact&& exact,
+                           Reference&& reference) {
+  const bool limit_to_reachable =
+      ref.verdict == rosa::Verdict::ResourceLimit &&
+      got.verdict == rosa::Verdict::Reachable;
+  if (ref.verdict != rosa::Verdict::Reachable && !limit_to_reachable) {
+    exact(ref, got);
+    return;
+  }
+  ASSERT_EQ(got.verdict, rosa::Verdict::Reachable);
+  EXPECT_LE(got.stats.states, ref.stats.states);
+  EXPECT_LE(got.stats.transitions, ref.stats.transitions);
+  if (!limit_to_reachable) {
+    expect_same_witness(ref, got);
+    return;
+  }
+  rosa::SearchLimits unlimited = limits;
+  unlimited.max_states = 0;
+  unlimited.max_bytes = 0;
+  const rosa::SearchResult full = reference(q, unlimited);
+  ASSERT_EQ(full.verdict, rosa::Verdict::Reachable);
+  expect_same_witness(full, got);
+}
+
+/// A probed goal is decided at the boundary of the layer its witness's last
+/// step leaves from: its states, transitions, dedup hits and peak frontier
+/// are those of `reference` (a probe-free search function) searching `q`
+/// under `limits` for any state one step deeper than that layer, which
+/// stops at the first such state it commits. Goals the probe cannot decide
+/// (undeclared, or decided at the root) are not checked.
+template <typename Reference>
+void expect_decided_at_layer_boundary(const rosa::Query& q,
+                                      const rosa::SearchLimits& limits,
+                                      const rosa::SearchResult& got,
+                                      Reference&& reference) {
+  if (got.verdict != rosa::Verdict::Reachable || got.witness.empty() ||
+      !q.goal.enabling())
+    return;
+  const std::size_t depth = got.witness.size();
+  const std::uint64_t all =
+      q.messages.size() == 64 ? ~std::uint64_t{0}
+                              : (std::uint64_t{1} << q.messages.size()) - 1;
+  rosa::Query deeper = q;
+  deeper.goal = [depth, all](const rosa::State& st) {
+    return static_cast<std::size_t>(
+               std::popcount(all & ~st.msgs_remaining())) >= depth;
+  };
+  const rosa::SearchResult boundary = reference(deeper, limits);
+  ASSERT_EQ(boundary.verdict, rosa::Verdict::Reachable);
+  EXPECT_EQ(got.stats.states, boundary.stats.states);
+  EXPECT_EQ(got.stats.transitions, boundary.stats.transitions);
+  EXPECT_EQ(got.stats.dedup_hits, boundary.stats.dedup_hits);
+  EXPECT_EQ(got.stats.peak_frontier, boundary.stats.peak_frontier);
+}
+
+// --- Random states (seeded, deterministic) ----------------------------------
+
+inline rosa::State random_state(std::mt19937& rng) {
+  using namespace rosa;
+  State st;
+  const int ids[] = {0, 10, 998, 1000, 1001};
+  auto id = [&] { return ids[rng() % 5]; };
+
+  int nprocs = 1 + static_cast<int>(rng() % 3);
+  for (int i = 0; i < nprocs; ++i) {
+    ProcObj p;
+    p.id = 1 + i;
+    p.uid = {id(), id(), id()};
+    p.gid = {id(), id(), id()};
+    p.running = rng() % 4 != 0;
+    if (rng() % 2) p.supplementary.push_back(id());
+    if (rng() % 2) p.rdfset.insert(10 + static_cast<int>(rng() % 3));
+    if (rng() % 2) p.wrfset.insert(10 + static_cast<int>(rng() % 3));
+    st.procs.push_back(p);
+  }
+  const std::uint16_t modes[] = {0600, 0640, 0644, 0666, 0000, 0444, 0755};
+  int nfiles = static_cast<int>(rng() % 4);
+  for (int i = 0; i < nfiles; ++i) {
+    st.files.push_back(
+        FileObj{10 + i, {id(), id(), os::Mode(modes[rng() % 7])}});
+    st.set_name(10 + i, "f" + std::to_string(i));
+  }
+  int ndirs = static_cast<int>(rng() % 3);
+  for (int i = 0; i < ndirs; ++i) {
+    st.dirs.push_back(DirObj{20 + i,
+                             {id(), id(), os::Mode(modes[rng() % 7])},
+                             rng() % 2 ? 10 + i : -1});
+    st.set_name(20 + i, "d" + std::to_string(i));
+  }
+  if (rng() % 2)
+    st.socks.push_back(SockObj{30, 1, rng() % 2 ? 80 : -1});
+  st.set_users({0, 1000});
+  st.set_groups({0, 1000});
+  st.set_msgs_remaining(rng() % 256);
+  st.normalize();
+  return st;
 }
 
 }  // namespace pa::rosa_test
