@@ -10,10 +10,19 @@ void EpochTracker::record_point(const ir::Function& fn, int block,
   if (!inserted && ip < it->second) it->second = ip;
 }
 
-void EpochTracker::on_run(const os::Process& p, const ir::Function& fn,
-                          int block, std::size_t ip, std::uint64_t n) {
-  total_ += n;
-  // Fast path: privilege state unchanged since the previous run.
+void EpochTracker::record_points(const vm::Stretch& s, bool boundary) {
+  const bool sequential = !boundary && s.fn == last_fn_ &&
+                          s.block == last_block_ && s.ip == last_ip_ + 1;
+  if (!sequential) record_point(*s.fn, s.block, s.ip);
+  for (const int b : s.entered) record_point(*s.fn, b, 0);
+  last_fn_ = s.fn;
+  last_block_ = s.last_block;
+  last_ip_ = s.last_ip;
+}
+
+void EpochTracker::on_run(const os::Process& p, const vm::Stretch& s) {
+  total_ += s.n;
+  // Fast path: privilege state unchanged since the previous stretch.
   // ChronoPriv records the permitted set and the real/effective/saved
   // uid/gid triples; supplementary groups are not part of the epoch key
   // (they are not among the credentials the paper's Table III reports).
@@ -21,47 +30,31 @@ void EpochTracker::on_run(const os::Process& p, const ir::Function& fn,
       p.privs.permitted() == current_key_.permitted &&
       p.creds.uid == current_key_.creds.uid &&
       p.creds.gid == current_key_.creds.gid) {
-    epochs_[current_index_].instructions += n;
-    timeline_.back().length += n;
-    if (record_points_) {
-      // Record every non-straight-line transfer: function entries, branch
-      // targets, and return sites all start a fresh suffix of execution
-      // whose syscalls must be in this epoch's filter. Block -1 (no point
-      // info) records nothing.
-      const bool sequential =
-          &fn == last_fn_ && block == last_block_ && ip == last_ip_ + 1;
-      if (!sequential) record_point(fn, block, ip);
-      last_fn_ = &fn;
-      last_block_ = block;
-      last_ip_ = ip + (n - 1);
-    }
+    epochs_[current_index_].instructions += s.n;
+    timeline_.back().length += s.n;
+    if (record_points_) record_points(s, /*boundary=*/false);
     return;
   }
 
   EpochKey key{p.privs.permitted(),
                caps::Credentials{p.creds.uid, p.creds.gid, {}}};
-  timeline_.push_back(EpochSegment{key, total_ - n, n});
+  timeline_.push_back(EpochSegment{key, total_ - s.n, s.n});
   current_index_ = SIZE_MAX;
   for (std::size_t i = 0; i < epochs_.size(); ++i) {
     if (epochs_[i].key == key) {
-      epochs_[i].instructions += n;
+      epochs_[i].instructions += s.n;
       current_index_ = i;
       break;
     }
   }
   if (current_index_ == SIZE_MAX) {
-    epochs_.push_back(Epoch{key, n, static_cast<int>(epochs_.size())});
+    epochs_.push_back(Epoch{key, s.n, static_cast<int>(epochs_.size())});
     points_.emplace_back();
     current_index_ = epochs_.size() - 1;
   }
   current_key_ = std::move(key);
-  if (record_points_) {
-    // An epoch boundary always starts a fresh suffix.
-    record_point(fn, block, ip);
-    last_fn_ = &fn;
-    last_block_ = block;
-    last_ip_ = ip + (n - 1);
-  }
+  // An epoch boundary always starts a fresh suffix.
+  if (record_points_) record_points(s, /*boundary=*/true);
   if (on_epoch_change_) on_epoch_change_(current_index_);
 }
 

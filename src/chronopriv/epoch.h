@@ -45,14 +45,19 @@ struct EpochSegment {
 /// keys are merged; order of first appearance is preserved.
 class EpochTracker final : public vm::Tracer {
  public:
-  void on_run(const os::Process& p, const ir::Function& fn, int block,
-              std::size_t ip, std::uint64_t n) override;
+  void on_run(const os::Process& p, const vm::Stretch& s) override;
 
   /// Observed entry points into one epoch: (function, block) -> lowest
   /// instruction offset at which execution entered the block while the
-  /// epoch was in force. Every instruction executed in the epoch lies in
-  /// the suffix of some recorded point, so the points are sound roots for
-  /// static reachable-syscall closure (filters/epoch_filter.h).
+  /// epoch was in force. A point is recorded wherever execution did not
+  /// arrive straight-line: at a stretch's first instruction unless it
+  /// directly follows the previous stretch's last one (function entry,
+  /// return site, signal handler, epoch boundary), and at ip 0 of every
+  /// block a stretch's branches entered. That is exactly the set that
+  /// per-instruction tracking records. Every instruction executed in the
+  /// epoch lies in the suffix of some recorded point, so the points are
+  /// sound roots for static reachable-syscall closure
+  /// (filters/epoch_filter.h).
   using PointMap = std::map<std::pair<std::string, int>, std::size_t>;
 
   /// Enable point capture (off by default: the extra bookkeeping is only
@@ -62,9 +67,9 @@ class EpochTracker final : public vm::Tracer {
   const std::vector<PointMap>& epoch_points() const { return points_; }
 
   /// Invoked with the new epoch index whenever execution crosses into a
-  /// different epoch row (including the very first run), before the run's
-  /// effects. Drives the kernel's per-epoch filter transition
-  /// in enforcement mode.
+  /// different epoch row (including the very first stretch), at most once
+  /// per stretch, before its last instruction's effects. Drives the
+  /// kernel's per-epoch filter transition in enforcement mode.
   void set_epoch_change_hook(std::function<void(std::size_t)> hook) {
     on_epoch_change_ = std::move(hook);
   }
@@ -79,6 +84,9 @@ class EpochTracker final : public vm::Tracer {
 
  private:
   void record_point(const ir::Function& fn, int block, std::size_t ip);
+  /// Records `s`'s points; `boundary` (an epoch change) records its start
+  /// even when it follows the previous stretch directly.
+  void record_points(const vm::Stretch& s, bool boundary);
 
   std::vector<Epoch> epochs_;
   std::vector<EpochSegment> timeline_;
@@ -87,10 +95,7 @@ class EpochTracker final : public vm::Tracer {
   // Cache of the current epoch to avoid a search per instruction.
   EpochKey current_key_;
   std::size_t current_index_ = SIZE_MAX;
-  // Point capture: a point is recorded whenever control flow is not
-  // straight-line (function entry, branch target, return site, epoch
-  // boundary) — i.e. whenever a run does not start at the sequential
-  // successor of the previous run's last instruction.
+  // Point capture (see PointMap): the previous stretch's last instruction.
   bool record_points_ = false;
   const ir::Function* last_fn_ = nullptr;
   int last_block_ = -1;

@@ -17,20 +17,23 @@ std::map<std::pair<std::string, int>, int> static_block_counts(
 
 ChronoReport run_instrumented(os::Kernel& kernel, const ir::Module& module,
                               os::Pid pid, std::vector<ir::RtValue> args,
-                              const std::string& entry, long* exit_code) {
+                              const std::string& entry, long* exit_code,
+                              vm::RunLimits limits) {
   EpochTracker tracker;
   return run_instrumented_with(kernel, module, pid, tracker, std::move(args),
-                               entry, exit_code);
+                               entry, exit_code, limits);
 }
 
 ChronoReport run_instrumented_with(os::Kernel& kernel,
                                    const ir::Module& module, os::Pid pid,
                                    EpochTracker& tracker,
                                    std::vector<ir::RtValue> args,
-                                   const std::string& entry, long* exit_code) {
+                                   const std::string& entry, long* exit_code,
+                                   vm::RunLimits limits) {
   ir::verify_or_throw(module);
   vm::Interpreter interp(kernel, module, pid);
   interp.set_tracer(&tracker);
+  interp.set_limits(limits);
   long rc = interp.run(entry, std::move(args));
   if (exit_code) *exit_code = rc;
   return make_report(module.name(), tracker);

@@ -43,9 +43,11 @@ programs::ProgramSpec resolve_program(const JobRequest& req);
 /// The PipelineOptions a request maps to. `cache` (may be null) is the
 /// daemon's resident multi-tenant verdict cache; it is attached only when
 /// the request opted in. `cancel` is the per-job cooperative cancel flag,
-/// wired into rosa::SearchLimits so Cancel frames and server drain stop the
-/// search at its next frontier pop. `default_deadline_secs` applies when the
-/// request did not set its own budget.
+/// wired into rosa::SearchLimits, from which the pipeline also hands it to
+/// ChronoPriv: Cancel frames and abort-shutdown stop the search at its next
+/// frontier pop and the measured execution within one 2^16-instruction
+/// turn. `default_deadline_secs` applies when the request did not set its
+/// own budget.
 privanalyzer::PipelineOptions make_pipeline_options(
     const JobRequest& req, std::shared_ptr<rosa::QueryCache> cache,
     const std::atomic<bool>* cancel, double default_deadline_secs);
@@ -59,7 +61,8 @@ struct JobOutcome {
 /// Execute one job end to end; never throws. A loader/pipeline failure (or
 /// an injected fault) becomes state Failed with the diagnostic in the body;
 /// a tripped `cancel` becomes Cancelled, with kExitAllFailed even when the
-/// analysis finished; an expired deadline becomes Timeout.
+/// analysis finished (one cancelled while interpreting reports no epochs);
+/// an expired deadline becomes Timeout.
 JobOutcome run_job(const JobRequest& req,
                    std::shared_ptr<rosa::QueryCache> cache,
                    const std::atomic<bool>* cancel,

@@ -19,8 +19,12 @@
 //    the housekeeping tick re-pumps tickets while queued work remains.
 //  * Deadlines and cancellation — every job gets a wall budget (its own or
 //    `default_deadline_secs`) through the pipeline's max_total_seconds, and
-//    a per-job cancel flag wired into rosa::SearchLimits::cancel; Cancel
-//    frames and abort-shutdown stop a search at its next frontier pop.
+//    a per-job cancel flag wired into rosa::SearchLimits::cancel, which the
+//    pipeline also hands to ChronoPriv's interpreter. Cancel frames and
+//    abort-shutdown stop a search at its next frontier pop and a program
+//    still interpreting within one 2^16-instruction turn, so no job holds a
+//    worker after its cancel (a spinning program would otherwise run its
+//    whole 2e9-instruction budget).
 //  * Connection hygiene — a protocol error (bad magic/version, oversized
 //    frame, truncated payload) or an injected daemon.read/daemon.write
 //    fault gets a best-effort Error frame, then the connection is reaped;

@@ -46,8 +46,10 @@ struct IntResult {
 /// comparisons, and/or): int64 two's complement. add, sub and mul wrap; div
 /// truncates toward zero and faults on a zero divisor ("division by zero")
 /// and on INT64_MIN / -1 ("division overflow"). The VM and constant folding
-/// both evaluate through this one function.
-inline IntResult int_binop(Opcode op, std::int64_t a, std::int64_t b) {
+/// both evaluate through this one function. Always inlined: it sits on the
+/// VM's hottest path, where GCC would otherwise leave it out of line.
+[[gnu::always_inline]] inline IntResult int_binop(Opcode op, std::int64_t a,
+                                                  std::int64_t b) {
   const auto ua = static_cast<std::uint64_t>(a);
   const auto ub = static_cast<std::uint64_t>(b);
   switch (op) {

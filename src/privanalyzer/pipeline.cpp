@@ -96,16 +96,19 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
   };
   os::Kernel kernel = make_world();
   os::Pid pid = programs::spawn_program(kernel, spec);
+  // The cancel flag that stops ROSA's searches stops ChronoPriv's runs too.
+  const vm::RunLimits run_limits{.cancel = options.rosa_limits.cancel};
   if (options.filters == FilterMode::Off) {
-    out.chrono = chronopriv::run_instrumented(kernel, module, pid, spec.args,
-                                              "main", &out.exit_code);
+    out.chrono = chronopriv::run_instrumented(
+        kernel, module, pid, spec.args, "main", &out.exit_code, run_limits);
   } else {
     // Measurement run with point capture: the observed per-epoch entry
     // points are the roots the static reachable-syscall closure grows from.
     chronopriv::EpochTracker tracker;
     tracker.set_record_points(true);
     out.chrono = chronopriv::run_instrumented_with(
-        kernel, module, pid, tracker, spec.args, "main", &out.exit_code);
+        kernel, module, pid, tracker, spec.args, "main", &out.exit_code,
+        run_limits);
     out.filter_report = filters::synthesize_filters(module, out.chrono,
                                                     tracker.epoch_points());
 
@@ -128,7 +131,7 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
       long enforced_exit = 0;
       chronopriv::ChronoReport enforced = chronopriv::run_instrumented_with(
           enforced_kernel, module, enforced_pid, enforced_tracker, spec.args,
-          "main", &enforced_exit);
+          "main", &enforced_exit, run_limits);
       out.filter_violations =
           static_cast<int>(enforced_kernel.filter_violations().size());
       if (out.filter_violations > 0) {

@@ -34,7 +34,11 @@ struct PipelineOptions {
   /// Per-query budgets plus engine mode flags, passed through to every
   /// search of the matrix. The four attacks of each epoch always share one
   /// fused exploration per world signature; results match standalone
-  /// searches (tests/rosa_fused_diff_test.cpp).
+  /// searches (tests/rosa_fused_diff_test.cpp). Its `cancel` flag also
+  /// reaches ChronoPriv's measured execution (and the enforce re-run):
+  /// once raised, the interpreter faults "cancelled" within one turn of
+  /// 2^16 instructions, so a Cancel frame, an abort-shutdown or the CLI's
+  /// SIGINT stops a program that is still interpreting.
   rosa::SearchLimits rosa_limits;
   /// Attacker strength (§X) for every query of both the baseline and the
   /// filtered matrix (`--attacker`). Full is the paper's model.

@@ -9,8 +9,13 @@
 namespace pa::vm {
 namespace {
 
+/// run() drives run_turn in turns of this many instructions and checks the
+/// cancel flag between them.
+constexpr std::uint64_t kCancelTurn = std::uint64_t{1} << 16;
+
 /// Instructions after which the privilege state, the credentials, the
-/// pending signals or the current frame may differ: a run ends at each.
+/// pending signals or the current frame may differ, or control moves: a run
+/// ends at each.
 bool ends_run(ir::Opcode op) {
   switch (op) {
     case ir::Opcode::Syscall:
@@ -36,6 +41,8 @@ Interpreter::Interpreter(os::Kernel& kernel, const ir::Module& module,
     Code& code = funcs_.emplace_back();
     code.fn = &fn;
     code.frame_size = fn.num_registers();
+    code.first_stamp = static_cast<std::uint32_t>(stamps_.size());
+    stamps_.resize(stamps_.size() + fn.blocks().size());
     code.block_begin.reserve(fn.blocks().size() + 1);
     for (const ir::BasicBlock& bb : fn.blocks()) {
       const std::size_t begin = code_.size();
@@ -181,62 +188,15 @@ bool Interpreter::finished() const {
 long Interpreter::run(const std::string& entry,
                       std::vector<ir::RtValue> args) {
   start(entry, std::move(args));
-  run_turn(UINT64_MAX);
+  // A turn boundary only splits a stretch, which changes no observable.
+  while (run_turn(kCancelTurn))
+    if (limits_.cancel && limits_.cancel->load(std::memory_order_relaxed))
+      fail("cancelled");
   return exit_code_;
 }
 
-bool Interpreter::run_turn(std::uint64_t quantum) {
-  while (!finished()) {
-    if (quantum == 0) return true;
-    Frame& frame = stack_.back();
-    const Code& code = funcs_[frame.fn];
-    const auto block = static_cast<std::size_t>(frame.block);
-    PA_CHECK(frame.block >= 0 && block + 1 < code.block_begin.size(),
-             str::cat("bad block index ", frame.block, " in @",
-                      code.fn->name()));
-    const Op* ops = code_.data() + code.block_begin[block];
-    PA_CHECK(frame.ip < code.block_begin[block + 1] - code.block_begin[block],
-             str::cat("fell off block ", code.fn->block(frame.block).label,
-                      " in @", code.fn->name()));
-    if (executed_ >= limits_.max_instructions) {
-      ++executed_;
-      fail(str::cat("instruction budget exhausted (",
-                    limits_.max_instructions, ")"));
-    }
-    // Cut the run at the turn's quantum and at the budget. A pending signal
-    // is delivered after the next instruction, so it cuts the run to one.
-    std::uint64_t n = std::min<std::uint64_t>(
-        {ops[frame.ip].run_len, quantum,
-         limits_.max_instructions - executed_});
-    if (!proc_->pending_signals.empty()) n = 1;
-    executed_ += n;
-    quantum -= n;
-    if (tracer_) tracer_->on_run(*proc_, *code.fn, frame.block, frame.ip, n);
-
-    // A tracer's hook may have killed us.
-    if (!proc_->alive()) {
-      exit_code_ = proc_->exit_code;
-      return false;
-    }
-
-    // Every op but the run's last is straight-line, and only the effectful
-    // ones among them are dispatched: a nop has no effect to skip.
-    const std::size_t last = frame.ip + n - 1;
-    Value* regs = regs_.data() + frame.base;
-    for (std::size_t ip = ops[frame.ip].next_effect; ip < last;
-         ip = ops[ip + 1].next_effect)
-      compute(regs, ops[ip]);
-    frame.ip = last;
-    execute(frame, ops[last]);
-
-    if (!exited_ && !proc_->pending_signals.empty()) deliver_pending_signal();
-  }
-  // The program has finished: mark its process zombie (once).
-  if (proc_->alive()) kernel_->sys_exit(pid_, static_cast<int>(exit_code_));
-  return false;
-}
-
-void Interpreter::compute(Value* regs, const Op& op) const {
+[[gnu::always_inline]] inline void Interpreter::compute(Value* regs,
+                                                       const Op& op) const {
   const Arg* a = args_.data() + op.first_arg;
   switch (op.opcode) {
     case ir::Opcode::Mov:
@@ -270,6 +230,111 @@ void Interpreter::compute(Value* regs, const Op& op) const {
     default:
       PA_UNREACHABLE("run-ending instruction inside a run");
   }
+}
+
+bool Interpreter::run_turn(std::uint64_t quantum) {
+  while (!finished()) {
+    if (quantum == 0) return true;
+    Frame& frame = stack_.back();
+    const Code& code = funcs_[frame.fn];
+    const auto block = static_cast<std::size_t>(frame.block);
+    PA_CHECK(frame.block >= 0 && block + 1 < code.block_begin.size(),
+             str::cat("bad block index ", frame.block, " in @",
+                      code.fn->name()));
+    PA_CHECK(frame.ip < code.block_begin[block + 1] - code.block_begin[block],
+             str::cat("fell off block ", code.fn->block(frame.block).label,
+                      " in @", code.fn->name()));
+    if (executed_ >= limits_.max_instructions) {
+      ++executed_;
+      fail(str::cat("instruction budget exhausted (",
+                    limits_.max_instructions, ")"));
+    }
+    // Cut the stretch at the turn's quantum and at the budget. A pending
+    // signal is delivered after the next instruction, so it cuts the
+    // stretch to one.
+    const std::uint64_t avail =
+        proc_->pending_signals.empty()
+            ? std::min(quantum, limits_.max_instructions - executed_)
+            : 1;
+    const Stretch s = run_stretch(frame, code, avail);
+    executed_ += s.n;
+    quantum -= s.n;
+    if (tracer_) tracer_->on_run(*proc_, s);
+
+    // A tracer's hook may have killed us.
+    if (!proc_->alive()) {
+      exit_code_ = proc_->exit_code;
+      return false;
+    }
+
+    frame.block = s.last_block;
+    frame.ip = s.last_ip;
+    execute(frame, code_[code.block_begin[static_cast<std::size_t>(
+                             s.last_block)] + s.last_ip]);
+
+    if (!exited_ && !proc_->pending_signals.empty()) deliver_pending_signal();
+  }
+  // The program has finished: mark its process zombie (once).
+  if (proc_->alive()) kernel_->sys_exit(pid_, static_cast<int>(exit_code_));
+  return false;
+}
+
+Stretch Interpreter::run_stretch(const Frame& frame, const Code& code,
+                                 std::uint64_t avail) {
+  Stretch s{code.fn, frame.block, frame.ip, 0, frame.block, frame.ip, {}};
+  ++stretch_id_;
+  entered_.clear();
+  Value* regs = regs_.data() + frame.base;
+  const Op* ops = code_.data() + code.block_begin[static_cast<std::size_t>(
+                                     frame.block)];
+  std::size_t ip = frame.ip;
+  try {
+    for (;;) {
+      // One straight-line run: every op but its last is straight-line, and
+      // only the effectful ones among them are dispatched.
+      const Op& head = ops[ip];
+      const std::uint64_t len =
+          std::min<std::uint64_t>(head.run_len, avail - s.n);
+      s.n += len;
+      s.last_ip = ip + len - 1;
+      for (std::size_t i = head.next_effect; i < s.last_ip;
+           i = ops[i + 1].next_effect)
+        compute(regs, ops[i]);
+      if (s.n == avail) break;
+      // The run ended at its run-ending op. A branch to a valid, non-empty
+      // block is taken here; any other op ends the stretch, as does a
+      // branch that execute() must take so the next stretch start faults.
+      const Op& op = ops[s.last_ip];
+      if (op.opcode != ir::Opcode::Br && op.opcode != ir::Opcode::CondBr)
+        break;
+      const int target =
+          op.targets[op.opcode == ir::Opcode::Br ||
+                             as_int(load(regs, args_[op.first_arg])) != 0
+                         ? 0
+                         : 1];
+      const auto t = static_cast<std::size_t>(target);
+      if (target < 0 || t + 1 >= code.block_begin.size() ||
+          code.block_begin[t] == code.block_begin[t + 1])
+        break;
+      ops = code_.data() + code.block_begin[t];
+      ip = 0;
+      s.last_block = target;
+      std::uint64_t& stamp = stamps_[code.first_stamp + t];
+      if (stamp != stretch_id_) {
+        stamp = stretch_id_;
+        entered_.push_back(target);
+      }
+    }
+  } catch (...) {
+    // The fault ends the stretch at the faulting run's last op: charge and
+    // report it, as if the fault had come from that op's effects.
+    s.entered = entered_;
+    executed_ += s.n;
+    if (tracer_) tracer_->on_run(*proc_, s);
+    throw;
+  }
+  s.entered = entered_;
+  return s;
 }
 
 void Interpreter::execute(Frame& frame, const Op& op) {

@@ -8,14 +8,17 @@
 // as an id. Registers hold a tagged int64; a string or function name is an
 // id into the interpreter's own intern table, so equal contents mean equal
 // ids. Function names are interned first, so function i is id i and a call
-// resolves by comparing its id with the function count. A straight-line run
-// is charged in full to executed() and the tracer, but only its effectful
-// ops are dispatched: nops are counted, never executed (DESIGN.md decision
-// 16).
+// resolves by comparing its id with the function count. Execution proceeds
+// in stretches: the straight-line runs of one frame joined by br/condbr,
+// executed in one loop. A stretch is charged in full to executed() and
+// reported to the tracer once, but only its effectful ops are dispatched:
+// nops are counted, never executed (DESIGN.md decision 16).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,26 +28,50 @@
 
 namespace pa::vm {
 
-/// Execution observer. on_run fires once per straight-line run of `n`
-/// instructions starting at instruction `ip` of block `block` of `fn`, BEFORE
-/// the run's effects. A run never spans a change of privilege state,
-/// credentials or function (it ends at the first syscall, priv_*, call,
-/// callind or terminator), so every instruction in it is attributed to the
-/// state in force when it starts. `block` is -1 when the caller has no
-/// program point (the on_instruction helper).
+/// A stretch of execution in one frame of `fn`: `n` instructions from
+/// instruction `ip` of block `block` to instruction `last_ip` of block
+/// `last_block`, the straight-line runs joined by the br/condbr it took.
+/// `entered` lists the blocks those branches entered, each once, in
+/// first-entry order; the stretch executed every block in it from ip 0. It
+/// views the interpreter's own list, valid only during the on_run call.
+/// `block` and `last_block` are -1 when the caller has no program point
+/// (the on_instruction helper).
+struct Stretch {
+  const ir::Function* fn = nullptr;
+  int block = -1;
+  std::size_t ip = 0;
+  std::uint64_t n = 0;
+  int last_block = -1;
+  std::size_t last_ip = 0;
+  std::span<const int> entered;
+};
+
+/// Execution observer. on_run fires once per stretch, after its straight-line
+/// ops and branches and BEFORE its last instruction's effects. A stretch never
+/// spans a change of privilege state, credentials, pending signals or frame:
+/// it ends at the first syscall, priv_*, call, callind, ret, exit or
+/// unreachable, and neither a straight-line op nor a branch changes any of
+/// them. Every instruction in it is therefore attributed to the state the
+/// hook sees. A stretch is also cut at the turn's quantum, the instruction
+/// budget, a pending signal (to one instruction) and a branch to an invalid
+/// or empty block; a fault inside it reports it before the exception leaves,
+/// so executed() always equals what the tracer was told.
 class Tracer {
  public:
   virtual ~Tracer() = default;
-  virtual void on_run(const os::Process& p, const ir::Function& fn, int block,
-                      std::size_t ip, std::uint64_t n) = 0;
+  virtual void on_run(const os::Process& p, const Stretch& s) = 0;
   /// One instruction at no particular program point.
   void on_instruction(const os::Process& p, const ir::Function& fn) {
-    on_run(p, fn, /*block=*/-1, /*ip=*/0, 1);
+    on_run(p, Stretch{&fn, -1, 0, 1, -1, 0, {}});
   }
 };
 
 struct RunLimits {
   std::uint64_t max_instructions = 2'000'000'000;
+  /// Cooperative cancellation (non-owning; e.g. a daemon job's cancel flag).
+  /// run() checks it between turns of 2^16 instructions and faults
+  /// "cancelled" once it is up; the stretch loop itself never reads it.
+  const std::atomic<bool>* cancel = nullptr;
 };
 
 class Interpreter {
@@ -60,7 +87,7 @@ class Interpreter {
   /// Run `entry` with integer/string arguments; returns the program's exit
   /// code (the value of Exit, or the entry function's return value).
   /// Throws pa::Error on runtime faults (bad IR, executed unreachable,
-  /// instruction budget exhausted).
+  /// instruction budget exhausted, cancelled).
   long run(const std::string& entry = "main",
            std::vector<ir::RtValue> args = {});
 
@@ -104,10 +131,11 @@ class Interpreter {
     const ir::Instruction* inst = nullptr;  // syscall name, caps, fault texts
   };
   /// A decoded function: block b's ops are code_[block_begin[b],
-  /// block_begin[b + 1]).
+  /// block_begin[b + 1]), and its stamp is stamps_[first_stamp + b].
   struct Code {
     const ir::Function* fn = nullptr;
     int frame_size = 0;
+    std::uint32_t first_stamp = 0;
     std::vector<std::uint32_t> block_begin;
   };
   struct Frame {
@@ -130,6 +158,12 @@ class Interpreter {
   /// next push.
   Value* push_frame(std::int64_t callee, std::size_t nargs,
                     int dest_in_caller);
+  /// Executes the stretch that starts at the frame's position and may run
+  /// `avail` instructions, all but its last op, and returns its report; the
+  /// frame still points at the stretch's start. A fault inside the stretch
+  /// charges and reports it before the exception leaves.
+  Stretch run_stretch(const Frame& frame, const Code& code,
+                      std::uint64_t avail);
   /// Executes a straight-line op; leaves the ip to the caller.
   void compute(Value* regs, const Op& op) const;
   /// Executes any op, advancing frame.ip or transferring control.
@@ -151,6 +185,11 @@ class Interpreter {
   std::vector<Arg> args_;
   std::vector<std::string> names_;  // intern id -> contents
   std::map<std::string, std::int64_t, std::less<>> ids_;
+  // One stamp per decoded block: the id of the last stretch that entered it
+  // through a branch, so each stretch lists a block in entered_ once.
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t stretch_id_ = 0;
+  std::vector<int> entered_;
 
   std::vector<Frame> stack_;
   std::vector<Value> regs_;

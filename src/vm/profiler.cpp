@@ -7,14 +7,13 @@
 
 namespace pa::vm {
 
-void FunctionProfiler::on_run(const os::Process&, const ir::Function& fn,
-                              int, std::size_t, std::uint64_t n) {
-  total_ += n;
-  if (&fn != last_fn_ || !last_slot_) {
-    last_fn_ = &fn;
-    last_slot_ = &counts_[fn.name()];
+void FunctionProfiler::on_run(const os::Process&, const Stretch& s) {
+  total_ += s.n;
+  if (s.fn != last_fn_ || !last_slot_) {
+    last_fn_ = s.fn;
+    last_slot_ = &counts_[s.fn->name()];
   }
-  *last_slot_ += n;
+  *last_slot_ += s.n;
 }
 
 std::vector<FunctionProfiler::Entry> FunctionProfiler::entries() const {

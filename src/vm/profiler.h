@@ -16,8 +16,7 @@ namespace pa::vm {
 
 class FunctionProfiler final : public Tracer {
  public:
-  void on_run(const os::Process& p, const ir::Function& fn, int block,
-              std::size_t ip, std::uint64_t n) override;
+  void on_run(const os::Process& p, const Stretch& s) override;
 
   struct Entry {
     std::string function;
@@ -46,9 +45,8 @@ class MultiTracer final : public Tracer {
   explicit MultiTracer(std::vector<Tracer*> tracers)
       : tracers_(std::move(tracers)) {}
 
-  void on_run(const os::Process& p, const ir::Function& fn, int block,
-              std::size_t ip, std::uint64_t n) override {
-    for (Tracer* t : tracers_) t->on_run(p, fn, block, ip, n);
+  void on_run(const os::Process& p, const Stretch& s) override {
+    for (Tracer* t : tracers_) t->on_run(p, s);
   }
 
  private:

@@ -1,5 +1,7 @@
 #include "vm/scheduler.h"
 
+#include "support/error.h"
+
 namespace pa::vm {
 
 Interpreter& Scheduler::add(const ir::Module& module, os::Pid pid,
@@ -13,6 +15,8 @@ Interpreter& Scheduler::add(const ir::Module& module, os::Pid pid,
 }
 
 bool Scheduler::step_round(std::uint64_t quantum) {
+  // A zero quantum executes nothing, so run_all would never return.
+  if (quantum == 0) fail("scheduler quantum must be positive");
   bool any_alive = false;
   for (Task& task : tasks_) {
     // A finished program is finalized (zombie marking) by its next turn.

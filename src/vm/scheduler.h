@@ -23,11 +23,13 @@ class Scheduler {
                    std::vector<ir::RtValue> args = {});
 
   /// Run all processes round-robin (`quantum` instructions per turn) until
-  /// every one has finished. Returns total instructions executed.
+  /// every one has finished. Returns total instructions executed. Throws
+  /// pa::Error on a zero quantum, which would never finish.
   std::uint64_t run_all(std::uint64_t quantum = 64);
 
   /// Step every live process by at most `quantum` instructions.
-  /// Returns true while at least one process is still running.
+  /// Returns true while at least one process is still running. Throws
+  /// pa::Error on a zero quantum.
   bool step_round(std::uint64_t quantum = 64);
 
   std::size_t process_count() const { return tasks_.size(); }

@@ -289,6 +289,32 @@ TEST(RunJobTest, CancelledJobExitsAllFailed) {
   EXPECT_EQ(out.exit_code, privanalyzer::kExitAllFailed);
 }
 
+// Cancel reaches a job that is still interpreting: ChronoPriv checks the
+// flag between turns, so a pre-cancelled job of 1.5e7 instructions stops
+// in its first turn and reports no epochs.
+TEST(RunJobTest, CancelStopsAJobThatIsStillInterpreting) {
+  JobRequest req;
+  req.kind = "pir";
+  req.source =
+      "; !name: counter\n"
+      "func @main(0) {\n"
+      "entry:\n"
+      "  %0 = mov 0\n"
+      "  br loop\n"
+      "loop:\n"
+      "  %0 = add %0, 1\n"
+      "  %1 = cmplt %0, 5000000\n"
+      "  condbr %1, loop, done\n"
+      "done:\n"
+      "  ret 0\n"
+      "}\n";
+  const std::atomic<bool> cancel{true};
+  const JobOutcome out = run_job(req, nullptr, &cancel, 0.0);
+  EXPECT_EQ(out.state, JobState::Cancelled);
+  EXPECT_EQ(out.exit_code, privanalyzer::kExitAllFailed);
+  EXPECT_EQ(out.body.find("epoch "), std::string::npos) << out.body;
+}
+
 TEST(ResolveProgramTest, UnnamedPirJobWithoutNameDirectiveIsNamedJob) {
   // The loader reads the default name while it parses, so the default must
   // outlive the call; under ASan a dangling one aborts here.

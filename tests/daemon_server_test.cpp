@@ -35,6 +35,18 @@ entry:
 }
 )";
 
+/// A job that spins until its 2e9-instruction budget runs out, tens of
+/// seconds: it holds a worker until it is cancelled.
+const char* kSpinProgram = R"(
+; !name: spin
+func @main(0) {
+entry:
+  br loop
+loop:
+  br loop
+}
+)";
+
 class DaemonServerTest : public ::testing::Test {
  protected:
   std::string sock_path(const std::string& tag) {
@@ -71,6 +83,23 @@ class DaemonServerTest : public ::testing::Test {
         privanalyzer::try_analyze_program(resolve_program(req), opts);
     EXPECT_EQ(a.status, privanalyzer::AnalysisStatus::Ok);
     return render_job_result(a);
+  }
+
+  /// Submit a spinning job and poll until a worker is running it, so that
+  /// with one worker every job submitted afterwards stays queued until the
+  /// spinning job is cancelled. Returns its id.
+  static std::uint64_t hold_worker(Client& client) {
+    JobRequest spin;
+    spin.kind = "pir";
+    spin.source = kSpinProgram;
+    const SubmitReply s = client.submit(spin);
+    EXPECT_TRUE(s.accepted) << s.reason;
+    for (int i = 0; i < 10'000; ++i) {
+      if (client.status(s.job_id).state == "running") return s.job_id;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "the spinning job never started";
+    return s.job_id;
   }
 
   std::unique_ptr<Server> server_;
@@ -258,23 +287,25 @@ TEST_F(DaemonServerTest, CancelStopsAQueuedJob) {
   start(opts);
   Client client(server_->socket_path());
 
-  // Occupy the single worker, then queue more work behind it; the tail job
-  // cannot have started when the cancel lands. thttpd, the heaviest builtin
-  // (4.76 M instructions), keeps the worker busy for milliseconds per job
-  // where a passwd job with a warm resident cache finishes within a few
-  // client round trips.
+  // A spinning job holds the single worker, so the jobs queued behind it
+  // are all still queued when the tail's cancel lands. Cancelling the
+  // spinning job then stops its interpretation and frees the worker.
+  const std::uint64_t blocker = hold_worker(client);
   JobRequest req;
   req.kind = "builtin";
-  req.source = "thttpd";
+  req.source = "ping";
   std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 4; ++i) {
     SubmitReply s = client.submit(req);
     ASSERT_TRUE(s.accepted) << s.reason;
     ids.push_back(s.job_id);
   }
-  StatusReply at_cancel = client.cancel(ids.back());
-  EXPECT_NE(at_cancel.state, "unknown");
+  EXPECT_EQ(client.cancel(ids.back()).state, "queued");
+  EXPECT_EQ(client.cancel(blocker).state, "running");
 
+  ResultMsg held = client.wait_result(blocker);
+  EXPECT_EQ(held.state, "cancelled");
+  EXPECT_EQ(held.exit_code, privanalyzer::kExitAllFailed);
   for (std::size_t i = 0; i + 1 < ids.size(); ++i)
     EXPECT_EQ(client.wait_result(ids[i]).state, "done");
   ResultMsg last = client.wait_result(ids.back());
@@ -328,31 +359,25 @@ TEST_F(DaemonServerTest, AbortShutdownCancelsQueuedJobs) {
   start(opts);
   Client client(server_->socket_path());
 
-  // thttpd jobs, as in CancelStopsAQueuedJob, so the queue's tail is still
-  // waiting when the abort lands.
+  // A spinning job holds the single worker and five jobs queue behind it;
+  // the abort cancels the running one mid-interpretation and every queued
+  // one before it starts.
+  std::vector<std::uint64_t> ids = {hold_worker(client)};
   JobRequest req;
   req.kind = "builtin";
-  req.source = "thttpd";
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 6; ++i) {
+  req.source = "ping";
+  for (int i = 0; i < 5; ++i) {
     SubmitReply s = client.submit(req);
-    ASSERT_TRUE(s.accepted);
+    ASSERT_TRUE(s.accepted) << s.reason;
     ids.push_back(s.job_id);
   }
   ASSERT_TRUE(client.shutdown("abort"));
 
-  // Every job reaches a terminal state; with one worker and six jobs the
-  // tail of the queue cannot have run to completion, so the abort shows up
-  // as at least one cancellation.
-  int cancelled = 0;
   for (std::uint64_t id : ids) {
     ResultMsg r = client.wait_result(id);
-    EXPECT_TRUE(r.state == "done" || r.state == "cancelled" ||
-                r.state == "timeout")
-        << r.state;
-    if (r.state == "cancelled") ++cancelled;
+    EXPECT_EQ(r.state, "cancelled") << id;
+    EXPECT_EQ(r.exit_code, privanalyzer::kExitAllFailed) << id;
   }
-  EXPECT_GT(cancelled, 0);
 
   if (runner_.joinable()) runner_.join();
 }

@@ -92,8 +92,9 @@ bool Interpreter::step() {
       fail(str::cat("instruction budget exhausted (",
                     limits_.max_instructions, ")"));
     if (tracer_)
-      tracer_->on_run(kernel_->process(pid_), *frame.fn, frame.block,
-                      frame.ip, 1);
+      tracer_->on_run(kernel_->process(pid_),
+                      Stretch{frame.fn, frame.block, frame.ip, 1, frame.block,
+                              frame.ip, {}});
 
     // The kernel may have killed us (signal from another process).
     if (!kernel_->process(pid_).alive()) {

@@ -4,6 +4,7 @@
 
 #include "chronopriv/epoch.h"
 #include "scheduler_scenarios.h"
+#include "support/error.h"
 #include "vm/profiler.h"
 #include "vm/scheduler.h"
 
@@ -72,6 +73,20 @@ TEST(SchedulerTest, StepRoundReportsLiveness) {
   EXPECT_TRUE(sched.step_round(2));
   EXPECT_FALSE(sched.step_round(100));            // finishes here
   EXPECT_FALSE(sched.step_round(100));            // idempotent when done
+}
+
+TEST(SchedulerTest, ZeroQuantumIsRejected) {
+  // A zero quantum executes nothing, so run_all(0) would loop forever. The
+  // rejected calls run nothing; the world still finishes afterwards.
+  scenarios::Scenario s = scenarios::two_processes();
+  Scheduler sched(s.kernel);
+  s.add_to(sched);
+  EXPECT_THROW(sched.run_all(0), Error);
+  EXPECT_THROW(sched.step_round(0), Error);
+  EXPECT_EQ(sched.interpreter(0).executed(), 0u);
+  EXPECT_EQ(sched.run_all(64), 102u);
+  EXPECT_EQ(sched.exit_code(0), 7);
+  EXPECT_EQ(sched.exit_code(1), 8);
 }
 
 TEST(SchedulerTest, QuantumEndingMidBlockSplitsTheRun) {

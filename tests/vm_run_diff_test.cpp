@@ -9,6 +9,8 @@
 // message. The corpus is Table II, passwdRef, suRef, sshdRef, the example
 // programs, the lint fixtures, random modules and handmade faults; the
 // scheduler_test worlds run at several quanta and must match per process.
+// Handmade loops pin a stretch's edges: a start in the middle of a block,
+// a fault several blocks into a stretch, and scheduler cuts at every op.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -426,6 +428,116 @@ TEST(FaultDiff, BudgetEndsInsideARun) {
   }
 }
 
+// --- Stretch edges -----------------------------------------------------------
+
+/// A counted loop: `head` (block 1) tests i < 4 with cmplt/condbr, and
+/// `body` (block 2) runs two nops, priv_remove(CAP_SETUID), a nop, getpid,
+/// two nops, then i = i + 1 (add, mov) and br head. Launched with
+/// CAP_SETUID permitted, the first priv_remove changes the epoch, so the new
+/// epoch's first point in `body` is ip 3. Every stretch after a getpid
+/// starts at ip 5 of `body` and re-enters `body` at ip 0 through the loop.
+void build_counted_loop(ir::IRBuilder& b) {
+  b.begin_function("main", 0);
+  const int i = b.mov(B::i(0));
+  b.br("head");
+  b.at("head");
+  b.condbr(B::r(b.cmp_lt(B::r(i), B::i(4))), "body", "done");
+  b.at("body");
+  b.nop(2);
+  b.priv_remove({caps::Capability::Setuid});
+  b.nop(1);
+  b.syscall("getpid");
+  b.nop(2);
+  b.mov_to(i, B::r(b.add(B::r(i), B::i(1))));
+  b.br("head");
+  b.at("done");
+  b.ret(B::i(0));
+  b.end_function();
+}
+
+TEST(StretchEdgeDiff, MidBlockStartThenReentryAtIpZero) {
+  programs::ProgramSpec spec = build_spec("counted_loop", &build_counted_loop);
+  spec.launch_permitted = {caps::Capability::Setuid};
+  const std::string seen =
+      observe<Reference>(spec, RunSetup{"points", true, std::nullopt});
+  ASSERT_EQ(first_line(seen), "exit 0");
+  // Epoch 1 enters `body` at ip 3 first; the loop's re-entry lowers it to 0.
+  EXPECT_NE(seen.find("\npoint 1 @main:2+0\n"), std::string::npos) << seen;
+  expect_same_runs(spec);
+}
+
+/// The value of the line `key <number>` in an observe() rendering.
+std::uint64_t rendered(const std::string& text, const std::string& key) {
+  const std::size_t at = text.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key << " in " << text;
+  if (at == std::string::npos) return 0;
+  return std::stoull(text.substr(at + key.size() + 2));
+}
+
+TEST(StretchEdgeDiff, FaultOnALaterIterationChargesTheStretch) {
+  // Each loop faults on its third or fourth iteration, inside a stretch
+  // that has crossed several blocks. The fault must match the reference,
+  // and the faulting stretch must have been charged and reported:
+  // executed() equals both tracers' totals and counts at least every
+  // instruction the reference executed, the faulting one included.
+  const std::vector<programs::ProgramSpec> faults = {
+      build_spec("division_by_zero_in_loop",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   const int i = b.mov(B::i(0));
+                   b.br("head");
+                   b.at("head");
+                   b.condbr(B::r(b.cmp_lt(B::r(i), B::i(5))), "body",
+                            "done");
+                   b.at("body");
+                   b.nop(2);
+                   b.binop(ir::Opcode::Div, B::i(10),
+                           B::r(b.sub(B::i(2), B::r(i))));  // i = 2 faults
+                   b.nop(3);
+                   b.br("latch");
+                   b.at("latch");
+                   b.mov_to(i, B::r(b.add(B::r(i), B::i(1))));
+                   b.br("head");
+                   b.at("done");
+                   b.ret(B::i(0));
+                   b.end_function();
+                 }),
+      build_spec("condbr_on_string_in_loop",
+                 [](ir::IRBuilder& b) {
+                   b.begin_function("main", 0);
+                   const int i = b.mov(B::i(0));
+                   const int c = b.mov(B::i(1));
+                   b.br("head");
+                   b.at("head");
+                   b.condbr(B::r(c), "body", "done");  // i = 3 faults
+                   b.at("body");
+                   b.nop(2);
+                   b.mov_to(i, B::r(b.add(B::r(i), B::i(1))));
+                   b.condbr(B::r(b.cmpeq(B::r(i), B::i(3))), "poison",
+                            "head");
+                   b.at("poison");
+                   b.mov_to(c, B::s("text"));
+                   b.br("head");
+                   b.at("done");
+                   b.ret(B::i(0));
+                   b.end_function();
+                 }),
+  };
+  for (const programs::ProgramSpec& spec : faults) {
+    for (const RunSetup& setup : setups()) {
+      SCOPED_TRACE(spec.name + " / " + setup.name);
+      const std::string want = observe<Reference>(spec, setup);
+      ASSERT_EQ(want.rfind("fault ", 0), 0u) << want;
+      const std::string got = observe<Decoded>(spec, setup);
+      EXPECT_EQ(first_line(got), first_line(want));
+      const std::uint64_t executed = rendered(got, "executed");
+      EXPECT_EQ(executed, rendered(got, "total"));
+      EXPECT_EQ(executed, rendered(got, "profile"));
+      EXPECT_GE(executed, rendered(want, "executed"));
+    }
+  }
+}
+
 // --- Value kinds and integer arithmetic -------------------------------------
 
 /// A register holding sum(bits[i] << i), so one exit code pins several
@@ -713,6 +825,35 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param).name) + "_q" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// build_counted_loop's module run by two processes, one with CAP_SETUID
+/// permitted (its epoch changes inside the loop) and one without.
+scenarios::Scenario counted_loop_world() {
+  scenarios::Scenario s;
+  ir::IRBuilder b(s.modules.emplace_back("counted_loop"));
+  build_counted_loop(b);
+  s.procs.push_back(
+      {0,
+       s.kernel.spawn("a", caps::Credentials::of_user(1000, 1000),
+                      {caps::Capability::Setuid}),
+       {}});
+  s.procs.push_back(
+      {0, s.kernel.spawn("b", caps::Credentials::of_user(1001, 1001), {}),
+       {}});
+  return s;
+}
+
+TEST(StretchEdgeDiff, SchedulerCutsInsideTheLoop) {
+  // The first turn executes entry's mov and br, head's cmplt and condbr,
+  // then body's 10 ops: quanta 1-14 cut it at every one of them (4 on the
+  // condbr, 14 on the br, 5-13 mid-body), and later turns land elsewhere.
+  for (std::uint64_t quantum = 1; quantum <= 15; ++quantum) {
+    SCOPED_TRACE(quantum);
+    const std::string want =
+        observe_world<Reference>(&counted_loop_world, quantum);
+    EXPECT_EQ(observe_world<Decoded>(&counted_loop_world, quantum), want);
+  }
+}
 
 }  // namespace
 }  // namespace pa::vm

@@ -1,10 +1,13 @@
 // Tests for the PrivIR interpreter and its syscall bridge.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
+#include "autopriv/report.h"
 #include "chronopriv/epoch.h"
 #include "ir/builder.h"
+#include "programs/world.h"
 #include "support/error.h"
 #include "vm/interpreter.h"
 #include "vm/syscall_bridge.h"
@@ -217,6 +220,62 @@ TEST_F(VmFixture, ExecutedCountMatchesSmallProgram) {
   Interpreter interp(k, m, p);
   interp.run("main");
   EXPECT_EQ(interp.executed(), 4u);  // 3 nops + ret
+}
+
+TEST_F(VmFixture, CancelFlagStopsARun) {
+  // The flag is read between turns of 2^16 instructions, so a spinning
+  // program stops after exactly one turn.
+  IRBuilder b(m);
+  b.begin_function("main", 0);
+  b.br("loop");
+  b.at("loop");
+  b.br("loop");
+  b.end_function();
+  os::Pid p = spawn();
+  Interpreter interp(k, m, p);
+  const std::atomic<bool> cancel{true};
+  interp.set_limits({.cancel = &cancel});
+  try {
+    interp.run("main");
+    ADD_FAILURE() << "cancel not seen";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "cancelled");
+  }
+  EXPECT_EQ(interp.executed(), 1u << 16);
+}
+
+/// Counts the stretches it forwards to an EpochTracker.
+struct CountingTracer final : Tracer {
+  chronopriv::EpochTracker epochs;
+  std::uint64_t calls = 0;
+  void on_run(const os::Process& p, const Stretch& s) override {
+    ++calls;
+    epochs.on_run(p, s);
+  }
+};
+
+TEST(StretchTest, TableIIProgramsReachTheTracerOncePerStretch) {
+  // The five Table-II programs after AutoPriv execute 8.0 M instructions
+  // in 510,956 straight-line runs, but a stretch ends only at a syscall,
+  // priv_* op, call, return, exit or a 2^16-instruction turn boundary:
+  // about 5,300 reports.
+  std::uint64_t calls = 0;
+  for (programs::ProgramSpec (*make)() :
+       {&programs::make_passwd, &programs::make_su, &programs::make_ping,
+        &programs::make_thttpd, &programs::make_sshd}) {
+    programs::ProgramSpec spec = make();
+    SCOPED_TRACE(spec.name);
+    autopriv::run_autopriv(spec.module);
+    os::Kernel k = programs::make_standard_world();
+    const os::Pid pid = programs::spawn_program(k, spec);
+    CountingTracer tracer;
+    Interpreter interp(k, spec.module, pid);
+    interp.set_tracer(&tracer);
+    interp.run("main", spec.args);
+    EXPECT_EQ(tracer.epochs.total_instructions(), interp.executed());
+    calls += tracer.calls;
+  }
+  EXPECT_LE(calls, 6'000u);
 }
 
 TEST(SyscallBridgeTest, KnownSyscallsNonEmptyAndUnique) {

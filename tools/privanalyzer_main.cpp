@@ -65,8 +65,10 @@
 // programs analyzed, some failed), 4 = interrupted (SIGINT/SIGTERM).
 //
 // SIGINT/SIGTERM trigger cooperative cancellation, not _exit: the flag is
-// threaded into every ROSA search (rosa::SearchLimits::cancel), so in-flight
-// searches stop at their next frontier pop, the persistent --rosa-cache file
+// threaded into every ROSA search (rosa::SearchLimits::cancel) and from
+// there into ChronoPriv's interpreter, so in-flight searches stop at their
+// next frontier pop, a program still interpreting stops within one turn of
+// 2^16 instructions, the persistent --rosa-cache file
 // keeps the atomic checkpoints already written for completed programs, and
 // the batch exits with the distinct code 4.
 #include <atomic>
@@ -96,8 +98,9 @@ using namespace pa;
 
 namespace {
 
-/// Set by the SIGINT/SIGTERM handler; polled by every ROSA search through
-/// SearchLimits::cancel and by the batch loop between programs.
+/// Set by the SIGINT/SIGTERM handler; polled by every ROSA search and by
+/// ChronoPriv's interpreter through SearchLimits::cancel, and by the batch
+/// loop between programs.
 std::atomic<bool> g_interrupted{false};
 
 void handle_interrupt(int) { g_interrupted.store(true); }
