@@ -27,7 +27,7 @@ Sweep run_once(const std::vector<rosa::Query>& queries,
   Sweep s;
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<rosa::SearchResult> results = rosa::run_queries(
-      queries, limits, 1, rosa::EscalationPolicy{rounds, 2.0});
+      queries, limits, rosa::EscalationPolicy{rounds, 2.0});
   s.wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                .count();
   for (const rosa::SearchResult& r : results) {

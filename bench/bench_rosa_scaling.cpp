@@ -183,7 +183,7 @@ static void BM_FusedMatrix(benchmark::State& state) {
   const bool fused = state.range(0) != 0;
   std::vector<rosa::SearchResult> last;
   for (auto _ : state) {
-    last = fused ? rosa::run_queries(queries, limits, 1, {}, nullptr)
+    last = fused ? rosa::run_queries(queries, limits)
                  : standalone_matrix(queries, limits);
     benchmark::DoNotOptimize(last.data());
   }
@@ -250,7 +250,7 @@ void write_perf_json(const std::string& path) {
     double fused_best = 1e100, unfused_best = 1e100;
     for (int rep = 0; rep < 3; ++rep) {
       auto t0 = std::chrono::steady_clock::now();
-      fused = rosa::run_queries(queries, limits, 1, {}, nullptr);
+      fused = rosa::run_queries(queries, limits);
       fused_best = std::min(
           fused_best, std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)

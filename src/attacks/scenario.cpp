@@ -61,7 +61,7 @@ EpochMatrices analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
     const std::vector<std::set<std::string>>& allowlists,
-    const rosa::SearchLimits& limits, unsigned n_threads,
+    const rosa::SearchLimits& limits,
     const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache) {
   PA_CHECK(rows.size() == inputs.size(),
            "analyze_epochs: rows and inputs must be parallel vectors");
@@ -87,7 +87,7 @@ EpochMatrices analyze_epochs(
     }
 
   std::vector<rosa::SearchResult> results =
-      rosa::run_queries(queries, limits, n_threads, escalation, cache);
+      rosa::run_queries(queries, limits, escalation, cache);
 
   auto block = [&](std::size_t first) {
     std::vector<EpochVerdicts> out;
@@ -113,11 +113,9 @@ EpochMatrices analyze_epochs(
 std::vector<EpochVerdicts> analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
-    const rosa::SearchLimits& limits, unsigned n_threads,
+    const rosa::SearchLimits& limits, unsigned,
     const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache) {
-  return analyze_epochs(rows, inputs, {}, limits, n_threads, escalation,
-                        cache)
-      .baseline;
+  return analyze_epochs(rows, inputs, {}, limits, escalation, cache).baseline;
 }
 
 }  // namespace pa::attacks

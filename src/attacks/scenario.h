@@ -56,13 +56,11 @@ struct EpochMatrices {
   std::vector<EpochVerdicts> filtered;
 };
 
-/// Run the whole (epoch × attack) matrix as one rosa::run_queries batch,
-/// fanned out across `n_threads` ROSA workers (0 = hardware_concurrency),
-/// so each epoch's four attacks fuse into one shared exploration. rows and
-/// inputs are parallel vectors. Every thread count produces the verdicts
-/// and witnesses per-epoch analyze_epoch calls would
-/// (tests/rosa_parallel_diff_test.cpp, tests/rosa_fused_diff_test.cpp,
-/// tests/pipeline_robustness_test.cpp). `escalation` retries ResourceLimit
+/// Run the whole (epoch × attack) matrix as one rosa::run_queries batch on
+/// the calling thread, so each epoch's four attacks fuse into one shared
+/// exploration. rows and inputs are parallel vectors. The batch produces
+/// the verdicts and witnesses per-epoch analyze_epoch calls would
+/// (tests/rosa_fused_diff_test.cpp). `escalation` retries ResourceLimit
 /// queries with geometrically grown budgets (rosa::search_escalating),
 /// shrinking the presumed-invulnerable bucket; `cache` (optional,
 /// non-owning) memoizes results by content fingerprint (rosa/cache.h), so
@@ -76,14 +74,17 @@ EpochMatrices analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
     const std::vector<std::set<std::string>>& allowlists,
-    const rosa::SearchLimits& limits, unsigned n_threads,
+    const rosa::SearchLimits& limits,
     const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache);
 
-/// The baseline matrix alone: analyze_epochs without allowlists.
+/// The baseline matrix alone: analyze_epochs without allowlists. The
+/// unnamed `unsigned` is ignored. It is the retired ROSA worker count, kept
+/// only because the benchmark's copy of the pipeline stages under pabench/
+/// still passes it.
 std::vector<EpochVerdicts> analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
-    const rosa::SearchLimits& limits = {}, unsigned n_threads = 1,
+    const rosa::SearchLimits& limits = {}, unsigned = 1,
     const rosa::EscalationPolicy& escalation = {},
     rosa::QueryCache* cache = nullptr);
 

@@ -89,7 +89,6 @@ privanalyzer::PipelineOptions make_pipeline_options(
   opts.rosa_limits.max_states = req.max_states;
   opts.rosa_limits.max_bytes = req.max_bytes;
   opts.rosa_limits.cancel = cancel;
-  opts.rosa_threads = req.rosa_threads;
   opts.rosa_escalation_rounds = req.escalate_rounds;
   opts.max_total_seconds =
       req.deadline_secs > 0 ? req.deadline_secs : default_deadline_secs;

@@ -258,7 +258,8 @@ void Server::run_next_job() {
     if (queued_count_ == 0 || ready_.empty()) return;
     // Fair round-robin: serve the first connection queue strictly after the
     // last-served connection id, wrapping around. Every queue in ready_ is
-    // non-empty (empty ones are erased on pop and on connection reap).
+    // non-empty (empty ones are erased on pop). A closed connection's queue
+    // stays and takes its turns like any other.
     auto pick = ready_.upper_bound(rr_last_conn_);
     if (pick == ready_.end()) pick = ready_.begin();
     rr_last_conn_ = pick->first;
@@ -371,25 +372,13 @@ void Server::reap_dead_conns(bool all) {
       }
     }
   }
+  // A dead connection's jobs stay: queued ones keep their round-robin turn
+  // and run, their frames are dropped by send_to_conn, and the job table
+  // keeps every terminal state for a Status poll from another connection.
   for (auto& conn : reaped) {
     if (conn->reader.joinable()) conn->reader.join();
     std::lock_guard<std::mutex> lock(jobs_mu_);
     ++counters_.reaped_conns;
-    // A dead connection's unclaimed jobs have nobody to receive results;
-    // cancel them in place so queued_count_ stays truthful and drains
-    // finish. (Running jobs complete normally — the table keeps their
-    // terminal state for a reconnecting client's Status poll.)
-    auto it = ready_.find(conn->id);
-    if (it == ready_.end()) continue;
-    for (std::uint64_t job_id : it->second) {
-      Job& job = *jobs_.at(job_id);
-      job.state = JobState::Cancelled;
-      job.outcome = JobOutcome{JobState::Cancelled,
-                               privanalyzer::kExitAllFailed, ""};
-      --queued_count_;
-      ++counters_.completed;
-    }
-    ready_.erase(it);
   }
 }
 

@@ -29,8 +29,13 @@
 //    frame, truncated payload) or an injected daemon.read/daemon.write
 //    fault gets a best-effort Error frame, then the connection is reaped;
 //    every other connection keeps being served. Idle connections past
-//    `idle_timeout_secs` are reaped too. The job table is global, so a
-//    client whose connection died can reconnect and poll its job by id.
+//    `idle_timeout_secs` are reaped too.
+//  * Jobs outlive their connection — a reaped connection's queued jobs
+//    keep their round-robin turn and run to a terminal state, which stays
+//    in the global job table, so a client whose connection closed (e.g.
+//    `pa_client submit --no-wait`) or died can reconnect and poll its job
+//    by id. Only an explicit Cancel, an abort-shutdown or ~Server cancels
+//    them, and they count against `max_queue` until they start.
 //  * Resident cache — one rosa::QueryCache shared by every job that opts
 //    in, bounded by `cache_bytes` (LRU eviction), backed by `cache_file`
 //    when set: loaded on start (with retry), checkpointed atomically every

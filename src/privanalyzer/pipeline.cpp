@@ -153,11 +153,9 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
     }
   }
 
-  // Stage 3: one ROSA query per (epoch x attack), fanned out across
-  // options.rosa_threads workers (the queries are independent; results are
-  // deterministic and identical to the serial order). A pipeline-wide
-  // deadline and per-query budget escalation apply here — the matrix is the
-  // runaway-cost stage.
+  // Stage 3: one ROSA query per (epoch x attack), decided as one batch on
+  // this thread. A pipeline-wide deadline and per-query budget escalation
+  // apply here — the matrix is the runaway-cost stage.
   if (options.run_rosa) {
     rosa::SearchLimits limits = options.rosa_limits;
     limits.deadline = rosa::deadline_after(options.max_total_seconds);
@@ -204,8 +202,7 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
         allowlists[i] = out.filter_report.epochs[i].conservative;
     }
     attacks::EpochMatrices matrices = attacks::analyze_epochs(
-        out.chrono.rows, inputs, allowlists, limits, options.rosa_threads,
-        escalation, cache.get());
+        out.chrono.rows, inputs, allowlists, limits, escalation, cache.get());
     out.verdicts = std::move(matrices.baseline);
     out.filtered_verdicts = std::move(matrices.filtered);
 

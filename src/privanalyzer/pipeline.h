@@ -45,21 +45,20 @@ struct PipelineOptions {
   rosa::AttackerModel attacker = rosa::AttackerModel::Full;
   /// Skip the ROSA stage (ChronoPriv-only runs for tests/benches).
   bool run_rosa = true;
-  /// Worker threads for the ROSA stage's (epoch × attack) query matrix:
-  /// 0 = hardware_concurrency, 1 = run every search on the calling thread.
-  /// Every thread count yields bit-identical verdicts, witnesses, and
-  /// fractions (the queries are independent and each search is
-  /// single-threaded); enforced by tests/rosa_parallel_diff_test.cpp.
-  unsigned rosa_threads = 0;
+  /// Ignored: nothing in the library reads it, and the ROSA matrix always
+  /// runs on the calling thread. It is the retired ROSA worker count, kept
+  /// only because the benchmark's workloads under pabench/ still assign it
+  /// and pass it on.
+  unsigned rosa_threads = 1;
   /// Adaptive budget escalation for the ROSA stage: a query that returns
   /// Verdict::ResourceLimit is retried with its SearchLimits budgets
   /// (max_states and max_bytes) geometrically doubled, up to this many extra
   /// rounds; the deadline is never extended. The rounds are part of each
   /// verdict-cache key, so a cached cell answers only this round count.
   /// 0 = off (the timed-out cell stays presumed-invulnerable, as the paper
-  /// treats it). Escalation is per-query and identical on the serial and
-  /// parallel paths, so verdicts stay bit-identical at every thread count;
-  /// round counts surface in SearchStats::escalations (`--stats`).
+  /// treats it). Escalation is per-query, so a fused group re-runs only its
+  /// undecided members; round counts surface in SearchStats::escalations
+  /// (`--stats`).
   unsigned rosa_escalation_rounds = 0;
   /// Pipeline-wide wall-clock budget in seconds for the ROSA stage
   /// (0 = none). When it expires, in-flight searches stop at their next

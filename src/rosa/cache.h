@@ -32,15 +32,16 @@
 //
 // ## Concurrency
 //
-// One mutex guards the key → result map, the recency list and the
-// counters, so every call is safe from every worker of rosa::run_queries,
-// and LRU eviction happens under the same lock as the store that caused
-// it. No lock is held during a search, and there is no in-flight
-// handshake: equal fingerprints imply equal world signatures, so within
-// one batch duplicates land in the same fused task, which searches the
-// fingerprint once. Two concurrent batches sharing a cache (privanalyzerd
-// jobs) may both miss and search the same key; both compute the same
-// deterministic result, so whichever store lands serves later lookups.
+// A batch runs on one thread, but privanalyzerd's workers run their jobs'
+// batches concurrently against one resident cache. One mutex guards the
+// key → result map, the recency list and the counters, so every call is
+// safe from any thread, and LRU eviction happens under the same lock as the
+// store that caused it. No lock is held during a search, and there is no
+// in-flight handshake: equal fingerprints imply equal world signatures, so
+// within one batch duplicates land in the same fused task, which searches
+// the fingerprint once. Two concurrent batches sharing a cache may both miss
+// and search the same key; both compute the same deterministic result, so
+// whichever store lands serves later lookups.
 #pragma once
 
 #include <cstddef>

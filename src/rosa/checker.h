@@ -18,8 +18,8 @@
 namespace pa::rosa {
 
 /// Implementations must be stateless (or internally synchronized): one
-/// checker instance is shared by every worker of the parallel query engine
-/// (rosa::run_queries), which calls these predicates concurrently.
+/// checker instance is shared by every query that names it, and
+/// privanalyzerd's workers run their jobs' searches concurrently.
 class AccessChecker {
  public:
   virtual ~AccessChecker() = default;

@@ -15,7 +15,6 @@
 #include "support/error.h"
 #include "support/faultpoint.h"
 #include "support/str.h"
-#include "support/thread_pool.h"
 
 namespace pa::rosa {
 
@@ -724,7 +723,6 @@ void run_fused_task(std::span<const Query> queries, const Task& task,
 
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits,
-                                      unsigned n_threads,
                                       const EscalationPolicy& escalation,
                                       QueryCache* cache) {
   std::vector<SearchResult> results(queries.size());
@@ -758,8 +756,8 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
   }
 
   // A task that starts past the deadline (or after cancellation) is not
-  // searched at all; running searches stop at their next frontier pop.
-  auto run_task = [&](const Task& task) {
+  // searched at all; the running search stops at its next frontier pop.
+  for (const Task& task : tasks) {
     if (limits.expired())
       for (std::size_t i : task.members) results[i] = cancelled_result();
     else if (task.fps.empty())
@@ -767,18 +765,7 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
           search_escalating(queries[task.members[0]], limits, escalation);
     else
       run_fused_task(queries, task, limits, escalation, cache, results);
-  };
-
-  if (n_threads == 0) n_threads = support::ThreadPool::hardware_threads();
-  if (n_threads <= 1 || tasks.size() <= 1) {
-    for (const Task& task : tasks) run_task(task);
-    return results;
   }
-  support::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(n_threads, tasks.size())));
-  for (const Task& task : tasks)
-    pool.submit([&run_task, &task] { run_task(task); });
-  pool.wait_idle();
   return results;
 }
 

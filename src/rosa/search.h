@@ -4,9 +4,9 @@
 // via a 64-bit hash of the canonical form (collisions resolved by exact
 // comparison, so dedup semantics are identical to full canonical keying).
 //
-// Single queries run on the calling thread; run_queries() fans a batch of
-// independent queries out across a thread pool with deterministic,
-// input-ordered results (the engine behind PipelineOptions::rosa_threads).
+// Everything runs on the calling thread: search() decides one query, and
+// run_queries() decides a batch, fusing the queries that share a world into
+// one exploration and returning input-ordered results.
 #pragma once
 
 #include <atomic>
@@ -79,10 +79,10 @@ class Goal {
 /// A search problem: initial configuration, one-shot messages, and the
 /// pattern (goal predicate) describing the compromised system state.
 ///
-/// Thread-safety contract for run_queries(): a Query is only ever read
-/// during search, but `goal` and `checker` are *shared* by whichever worker
-/// picks the query up — goal predicates must be pure functions of the State
-/// and checkers stateless, as every implementation in this repo is.
+/// A Query and its Goal belong to the thread that searches them; a search
+/// only reads them. The `checker` may be shared by concurrent searches of
+/// different queries (privanalyzerd runs one job per worker), so checkers
+/// are stateless (rosa/checker.h).
 struct Query {
   State initial;
   /// At most 64 messages (bitmask-tracked). Under AttackerModel::CfiOrdered
@@ -275,19 +275,19 @@ SearchResult search(const Query& query, const SearchLimits& limits = {});
 SearchResult search_escalating(const Query& query, const SearchLimits& limits,
                                const EscalationPolicy& policy);
 
-/// Run a batch of independent queries, fanned out across `n_threads`
-/// workers (0 = hardware_concurrency). Fingerprintable queries that share a
-/// world signature (rosa/fingerprint.h) are fused into one multi-goal
-/// exploration (detail::search_fused); a query with no partner runs as a
-/// group of one, and an unfingerprintable query runs search_escalating()
-/// alone. results[i] always corresponds to queries[i]
-/// regardless of completion order, and every result is bit-identical to a
-/// standalone search() of queries[i] apart from the fused_* counters, at
-/// every thread count. Exceptions from any query propagate to the caller.
+/// Run a batch of independent queries on the calling thread.
+/// Fingerprintable queries that share a world signature
+/// (rosa/fingerprint.h) are fused into one multi-goal exploration
+/// (detail::search_fused); a query with no partner runs as a group of one,
+/// and an unfingerprintable query runs search_escalating() alone. The
+/// groups run one after another. results[i] always corresponds to
+/// queries[i], and every result is bit-identical to a standalone search()
+/// of queries[i] apart from the fused_* counters. Exceptions from any query
+/// propagate to the caller.
 ///
 /// `escalation` applies search_escalating() per query. Once limits' deadline
-/// passes (or its cancel flag is raised), running searches stop at their
-/// next frontier pop and not-yet-started queries return stub ResourceLimit
+/// passes (or its cancel flag is raised), the running search stops at its
+/// next frontier pop and groups not yet started return stub ResourceLimit
 /// results (0 states), so the batch always completes and results stay
 /// position-complete.
 ///
@@ -301,7 +301,6 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 /// produced it, and that search is deterministic (rosa/cache.h).
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits = {},
-                                      unsigned n_threads = 0,
                                       const EscalationPolicy& escalation = {},
                                       QueryCache* cache = nullptr);
 

@@ -1,11 +1,11 @@
 // A small fixed-size thread pool: std::thread workers draining a
 // mutex/condvar-protected task queue. No external dependencies.
 //
-// Built for ROSA's embarrassingly parallel query fan-out
-// (rosa::run_queries), but generic: submit() any number of void() tasks,
-// then wait_idle() for the batch. The first exception thrown by a task is
-// captured and rethrown from wait_idle(), so worker failures surface on the
-// calling thread exactly as they would under inline execution.
+// It runs privanalyzerd's analysis workers (daemon/server.h), but is
+// generic: submit() any number of void() tasks, then wait_idle() for the
+// batch. The first exception thrown by a task is captured and rethrown from
+// wait_idle(), so worker failures surface on the calling thread exactly as
+// they would under inline execution.
 //
 // A pool of size 1 degenerates to strictly ordered execution: tasks run one
 // at a time in submission order, making the pool a drop-in replacement for

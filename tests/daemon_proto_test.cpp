@@ -160,7 +160,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   req.name = "demo";
   req.max_states = 123'456;
   req.max_bytes = 789;
-  req.rosa_threads = 2;
   req.escalate_rounds = 4;
   req.deadline_secs = 1.5;
   req.run_rosa = false;
@@ -173,7 +172,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   EXPECT_EQ(back.name, req.name);
   EXPECT_EQ(back.max_states, req.max_states);
   EXPECT_EQ(back.max_bytes, req.max_bytes);
-  EXPECT_EQ(back.rosa_threads, req.rosa_threads);
   EXPECT_EQ(back.escalate_rounds, req.escalate_rounds);
   EXPECT_DOUBLE_EQ(back.deadline_secs, req.deadline_secs);
   EXPECT_EQ(back.run_rosa, req.run_rosa);
@@ -189,11 +187,13 @@ TEST(MessageTest, FiltersKeyDefaultsToOffWhenAbsent) {
 }
 
 TEST(MessageTest, RetiredEngineKeysDecodeToTheDefaultRequest) {
-  // Older clients still send the keys of the deleted intra-search and
-  // fused-search switches; the daemon must ignore them, not reject the job.
+  // Older clients still send the keys of the deleted intra-search,
+  // fused-search and ROSA worker-count switches; the daemon must ignore
+  // them, not reject the job.
   Frame f{MsgType::Submit,
           encode_kv({{"kind", "builtin"}, {"source", "ping"},
-                     {"search_threads", "4"}, {"fused", "0"}})};
+                     {"search_threads", "4"}, {"fused", "0"},
+                     {"rosa_threads", "4"}})};
   JobRequest defaults;
   defaults.kind = "builtin";
   defaults.source = "ping";
@@ -223,10 +223,10 @@ TEST(MessageTest, MalformedNumbersAreProtocolErrors) {
   // deadline would overflow the pipeline's clock arithmetic.
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"max_states", "-1"},          {"max_states", "12abc"},
-      {"max_bytes", "1e6"},          {"rosa_threads", "-1"},
-      {"rosa_threads", "4294967296"}, {"escalate_rounds", "+2"},
-      {"deadline_secs", "inf"},      {"deadline_secs", "-1"},
-      {"deadline_secs", "12abc"},    {"deadline_secs", "nan"},
+      {"max_bytes", "1e6"},          {"escalate_rounds", "4294967296"},
+      {"escalate_rounds", "+2"},     {"deadline_secs", "inf"},
+      {"deadline_secs", "-1"},       {"deadline_secs", "12abc"},
+      {"deadline_secs", "nan"},
   };
   for (const auto& [key, value] : bad) {
     SCOPED_TRACE(key + "=" + value);

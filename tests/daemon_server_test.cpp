@@ -1,8 +1,8 @@
 // Integration tests for privanalyzerd (daemon/server.h): the differential
 // contract (a daemon job renders bit-identical to the one-shot pipeline,
 // cold, warm, and with the cache bypassed), admission control, cancellation,
-// drain shutdown, protocol-error hygiene, idle reaping, and warm restart
-// from the persistent cache file.
+// queued jobs that outlive their connection, drain shutdown, protocol-error
+// hygiene, idle reaping, and warm restart from the persistent cache file.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -314,6 +314,45 @@ TEST_F(DaemonServerTest, CancelStopsAQueuedJob) {
 
   // Cancelling an unknown id is answered, not fatal.
   EXPECT_EQ(client.cancel(424'242).state, "unknown");
+}
+
+TEST_F(DaemonServerTest, QueuedJobOutlivesItsConnection) {
+  ServerOptions opts;
+  opts.socket_path = sock_path("outlive");
+  opts.workers = 1;
+  start(opts);
+  Client holder(server_->socket_path());
+  const std::uint64_t blocker = hold_worker(holder);
+
+  // The `pa_client submit --no-wait` pattern: submit, then close. The job
+  // is still queued behind the spinning one when the server reaps the
+  // connection.
+  std::uint64_t ping_id = 0;
+  {
+    Client submitter(server_->socket_path());
+    JobRequest req;
+    req.kind = "builtin";
+    req.source = "ping";
+    const SubmitReply s = submitter.submit(req);
+    ASSERT_TRUE(s.accepted) << s.reason;
+    ping_id = s.job_id;
+  }
+  for (int i = 0; i < 1000 && server_->counters().reaped_conns == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_GE(server_->counters().reaped_conns, 1u);
+  EXPECT_EQ(holder.status(ping_id).state, "queued");
+  EXPECT_EQ(holder.cancel(blocker).state, "running");
+
+  // A third connection polls the job by id until it is terminal. `done` is
+  // the state of a job whose analysis succeeded, exit code 0.
+  Client poller(server_->socket_path());
+  std::string state;
+  for (int i = 0; i < 3000; ++i) {
+    state = poller.status(ping_id).state;
+    if (state != "queued" && state != "running") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(state, "done");
 }
 
 TEST_F(DaemonServerTest, DrainShutdownFinishesInFlightWorkAndRefusesNew) {

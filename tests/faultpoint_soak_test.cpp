@@ -110,11 +110,6 @@ TEST_F(FaultPointTest, SoakEveryPointIsolatedAndDiagnosed) {
   const std::string path = write_soak_program();
   privanalyzer::PipelineOptions opts;
   opts.rosa_limits.max_states = 10'000;
-  // Force the thread-pool path so the task-boundary point is exercised (the
-  // pool is only spun up for multi-threaded matrices of two or more fused
-  // groups: the setuid call gives the program's two epochs, which differ in
-  // CapSetuid, distinct attack worlds).
-  opts.rosa_threads = 2;
   // A persistent cache file makes the pipeline reach rosa.cache_load (a
   // missing file is a clean cold start, so the unarmed runs stay warning-free).
   // Remove any leftover from a previous run first: a warm cache would satisfy
@@ -124,10 +119,12 @@ TEST_F(FaultPointTest, SoakEveryPointIsolatedAndDiagnosed) {
 
   for (const std::string& point : fp::registered_points()) {
     SCOPED_TRACE(point);
-    // The daemon.* points sit on privanalyzerd's socket paths, which the
-    // one-shot pipeline never touches; tests/daemon_soak_test.cpp arms them
-    // under live client connections instead.
-    if (point.starts_with("daemon.")) continue;
+    // The daemon.* points sit on privanalyzerd's socket paths, and the
+    // thread pool runs only privanalyzerd's workers, so the one-shot
+    // pipeline reaches neither; tests/daemon_soak_test.cpp arms them under
+    // live client connections instead, and ThreadPoolTaskFaultSurfacesOnCaller
+    // below keeps the pool's capture-and-rethrow path.
+    if (point.starts_with("daemon.") || point == "thread_pool.task") continue;
     fp::arm(point);
     privanalyzer::ProgramAnalysis a =
         privanalyzer::try_analyze_file(path, opts);

@@ -2,14 +2,13 @@
 // filter stack): under conservative per-epoch syscall allowlists, every
 // legitimate execution must complete bit-identically to a filters-off run —
 // same epoch table, same exit code, same baseline verdict matrix, same
-// witnesses, same vulnerable fractions — at --rosa-threads 1 and 4, over
-// all Table-II programs, the shipped examples, the lint fixtures, and a
-// small randomized corpus. Also pins the structural filter invariants:
-// refined ⊆ conservative per epoch, allowlists ⊆ the program's syscall
-// surface, at least one strictly reduced epoch on Table II, and the
-// satellite regression that a syscall reachable ONLY through a registered
-// signal handler stays in every epoch's filter (literal and
-// register-passed handler operands).
+// witnesses, same vulnerable fractions — over all Table-II programs, the
+// shipped examples, the lint fixtures, and a small randomized corpus. Also
+// pins the structural filter invariants: refined ⊆ conservative per epoch,
+// allowlists ⊆ the program's syscall surface, at least one strictly reduced
+// epoch on Table II, and the satellite regression that a syscall reachable
+// ONLY through a registered signal handler stays in every epoch's filter
+// (literal and register-passed handler operands).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,11 +24,9 @@ namespace {
 
 using attacks::EpochVerdicts;
 
-PipelineOptions make_options(FilterMode mode, unsigned rosa_threads,
-                             bool run_rosa) {
+PipelineOptions make_options(FilterMode mode, bool run_rosa) {
   PipelineOptions opts;
   opts.rosa_limits.max_states = 150'000;
-  opts.rosa_threads = rosa_threads;
   opts.run_rosa = run_rosa;
   opts.filters = mode;
   return opts;
@@ -83,22 +80,18 @@ void expect_filter_invariants(const ProgramAnalysis& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Table II: the full differential at both ROSA worker counts (4 runs the
-// fused groups and the verdict cache across pool workers), report
-// and enforce, plus the acceptance bar that filtering strictly reduces at
-// least one epoch's surface somewhere in the batch.
+// Table II: the full differential, report and enforce, plus the acceptance
+// bar that filtering strictly reduces at least one epoch's surface
+// somewhere in the batch.
 
-class TableTwoSoundness : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(TableTwoSoundness, EnforcedFiltersAreANoOpForLegitimateRuns) {
-  const unsigned rosa_threads = GetParam();
+TEST(TableTwoSoundness, EnforcedFiltersAreANoOpForLegitimateRuns) {
   bool any_reduced = false;
   for (const programs::ProgramSpec& spec : programs::all_baseline_programs()) {
     SCOPED_TRACE(spec.name);
-    ProgramAnalysis off = analyze_program(
-        spec, make_options(FilterMode::Off, rosa_threads, true));
-    ProgramAnalysis enforced = analyze_program(
-        spec, make_options(FilterMode::Enforce, rosa_threads, true));
+    ProgramAnalysis off =
+        analyze_program(spec, make_options(FilterMode::Off, true));
+    ProgramAnalysis enforced =
+        analyze_program(spec, make_options(FilterMode::Enforce, true));
     expect_baseline_identical(off, enforced);
     expect_filter_invariants(enforced);
     if (enforced.filter_report.reduced_epochs() > 0) any_reduced = true;
@@ -125,17 +118,14 @@ TEST_P(TableTwoSoundness, EnforcedFiltersAreANoOpForLegitimateRuns) {
       << "no Table-II epoch had a strictly reduced syscall surface";
 }
 
-INSTANTIATE_TEST_SUITE_P(SearchThreads, TableTwoSoundness,
-                         ::testing::Values(1u, 4u));
-
 TEST(FilterModeTest, ReportAndEnforceAgreeOnTheReport) {
   // Report mode must synthesize exactly the sets Enforce installs — the
   // enforced run is deterministic-identical to the measurement run.
   programs::ProgramSpec spec = programs::make_passwd();
   ProgramAnalysis report =
-      analyze_program(spec, make_options(FilterMode::Report, 1, true));
+      analyze_program(spec, make_options(FilterMode::Report, true));
   ProgramAnalysis enforce =
-      analyze_program(spec, make_options(FilterMode::Enforce, 1, true));
+      analyze_program(spec, make_options(FilterMode::Enforce, true));
   ASSERT_EQ(report.filter_report.epochs.size(),
             enforce.filter_report.epochs.size());
   for (std::size_t e = 0; e < report.filter_report.epochs.size(); ++e) {
@@ -152,10 +142,10 @@ TEST(FilterModeTest, KillActionIsAlsoANoOpForLegitimateRuns) {
   // Kill semantics only differ when a filter actually denies a syscall;
   // sound conservative filters never do, so the run is still identical.
   programs::ProgramSpec spec = programs::make_sshd();
-  PipelineOptions kill_opts = make_options(FilterMode::Enforce, 1, false);
+  PipelineOptions kill_opts = make_options(FilterMode::Enforce, false);
   kill_opts.filter_action = os::FilterAction::Kill;
   ProgramAnalysis off =
-      analyze_program(spec, make_options(FilterMode::Off, 1, false));
+      analyze_program(spec, make_options(FilterMode::Off, false));
   ProgramAnalysis killed = analyze_program(spec, kill_opts);
   EXPECT_EQ(off.chrono.to_string(), killed.chrono.to_string());
   EXPECT_EQ(off.exit_code, killed.exit_code);
@@ -178,9 +168,9 @@ TEST(ExampleSoundnessTest, ExamplesAndFixturesRunIdenticallyUnderFilters) {
     SCOPED_TRACE(rel);
     const std::string path = std::string(PA_SOURCE_DIR) + rel;
     ProgramAnalysis off =
-        try_analyze_file(path, make_options(FilterMode::Off, 1, false));
+        try_analyze_file(path, make_options(FilterMode::Off, false));
     ProgramAnalysis enforced =
-        try_analyze_file(path, make_options(FilterMode::Enforce, 1, false));
+        try_analyze_file(path, make_options(FilterMode::Enforce, false));
     EXPECT_EQ(off.status, enforced.status);
     EXPECT_EQ(off.exit_code, enforced.exit_code);
     EXPECT_EQ(off.chrono.to_string(), enforced.chrono.to_string());
@@ -243,9 +233,9 @@ class FuzzSoundness : public ::testing::TestWithParam<unsigned> {};
 TEST_P(FuzzSoundness, RandomProgramsRunIdenticallyUnderEnforcedFilters) {
   programs::ProgramSpec spec = random_spec(GetParam());
   ProgramAnalysis off =
-      try_analyze_program(spec, make_options(FilterMode::Off, 1, false));
+      try_analyze_program(spec, make_options(FilterMode::Off, false));
   ProgramAnalysis enforced =
-      try_analyze_program(spec, make_options(FilterMode::Enforce, 1, false));
+      try_analyze_program(spec, make_options(FilterMode::Enforce, false));
   EXPECT_EQ(off.status, enforced.status);
   EXPECT_EQ(off.exit_code, enforced.exit_code);
   EXPECT_EQ(off.chrono.to_string(), enforced.chrono.to_string());
@@ -263,7 +253,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSoundness, ::testing::Range(0u, 12u));
 void expect_handler_syscall_in_every_epoch(const std::string& text) {
   programs::ProgramSpec spec = load_program(text);
   ProgramAnalysis a =
-      analyze_program(spec, make_options(FilterMode::Report, 1, false));
+      analyze_program(spec, make_options(FilterMode::Report, false));
   ASSERT_FALSE(a.filter_report.empty());
   for (const filters::EpochFilter& e : a.filter_report.epochs) {
     SCOPED_TRACE(e.epoch);

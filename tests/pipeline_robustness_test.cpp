@@ -1,7 +1,8 @@
 // The robustness layer: structured diagnostics on the loader/verifier paths,
-// per-program isolation in batch runs, adaptive ROSA budget escalation (and
-// its serial ≡ parallel determinism), the pipeline-wide deadline, and the
-// ProgramAnalysis::vulnerable_fraction timeout-exclusion accounting.
+// per-program isolation in batch runs, adaptive ROSA budget escalation (a
+// batch escalates each query exactly as it would alone), the pipeline-wide
+// deadline, and the ProgramAnalysis::vulnerable_fraction timeout-exclusion
+// accounting.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -236,30 +237,32 @@ TEST(EscalationTest, DisabledPolicyChangesNothing) {
   EXPECT_EQ(b.stats.escalations, 0u);
 }
 
-TEST(EscalationTest, SerialAndParallelBatchesBitIdentical) {
+// Each escalated result of a batch equals search_escalating of its query
+// alone: fusing the batch changes nothing about the ladder.
+TEST(EscalationTest, BatchResultsMatchSearchEscalating) {
   std::vector<rosa::Query> queries;
   for (int i = 0; i < 6; ++i) queries.push_back(tuned_query(i % 2 == 0));
 
   rosa::SearchLimits tiny;
   tiny.max_states = 3;
   const rosa::EscalationPolicy policy{10, 2.0};
-  std::vector<rosa::SearchResult> serial =
-      rosa::run_queries(queries, tiny, 1, policy);
-  std::vector<rosa::SearchResult> parallel =
-      rosa::run_queries(queries, tiny, 4, policy);
+  std::vector<rosa::SearchResult> batch =
+      rosa::run_queries(queries, tiny, policy);
 
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].verdict, parallel[i].verdict) << i;
-    EXPECT_EQ(serial[i].states_explored(), parallel[i].states_explored()) << i;
-    EXPECT_EQ(serial[i].stats.escalations, parallel[i].stats.escalations) << i;
-    ASSERT_EQ(serial[i].witness.size(), parallel[i].witness.size()) << i;
-    for (std::size_t w = 0; w < serial[i].witness.size(); ++w)
-      EXPECT_EQ(serial[i].witness[w].to_string(),
-                parallel[i].witness[w].to_string());
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const rosa::SearchResult alone =
+        rosa::search_escalating(queries[i], tiny, policy);
+    EXPECT_EQ(batch[i].verdict, alone.verdict) << i;
+    EXPECT_EQ(batch[i].states_explored(), alone.states_explored()) << i;
+    EXPECT_EQ(batch[i].stats.escalations, alone.stats.escalations) << i;
+    ASSERT_EQ(batch[i].witness.size(), alone.witness.size()) << i;
+    for (std::size_t w = 0; w < batch[i].witness.size(); ++w)
+      EXPECT_EQ(batch[i].witness[w].to_string(),
+                alone.witness[w].to_string());
   }
   // At least one query escalated, or the tuning above regressed.
-  EXPECT_GE(serial[0].stats.escalations, 1u);
+  EXPECT_GE(batch[0].stats.escalations, 1u);
 }
 
 TEST(EscalationTest, StatsSurfaceInRenderAndMerge) {
@@ -275,26 +278,23 @@ TEST(EscalationTest, StatsSurfaceInRenderAndMerge) {
 // --- Pipeline-wide deadline -------------------------------------------------
 
 TEST(DeadlineTest, ExpiredDeadlineDegradesToTimeoutCellsNotAHang) {
-  for (unsigned threads : {1u, 2u}) {
-    PipelineOptions opts;
-    opts.rosa_threads = threads;
-    opts.max_total_seconds = 1e-9;  // expires before the first frontier pop
-    ProgramAnalysis a = analyze_program(programs::make_ping(), opts);
+  PipelineOptions opts;
+  opts.max_total_seconds = 1e-9;  // expires before the first frontier pop
+  ProgramAnalysis a = analyze_program(programs::make_ping(), opts);
 
-    // The analysis completes (status Ok: degraded, not failed), every epoch
-    // still has a verdict row, and the degradation is diagnosed.
-    EXPECT_EQ(a.status, AnalysisStatus::Ok);
-    ASSERT_EQ(a.verdicts.size(), a.chrono.rows.size());
-    ASSERT_FALSE(a.diagnostics.empty());
-    EXPECT_EQ(a.diagnostics[0].code, DiagCode::DeadlineExceeded);
-    EXPECT_EQ(a.diagnostics[0].severity, support::Severity::Warning);
-    for (const attacks::EpochVerdicts& ev : a.verdicts)
-      for (CellVerdict v : ev.verdicts) EXPECT_EQ(v, CellVerdict::Timeout);
-    // Timeout cells are excluded from the vulnerable fraction (presumed
-    // invulnerable, as the paper treats hourglasses).
-    for (std::size_t atk = 0; atk < 4; ++atk)
-      EXPECT_DOUBLE_EQ(a.vulnerable_fraction(atk), 0.0);
-  }
+  // The analysis completes (status Ok: degraded, not failed), every epoch
+  // still has a verdict row, and the degradation is diagnosed.
+  EXPECT_EQ(a.status, AnalysisStatus::Ok);
+  ASSERT_EQ(a.verdicts.size(), a.chrono.rows.size());
+  ASSERT_FALSE(a.diagnostics.empty());
+  EXPECT_EQ(a.diagnostics[0].code, DiagCode::DeadlineExceeded);
+  EXPECT_EQ(a.diagnostics[0].severity, support::Severity::Warning);
+  for (const attacks::EpochVerdicts& ev : a.verdicts)
+    for (CellVerdict v : ev.verdicts) EXPECT_EQ(v, CellVerdict::Timeout);
+  // Timeout cells are excluded from the vulnerable fraction (presumed
+  // invulnerable, as the paper treats hourglasses).
+  for (std::size_t atk = 0; atk < 4; ++atk)
+    EXPECT_DOUBLE_EQ(a.vulnerable_fraction(atk), 0.0);
 }
 
 TEST(DeadlineTest, GenerousDeadlineChangesNothing) {

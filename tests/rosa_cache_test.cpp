@@ -42,7 +42,7 @@ using rosa_test::unreachable_query;
 SearchResult run_cached(QueryCache& cache, const Query& q,
                         const SearchLimits& lim,
                         const EscalationPolicy& esc = {}) {
-  return run_queries({&q, 1}, lim, /*n_threads=*/1, esc, &cache)[0];
+  return run_queries({&q, 1}, lim, esc, &cache)[0];
 }
 
 std::string hex_of(const Query& q, const SearchLimits& lim = {}) {
@@ -163,7 +163,7 @@ TEST(QueryCacheTest, RunQueriesSearchesEachFingerprintOnce) {
   std::vector<Query> queries;
   for (int i = 0; i < 8; ++i) queries.push_back(reachable_query());
   const SearchLimits lim = states_budget(10'000);
-  std::vector<SearchResult> results = run_queries(queries, lim, 4, {}, &cache);
+  std::vector<SearchResult> results = run_queries(queries, lim, {}, &cache);
   ASSERT_EQ(results.size(), queries.size());
 
   std::size_t misses = 0, hits = 0;
@@ -173,7 +173,7 @@ TEST(QueryCacheTest, RunQueriesSearchesEachFingerprintOnce) {
     misses += r.stats.cache_misses;
     hits += r.stats.cache_hits;
   }
-  // Exactly one worker searched; every duplicate adopted its result.
+  // One search ran; every duplicate adopted its result.
   EXPECT_EQ(misses, 1u);
   EXPECT_EQ(hits, queries.size() - 1);
   QueryCache::Totals t = cache.totals();
@@ -575,12 +575,11 @@ TEST_F(PersistentCacheTest, TamperedEntryRejectsTheWholeFile) {
 
 // --- Differential equivalence through the full pipeline --------------------
 
-privanalyzer::PipelineOptions pipeline_options(bool cached, unsigned threads,
+privanalyzer::PipelineOptions pipeline_options(bool cached,
                                                std::size_t max_states,
                                                unsigned escalate = 0) {
   privanalyzer::PipelineOptions opts;
   opts.rosa_limits.max_states = max_states;
-  opts.rosa_threads = threads;
   opts.rosa_cache = cached;
   opts.rosa_escalation_rounds = escalate;
   return opts;
@@ -606,35 +605,33 @@ void expect_equivalent_analyses(const privanalyzer::ProgramAnalysis& a,
 TEST(CachePipelineTest, CachedRunBitIdenticalToUncached) {
   for (const auto& spec :
        {programs::make_passwd(), programs::make_thttpd()}) {
-    for (unsigned threads : {1u, 4u}) {
-      SCOPED_TRACE(spec.name + " threads=" + std::to_string(threads));
-      privanalyzer::ProgramAnalysis uncached = privanalyzer::analyze_program(
-          spec, pipeline_options(false, threads, 150'000));
-      privanalyzer::ProgramAnalysis cached = privanalyzer::analyze_program(
-          spec, pipeline_options(true, threads, 150'000));
-      expect_equivalent_analyses(uncached, cached);
-      // The uncached run never consults a cache; the cached run memoizes
-      // every (keyed) cell.
-      rosa::SearchStats us = uncached.search_stats();
-      EXPECT_EQ(us.cache_hits + us.cache_misses, 0u);
-      rosa::SearchStats cs = cached.search_stats();
-      EXPECT_GT(cs.cache_misses, 0u);
-    }
+    SCOPED_TRACE(spec.name);
+    privanalyzer::ProgramAnalysis uncached = privanalyzer::analyze_program(
+        spec, pipeline_options(false, 150'000));
+    privanalyzer::ProgramAnalysis cached = privanalyzer::analyze_program(
+        spec, pipeline_options(true, 150'000));
+    expect_equivalent_analyses(uncached, cached);
+    // The uncached run never consults a cache; the cached run memoizes
+    // every (keyed) cell.
+    rosa::SearchStats us = uncached.search_stats();
+    EXPECT_EQ(us.cache_hits + us.cache_misses, 0u);
+    rosa::SearchStats cs = cached.search_stats();
+    EXPECT_GT(cs.cache_misses, 0u);
   }
 }
 
 TEST(CachePipelineTest, EscalatedRunsStayBitIdentical) {
   programs::ProgramSpec spec = programs::make_passwd();
   privanalyzer::ProgramAnalysis uncached = privanalyzer::analyze_program(
-      spec, pipeline_options(false, 4, 200, /*escalate=*/2));
+      spec, pipeline_options(false, 200, /*escalate=*/2));
   privanalyzer::ProgramAnalysis cached = privanalyzer::analyze_program(
-      spec, pipeline_options(true, 4, 200, /*escalate=*/2));
+      spec, pipeline_options(true, 200, /*escalate=*/2));
   expect_equivalent_analyses(uncached, cached);
 }
 
 TEST(CachePipelineTest, SharedCacheMakesRepeatAnalysesAllHits) {
   programs::ProgramSpec spec = programs::make_passwd();
-  privanalyzer::PipelineOptions opts = pipeline_options(true, 4, 150'000);
+  privanalyzer::PipelineOptions opts = pipeline_options(true, 150'000);
   opts.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
 
   privanalyzer::ProgramAnalysis first =
@@ -651,13 +648,62 @@ TEST(CachePipelineTest, SharedCacheMakesRepeatAnalysesAllHits) {
   EXPECT_EQ(stats.cache_misses, 0u);
 }
 
+// privanalyzerd's traffic without sockets: workers run separate analyses
+// at once against one resident cache. Four threads each analyze the same
+// five programs, each starting at a different program, so lookups and
+// stores of equal fingerprints race on the cache's lock. Every analysis
+// must equal a serial uncached run of its program in verdicts, witnesses,
+// fractions and work counters. Only the cache counters may differ, and
+// the fused_* counters with them, since they describe the shared
+// exploration a hit skips.
+TEST(CachePipelineTest, ConcurrentAnalysesShareOneCache) {
+  const std::vector<programs::ProgramSpec> specs = {
+      programs::make_passwd(), programs::make_su(), programs::make_ping(),
+      programs::make_passwd_refactored(), programs::make_su_refactored()};
+  std::vector<privanalyzer::ProgramAnalysis> reference;
+  for (const programs::ProgramSpec& spec : specs)
+    reference.push_back(privanalyzer::analyze_program(
+        spec, pipeline_options(false, 150'000)));
+
+  privanalyzer::PipelineOptions shared = pipeline_options(true, 150'000);
+  shared.rosa_cache_instance = std::make_shared<QueryCache>();
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<privanalyzer::ProgramAnalysis>> got(
+      kThreads, std::vector<privanalyzer::ProgramAnalysis>(specs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < specs.size(); ++k) {
+        const std::size_t p = (t + k) % specs.size();
+        got[t][p] = privanalyzer::analyze_program(specs[p], shared);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t p = 0; p < specs.size(); ++p) {
+      SCOPED_TRACE(str::cat(specs[p].name, " thread ", t));
+      const privanalyzer::ProgramAnalysis& a = got[t][p];
+      expect_equivalent_analyses(reference[p], a);
+      ASSERT_EQ(a.verdicts.size(), reference[p].verdicts.size());
+      for (std::size_t e = 0; e < a.verdicts.size(); ++e)
+        for (std::size_t atk = 0; atk < a.verdicts[e].results.size(); ++atk) {
+          const SearchStats& want = reference[p].verdicts[e].results[atk].stats;
+          const SearchStats& have = a.verdicts[e].results[atk].stats;
+          EXPECT_EQ(want.peak_bytes, have.peak_bytes);
+          EXPECT_EQ(want.state_bytes, have.state_bytes);
+        }
+    }
+  EXPECT_GT(shared.rosa_cache_instance->totals().hits, 0u);
+}
+
 TEST(CachePipelineTest, PersistentFileWarmsARepeatRun) {
   const std::string path =
       ::testing::TempDir() + "/cache_pipeline_test.cache";
   std::remove(path.c_str());
   programs::ProgramSpec spec = programs::make_passwd();
 
-  privanalyzer::PipelineOptions cold = pipeline_options(true, 4, 150'000);
+  privanalyzer::PipelineOptions cold = pipeline_options(true, 150'000);
   cold.rosa_cache_file = path;
   privanalyzer::ProgramAnalysis first =
       privanalyzer::analyze_program(spec, cold);
@@ -665,7 +711,7 @@ TEST(CachePipelineTest, PersistentFileWarmsARepeatRun) {
 
   // A fresh process (modeled by a fresh options struct → fresh private
   // cache) loads the file and answers every cell without searching.
-  privanalyzer::PipelineOptions warm = pipeline_options(true, 4, 150'000);
+  privanalyzer::PipelineOptions warm = pipeline_options(true, 150'000);
   warm.rosa_cache_file = path;
   privanalyzer::ProgramAnalysis second =
       privanalyzer::analyze_program(spec, warm);

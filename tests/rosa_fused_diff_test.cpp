@@ -2,9 +2,9 @@
 // search_fused, reached through rosa::run_queries' world-signature
 // grouping): one shared exploration answering all four attacks of an epoch
 // must be indistinguishable — bit for bit — from four standalone searches.
-// The full Table-III matrix through run_queries at 1 and 4 workers, cached
-// and uncached, is diffed against one rosa::search per query (a one-member
-// search_fused), down to the counters the goldens deliberately omit
+// The full Table-III matrix through run_queries, cached and uncached, is
+// diffed against one rosa::search per query (a one-member search_fused),
+// down to the counters the goldens deliberately omit
 // (peak_bytes, state_bytes), and each standalone result is held to the
 // goal-probe contract against the probe-free reference loop
 // (tests/reference_search.h, rosa_test::expect_probe_contract).
@@ -78,9 +78,7 @@ std::vector<rosa::SearchResult> standalone_runs(
   return out;
 }
 
-// n_threads = 4 runs the fused groups and (cached) the cache's one lock
-// across pool workers; the tsan CI leg runs this suite.
-void expect_fused_matches_unfused(unsigned n_threads, bool cached) {
+void expect_fused_matches_unfused(bool cached) {
   const Matrix m = rosa_test::build_matrix();
 
   const rosa::SearchLimits limits = rosa_test::table3_limits();
@@ -88,8 +86,8 @@ void expect_fused_matches_unfused(unsigned n_threads, bool cached) {
       standalone_runs(m.queries, limits);
 
   rosa::QueryCache cache;
-  const std::vector<rosa::SearchResult> fused = rosa::run_queries(
-      m.queries, limits, n_threads, {}, cached ? &cache : nullptr);
+  const std::vector<rosa::SearchResult> fused =
+      rosa::run_queries(m.queries, limits, {}, cached ? &cache : nullptr);
 
   ASSERT_EQ(fused.size(), reference.size());
   std::size_t searches_saved = 0;
@@ -115,19 +113,11 @@ void expect_fused_matches_unfused(unsigned n_threads, bool cached) {
 }
 
 TEST(FusedDiffTest, SerialUncachedMatchesUnfused) {
-  expect_fused_matches_unfused(1, false);
+  expect_fused_matches_unfused(false);
 }
 
 TEST(FusedDiffTest, SerialCachedMatchesUnfused) {
-  expect_fused_matches_unfused(1, true);
-}
-
-TEST(FusedDiffTest, FourWorkerUncachedMatchesUnfused) {
-  expect_fused_matches_unfused(4, false);
-}
-
-TEST(FusedDiffTest, FourWorkerCachedMatchesUnfused) {
-  expect_fused_matches_unfused(4, true);
+  expect_fused_matches_unfused(true);
 }
 
 // Fused witnesses are not just string-identical to the standalone ones —
@@ -137,7 +127,7 @@ TEST(FusedDiffTest, FusedWitnessesReplayOnKernel) {
   const Matrix m = rosa_test::build_matrix();
   const rosa::SearchLimits limits = rosa_test::table3_limits();
   const std::vector<rosa::SearchResult> results =
-      rosa::run_queries(m.queries, limits, /*n_threads=*/1, {}, nullptr);
+      rosa::run_queries(m.queries, limits);
 
   const auto& attacks_list = attacks::modeled_attacks();
   std::size_t replayed = 0;
@@ -196,7 +186,7 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
   const std::vector<rosa::SearchResult> reference =
       standalone_runs(queries, limits);
   const std::vector<rosa::SearchResult> fused =
-      rosa::run_queries(queries, limits, 1, {}, nullptr);
+      rosa::run_queries(queries, limits);
 
   ASSERT_EQ(fused.size(), 8u);
   std::size_t saved = 0;
@@ -251,7 +241,7 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
 
   // And through the public batch API, which routes the pair into one group.
   const std::vector<rosa::SearchResult> batch =
-      rosa::run_queries(group, limits, 1, policy, nullptr);
+      rosa::run_queries(group, limits, policy);
   ASSERT_EQ(batch.size(), 2u);
   expect_identical_runs(fast_ref, batch[0]);
   expect_identical_runs(slow_ref, batch[1]);
@@ -264,7 +254,6 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
 TEST(FusedDiffTest, PipelineFractionsMatchUnfused) {
   privanalyzer::PipelineOptions opts;
   opts.rosa_limits = rosa_test::table3_limits();
-  opts.rosa_threads = 1;
   for (const programs::ProgramSpec& spec : programs::all_baseline_programs()) {
     const privanalyzer::ProgramAnalysis fused =
         privanalyzer::analyze_program(spec, opts);
@@ -327,15 +316,14 @@ rosa::Query sublist_query(AttackId attack, const chronopriv::EpochRow& row,
 // the epoch's conservative allowlist, decided in the baseline's batch and
 // fused exploration. It must be indistinguishable from a standalone search
 // of the sublist world it replaces: verdict, witness and every work
-// counter, under each attacker model, cached, at 1 and 4 workers.
-void expect_filtered_cells_match_sublist_worlds(unsigned n_threads) {
+// counter, under each attacker model, cached.
+TEST(FusedDiffTest, SerialFilteredCellsMatchSublistWorlds) {
   for (const programs::ProgramSpec& spec : paper_programs()) {
     for (rosa::AttackerModel attacker :
          {rosa::AttackerModel::Full, rosa::AttackerModel::CfiOrdered,
           rosa::AttackerModel::FixedArgs}) {
       privanalyzer::PipelineOptions opts;
       opts.rosa_limits = rosa_test::table3_limits();
-      opts.rosa_threads = n_threads;
       opts.attacker = attacker;
       opts.filters = privanalyzer::FilterMode::Report;
       const privanalyzer::ProgramAnalysis a =
@@ -361,14 +349,6 @@ void expect_filtered_cells_match_sublist_worlds(unsigned n_threads) {
       }
     }
   }
-}
-
-TEST(FusedDiffTest, SerialFilteredCellsMatchSublistWorlds) {
-  expect_filtered_cells_match_sublist_worlds(1);
-}
-
-TEST(FusedDiffTest, FourWorkerFilteredCellsMatchSublistWorlds) {
-  expect_filtered_cells_match_sublist_worlds(4);
 }
 
 /// A seeded random subset of `from`: each name kept with probability 1/2.
@@ -419,7 +399,7 @@ TEST(FusedDiffTest, NestedAllowlistsMatchSublistsAndStayMonotone) {
           }
         }
         const std::vector<rosa::SearchResult> results =
-            rosa::run_queries(batch, limits, 1, {}, nullptr);
+            rosa::run_queries(batch, limits);
         for (std::size_t k = 0; k < n_attacks; ++k) {
           const attacks::AttackInfo& attack = attacks::modeled_attacks()[k];
           SCOPED_TRACE(str::cat(row.name, "/", attack.name, " draw ", draw));

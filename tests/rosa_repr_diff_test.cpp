@@ -2,10 +2,10 @@
 // Table-III query matrix (5 programs x epochs x 4 attacks, 96 queries) must
 // produce bit-identical fingerprints, verdicts, work counters, witnesses,
 // and vulnerable-fractions to the goldens captured from the seed build
-// (tests/golden/rosa_table3_seed.txt) — serial and 4-thread, uncached and
-// cached. The searches run with SearchLimits::check_hashes, so every
-// incrementally maintained digest is cross-checked against a from-scratch
-// State::full_hash() along the way.
+// (tests/golden/rosa_table3_seed.txt), uncached and cached. The searches
+// run with SearchLimits::check_hashes, so every incrementally maintained
+// digest is cross-checked against a from-scratch State::full_hash() along
+// the way.
 //
 // The golden's counter columns record the search loop's goal probe. Its
 // fingerprint, verdict and witness columns are vouched for independently:
@@ -31,7 +31,7 @@ namespace {
 using rosa_test::Golden;
 using rosa_test::Matrix;
 
-void expect_matches_golden(unsigned n_threads, bool cached) {
+void expect_matches_golden(bool cached) {
   const Golden golden = rosa_test::load_golden();
   ASSERT_EQ(golden.qlines.size(), 96u) << "golden file out of shape";
   const Matrix m = rosa_test::build_matrix();
@@ -40,29 +40,19 @@ void expect_matches_golden(unsigned n_threads, bool cached) {
   const rosa::SearchLimits limits = rosa_test::table3_limits();
   rosa::QueryCache cache;
   std::vector<rosa::SearchResult> results =
-      rosa::run_queries(m.queries, limits, n_threads, {},
-                        cached ? &cache : nullptr);
+      rosa::run_queries(m.queries, limits, {}, cached ? &cache : nullptr);
   for (std::size_t i = 0; i < m.queries.size(); ++i)
     EXPECT_EQ(rosa_test::render_line(m.queries[i], results[i], limits),
               golden.qlines[i])
-        << m.labels[i] << " (threads=" << n_threads
-        << " cached=" << cached << ")";
+        << m.labels[i] << " (cached=" << cached << ")";
 }
 
 TEST(ReprDiffTest, SerialUncachedMatchesSeedGoldens) {
-  expect_matches_golden(1, false);
-}
-
-TEST(ReprDiffTest, FourThreadUncachedMatchesSeedGoldens) {
-  expect_matches_golden(4, false);
+  expect_matches_golden(false);
 }
 
 TEST(ReprDiffTest, SerialCachedMatchesSeedGoldens) {
-  expect_matches_golden(1, true);
-}
-
-TEST(ReprDiffTest, FourThreadCachedMatchesSeedGoldens) {
-  expect_matches_golden(4, true);
+  expect_matches_golden(true);
 }
 
 /// A golden q-line without its counter columns: fingerprint, verdict,
@@ -93,7 +83,6 @@ TEST(ReprDiffTest, VulnerableFractionsMatchSeedGoldens) {
 
   privanalyzer::PipelineOptions full;
   full.rosa_limits = rosa_test::table3_limits();
-  full.rosa_threads = 1;
   std::vector<privanalyzer::ProgramAnalysis> analyses =
       privanalyzer::analyze_baseline(full);
   ASSERT_EQ(analyses.size(), golden.fractions.size());

@@ -1,6 +1,6 @@
-// Unit tests for the support::ThreadPool behind rosa::run_queries: result
-// ordering, exception propagation, size-1 == inline execution, and
-// no-deadlock on empty / oversubscribed batches.
+// Unit tests for the support::ThreadPool behind privanalyzerd's analysis
+// workers: result ordering, exception propagation, size-1 == inline
+// execution, and no-deadlock on empty / oversubscribed batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,8 +19,8 @@ TEST(ThreadPoolTest, HardwareThreadsNeverZero) {
 }
 
 TEST(ThreadPoolTest, ResultsLandAtTheirSubmissionIndex) {
-  // Index-addressed results are the ordering contract run_queries relies
-  // on: completion order is arbitrary, placement is not.
+  // Index-addressed results: completion order is arbitrary, placement is
+  // not.
   constexpr int kTasks = 200;
   ThreadPool pool(4);
   std::vector<int> results(kTasks, -1);

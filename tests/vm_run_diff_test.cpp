@@ -13,6 +13,7 @@
 // a fault several blocks into a stretch, and scheduler cuts at every op.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <limits>
 #include <optional>
@@ -167,11 +168,53 @@ std::string first_line(const std::string& text) {
   return text.substr(0, text.find('\n'));
 }
 
+/// The number of lines in `text`; a last line without '\n' counts.
+std::size_t line_count(const std::string& text) {
+  const auto n = static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+  return n + (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
+/// EXPECT_PRED_FORMAT2 check that two renderings are byte-identical. A
+/// mismatch reports only the first differing line, both versions of it and
+/// the two line counts: gtest's own report for EXPECT_EQ on strings is a
+/// line diff whose cost grows with the product of the line counts, and
+/// renderings run past a thousand lines.
+::testing::AssertionResult SameRendering(const char*, const char*,
+                                         const std::string& got,
+                                         const std::string& want) {
+  if (got == want) return ::testing::AssertionSuccess();
+  // Walk both texts line by line; a text whose last line ended is past its
+  // end and shows as "<end of text>". The texts differ, so the walk stops.
+  auto line_end = [](const std::string& text, std::size_t from) {
+    return from > text.size() ? from : std::min(text.find('\n', from),
+                                                 text.size());
+  };
+  auto show = [](const std::string& text, std::size_t from, std::size_t to) {
+    return from > text.size() ? std::string("<end of text>")
+                              : text.substr(from, to - from);
+  };
+  std::size_t g = 0, w = 0, line = 1;
+  for (;; ++line) {
+    const std::size_t g_end = line_end(got, g), w_end = line_end(want, w);
+    if (g > got.size() || w > want.size() ||
+        got.compare(g, g_end - g, want, w, w_end - w) != 0)
+      return ::testing::AssertionFailure()
+             << "renderings first differ at line " << line
+             << "\n  got:  " << show(got, g, g_end)
+             << "\n  want: " << show(want, w, w_end) << "\n  (got "
+             << line_count(got) << " lines, want " << line_count(want)
+             << " lines)";
+    g = g_end + 1;
+    w = w_end + 1;
+  }
+}
+
 void expect_same_runs(const programs::ProgramSpec& spec) {
   for (const RunSetup& setup : setups()) {
     SCOPED_TRACE(spec.name + " / " + setup.name);
     const std::string want = observe<Reference>(spec, setup);
-    EXPECT_EQ(observe<Decoded>(spec, setup), want);
+    EXPECT_PRED_FORMAT2(SameRendering, observe<Decoded>(spec, setup), want);
   }
 }
 
@@ -360,7 +403,7 @@ TEST(FaultDiff, FaultsThrowTheSameMessage) {
     SCOPED_TRACE(spec.name);
     const std::string want = observe<Reference>(spec, setup);
     EXPECT_EQ(want.rfind("fault ", 0), 0u) << want;
-    EXPECT_EQ(observe<Decoded>(spec, setup), want);
+    EXPECT_PRED_FORMAT2(SameRendering, observe<Decoded>(spec, setup), want);
   }
 }
 
@@ -413,7 +456,7 @@ TEST(FaultDiff, BudgetEndsInsideARun) {
   const RunSetup setup{"plain", false, std::nullopt, /*budget=*/10'000};
   const std::string want = observe<Reference>(loop, setup);
   EXPECT_EQ(first_line(want), "fault instruction budget exhausted (10000)");
-  EXPECT_EQ(observe<Decoded>(loop, setup), want);
+  EXPECT_PRED_FORMAT2(SameRendering, observe<Decoded>(loop, setup), want);
 
   const programs::ProgramSpec thttpd = programs::make_thttpd();
   for (RunSetup budgeted : setups()) {
@@ -424,7 +467,8 @@ TEST(FaultDiff, BudgetEndsInsideARun) {
       EXPECT_EQ(first_line(want_thttpd),
                 "fault instruction budget exhausted (100003)");
     }
-    EXPECT_EQ(observe<Decoded>(thttpd, budgeted), want_thttpd);
+    EXPECT_PRED_FORMAT2(SameRendering, observe<Decoded>(thttpd, budgeted),
+                        want_thttpd);
   }
 }
 
@@ -805,7 +849,8 @@ class SchedulerDiff
 TEST_P(SchedulerDiff, DecodedMatchesReferencePerProcess) {
   const auto [world, quantum] = GetParam();
   const std::string want = observe_world<Reference>(world.make, quantum);
-  EXPECT_EQ(observe_world<Decoded>(world.make, quantum), want);
+  EXPECT_PRED_FORMAT2(SameRendering,
+                      observe_world<Decoded>(world.make, quantum), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -851,7 +896,9 @@ TEST(StretchEdgeDiff, SchedulerCutsInsideTheLoop) {
     SCOPED_TRACE(quantum);
     const std::string want =
         observe_world<Reference>(&counted_loop_world, quantum);
-    EXPECT_EQ(observe_world<Decoded>(&counted_loop_world, quantum), want);
+    EXPECT_PRED_FORMAT2(SameRendering,
+                        observe_world<Decoded>(&counted_loop_world, quantum),
+                        want);
   }
 }
 

@@ -1,12 +1,16 @@
 // Cross-engine soundness: every witness ROSA produces must replay
 // successfully on the SimOS kernel (which shares only the access-decision
 // library with ROSA, not the transition rules), and the replayed kernel
-// must end up in the kernel-side equivalent of the goal state.
+// must end up in the kernel-side equivalent of the goal state. Besides the
+// handmade attack matrix, every Reachable cell of the pipeline's matrix on
+// the seven seed programs (Table II, passwdRef and suRef) replays.
 #include <gtest/gtest.h>
 
 #include <ostream>
 
 #include "attacks/scenario.h"
+#include "privanalyzer/pipeline.h"
+#include "programs/world.h"
 #include "rosa/query.h"
 #include "rosa/replay.h"
 
@@ -116,6 +120,54 @@ INSTANTIATE_TEST_SUITE_P(
                    AttackId::KillServer, true},
         ReplayCase{"kill_safe", {Capability::Setgid}, 1000,
                    AttackId::KillServer, false}));
+
+struct SeedProgram {
+  const char* name;
+  programs::ProgramSpec (*make)();
+};
+
+void PrintTo(const SeedProgram& p, std::ostream* os) { *os << p.name; }
+
+class PipelineWitnessReplay : public ::testing::TestWithParam<SeedProgram> {};
+
+// Each Reachable cell's witness is replayed from its attack query's initial
+// state, rebuilt from the epoch row the way the pipeline builds it.
+TEST_P(PipelineWitnessReplay, EveryReachableWitnessReplays) {
+  const programs::ProgramSpec spec = GetParam().make();
+  privanalyzer::PipelineOptions opts;
+  opts.rosa_limits.max_states = 150'000;
+  const privanalyzer::ProgramAnalysis analysis =
+      privanalyzer::analyze_program(spec, opts);
+  const std::vector<std::string> syscalls = spec.syscalls_used();
+  ASSERT_EQ(analysis.verdicts.size(), analysis.chrono.rows.size());
+  for (std::size_t e = 0; e < analysis.verdicts.size(); ++e) {
+    const ScenarioInput input = attacks::scenario_from_epoch(
+        analysis.chrono.rows[e], syscalls, spec.scenario_extra_users,
+        spec.scenario_extra_groups);
+    for (std::size_t a = 0; a < attacks::modeled_attacks().size(); ++a) {
+      const SearchResult& r = analysis.verdicts[e].results[a];
+      if (r.verdict != Verdict::Reachable) continue;
+      const Query q =
+          attacks::build_attack_query(attacks::modeled_attacks()[a].id, input);
+      Materialized world(q.initial);
+      std::string diag;
+      EXPECT_TRUE(world.replay(r.witness, &diag))
+          << spec.name << "/" << analysis.verdicts[e].epoch_name << "/attack"
+          << a + 1 << ": " << diag;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSeedPrograms, PipelineWitnessReplay,
+    ::testing::Values(SeedProgram{"passwd", &programs::make_passwd},
+                      SeedProgram{"su", &programs::make_su},
+                      SeedProgram{"ping", &programs::make_ping},
+                      SeedProgram{"thttpd", &programs::make_thttpd},
+                      SeedProgram{"sshd", &programs::make_sshd},
+                      SeedProgram{"passwdRef",
+                                  &programs::make_passwd_refactored},
+                      SeedProgram{"suRef", &programs::make_su_refactored}));
 
 TEST(WitnessReplayManual, PaperExampleWitnessExecutes) {
   // The Fig. 2-4 example: replay chown -> chmod -> open on the kernel.

@@ -7,9 +7,6 @@
 //     --max-bytes N        ROSA memory budget per query in arena bytes
 //                          (default unlimited; exceeded searches report as
 //                          Timeout like exhausted state budgets)
-//     --rosa-threads N     worker threads for the (epoch x attack) query
-//                          matrix (0 = hardware_concurrency, 1 = serial;
-//                          verdicts are identical for every N)
 //     --escalate-rounds N  retry ResourceLimit queries with geometrically
 //                          doubled budgets, up to N extra rounds (default 0;
 //                          shrinks the presumed-invulnerable bucket)
@@ -116,8 +113,7 @@ void install_signal_handlers() {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <prog.pir> [more programs...] [--no-rosa] [--max-states N]\n"
-               "       [--max-bytes N]\n"
-               "       [--rosa-threads N] [--escalate-rounds N] [--deadline SECS]\n"
+               "       [--max-bytes N] [--escalate-rounds N] [--deadline SECS]\n"
                "       [--attacker full|cfi-ordered|fixed-args] [--print-ir]\n"
                "       [--indirect-calls conservative|refined|assume-none]\n"
                "       [--assume-no-indirect] [--world-file world.world]\n"
@@ -250,10 +246,6 @@ int main(int argc, char** argv) {
       opts.run_rosa = false;
     } else if (arg == "--stats") {
       print_stats = true;
-    } else if (arg == "--rosa-threads" && i + 1 < argc) {
-      const auto n = str::parse_u64(argv[++i], UINT_MAX);
-      if (!n) return bad_value(argv[0], arg, argv[i]);
-      opts.rosa_threads = static_cast<unsigned>(*n);
     } else if (arg == "--escalate-rounds" && i + 1 < argc) {
       const auto n = str::parse_u64(argv[++i], UINT_MAX);
       if (!n) return bad_value(argv[0], arg, argv[i]);
