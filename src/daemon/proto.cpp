@@ -239,6 +239,10 @@ Frame StatusReply::to_frame() const {
       {"job_id", std::to_string(job_id)},
       {"state", state},
   };
+  if (exit_code) {
+    kv.emplace_back("exit_code", std::to_string(*exit_code));
+    kv.emplace_back("body", body);
+  }
   return Frame{MsgType::StatusReply, encode_kv(kv)};
 }
 
@@ -247,6 +251,10 @@ StatusReply StatusReply::from_frame(const Frame& f) {
   StatusReply r;
   r.job_id = kv_get_u64(kv, "job_id", 0);
   r.state = kv_get(kv, "state", "unknown");
+  if (!kv_get(kv, "exit_code").empty()) {
+    r.exit_code = static_cast<int>(kv_get_u64(kv, "exit_code", 0, INT_MAX));
+    r.body = kv_get(kv, "body");
+  }
   return r;
 }
 

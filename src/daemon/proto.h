@@ -52,7 +52,7 @@ inline constexpr std::size_t kMaxFrameBytes = 4u << 20;
 enum class MsgType : std::uint16_t {
   // client -> server
   Submit = 1,    // enqueue an analysis job
-  Status = 2,    // poll one job's state
+  Status = 2,    // poll one job's state, and a terminal job's result
   Cancel = 3,    // cooperative cancel of a queued/running job
   Ping = 4,      // heartbeat
   Shutdown = 5,  // drain (finish running jobs) or abort, then exit
@@ -140,6 +140,10 @@ struct SubmitReply {
 struct StatusReply {
   std::uint64_t job_id = 0;
   std::string state;  // job_state_name spelling, "unknown" for bad ids
+  /// A terminal job's exit code and result body, as its Result frame
+  /// carries them; unset, and left off the wire, for any other state.
+  std::optional<int> exit_code;
+  std::string body;
 
   Frame to_frame() const;
   static StatusReply from_frame(const Frame& f);

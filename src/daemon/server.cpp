@@ -172,20 +172,11 @@ void Server::dispatch(Conn& conn, const Frame& frame) {
     case MsgType::Submit:
       handle_submit(conn, frame);
       return;
-    case MsgType::Status: {
-      KvPairs kv = decode_kv(frame.payload);
-      std::uint64_t id = kv_get_u64(kv, "job_id", 0);
-      StatusReply reply{id, "unknown"};
-      {
-        std::lock_guard<std::mutex> lock(jobs_mu_);
-        auto it = jobs_.find(id);
-        if (it != jobs_.end())
-          reply.state = std::string(job_state_name(it->second->state));
-      }
-      send_on(conn, reply.to_frame());
-      return;
-    }
+    case MsgType::Status:
     case MsgType::Cancel: {
+      // Both answer with the job's state, and a terminal job's exit code
+      // and body, so a client whose connection closed still gets its
+      // result by polling.
       KvPairs kv = decode_kv(frame.payload);
       std::uint64_t id = kv_get_u64(kv, "job_id", 0);
       StatusReply reply{id, "unknown"};
@@ -193,8 +184,13 @@ void Server::dispatch(Conn& conn, const Frame& frame) {
         std::lock_guard<std::mutex> lock(jobs_mu_);
         auto it = jobs_.find(id);
         if (it != jobs_.end()) {
-          it->second->cancel.store(true);
-          reply.state = std::string(job_state_name(it->second->state));
+          Job& job = *it->second;
+          if (frame.type == MsgType::Cancel) job.cancel.store(true);
+          reply.state = std::string(job_state_name(job.state));
+          if (is_terminal(job.state)) {
+            reply.exit_code = job.outcome.exit_code;
+            reply.body = job.outcome.body;
+          }
         }
       }
       send_on(conn, reply.to_frame());

@@ -23,8 +23,10 @@
 //    pipeline also hands to ChronoPriv's interpreter. Cancel frames and
 //    abort-shutdown stop a search at its next frontier pop and a program
 //    still interpreting within one 2^16-instruction turn, so no job holds a
-//    worker after its cancel (a spinning program would otherwise run its
-//    whole 2e9-instruction budget).
+//    worker after its cancel. (An endless loop with a syscall on every
+//    iteration would otherwise hold it for minutes, until its
+//    2e9-instruction budget ran out; one without a syscall reaches the
+//    budget in milliseconds, because ChronoPriv summarizes its cycle.)
 //  * Connection hygiene — a protocol error (bad magic/version, oversized
 //    frame, truncated payload) or an injected daemon.read/daemon.write
 //    fault gets a best-effort Error frame, then the connection is reaped;
@@ -34,8 +36,10 @@
 //    keep their round-robin turn and run to a terminal state, which stays
 //    in the global job table, so a client whose connection closed (e.g.
 //    `pa_client submit --no-wait`) or died can reconnect and poll its job
-//    by id. Only an explicit Cancel, an abort-shutdown or ~Server cancels
-//    them, and they count against `max_queue` until they start.
+//    by id; once the job is terminal, the Status reply also carries its
+//    exit code and result body (`pa_client result`). Only an explicit
+//    Cancel, an abort-shutdown or ~Server cancels them, and they count
+//    against `max_queue` until they start.
 //  * Resident cache — one rosa::QueryCache shared by every job that opts
 //    in, bounded by `cache_bytes` (LRU eviction), backed by `cache_file`
 //    when set: loaded on start (with retry), checkpointed atomically every

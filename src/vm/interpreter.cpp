@@ -1,6 +1,7 @@
 #include "vm/interpreter.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/error.h"
 #include "support/str.h"
@@ -27,6 +28,45 @@ bool ends_run(ir::Opcode op) {
       return true;
     default:
       return ir::is_terminator(op);
+  }
+}
+
+// Cycle summaries (DESIGN.md decision 18) reason about the values a cycle
+// computes in iterations j = 0, 1, ..., each linear in j, in 128 bits, so
+// that an int64 overflow is seen rather than wrapped.
+using Wide = __int128;
+constexpr Wide kMinInt = std::numeric_limits<std::int64_t>::min();
+constexpr Wide kMaxInt = std::numeric_limits<std::int64_t>::max();
+constexpr std::uint64_t kForever = std::numeric_limits<std::uint64_t>::max();
+
+/// The number of leading iterations j = 0, 1, ... in which
+/// `g0 + slope * j >= 0` keeps its value at j = 0; kForever if it never
+/// changes.
+std::uint64_t keeps_sign(Wide g0, Wide slope) {
+  if (g0 < 0) {  // g < 0 exactly when -g - 1 >= 0
+    g0 = -g0 - 1;
+    slope = -slope;
+  }
+  if (slope >= 0) return kForever;
+  const Wide n = g0 / -slope + 1;
+  return n >= kForever ? kForever : static_cast<std::uint64_t>(n);
+}
+
+/// The number of leading iterations j in which `lhs op rhs` keeps its value
+/// at j = 0, where lhs - rhs = d0 + slope * j.
+std::uint64_t keeps_value(ir::Opcode op, Wide d0, Wide slope) {
+  switch (op) {
+    case ir::Opcode::CmpLt: return keeps_sign(-d0 - 1, -slope);
+    case ir::Opcode::CmpLe: return keeps_sign(-d0, -slope);
+    case ir::Opcode::CmpGt: return keeps_sign(d0 - 1, slope);
+    case ir::Opcode::CmpGe: return keeps_sign(d0, slope);
+    default: {  // cmpeq, cmpne: lhs == rhs in at most one iteration
+      if (slope == 0) return kForever;
+      if (d0 == 0) return 1;
+      if (d0 % slope != 0 || -d0 / slope < 0) return kForever;
+      const Wide n = -d0 / slope;
+      return n >= kForever ? kForever : static_cast<std::uint64_t>(n);
+    }
   }
 }
 
@@ -80,7 +120,10 @@ Interpreter::Interpreter(os::Kernel& kernel, const ir::Module& module,
       }
     }
     code.block_begin.push_back(static_cast<std::uint32_t>(code_.size()));
+    if (walk_.regs.size() < static_cast<std::size_t>(code.frame_size))
+      walk_.regs.resize(static_cast<std::size_t>(code.frame_size));
   }
+  declined_.resize(stamps_.size());
 }
 
 std::int64_t Interpreter::intern(std::string_view name) {
@@ -323,6 +366,10 @@ Stretch Interpreter::run_stretch(const Frame& frame, const Code& code,
       if (stamp != stretch_id_) {
         stamp = stretch_id_;
         entered_.push_back(target);
+      } else if (declined_[code.first_stamp + t] != stretch_id_) {
+        // The branch closes a cycle through the target: apply what the
+        // rule can of its iterations at once.
+        s.n += summarize_cycle(code, target, regs, avail - s.n);
       }
     }
   } catch (...) {
@@ -335,6 +382,184 @@ Stretch Interpreter::run_stretch(const Frame& frame, const Code& code,
   }
   s.entered = entered_;
   return s;
+}
+
+std::uint64_t Interpreter::summarize_cycle(const Code& code, int head,
+                                           Value* regs, std::uint64_t room) {
+  CycleWalk& w = walk_;
+  ++w.id;
+  w.written.clear();
+  w.guards.clear();
+  w.sums.clear();
+  auto reg = [&w](int r) -> CycleReg& {
+    CycleReg& c = w.regs[static_cast<std::size_t>(r)];
+    if (c.walk != w.id) c = {w.id, {r, 0}, 0, false, false};
+    return c;
+  };
+  // Cleared by any shape the rule declines, such as a read of a string or
+  // function value.
+  bool affine = true;
+  auto read = [&](const Arg& a) -> Lin {
+    if (a.reg < 0) {
+      affine = affine && a.constant.kind == Kind::Int;
+      return {-1, a.constant.v};
+    }
+    CycleReg& c = reg(a.reg);
+    if (!c.written) {
+      affine = affine && regs[a.reg].kind == Kind::Int;
+      c.input = true;
+    }
+    return c.value;
+  };
+  auto write = [&](int r, Lin v) {
+    CycleReg& c = reg(r);
+    if (!c.written) w.written.push_back(r);
+    c.written = true;
+    c.value = v;
+  };
+  // v's value in iteration j is start(v) + slope(v) * j, once the walk has
+  // set the steps; now(v) is its value in the iteration about to run, as
+  // the ops compute it.
+  auto start = [regs](Lin v) {
+    return v.base < 0 ? Wide{v.off} : Wide{regs[v.base].v} + v.off;
+  };
+  auto slope = [&w](Lin v) {
+    return v.base < 0 ? Wide{0}
+                      : Wide{w.regs[static_cast<std::size_t>(v.base)].step};
+  };
+  auto now = [&start](Lin v) { return static_cast<std::int64_t>(start(v)); };
+  auto decline = [&]() -> std::uint64_t {
+    declined_[code.first_stamp + static_cast<std::size_t>(head)] = stretch_id_;
+    return 0;
+  };
+
+  // Walk the next iteration from `head` back to it, taking each condbr the
+  // way the current values do. A path that ends the stretch, or enters a
+  // block the stretch has not entered, returns without a decline: stepping
+  // the iteration ends the stretch or enters the block.
+  const std::size_t blocks = code.block_begin.size() - 1;
+  std::uint64_t len = 0;
+  int block = head;
+  for (std::size_t visits = 1;; ++visits) {
+    if (visits > blocks) return decline();  // the path runs an inner cycle
+    const auto b = static_cast<std::size_t>(block);
+    const std::uint32_t size = code.block_begin[b + 1] - code.block_begin[b];
+    const Op* ops = code_.data() + code.block_begin[b];
+    if (ops[0].run_len != size) return 0;  // a syscall, priv_* op or call
+    len += size;
+    for (std::uint32_t i = ops[0].next_effect; i + 1 < size;
+         i = ops[i + 1].next_effect) {
+      const Op& op = ops[i];
+      const Arg* a = args_.data() + op.first_arg;
+      switch (op.opcode) {
+        case ir::Opcode::Mov:
+          write(op.dest, read(a[0]));
+          break;
+        case ir::Opcode::Add:
+        case ir::Opcode::Sub: {
+          // One side must be a constant: the other moves by it.
+          const Lin x = read(a[0]);
+          const Lin y = read(a[1]);
+          Lin sum{x.base < 0 ? y.base : x.base, 0};
+          if (op.opcode == ir::Opcode::Add)
+            affine = affine && (x.base < 0 || y.base < 0) &&
+                     !__builtin_add_overflow(x.off, y.off, &sum.off);
+          else
+            affine = affine && y.base < 0 &&
+                     !__builtin_sub_overflow(x.off, y.off, &sum.off);
+          write(op.dest, sum);
+          w.sums.push_back(sum);
+          break;
+        }
+        case ir::Opcode::CmpEq: case ir::Opcode::CmpNe:
+        case ir::Opcode::CmpLt: case ir::Opcode::CmpLe:
+        case ir::Opcode::CmpGt: case ir::Opcode::CmpGe: {
+          const Lin x = read(a[0]);
+          const Lin y = read(a[1]);
+          w.guards.push_back({op.opcode, x, y});
+          write(op.dest,
+                {-1, ir::int_binop(op.opcode, now(x), now(y)).value});
+          break;
+        }
+        default:  // mul, div, and, or, not, an undecoded funcaddr
+          affine = false;
+      }
+      if (!affine) return decline();
+    }
+    const Op& term = ops[size - 1];
+    int next = term.targets[0];
+    if (term.opcode == ir::Opcode::CondBr) {
+      const Lin cond = read(args_[term.first_arg]);
+      if (!affine) return decline();
+      w.guards.push_back({ir::Opcode::CmpNe, cond, {-1, 0}});
+      if (now(cond) == 0) next = term.targets[1];
+    } else if (term.opcode != ir::Opcode::Br) {
+      return 0;  // ret, exit or unreachable
+    }
+    const auto t = static_cast<std::size_t>(next);
+    if (next < 0 || t >= blocks ||
+        code.block_begin[t] == code.block_begin[t + 1] ||
+        stamps_[code.first_stamp + t] != stretch_id_)
+      return 0;
+    if (next == head) break;
+    block = next;
+  }
+
+  // Each written register's step, how far its value at an iteration's start
+  // moves per iteration: follow its value through the written registers it
+  // came from to one that moves by a constant step (an induction register),
+  // a constant, or a register the cycle does not write. A register that
+  // follows an induction register, such as emit_loop's `next = i + 1`,
+  // moves with it; a chain that loops, such as a swap, is declined.
+  for (int r : w.written) {
+    int at = r;
+    for (std::size_t hops = 0;; ++hops) {
+      const Lin v = w.regs[static_cast<std::size_t>(at)].value;
+      if (v.base == at) {
+        w.regs[static_cast<std::size_t>(r)].step = v.off;
+        break;
+      }
+      if (v.base < 0 || !w.regs[static_cast<std::size_t>(v.base)].written)
+        break;  // step 0
+      if (hops == w.written.size()) return decline();
+      at = v.base;
+    }
+  }
+  // A written register read before its write must already hold what the
+  // previous iteration of this path left, or iteration 0 differs from the
+  // rest: step it, and the next entry finds it so.
+  for (int r : w.written) {
+    const CycleReg& c = w.regs[static_cast<std::size_t>(r)];
+    if (c.input && Wide{regs[r].v} != start(c.value) - slope(c.value))
+      return 0;
+  }
+
+  // The largest k for which the path repeats exactly: every comparison
+  // keeps its value, no add or sub leaves int64 (stepping owns the wrap),
+  // and one instruction of `room` is left to step.
+  std::uint64_t k = (room - 1) / len;
+  for (const Lin& v : w.sums) {
+    const Wide v0 = start(v);
+    if (v0 < kMinInt || v0 > kMaxInt) return decline();  // wraps already
+    k = std::min({k, keeps_sign(kMaxInt - v0, -slope(v)),
+                  keeps_sign(v0 - kMinInt, slope(v))});
+  }
+  for (const Guard& g : w.guards)
+    k = std::min(k, keeps_value(g.op, start(g.lhs) - start(g.rhs),
+                                slope(g.lhs) - slope(g.rhs)));
+  if (k == 0) return 0;
+
+  // Each written register ends with its value from iteration k - 1.
+  w.finals.clear();
+  for (int r : w.written) {
+    const Lin v = w.regs[static_cast<std::size_t>(r)].value;
+    w.finals.push_back(
+        static_cast<std::int64_t>(start(v) + slope(v) * Wide(k - 1)));
+  }
+  for (std::size_t i = 0; i < w.written.size(); ++i)
+    regs[w.written[i]] = {w.finals[i], Kind::Int};
+  summarized_ += k * len;
+  return k * len;
 }
 
 void Interpreter::execute(Frame& frame, const Op& op) {

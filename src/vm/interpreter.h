@@ -12,7 +12,9 @@
 // in stretches: the straight-line runs of one frame joined by br/condbr,
 // executed in one loop. A stretch is charged in full to executed() and
 // reported to the tracer once, but only its effectful ops are dispatched:
-// nops are counted, never executed (DESIGN.md decision 16).
+// nops are counted, never executed (DESIGN.md decision 16). When a branch
+// closes a cycle inside a stretch and the cycle is affine, the largest exact
+// number of its iterations is applied in one step (decision 18).
 #pragma once
 
 #include <atomic>
@@ -103,6 +105,10 @@ class Interpreter {
   long exit_code() const { return exit_code_; }
 
   std::uint64_t executed() const { return executed_; }
+  /// The part of executed() that cycle summaries charged instead of
+  /// stepping (DESIGN.md decision 18); tests read it to see where the rule
+  /// fires and where it declines.
+  std::uint64_t summarized_instructions() const { return summarized_; }
 
  private:
   /// A register value: an int, or the intern id of a string or function
@@ -145,6 +151,37 @@ class Interpreter {
     std::size_t base = 0;  // the frame's registers start at regs_[base]
     int dest_in_caller = ir::kNoReg;
   };
+  /// A cycle walk's view of a value: register `base`'s value at the start
+  /// of the iteration plus `off`, or the constant `off` when base < 0.
+  struct Lin {
+    int base = -1;
+    std::int64_t off = 0;
+  };
+  /// A comparison on a cycle's path, `lhs op rhs` (a condbr tests
+  /// `cond != 0`): every summarized iteration must give it the same value.
+  struct Guard {
+    ir::Opcode op;
+    Lin lhs;
+    Lin rhs;
+  };
+  /// A frame register as the current walk sees it; an entry from an earlier
+  /// walk stands for a register the walk has not touched.
+  struct CycleReg {
+    std::uint64_t walk = 0;
+    Lin value;               // its value at the walk's current op
+    std::int64_t step = 0;   // how far its iteration-start value moves
+    bool written = false;
+    bool input = false;      // read before the cycle writes it
+  };
+  /// Working storage of summarize_cycle, kept to reuse its allocations.
+  struct CycleWalk {
+    std::uint64_t id = 0;
+    std::vector<CycleReg> regs;  // by frame register
+    std::vector<int> written;    // in first-write order
+    std::vector<Guard> guards;
+    std::vector<Lin> sums;       // every add/sub result, range-checked
+    std::vector<std::int64_t> finals;
+  };
 
   static const Value& load(const Value* regs, const Arg& arg);
   static std::int64_t as_int(const Value& v);
@@ -164,6 +201,15 @@ class Interpreter {
   /// charges and reports it before the exception leaves.
   Stretch run_stretch(const Frame& frame, const Code& code,
                       std::uint64_t avail);
+  /// Called when a branch re-enters `head`, a block the stretch already
+  /// entered, with `room` (> 0) instructions left in the stretch. Walks the
+  /// cycle's next iteration from `head` and, if it is affine, applies the
+  /// largest exact number of iterations to `regs` at once, leaving at least
+  /// one instruction of `room` to step. Returns the instructions applied,
+  /// 0 if none. A cycle of a shape the rule declines marks `head`, so the
+  /// stretch does not walk it again.
+  std::uint64_t summarize_cycle(const Code& code, int head, Value* regs,
+                                std::uint64_t room);
   /// Executes a straight-line op; leaves the ip to the caller.
   void compute(Value* regs, const Op& op) const;
   /// Executes any op, advancing frame.ip or transferring control.
@@ -190,6 +236,11 @@ class Interpreter {
   std::vector<std::uint64_t> stamps_;
   std::uint64_t stretch_id_ = 0;
   std::vector<int> entered_;
+  // Parallel to stamps_: the id of the last stretch in which a cycle walk
+  // from the block was declined, so the stretch steps that cycle from then on.
+  std::vector<std::uint64_t> declined_;
+  CycleWalk walk_;
+  std::uint64_t summarized_ = 0;
 
   std::vector<Frame> stack_;
   std::vector<Value> regs_;

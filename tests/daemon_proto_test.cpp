@@ -266,6 +266,35 @@ TEST(MessageTest, RepliesRoundTrip) {
   EXPECT_EQ(ev2.text, "running");
 }
 
+TEST(MessageTest, StatusReplyCarriesATerminalJobsResult) {
+  // A job still queued or running: no exit code or body on the wire.
+  const StatusReply running{9, "running"};
+  const Frame f = running.to_frame();
+  EXPECT_EQ(f.payload.find("exit_code"), std::string::npos) << f.payload;
+  EXPECT_EQ(f.payload.find("body"), std::string::npos) << f.payload;
+  const StatusReply running2 = StatusReply::from_frame(f);
+  EXPECT_EQ(running2.job_id, 9u);
+  EXPECT_EQ(running2.state, "running");
+  EXPECT_FALSE(running2.exit_code.has_value());
+  EXPECT_EQ(running2.body, "");
+
+  // A terminal job: both, like its Result frame.
+  StatusReply failed{9, "failed"};
+  failed.exit_code = privanalyzer::kExitAllFailed;
+  failed.body = "program x\nstatus failed exit 1\n";
+  const StatusReply failed2 = StatusReply::from_frame(failed.to_frame());
+  EXPECT_EQ(failed2.state, "failed");
+  EXPECT_EQ(failed2.exit_code, privanalyzer::kExitAllFailed);
+  EXPECT_EQ(failed2.body, failed.body);
+
+  // A reply from a build without the keys decodes as one without a result.
+  const StatusReply old = StatusReply::from_frame(
+      Frame{MsgType::StatusReply, encode_kv({{"job_id", "3"},
+                                             {"state", "done"}})});
+  EXPECT_EQ(old.state, "done");
+  EXPECT_FALSE(old.exit_code.has_value());
+}
+
 TEST(JobStateTest, NamesAndTerminality) {
   EXPECT_EQ(job_state_name(JobState::Done), "done");
   EXPECT_EQ(job_state_name(JobState::Rejected), "rejected");

@@ -35,14 +35,16 @@ entry:
 }
 )";
 
-/// A job that spins until its 2e9-instruction budget runs out, tens of
-/// seconds: it holds a worker until it is cancelled.
+/// A job that spins with a getpid syscall on every iteration. A syscall ends
+/// every stretch, so no cycle summary applies and its 2e9-instruction budget
+/// takes minutes: it holds a worker until it is cancelled.
 const char* kSpinProgram = R"(
 ; !name: spin
 func @main(0) {
 entry:
   br loop
 loop:
+  %0 = syscall getpid()
   br loop
 }
 )";
@@ -248,6 +250,9 @@ TEST_F(DaemonServerTest, FloodedQueueAnswersEverySubmitDefinitively) {
   start(opts);
   Client client(server_->socket_path());
 
+  // A spinning job holds the one worker, so the 2-deep queue admits exactly
+  // two of the submits and rejects the rest, however fast an analysis runs.
+  const std::uint64_t blocker = hold_worker(client);
   JobRequest req;
   req.kind = "builtin";
   req.source = "passwd";
@@ -262,11 +267,10 @@ TEST_F(DaemonServerTest, FloodedQueueAnswersEverySubmitDefinitively) {
       ++rejected;
     }
   }
-  // A tight submit loop against one worker and a 2-deep queue must trip
-  // admission control: each analysis takes orders of magnitude longer than
-  // a submit round trip.
-  EXPECT_GT(rejected, 0);
-  ASSERT_FALSE(admitted.empty());
+  EXPECT_EQ(admitted.size(), 2u);
+  EXPECT_EQ(rejected, kSubmits - 2);
+  EXPECT_EQ(client.cancel(blocker).state, "running");
+  EXPECT_EQ(client.wait_result(blocker).state, "cancelled");
   for (std::uint64_t id : admitted) {
     ResultMsg r = client.wait_result(id);
     EXPECT_EQ(r.state, "done");
@@ -275,8 +279,8 @@ TEST_F(DaemonServerTest, FloodedQueueAnswersEverySubmitDefinitively) {
   stop();
   Server::Counters counters = server_->counters();
   EXPECT_EQ(counters.admitted + counters.rejected,
-            static_cast<std::uint64_t>(kSubmits));
-  EXPECT_EQ(counters.admitted, admitted.size());
+            static_cast<std::uint64_t>(kSubmits) + 1);
+  EXPECT_EQ(counters.admitted, admitted.size() + 1);
 }
 
 TEST_F(DaemonServerTest, CancelStopsAQueuedJob) {
@@ -328,11 +332,11 @@ TEST_F(DaemonServerTest, QueuedJobOutlivesItsConnection) {
   // is still queued behind the spinning one when the server reaps the
   // connection.
   std::uint64_t ping_id = 0;
+  JobRequest req;
+  req.kind = "builtin";
+  req.source = "ping";
   {
     Client submitter(server_->socket_path());
-    JobRequest req;
-    req.kind = "builtin";
-    req.source = "ping";
     const SubmitReply s = submitter.submit(req);
     ASSERT_TRUE(s.accepted) << s.reason;
     ping_id = s.job_id;
@@ -343,16 +347,19 @@ TEST_F(DaemonServerTest, QueuedJobOutlivesItsConnection) {
   EXPECT_EQ(holder.status(ping_id).state, "queued");
   EXPECT_EQ(holder.cancel(blocker).state, "running");
 
-  // A third connection polls the job by id until it is terminal. `done` is
-  // the state of a job whose analysis succeeded, exit code 0.
+  // A third connection polls the job by id until it is terminal, and the
+  // terminal reply hands back the result the closed connection missed.
   Client poller(server_->socket_path());
-  std::string state;
+  StatusReply status;
   for (int i = 0; i < 3000; ++i) {
-    state = poller.status(ping_id).state;
-    if (state != "queued" && state != "running") break;
+    status = poller.status(ping_id);
+    if (status.state != "queued" && status.state != "running") break;
+    EXPECT_FALSE(status.exit_code.has_value()) << status.state;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(state, "done");
+  EXPECT_EQ(status.state, "done");
+  EXPECT_EQ(status.exit_code, privanalyzer::kExitOk);
+  EXPECT_EQ(status.body, one_shot_body(req, opts.default_deadline_secs));
 }
 
 TEST_F(DaemonServerTest, DrainShutdownFinishesInFlightWorkAndRefusesNew) {

@@ -1,6 +1,6 @@
 // Randomized property tests:
-//  * random PrivIR modules survive print -> parse -> print (fixpoint) and
-//    the verifier accepts them;
+//  * random PrivIR modules, counted-loop ones included, survive print ->
+//    parse -> print (fixpoint) and the verifier accepts them;
 //  * random syscall sequences executed on the SimOS kernel and mirrored as
 //    ROSA single-message applications agree step by step (a deeper
 //    differential test than the single-call checks in
@@ -39,6 +39,23 @@ TEST_P(ModuleFuzz, PrintParseFixpointAndVerify) {
 TEST_P(ModuleFuzz, SimplifyPreservesVerification) {
   std::mt19937 rng(GetParam() + 1000);
   ir::Module m = random_module(rng);
+  ir::simplify(m);
+  EXPECT_TRUE(ir::verify(m).empty()) << ir::print(m);
+}
+
+TEST_P(ModuleFuzz, LoopModulePrintParseFixpointAndVerify) {
+  std::mt19937 rng(GetParam());
+  ir::Module m = random_loop_module(rng);
+  ASSERT_TRUE(ir::verify(m).empty()) << ir::print(m);
+  std::string once = ir::print(m);
+  ir::Module parsed = ir::parse(once, m.name());
+  EXPECT_TRUE(ir::verify(parsed).empty());
+  EXPECT_EQ(once, ir::print(parsed));
+}
+
+TEST_P(ModuleFuzz, LoopModuleSimplifyPreservesVerification) {
+  std::mt19937 rng(GetParam() + 1000);
+  ir::Module m = random_loop_module(rng);
   ir::simplify(m);
   EXPECT_TRUE(ir::verify(m).empty()) << ir::print(m);
 }

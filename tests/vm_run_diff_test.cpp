@@ -7,10 +7,13 @@
 // on and off, FunctionProfiler entries, and the violations of an installed
 // filter stack under both FilterActions. A faulting run must throw the same
 // message. The corpus is Table II, passwdRef, suRef, sshdRef, the example
-// programs, the lint fixtures, random modules and handmade faults; the
-// scheduler_test worlds run at several quanta and must match per process.
-// Handmade loops pin a stretch's edges: a start in the middle of a block,
-// a fault several blocks into a stretch, and scheduler cuts at every op.
+// programs, the lint fixtures, random modules, random counted loops and
+// handmade faults; the scheduler_test worlds run at several quanta and must
+// match per process. Handmade loops pin a stretch's edges: a start in the
+// middle of a block, a fault several blocks into a stretch, and scheduler
+// cuts at every op. Others pin where cycle summaries (DESIGN.md decision 18)
+// fire and where they step: each loop shape, a wrap at INT64_MAX, a stale
+// input on entry, budgets and quanta that land mid-cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,6 +316,28 @@ TEST_P(RandomModuleDiff, DecodedMatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomModuleDiff, ::testing::Range(0u, 48u));
+
+programs::ProgramSpec random_loop_spec(unsigned seed) {
+  std::mt19937 rng(seed);
+  programs::ProgramSpec spec;
+  spec.name = "loops" + std::to_string(seed);
+  spec.module = random_loop_module(rng);
+  spec.launch_creds = caps::Credentials::of_user(1000, 1000);
+  return spec;
+}
+
+class RandomLoopModuleDiff : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(RandomLoopModuleDiff, DecodedMatchesReference) {
+  programs::ProgramSpec spec = random_loop_spec(GetParam());
+  spec.launch_permitted = {caps::Capability::Setuid};
+  expect_same_runs(spec);
+  spec.launch_permitted = {};
+  expect_same_runs(spec);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomLoopModuleDiff,
+                         ::testing::Range(0u, 64u));
 
 // --- Faults ------------------------------------------------------------------
 
@@ -899,6 +924,318 @@ TEST(StretchEdgeDiff, SchedulerCutsInsideTheLoop) {
     EXPECT_PRED_FORMAT2(SameRendering,
                         observe_world<Decoded>(&counted_loop_world, quantum),
                         want);
+  }
+}
+
+// --- Cycle summaries (DESIGN.md decision 18) ---------------------------------
+
+/// What a handmade loop's body adds to its counter update.
+enum class Extra {
+  None, SecondInduction, Latch, Nested, Diamond,  // shapes it summarizes
+  Mul, Div, And, Or, Not, String, Syscall, Swap,  // shapes it steps
+};
+
+/// main: i = first; while (i cmp bound) { extra; i += step; } return i +
+/// other, where `other` starts at 7 (a string for Extra::String, and then
+/// main returns i). The condbr exits on its false side unless
+/// `exit_on_true`, and compares with a register holding the bound when
+/// `bound_in_reg`.
+struct LoopCase {
+  const char* name;
+  ir::Opcode cmp;
+  std::int64_t first, bound, step;
+  Extra extra = Extra::None;
+  bool exit_on_true = false;
+  bool bound_in_reg = false;
+};
+void PrintTo(const LoopCase& c, std::ostream* os) { *os << c.name; }
+
+programs::ProgramSpec loop_case_spec(const LoopCase& c) {
+  programs::ProgramSpec spec;
+  spec.name = c.name;
+  spec.module = ir::Module(c.name);
+  spec.launch_creds = caps::Credentials::of_user(1000, 1000);
+  ir::IRBuilder b(spec.module);
+  b.begin_function("main", 0);
+  const int i = b.mov(B::i(c.first));
+  const int bound = b.mov(B::i(c.bound));
+  const int other =
+      b.mov(c.extra == Extra::String ? B::s("text") : B::i(7));
+  b.br("head");
+  b.at("head");
+  const int cond =
+      b.binop(c.cmp, B::r(i), c.bound_in_reg ? B::r(bound) : B::i(c.bound));
+  if (c.exit_on_true) b.condbr(B::r(cond), "done", "body");
+  else b.condbr(B::r(cond), "body", "done");
+  b.at("body");
+  b.nop(2);
+  auto set_other = [&](int v) { b.mov_to(other, B::r(v)); };
+  switch (c.extra) {
+    case Extra::None: break;
+    case Extra::SecondInduction:
+      set_other(b.sub(B::r(other), B::i(4)));
+      break;
+    case Extra::Latch:
+      b.br("latch");
+      b.at("latch");
+      b.nop(1);
+      break;
+    case Extra::Nested: {
+      const int j = b.mov(B::i(0));
+      b.br("inner");
+      b.at("inner");
+      b.condbr(B::r(b.cmp_lt(B::r(j), B::i(6))), "inner_body", "inner_done");
+      b.at("inner_body");
+      b.mov_to(j, B::r(b.add(B::r(j), B::i(1))));
+      b.br("inner");
+      b.at("inner_done");
+      set_other(b.add(B::r(other), B::i(1)));
+      break;
+    }
+    case Extra::Diamond:
+      // The rare side is first taken on the fourth iteration, a block the
+      // stretch has not entered yet.
+      b.condbr(B::r(b.cmpeq(B::r(i), B::i(c.first + 3 * c.step))), "rare",
+               "common");
+      b.at("rare");
+      set_other(b.add(B::r(other), B::i(100)));
+      b.br("join");
+      b.at("common");
+      b.nop(1);
+      b.br("join");
+      b.at("join");
+      break;
+    case Extra::Mul: set_other(b.mul(B::r(i), B::i(3))); break;
+    case Extra::Div:
+      set_other(b.binop(ir::Opcode::Div, B::r(i), B::i(3)));
+      break;
+    case Extra::And:
+      set_other(b.binop(ir::Opcode::And, B::r(i), B::i(3)));
+      break;
+    case Extra::Or:
+      set_other(b.binop(ir::Opcode::Or, B::r(i), B::i(0)));
+      break;
+    case Extra::Not: set_other(b.not_(B::r(i))); break;
+    case Extra::String: set_other(other); break;
+    case Extra::Syscall: b.syscall("getpid"); break;
+    case Extra::Swap: {  // `other` and `bound` trade values every iteration
+      const int t = b.mov(B::r(other));
+      b.mov_to(other, B::r(bound));
+      b.mov_to(bound, B::r(t));
+      break;
+    }
+  }
+  b.mov_to(i, B::r(b.add(B::r(i), B::i(c.step))));
+  b.br("head");
+  b.at("done");
+  b.ret(B::r(c.extra == Extra::String ? i : b.add(B::r(i), B::r(other))));
+  b.end_function();
+  spec.module.recompute_address_taken();
+  return spec;
+}
+
+/// The instructions cycle summaries charged in a plain run of `spec`.
+std::uint64_t summarized(const programs::ProgramSpec& spec) {
+  os::Kernel kernel = programs::make_standard_world();
+  const os::Pid pid = programs::spawn_program(kernel, spec);
+  Interpreter interp(kernel, spec.module, pid);
+  interp.run("main", spec.args);
+  return interp.summarized_instructions();
+}
+
+using ir::Opcode;
+
+class LoopFiresDiff : public ::testing::TestWithParam<LoopCase> {};
+
+TEST_P(LoopFiresDiff, SummarizedAndMatchesReference) {
+  const programs::ProgramSpec spec = loop_case_spec(GetParam());
+  EXPECT_GT(summarized(spec), 0u);
+  expect_same_runs(spec);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LoopFiresDiff,
+    ::testing::Values(
+        LoopCase{"unit_step_cmplt", Opcode::CmpLt, 0, 100, 1},
+        LoopCase{"step_3_cmple", Opcode::CmpLe, 5, 300, 3},
+        LoopCase{"negative_step_cmpgt", Opcode::CmpGt, 50, -50, -2},
+        LoopCase{"step_minus_7_cmpge_bound_in_reg", Opcode::CmpGe, 100, 0, -7,
+                 Extra::None, false, true},
+        LoopCase{"cmpne_lands_on_bound", Opcode::CmpNe, 0, 99, 3},
+        LoopCase{"cmpeq_exit_on_true", Opcode::CmpEq, 10, -30, -4,
+                 Extra::None, true},
+        LoopCase{"cmpge_exit_on_true_bound_in_reg", Opcode::CmpGe, 0, 64, 5,
+                 Extra::None, true, true},
+        LoopCase{"trip_count_2", Opcode::CmpLt, 0, 2, 1},
+        LoopCase{"two_induction_registers", Opcode::CmpLt, 0, 80, 2,
+                 Extra::SecondInduction},
+        LoopCase{"three_block_cycle", Opcode::CmpLe, -40, 40, 1, Extra::Latch},
+        LoopCase{"nested_loops", Opcode::CmpLt, 0, 30, 1, Extra::Nested},
+        LoopCase{"diamond_taken_once", Opcode::CmpLe, 0, 60, 2,
+                 Extra::Diamond},
+        // 50,000 iterations cross several of run()'s 2^16-instruction turns.
+        LoopCase{"long_loop_across_turns", Opcode::CmpLt, 0, 50'000, 1}),
+    [](const ::testing::TestParamInfo<LoopCase>& info) {
+      return std::string(info.param.name);
+    });
+
+class LoopStepsDiff : public ::testing::TestWithParam<LoopCase> {};
+
+TEST_P(LoopStepsDiff, SteppedAndMatchesReference) {
+  const programs::ProgramSpec spec = loop_case_spec(GetParam());
+  EXPECT_EQ(summarized(spec), 0u);
+  expect_same_runs(spec);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LoopStepsDiff,
+    ::testing::Values(
+        // Trip counts 0 and 1 never repeat a path.
+        LoopCase{"trip_count_0", Opcode::CmpLt, 5, 5, 1},
+        LoopCase{"trip_count_1", Opcode::CmpLt, 0, 1, 1},
+        LoopCase{"mul_on_the_cycle", Opcode::CmpLt, 0, 40, 1, Extra::Mul},
+        LoopCase{"div_on_the_cycle", Opcode::CmpLt, 0, 40, 1, Extra::Div},
+        LoopCase{"and_on_the_cycle", Opcode::CmpLt, 0, 40, 1, Extra::And},
+        LoopCase{"or_on_the_cycle", Opcode::CmpLt, 0, 40, 1, Extra::Or},
+        LoopCase{"not_on_the_cycle", Opcode::CmpLt, 0, 40, 1, Extra::Not},
+        LoopCase{"string_through_the_cycle", Opcode::CmpLt, 0, 40, 1,
+                 Extra::String},
+        LoopCase{"syscall_in_the_body", Opcode::CmpLt, 0, 40, 1,
+                 Extra::Syscall},
+        LoopCase{"swap_on_the_cycle", Opcode::CmpLt, 0, 41, 1, Extra::Swap}),
+    [](const ::testing::TestParamInfo<LoopCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(CycleSummaryDiff, RandomLoopCorpusIsMostlySummarized) {
+  // The corpus's declined shapes are a minority, so summaries must charge
+  // most of its instructions: a rule that silently declines everything
+  // fails here even though every differential still passes.
+  std::uint64_t executed = 0, charged = 0;
+  for (unsigned seed = 0; seed < 64; ++seed) {
+    const programs::ProgramSpec spec = random_loop_spec(seed);
+    os::Kernel kernel = programs::make_standard_world();
+    Interpreter interp(kernel, spec.module,
+                       programs::spawn_program(kernel, spec));
+    interp.run("main", spec.args);
+    executed += interp.executed();
+    charged += interp.summarized_instructions();
+  }
+  EXPECT_GT(charged * 2, executed) << charged << " of " << executed;
+}
+
+TEST(CycleSummaryDiff, CmpleInt64MaxWrapsAsItDoesWhenStepped) {
+  // `i <= INT64_MAX` holds for every int64, so the loop ends only when
+  // i + 1 wraps negative, on its 21st iteration. A summary must stop short
+  // of the wrap and leave that iteration to stepping.
+  const programs::ProgramSpec spec = build_spec(
+      "cmple_int64_max", [](ir::IRBuilder& b) {
+        constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+        b.begin_function("main", 0);
+        const int i = b.mov(B::i(kMax - 20));
+        const int n = b.mov(B::i(0));
+        b.br("head");
+        b.at("head");
+        b.condbr(B::r(b.cmp_le(B::r(i), B::i(kMax))), "body", "done");
+        b.at("body");
+        b.mov_to(n, B::r(b.add(B::r(n), B::i(1))));
+        b.mov_to(i, B::r(b.add(B::r(i), B::i(1))));
+        b.condbr(B::r(b.cmp_lt(B::r(i), B::i(0))), "done", "head");
+        b.at("done");
+        b.ret(B::r(n));
+        b.end_function();
+      });
+  EXPECT_EQ(first_line(observe<Reference>(spec, setups()[0])), "exit 21");
+  EXPECT_GT(summarized(spec), 0u);
+  expect_same_runs(spec);
+}
+
+TEST(CycleSummaryDiff, EntryFromOutsideWithAStaleInputSteps) {
+  // From the second outer iteration on, the branch into `head` re-enters a
+  // block the stretch already entered, but from outside the inner cycle:
+  // `f` holds the 9 the outer body set, not the 1 the cycle leaves, so the
+  // cycle's first iteration differs from the rest (g = 9, then 1) and must
+  // be stepped. Each outer iteration ends with g = 1: exit 4.
+  const programs::ProgramSpec spec = build_spec(
+      "entry_with_a_stale_input", [](ir::IRBuilder& b) {
+        b.begin_function("main", 0);
+        const int o = b.mov(B::i(0));
+        const int sum = b.mov(B::i(0));
+        const int f = b.mov(B::i(0));
+        const int g = b.mov(B::i(0));
+        const int i = b.mov(B::i(0));
+        b.br("outer");
+        b.at("outer");
+        b.condbr(B::r(b.cmp_lt(B::r(o), B::i(4))), "outer_body", "done");
+        b.at("outer_body");
+        b.mov_to(f, B::i(9));
+        b.mov_to(i, B::i(0));
+        b.br("head");
+        b.at("head");
+        b.condbr(B::r(b.cmp_lt(B::r(i), B::i(20))), "body", "outer_latch");
+        b.at("body");
+        b.mov_to(g, B::r(f));
+        b.mov_to(f, B::i(1));
+        b.mov_to(i, B::r(b.add(B::r(i), B::i(1))));
+        b.br("head");
+        b.at("outer_latch");
+        b.mov_to(sum, B::r(b.add(B::r(sum), B::r(g))));
+        b.mov_to(o, B::r(b.add(B::r(o), B::i(1))));
+        b.br("outer");
+        b.at("done");
+        b.ret(B::r(sum));
+        b.end_function();
+      });
+  EXPECT_EQ(first_line(observe<Reference>(spec, setups()[0])), "exit 4");
+  EXPECT_GT(summarized(spec), 0u);
+  expect_same_runs(spec);
+}
+
+TEST(CycleSummaryDiff, BudgetFaultsAfterExactlyMaxInstructions) {
+  // A counted loop far longer than the budget, cut at budgets that land on
+  // every op of its 7-instruction cycle and past a 2^16 turn boundary.
+  const programs::ProgramSpec spec = loop_case_spec(
+      {"budget_in_counted_loop", Opcode::CmpLt, 0, 1'000'000, 1});
+  for (std::uint64_t budget :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10'007u, 65'539u, 100'003u}) {
+    SCOPED_TRACE(budget);
+    const RunSetup setup{"points", true, std::nullopt, budget};
+    const std::string want = observe<Reference>(spec, setup);
+    EXPECT_EQ(first_line(want), "fault instruction budget exhausted (" +
+                                    std::to_string(budget) + ")");
+    EXPECT_EQ(rendered(want, "total"), budget);
+    EXPECT_PRED_FORMAT2(SameRendering, observe<Decoded>(spec, setup), want);
+  }
+}
+
+/// Two processes running counted loops with no syscall: the first the
+/// three-block cycle, the second a loop with a second induction register.
+scenarios::Scenario summarized_loops_world() {
+  scenarios::Scenario s;
+  s.modules.push_back(loop_case_spec({"a", Opcode::CmpLe, -40, 400, 3,
+                                      Extra::Latch}).module);
+  s.modules.push_back(loop_case_spec({"b", Opcode::CmpGt, 500, 0, -1,
+                                      Extra::SecondInduction}).module);
+  for (std::size_t m = 0; m < 2; ++m)
+    s.procs.push_back(
+        {m,
+         s.kernel.spawn(m == 0 ? "a" : "b",
+                        caps::Credentials::of_user(1000, 1000), {}),
+         {}});
+  return s;
+}
+
+TEST(CycleSummaryDiff, QuantaLandMidCycle) {
+  // Quanta 1-9 land on every op of both cycles; the larger ones cut
+  // summarized stretches partway.
+  for (std::uint64_t quantum :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 64u, 333u, 1000u}) {
+    SCOPED_TRACE(quantum);
+    const std::string want =
+        observe_world<Reference>(&summarized_loops_world, quantum);
+    EXPECT_PRED_FORMAT2(
+        SameRendering,
+        observe_world<Decoded>(&summarized_loops_world, quantum), want);
   }
 }
 

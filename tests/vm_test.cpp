@@ -258,8 +258,11 @@ TEST(StretchTest, TableIIProgramsReachTheTracerOncePerStretch) {
   // The five Table-II programs after AutoPriv execute 8.0 M instructions
   // in 510,956 straight-line runs, but a stretch ends only at a syscall,
   // priv_* op, call, return, exit or a 2^16-instruction turn boundary:
-  // about 5,300 reports.
+  // about 5,300 reports. Nearly all of those instructions are emit_work's
+  // counted loops, which cycle summaries apply a loop entry at a time.
   std::uint64_t calls = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t summarized = 0;
   for (programs::ProgramSpec (*make)() :
        {&programs::make_passwd, &programs::make_su, &programs::make_ping,
         &programs::make_thttpd, &programs::make_sshd}) {
@@ -274,8 +277,12 @@ TEST(StretchTest, TableIIProgramsReachTheTracerOncePerStretch) {
     interp.run("main", spec.args);
     EXPECT_EQ(tracer.epochs.total_instructions(), interp.executed());
     calls += tracer.calls;
+    executed += interp.executed();
+    summarized += interp.summarized_instructions();
   }
   EXPECT_LE(calls, 6'000u);
+  EXPECT_EQ(executed, 8'023'811u);
+  EXPECT_GE(summarized * 100, executed * 95) << summarized;
 }
 
 TEST(SyscallBridgeTest, KnownSyscallsNonEmptyAndUnique) {

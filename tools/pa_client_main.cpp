@@ -8,13 +8,16 @@
 //     --filters MODE     EpochFilter mode: off (default) | report | enforce
 //     --no-wait          print the job id and exit without waiting
 //   pa_client --socket PATH status JOB_ID
+//   pa_client --socket PATH result JOB_ID
 //   pa_client --socket PATH cancel JOB_ID
 //   pa_client --socket PATH ping
 //   pa_client --socket PATH shutdown [--abort]
 //
 // `submit` waits for the result by default, streams progress events to
 // stderr, prints the result body to stdout, and exits with the job's exit
-// code (the one-shot CLI contract: 0 analyzed, 1 failed).
+// code (the one-shot CLI contract: 0 analyzed, 1 failed). `result` does the
+// same for a job that is already terminal, such as one submitted with
+// --no-wait; for any other job it prints the state to stderr and exits 1.
 #include <climits>
 #include <cstring>
 #include <fstream>
@@ -36,7 +39,8 @@ int usage(const char* argv0) {
                "  submit FILE|builtin:NAME [--deadline S] [--max-states N]\n"
                "         [--escalate-rounds N] [--no-cache]\n"
                "         [--filters off|report|enforce] [--no-wait]\n"
-               "  status JOB_ID | cancel JOB_ID | ping | shutdown [--abort]\n";
+               "  status JOB_ID | result JOB_ID | cancel JOB_ID | ping\n"
+               "  shutdown [--abort]\n";
   return privanalyzer::kExitUsage;
 }
 
@@ -140,6 +144,17 @@ int main(int argc, char** argv) {
       return cmd == "status" && r.state == "unknown"
                  ? privanalyzer::kExitAllFailed
                  : privanalyzer::kExitOk;
+    }
+    if (cmd == "result" && rest.size() == 1) {
+      const auto job_id = str::parse_u64(rest[0]);
+      if (!job_id) return usage(argv[0]);
+      const daemon::StatusReply r = client.status(*job_id);
+      if (!r.exit_code) {
+        std::cerr << "job " << *job_id << " " << r.state << "\n";
+        return privanalyzer::kExitAllFailed;
+      }
+      std::cout << r.body;
+      return *r.exit_code;
     }
     if (cmd == "ping") {
       client.ping();
