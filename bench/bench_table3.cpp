@@ -40,6 +40,10 @@ int main(int argc, char** argv) {
               << str::percent(s.devmem_write) << ", any-attack "
               << str::percent(s.any_attack) << "\n";
   }
+  std::cout << "\nCells the may-reach prover decided without a search:\n";
+  for (const privanalyzer::ProgramAnalysis& a : analyses)
+    std::cout << "  " << a.program << ": " << a.search_stats().proved
+              << " proved\n";
   std::cout << "\nCSV (for plotting):\n"
             << privanalyzer::efficacy_to_csv(analyses);
 

@@ -1,5 +1,9 @@
 #include "attacks/scenario.h"
 
+#include <cstdint>
+#include <span>
+
+#include "rosa/prove.h"
 #include "support/error.h"
 
 namespace pa::attacks {
@@ -67,27 +71,54 @@ EpochMatrices analyze_epochs(
            "analyze_epochs: rows and inputs must be parallel vectors");
   PA_CHECK(allowlists.empty() || allowlists.size() == rows.size(),
            "analyze_epochs: allowlists must be empty or parallel to rows");
-  // Flatten both (epoch × attack) matrices into one query batch: the
-  // baseline block, then each baseline query narrowed to its epoch's
-  // allowlist. Baseline first makes a baseline cell every world group's
-  // first member, the one that carries the group's fused_* counters.
-  // run_queries guarantees input-ordered results, so row i of block b
-  // lives at [(b * rows + i) * n_attacks, (b * rows + i + 1) * n_attacks).
+  // One world per epoch: its baseline queries, then (with allowlists) each
+  // of them narrowed to the epoch's allowlist. The may-reach prover decides
+  // what it can of each world before anything is fingerprinted, looked up
+  // or searched.
   const std::size_t n_attacks = modeled_attacks().size();
-  const std::size_t n_cells = rows.size() * n_attacks;
-  std::vector<rosa::Query> queries;
-  queries.reserve(allowlists.empty() ? n_cells : 2 * n_cells);
-  for (const ScenarioInput& input : inputs)
+  const std::size_t n_blocks = allowlists.empty() ? 1 : 2;
+  const std::size_t width = n_blocks * n_attacks;
+  std::vector<rosa::Query> worlds;
+  worlds.reserve(rows.size() * width);
+  std::vector<std::uint64_t> proved(rows.size());
+  rosa::Prover prover;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::size_t first = worlds.size();
     for (std::size_t a = 0; a < n_attacks; ++a)
-      queries.push_back(build_attack_query(modeled_attacks()[a].id, input));
-  if (!allowlists.empty())
-    for (std::size_t k = 0; k < n_cells; ++k) {
-      queries.push_back(queries[k]);
-      narrow_to_allowlist(queries.back(), allowlists[k / n_attacks]);
-    }
+      worlds.push_back(
+          build_attack_query(modeled_attacks()[a].id, inputs[i]));
+    if (!allowlists.empty())
+      for (std::size_t a = 0; a < n_attacks; ++a) {
+        worlds.push_back(worlds[first + a]);
+        narrow_to_allowlist(worlds.back(), allowlists[i]);
+      }
+    proved[i] = prover.prove_unreachable(
+        std::span<const rosa::Query>(worlds).subspan(first, width), limits);
+  }
 
-  std::vector<rosa::SearchResult> results =
-      rosa::run_queries(queries, limits, escalation, cache);
+  // The unproved cells go to one run_queries batch: the baseline block,
+  // then the filtered block. Baseline first makes a baseline cell every
+  // world group's first member, the one that carries the group's fused_*
+  // counters. Block b's row i lives at [(b * rows + i) * n_attacks, ...).
+  std::vector<rosa::SearchResult> results(rows.size() * width);
+  std::vector<rosa::Query> batch;
+  std::vector<std::size_t> slot_of;
+  for (std::size_t b = 0; b < n_blocks; ++b)
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      for (std::size_t a = 0; a < n_attacks; ++a) {
+        const std::size_t k = b * n_attacks + a;
+        const std::size_t slot = (b * rows.size() + i) * n_attacks + a;
+        if ((proved[i] >> k) & 1) {
+          results[slot] = rosa::proved_result();
+        } else {
+          batch.push_back(std::move(worlds[i * width + k]));
+          slot_of.push_back(slot);
+        }
+      }
+  std::vector<rosa::SearchResult> searched =
+      rosa::run_queries(batch, limits, escalation, cache);
+  for (std::size_t k = 0; k < searched.size(); ++k)
+    results[slot_of[k]] = std::move(searched[k]);
 
   auto block = [&](std::size_t first) {
     std::vector<EpochVerdicts> out;
@@ -106,7 +137,7 @@ EpochMatrices analyze_epochs(
   };
   EpochMatrices out;
   out.baseline = block(0);
-  if (!allowlists.empty()) out.filtered = block(n_cells);
+  if (!allowlists.empty()) out.filtered = block(rows.size() * n_attacks);
   return out;
 }
 

@@ -56,11 +56,15 @@ struct EpochMatrices {
   std::vector<EpochVerdicts> filtered;
 };
 
-/// Run the whole (epoch × attack) matrix as one rosa::run_queries batch on
-/// the calling thread, so each epoch's four attacks fuse into one shared
-/// exploration. rows and inputs are parallel vectors. The batch produces
-/// the verdicts and witnesses per-epoch analyze_epoch calls would
-/// (tests/rosa_fused_diff_test.cpp). `escalation` retries ResourceLimit
+/// Run the whole (epoch × attack) matrix on the calling thread. Each
+/// epoch's cells share one world, which the may-reach prover
+/// (rosa/prove.h) sees first: a cell it proves is Unreachable with
+/// stats.proved = 1 and is never fingerprinted, looked up, stored or
+/// searched. The rest go to one rosa::run_queries batch, so an epoch's
+/// remaining attacks fuse into one shared exploration. rows and inputs are
+/// parallel vectors. The verdicts are those per-epoch analyze_epoch calls
+/// would give, and so are the witnesses and counters of every searched
+/// cell (tests/rosa_fused_diff_test.cpp). `escalation` retries ResourceLimit
 /// queries with geometrically grown budgets (rosa::search_escalating),
 /// shrinking the presumed-invulnerable bucket; `cache` (optional,
 /// non-owning) memoizes results by content fingerprint (rosa/cache.h), so
@@ -68,8 +72,10 @@ struct EpochMatrices {
 ///
 /// `allowlists` is empty (no filtered matrix) or parallel to rows: each
 /// epoch's syscall allowlist. The filtered matrix poses every baseline
-/// query again through narrow_to_allowlist, in the SAME batch, so an
-/// epoch's eight queries share one world and one fused exploration.
+/// query again through narrow_to_allowlist, in the SAME world and batch, so
+/// an epoch's eight queries are proved together and the rest share one
+/// fused exploration. Once `limits` expire, nothing more is proved and the
+/// remaining cells get the batch's ResourceLimit stubs.
 EpochMatrices analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,

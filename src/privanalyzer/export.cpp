@@ -155,7 +155,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
   os << "program,epoch,attack,verdict,states,transitions,dedup_hits,"
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
         "escalations,fused_group_size,fused_searches_saved,"
-        "fused_world_states,cache_hits,cache_misses,seconds\n";
+        "fused_world_states,proved,cache_hits,cache_misses,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
       for (std::size_t atk = 0; atk < attacks::modeled_attacks().size();
@@ -171,7 +171,7 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.escalations << ','
            << r.stats.fused_group_size << ','
            << r.stats.fused_searches_saved << ','
-           << r.stats.fused_world_states << ','
+           << r.stats.fused_world_states << ',' << r.stats.proved << ','
            << r.stats.cache_hits << ',' << r.stats.cache_misses << ','
            << str::fixed(r.stats.seconds, 6) << '\n';
       }

@@ -29,8 +29,8 @@ std::string efficacy_to_markdown(const std::vector<ProgramAnalysis>& analyses);
 /// Per-query ROSA search statistics as CSV:
 /// program,epoch,attack,verdict,states,transitions,dedup_hits,
 /// hash_collisions,peak_frontier,peak_bytes,bytes_per_state,escalations,
-/// fused_group_size,fused_searches_saved,fused_world_states,cache_hits,
-/// cache_misses,seconds
+/// fused_group_size,fused_searches_saved,fused_world_states,proved,
+/// cache_hits,cache_misses,seconds
 std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses);
 
 /// Per-epoch EpochFilter metrics as CSV (empty-report analyses skipped):

@@ -97,8 +97,8 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
      << str::pad_left("PeakFront", 11) << str::pad_left("PeakB", 12)
      << str::pad_left("B/St", 8) << str::pad_left("Escal", 7)
      << str::pad_left("FSaved", 8) << str::pad_left("FStates", 12)
-     << str::pad_left("Hits", 7) << str::pad_left("Miss", 7)
-     << str::pad_left("Time", 10) << "\n";
+     << str::pad_left("Proved", 8) << str::pad_left("Hits", 7)
+     << str::pad_left("Miss", 7) << str::pad_left("Time", 10) << "\n";
   for (const ProgramAnalysis& a : analyses) {
     const rosa::SearchStats s = a.search_stats();
     const std::size_t queries = (a.verdicts.size() +
@@ -122,6 +122,7 @@ std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses) {
        << str::pad_left(
               str::with_commas(static_cast<long long>(s.fused_world_states)),
               12)
+       << str::pad_left(std::to_string(s.proved), 8)
        << str::pad_left(std::to_string(s.cache_hits), 7)
        << str::pad_left(std::to_string(s.cache_misses), 7)
        << str::pad_left(str::cat(str::fixed(s.seconds, 3), "s"), 10) << "\n";

@@ -20,6 +20,17 @@ namespace pa::rosa {
 /// Implementations must be stateless (or internally synchronized): one
 /// checker instance is shared by every query that names it, and
 /// privanalyzerd's workers run their jobs' searches concurrently.
+///
+/// The credentials contract. A decision may read only uid.real,
+/// uid.effective, gid.effective and the supplementary list of the
+/// Credentials it is given (and can_kill the victim triple it is passed),
+/// never uid.saved, gid.real or gid.saved. The may-reach prover
+/// (rosa/prove.h) relies on it: it evaluates each decision on the
+/// representatives R_uid x E_uid x E_gid of a process's possible slot
+/// values, with its fixed supplementary list, instead of every six-slot
+/// credential. The Linux, Solaris and Capsicum checkers keep it, and
+/// tests/rosa_prove_test.cpp checks that re-drawing the three unread slots
+/// changes none of their decisions.
 class AccessChecker {
  public:
   virtual ~AccessChecker() = default;

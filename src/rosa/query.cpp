@@ -11,7 +11,8 @@ Goal goal_file_in_rdfset(int proc, int file) {
         const ProcObj* p = st.find_proc(proc);
         return p && p->rdfset.contains(file);
       },
-      str::cat("rdfset:", proc, ":", file), sys_bit(Sys::Open));
+      str::cat("rdfset:", proc, ":", file), sys_bit(Sys::Open),
+      GoalFact{GoalFact::Kind::Rdfset, proc, file, nullptr});
 }
 
 Goal goal_file_in_wrfset(int proc, int file) {
@@ -20,7 +21,8 @@ Goal goal_file_in_wrfset(int proc, int file) {
         const ProcObj* p = st.find_proc(proc);
         return p && p->wrfset.contains(file);
       },
-      str::cat("wrfset:", proc, ":", file), sys_bit(Sys::Open));
+      str::cat("wrfset:", proc, ":", file), sys_bit(Sys::Open),
+      GoalFact{GoalFact::Kind::Wrfset, proc, file, nullptr});
 }
 
 Goal goal_privileged_port_bound(int proc) {
@@ -32,7 +34,8 @@ Goal goal_privileged_port_bound(int proc) {
             return true;
         return false;
       },
-      str::cat("privport:", proc), sys_bit(Sys::Bind));
+      str::cat("privport:", proc), sys_bit(Sys::Bind),
+      GoalFact{GoalFact::Kind::PrivPort, proc, 0, nullptr});
 }
 
 Goal goal_proc_terminated(int victim) {
@@ -41,7 +44,8 @@ Goal goal_proc_terminated(int victim) {
         const ProcObj* p = st.find_proc(victim);
         return p && !p->running;
       },
-      str::cat("terminated:", victim), sys_bit(Sys::Kill));
+      str::cat("terminated:", victim), sys_bit(Sys::Kill),
+      GoalFact{GoalFact::Kind::Terminated, victim, 0, nullptr});
 }
 
 namespace {
@@ -60,26 +64,37 @@ SysSet compose_enabling(const Goal& a, const Goal& b) {
   return a.enabling() | b.enabling();
 }
 
+/// Composite fact: `kind` over both operands' facts when both declare one,
+/// else undeclared (never proved).
+GoalFact compose_fact(GoalFact::Kind kind, const Goal& a, const Goal& b) {
+  if (!a.fact().declared() || !b.fact().declared()) return {};
+  return GoalFact{kind, 0, 0,
+                  std::make_shared<const std::array<GoalFact, 2>>(
+                      std::array<GoalFact, 2>{a.fact(), b.fact()})};
+}
+
 }  // namespace
 
 Goal goal_and(Goal a, Goal b) {
   std::string key = compose_key("and", a, b);
   const SysSet enabling = compose_enabling(a, b);
+  GoalFact fact = compose_fact(GoalFact::Kind::And, a, b);
   return Goal(
       [a = std::move(a), b = std::move(b)](const State& st) {
         return a(st) && b(st);
       },
-      std::move(key), enabling);
+      std::move(key), enabling, std::move(fact));
 }
 
 Goal goal_or(Goal a, Goal b) {
   std::string key = compose_key("or", a, b);
   const SysSet enabling = compose_enabling(a, b);
+  GoalFact fact = compose_fact(GoalFact::Kind::Or, a, b);
   return Goal(
       [a = std::move(a), b = std::move(b)](const State& st) {
         return a(st) || b(st);
       },
-      std::move(key), enabling);
+      std::move(key), enabling, std::move(fact));
 }
 
 }  // namespace pa::rosa

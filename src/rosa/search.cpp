@@ -46,6 +46,7 @@ void SearchStats::merge(const SearchStats& other) {
   seconds += other.seconds;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
+  proved += other.proved;
   fused_group_size = std::max(fused_group_size, other.fused_group_size);
   fused_searches_saved += other.fused_searches_saved;
   fused_world_states += other.fused_world_states;
@@ -66,6 +67,7 @@ std::string SearchStats::to_string() const {
                   " fused-group=", fused_group_size,
                   " fused-saved=", fused_searches_saved,
                   " fused-world-states=", fused_world_states,
+                  " proved=", proved,
                   " cache-hits=", cache_hits,
                   " cache-misses=", cache_misses,
                   " time=", str::fixed(seconds, 3), "s");

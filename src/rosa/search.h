@@ -9,10 +9,12 @@
 // one exploration and returning input-ordered results.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -34,23 +36,52 @@ constexpr SysSet sys_bit(Sys s) {
   return SysSet{1} << static_cast<unsigned>(s);
 }
 
-/// A goal predicate plus an optional stable cache identity and an optional
-/// enabling-syscall declaration. The predicate is what the search
-/// evaluates; the cache key is what the verdict cache (rosa/cache.h)
-/// fingerprints — two goals with the same key MUST accept exactly the same
-/// states and declare the same enabling set, since the declaration decides
-/// which witness-preserving shortcut the search takes and so the counters a
-/// cache entry stores. Ad-hoc lambdas convert implicitly and carry neither a
-/// key nor a declaration, which makes their queries uncacheable and never
-/// probed; the builders in rosa/query.h all return keyed, declared goals.
+/// The abstract fact a goal declares for the may-reach prover
+/// (rosa/prove.h): a monotone formula over facts the prover over-approximates
+/// for every reachable state. A goal can hold only where its fact may hold,
+/// so a cell whose fact cannot hold in the prover's fixpoint is Unreachable.
+/// Kind::None is undeclared, and such a goal is never proved.
+struct GoalFact {
+  enum class Kind : std::uint8_t {
+    None,
+    Rdfset,      // `proc` may hold `file` open for reading
+    Wrfset,      // `proc` may hold `file` open for writing
+    PrivPort,    // `proc` may have bound a privileged port
+    Terminated,  // `proc` may be dead
+    And,         // both operands may hold
+    Or,          // either operand may hold
+  };
+  Kind kind = Kind::None;
+  int proc = 0;  // the atoms' process
+  int file = 0;  // Rdfset and Wrfset: the file
+  /// And and Or: both operands, each declared.
+  std::shared_ptr<const std::array<GoalFact, 2>> operands;
+
+  bool declared() const { return kind != Kind::None; }
+};
+
+/// A goal predicate plus an optional stable cache identity, an optional
+/// enabling-syscall declaration and an optional abstract fact. The
+/// predicate is what the search evaluates; the cache key is what the
+/// verdict cache (rosa/cache.h) fingerprints — two goals with the same key
+/// MUST accept exactly the same states and declare the same enabling set
+/// and the same fact, since the declarations decide which shortcut the
+/// search takes (and so the counters a cache entry stores) and which cells
+/// are proved instead of searched. Ad-hoc lambdas convert implicitly and
+/// carry neither a key nor a declaration, which makes their queries
+/// uncacheable, never probed and never proved; the builders in
+/// rosa/query.h all return keyed, declared goals.
 class Goal {
  public:
   Goal() = default;
-  /// Keyed (cacheable) goal. The key must determine the predicate and the
-  /// enabling set.
+  /// Keyed (cacheable) goal. The key must determine the predicate, the
+  /// enabling set and the fact.
   Goal(std::function<bool(const State&)> fn, std::string key,
-       SysSet enabling = 0)
-      : fn_(std::move(fn)), key_(std::move(key)), enabling_(enabling) {}
+       SysSet enabling = 0, GoalFact fact = {})
+      : fn_(std::move(fn)),
+        key_(std::move(key)),
+        enabling_(enabling),
+        fact_(std::move(fact)) {}
   /// Unkeyed, undeclared goal from any predicate callable (uncacheable).
   template <typename F,
             typename = std::enable_if_t<
@@ -70,10 +101,15 @@ class Goal {
   /// (detail::search_fused) never probes the goal.
   SysSet enabling() const { return enabling_; }
 
+  /// The abstract fact the may-reach prover checks (rosa/prove.h);
+  /// undeclared for lambdas.
+  const GoalFact& fact() const { return fact_; }
+
  private:
   std::function<bool(const State&)> fn_;
   std::string key_;
   SysSet enabling_ = 0;
+  GoalFact fact_;
 };
 
 /// A search problem: initial configuration, one-shot messages, and the
@@ -235,6 +271,10 @@ struct SearchStats {
   /// a batch records one miss per distinct fingerprint it searched.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
+  /// 1 when the may-reach prover decided the query Unreachable
+  /// (rosa/prove.h): it was never searched, looked up or stored, and every
+  /// other counter is 0.
+  std::size_t proved = 0;
 
   /// Accumulate another query's counters (peak_frontier takes the max).
   void merge(const SearchStats& other);

@@ -20,6 +20,7 @@ constexpr const char* kCompiledInPoints[] = {
     "world.make",           // programs/world.cpp: both world factories
     "thread_pool.task",     // support/thread_pool.cpp: task boundary
     "rosa.search",          // rosa/search.cpp: search entry, per member
+    "rosa.prove",           // rosa/prove.cpp: prover entry, per world
     "rosa.cache_load",      // privanalyzer/pipeline.cpp: --rosa-cache load
     "rosa.cache_store",     // rosa/cache.cpp: persistent-file I/O attempt
                             // (recoverable: one fault = one retried attempt)

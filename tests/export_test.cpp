@@ -128,8 +128,9 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
   ASSERT_EQ(lines.size(),
             1 + a.verdicts.size() * attacks::modeled_attacks().size());
   EXPECT_TRUE(str::starts_with(lines[0], "program,epoch,attack,verdict"));
-  // The verdict-cache and fused-search counters ride along in the export.
-  EXPECT_NE(lines[0].find("cache_hits,cache_misses,seconds"),
+  // The prover, verdict-cache and fused-search counters ride along in the
+  // export.
+  EXPECT_NE(lines[0].find("proved,cache_hits,cache_misses,seconds"),
             std::string::npos);
   EXPECT_NE(lines[0].find("fused_group_size,fused_searches_saved,"
                           "fused_world_states"),
@@ -139,22 +140,30 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
   EXPECT_EQ(std::count(lines[1].begin(), lines[1].end(), ','),
             std::count(lines[0].begin(), lines[0].end(), ','));
 
-  // The aggregate must mirror the per-cell legacy counters.
-  rosa::SearchStats agg = a.search_stats();
+  // Every one of ping's 12 cells is proved: nothing is searched, looked up
+  // or stored.
+  const rosa::SearchStats proved = a.search_stats();
+  EXPECT_EQ(proved.proved, 12u);
+  EXPECT_EQ(proved.states, 0u);
+  EXPECT_EQ(proved.cache_hits + proved.cache_misses, 0u);
+
+  // passwd still searches. The aggregate must mirror the per-cell legacy
+  // counters, and with the cache on by default the matrix records at least
+  // one miss.
+  ProgramAnalysis searched = analyze_program(programs::make_passwd(), opts);
+  rosa::SearchStats agg = searched.search_stats();
   std::size_t states = 0;
-  for (const auto& ev : a.verdicts)
+  for (const auto& ev : searched.verdicts)
     for (const auto& r : ev.results) states += r.states_explored();
   EXPECT_EQ(agg.states, states);
   EXPECT_GT(agg.states, 0u);
-
-  // The pipeline runs with the cache on by default, so the matrix records
-  // at least one miss (and the CSV mirrors the aggregate counters).
   EXPECT_GT(agg.cache_hits + agg.cache_misses, 0u);
 
   std::string table = render_search_stats({a});
   EXPECT_NE(table.find("ping"), std::string::npos);
   EXPECT_NE(table.find("Dedup"), std::string::npos);
   EXPECT_NE(table.find("PeakFront"), std::string::npos);
+  EXPECT_NE(table.find("Proved"), std::string::npos);
   EXPECT_NE(table.find("Hits"), std::string::npos);
   EXPECT_NE(table.find("Miss"), std::string::npos);
 }

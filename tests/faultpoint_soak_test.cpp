@@ -62,7 +62,7 @@ TEST_F(FaultPointTest, RegistryListsEveryCompiledInPoint) {
   std::vector<std::string> points = fp::registered_points();
   for (const char* expected :
        {"loader.load_program", "verifier.verify", "world.make",
-        "thread_pool.task", "rosa.search", "rosa.cache_load",
+        "thread_pool.task", "rosa.search", "rosa.prove", "rosa.cache_load",
         "rosa.cache_store", "daemon.accept", "daemon.read", "daemon.write"})
     EXPECT_NE(std::find(points.begin(), points.end(), expected), points.end())
         << expected;
@@ -87,6 +87,9 @@ TEST_F(FaultPointTest, RejectsMalformedEnvCounts) {
 
 // --- The soak test ---------------------------------------------------------
 
+// The open keeps cells for the search: with setuid alone every cell would
+// be proved (rosa.prove), and rosa.search would never fire. Under CapSetuid
+// an open makes reading and writing /dev/mem reachable.
 const char* kProgram = R"(
 ; !name: soakdemo
 ; !permitted: CapSetuid
@@ -94,6 +97,7 @@ const char* kProgram = R"(
 func @main(2) {
 entry:
   %3 = syscall setuid(1000)
+  %4 = syscall open("/etc/passwd", 1)
   %2 = add %0, %1
   ret %2
 }

@@ -14,7 +14,8 @@
 // analyze_epoch call per epoch. The filtered matrix, each baseline query
 // with its message mask narrowed to an allowlist and fused with the
 // baseline, must match the standalone search of the sublist world it
-// replaces, and random nested allowlists must agree with their sublists
+// replaces (or, where the may-reach prover settled it, be Unreachable
+// there), and random nested allowlists must agree with their sublists
 // and never lose a reachable attack when widened. Every counter-exact
 // reference is a rosa::search or rosa::search_escalating call, and each is
 // also checked against the probe-free reference under the same contract.
@@ -316,7 +317,8 @@ rosa::Query sublist_query(AttackId attack, const chronopriv::EpochRow& row,
 // the epoch's conservative allowlist, decided in the baseline's batch and
 // fused exploration. It must be indistinguishable from a standalone search
 // of the sublist world it replaces: verdict, witness and every work
-// counter, under each attacker model, cached.
+// counter, under each attacker model, cached. A cell the may-reach prover
+// settles instead must be Unreachable there.
 TEST(FusedDiffTest, SerialFilteredCellsMatchSublistWorlds) {
   for (const programs::ProgramSpec& spec : paper_programs()) {
     for (rosa::AttackerModel attacker :
@@ -342,7 +344,14 @@ TEST(FusedDiffTest, SerialFilteredCellsMatchSublistWorlds) {
               sublist_query(attack.id, row, spec,
                             a.filter_report.epochs[e].conservative, attacker),
               opts.rosa_limits);
-          expect_identical_runs(reference, a.filtered_verdicts[e].results[k]);
+          const rosa::SearchResult& got = a.filtered_verdicts[e].results[k];
+          // A cell the may-reach prover settled was never searched: it must
+          // be Unreachable in the sublist world. Every other cell is the
+          // sublist world's search, bit for bit.
+          if (got.stats.proved)
+            EXPECT_EQ(reference.verdict, rosa::Verdict::Unreachable);
+          else
+            expect_identical_runs(reference, got);
           EXPECT_EQ(a.filtered_verdicts[e].verdicts[k],
                     attacks::cell_from_verdict(reference.verdict));
         }

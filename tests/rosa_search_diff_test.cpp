@@ -37,7 +37,7 @@ using rosa_test::Matrix;
 // A new SearchStats field must be compared below; this fails to compile
 // until expect_identical is taught about it.
 static_assert(sizeof(rosa::SearchStats) ==
-                  13 * sizeof(std::size_t) + sizeof(double),
+                  14 * sizeof(std::size_t) + sizeof(double),
               "compare the new SearchStats field in expect_identical");
 
 /// Verdict, witness, and every SearchStats field except seconds.
@@ -59,6 +59,7 @@ void expect_identical(const rosa::SearchResult& ref,
   EXPECT_EQ(a.fused_world_states, b.fused_world_states);
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.proved, b.proved);
   ASSERT_EQ(ref.witness.size(), got.witness.size());
   for (std::size_t i = 0; i < ref.witness.size(); ++i)
     EXPECT_EQ(ref.witness[i].to_string(), got.witness[i].to_string());
