@@ -1,8 +1,9 @@
 #include "attacks/attacks.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <utility>
 
 #include "rosa/query.h"
 #include "support/error.h"
@@ -18,41 +19,48 @@ using rosa::State;
 // Attack-set bits for per-message ownership in the union message list:
 // which of Table I's attacks may fire the message. This is §VII-A's
 // relevance tailoring, expressed as a mask over one shared list instead of
-// four separate tailored lists.
+// four separate tailored lists. Bit j belongs to modeled_attacks()[j].
 constexpr std::uint64_t kR = 1;  // ReadDevMem
 constexpr std::uint64_t kW = 2;  // WriteDevMem
 constexpr std::uint64_t kB = 4;  // BindPrivilegedPort
 constexpr std::uint64_t kK = 8;  // KillServer
 
-std::uint64_t attack_bit(AttackId attack) {
+/// The position of `attack` in modeled_attacks(), and of its ownership bit.
+std::size_t attack_slot(AttackId attack) {
   switch (attack) {
-    case AttackId::ReadDevMem: return kR;
-    case AttackId::WriteDevMem: return kW;
-    case AttackId::BindPrivilegedPort: return kB;
-    case AttackId::KillServer: return kK;
+    case AttackId::ReadDevMem: return 0;
+    case AttackId::WriteDevMem: return 1;
+    case AttackId::BindPrivilegedPort: return 2;
+    case AttackId::KillServer: return 3;
   }
   PA_UNREACHABLE("attack id");
 }
 
+/// Each attack's fireable mask over the union message list, indexed like
+/// modeled_attacks().
+using AttackMasks = std::array<std::uint64_t, 4>;
+
 /// Append the union message list — every syscall any Table-I attack is
 /// interested in, with open split into a read-mode and a write-mode message
-/// so each /dev/mem attack selects its own access mode — and return
-/// `attack`'s fireable mask over it. The list is byte-identical for all
-/// four attacks of an epoch (same syscalls, same args, same privileges):
-/// that is what lets rosa::run_queries fuse the epoch's queries into one
+/// so each /dev/mem attack selects its own access mode — and return every
+/// attack's fireable mask over it. The list is the same for all four
+/// attacks of an epoch (same syscalls, same args, same privileges): that is
+/// what lets rosa::run_queries fuse the epoch's queries into one
 /// exploration, the mask being the only per-attack residue. File attacks
 /// own the file and credential syscalls, the bind attack the socket
 /// syscalls, the kill attack kill plus the setuid family (CAP_SETUID lets
 /// the attacker become the victim's uid and pass the kill(2) permission
 /// check).
-std::uint64_t add_messages(Query& q, const ScenarioInput& in,
-                           AttackId attack) {
+AttackMasks add_messages(Query& q, const ScenarioInput& in) {
   const caps::CapSet privs = in.permitted;
-  const std::uint64_t want = attack_bit(attack);
-  std::uint64_t mask = 0;
+  AttackMasks masks{};
   auto push = [&](rosa::Sys sys, std::vector<int> args,
                   std::uint64_t owners) {
-    if (owners & want) mask |= std::uint64_t{1} << q.messages.size();
+    // A message is one mask bit; a longer list would shift past the word.
+    PA_CHECK(q.messages.size() < 64,
+             "an attack world holds at most 64 messages");
+    for (std::size_t a = 0; a < masks.size(); ++a)
+      if ((owners >> a) & 1) masks[a] |= std::uint64_t{1} << q.messages.size();
     Message m;
     m.sys = sys;
     m.proc = kVictimProc;
@@ -114,7 +122,7 @@ std::uint64_t add_messages(Query& q, const ScenarioInput& in,
         break;
     }
   }
-  return mask;
+  return masks;
 }
 
 /// The union id pools: every value any of the four attacks' searches may
@@ -131,30 +139,20 @@ void add_pools(State& st, const ScenarioInput& in) {
   st.set_groups(std::vector<int>(groups.begin(), groups.end()));
 }
 
-}  // namespace
+/// One epoch's union world, built identically for all four attacks: the
+/// victim and the critical server both exist, and so do /dev/mem and the
+/// /etc decoys, whichever attack is being asked about. Per-attack tailoring
+/// lives entirely in the goal and msg_mask that pose_attack sets, so the
+/// four queries share a world digest and fuse into one exploration.
+struct AttackWorld {
+  Query query;  // everything but goal, description and msg_mask
+  AttackMasks masks;
+};
 
-const std::vector<AttackInfo>& modeled_attacks() {
-  static const std::vector<AttackInfo> attacks = {
-      {AttackId::ReadDevMem, "read-devmem",
-       "Read from /dev/mem to steal application data"},
-      {AttackId::WriteDevMem, "write-devmem",
-       "Write to /dev/mem to corrupt application data"},
-      {AttackId::BindPrivilegedPort, "bind-privport",
-       "Bind to a privileged port to masquerade as a server"},
-      {AttackId::KillServer, "kill-server",
-       "Send a SIGKILL signal to kill the sshd server"},
-  };
-  return attacks;
-}
+AttackWorld attack_world(const ScenarioInput& in) {
+  AttackWorld w;
+  Query& q = w.query;
 
-rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
-  Query q;
-
-  // One union world, built identically for all four attacks of an epoch:
-  // the victim and the critical server both exist, and so do /dev/mem and
-  // the /etc decoys, whichever attack is being asked about. Per-attack
-  // tailoring lives entirely in q.goal and q.msg_mask, so the four queries
-  // share a world signature and fuse into one exploration.
   rosa::ProcObj victim;
   victim.id = kVictimProc;
   victim.uid = in.creds.uid;
@@ -194,6 +192,15 @@ rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
   q.initial.set_name(kEtcDir, "/etc");
   q.initial.set_name(kEtcDir2, "/etc");
 
+  add_pools(q.initial, in);
+  w.masks = add_messages(q, in);
+  q.attacker = in.attacker;
+  q.initial.normalize();
+  return w;
+}
+
+/// Pose `attack` in a copy of its epoch's attack_world.
+void pose_attack(Query& q, AttackId attack, const AttackMasks& masks) {
   switch (attack) {
     case AttackId::ReadDevMem:
       q.goal = rosa::goal_file_in_rdfset(kVictimProc, kDevMemFile);
@@ -212,23 +219,56 @@ rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
       q.description = "critical server terminated by SIGKILL";
       break;
   }
-
-  add_pools(q.initial, in);
-  q.msg_mask = add_messages(q, in, attack);
-  q.attacker = in.attacker;
-  q.initial.normalize();
-  return q;
+  q.msg_mask = masks[attack_slot(attack)];
 }
 
-void narrow_to_allowlist(Query& query, const std::set<std::string>& allowed) {
+}  // namespace
+
+const std::vector<AttackInfo>& modeled_attacks() {
+  static const std::vector<AttackInfo> attacks = {
+      {AttackId::ReadDevMem, "read-devmem",
+       "Read from /dev/mem to steal application data"},
+      {AttackId::WriteDevMem, "write-devmem",
+       "Write to /dev/mem to corrupt application data"},
+      {AttackId::BindPrivilegedPort, "bind-privport",
+       "Bind to a privileged port to masquerade as a server"},
+      {AttackId::KillServer, "kill-server",
+       "Send a SIGKILL signal to kill the sshd server"},
+  };
+  return attacks;
+}
+
+rosa::Query build_attack_query(AttackId attack, const ScenarioInput& in) {
+  AttackWorld world = attack_world(in);
+  pose_attack(world.query, attack, world.masks);
+  return std::move(world.query);
+}
+
+std::array<rosa::Query, 4> build_attack_queries(const ScenarioInput& in) {
+  AttackWorld world = attack_world(in);
+  std::array<Query, 4> cells{world.query, world.query, world.query,
+                             std::move(world.query)};
+  for (std::size_t a = 0; a < cells.size(); ++a)
+    pose_attack(cells[a], modeled_attacks()[a].id, world.masks);
+  return cells;
+}
+
+void narrow_to_allowlist(std::span<Query> cells,
+                         const std::set<std::string>& allowed) {
+  if (cells.empty()) return;
   // Syscall names map 1:1 to rosa::Sys, and add_messages emits the messages
   // of input.syscalls in order, so the surviving bits select exactly the
   // messages the allowlisted sublist would have built, in the same order.
+  rosa::SysSet allowed_sys = 0;
+  for (const std::string& name : allowed)
+    if (const std::optional<rosa::Sys> sys = rosa::parse_sys(name))
+      allowed_sys |= rosa::sys_bit(*sys);
+  const std::vector<Message>& messages = cells.front().messages;
   std::uint64_t keep = 0;
-  for (std::size_t i = 0; i < query.messages.size(); ++i)
-    if (allowed.contains(std::string(rosa::sys_name(query.messages[i].sys))))
+  for (std::size_t i = 0; i < messages.size(); ++i)
+    if (allowed_sys & rosa::sys_bit(messages[i].sys))
       keep |= std::uint64_t{1} << i;
-  query.msg_mask &= keep;
+  for (Query& q : cells) q.msg_mask &= keep;
 }
 
 }  // namespace pa::attacks

@@ -5,11 +5,14 @@
 // program's syscalls relevant to it") is expressed through Query::msg_mask,
 // which selects the attack's fireable messages out of the shared list. The
 // shared world is what lets rosa::run_queries fuse an epoch's queries into
-// one exploration. Every message may use the epoch's entire permitted
-// privilege set — the paper's strong attack model.
+// one exploration, and what lets build_attack_queries assemble it once per
+// epoch. Every message may use the epoch's entire permitted privilege set —
+// the paper's strong attack model.
 #pragma once
 
+#include <array>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,14 +74,24 @@ struct ScenarioInput {
 /// reach the attack's compromised state?"
 rosa::Query build_attack_query(AttackId attack, const ScenarioInput& input);
 
-/// Narrow a build_attack_query result to a per-epoch syscall allowlist (an
-/// EpochFilter's conservative set): a message keeps its msg_mask bit only
-/// if `allowed` names its syscall. The world is untouched, so the narrowed
-/// query shares its baseline's world signature and fuses with it, yet it
-/// decides exactly what the same query built over the allowlisted sublist
-/// of input.syscalls would (tests/rosa_fused_diff_test.cpp). An empty
+/// All four of an epoch's queries, in modeled_attacks() order: the union
+/// world is assembled once and copied, and each copy gets its attack's
+/// goal, description and msg_mask. Cell a equals
+/// build_attack_query(modeled_attacks()[a].id, input)
+/// (tests/rosa_fused_diff_test.cpp).
+std::array<rosa::Query, 4> build_attack_queries(const ScenarioInput& input);
+
+/// Narrow an epoch's cells to its syscall allowlist (an EpochFilter's
+/// conservative set): a message keeps its msg_mask bit only if `allowed`
+/// names its syscall. The cells must share one message list, as the
+/// results of build_attack_query and build_attack_queries for one input
+/// do; the allowlist becomes a rosa::SysSet and the kept bits are computed
+/// once for all of them. The world is untouched, so a narrowed cell shares
+/// its baseline's world digest and fuses with it, yet it decides exactly
+/// what the same query built over the allowlisted sublist of
+/// input.syscalls would (tests/rosa_fused_diff_test.cpp). An empty
 /// allowlist leaves no message fireable.
-void narrow_to_allowlist(rosa::Query& query,
+void narrow_to_allowlist(std::span<rosa::Query> cells,
                          const std::set<std::string>& allowed);
 
 }  // namespace pa::attacks

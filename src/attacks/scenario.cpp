@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "rosa/prove.h"
 #include "support/error.h"
@@ -71,10 +72,10 @@ EpochMatrices analyze_epochs(
            "analyze_epochs: rows and inputs must be parallel vectors");
   PA_CHECK(allowlists.empty() || allowlists.size() == rows.size(),
            "analyze_epochs: allowlists must be empty or parallel to rows");
-  // One world per epoch: its baseline queries, then (with allowlists) each
-  // of them narrowed to the epoch's allowlist. The may-reach prover decides
-  // what it can of each world before anything is fingerprinted, looked up
-  // or searched.
+  // One world per epoch, assembled once: its baseline queries, then (with
+  // allowlists) copies of them narrowed to the epoch's allowlist. The
+  // may-reach prover decides what it can of each world before anything is
+  // fingerprinted, looked up or searched.
   const std::size_t n_attacks = modeled_attacks().size();
   const std::size_t n_blocks = allowlists.empty() ? 1 : 2;
   const std::size_t width = n_blocks * n_attacks;
@@ -84,14 +85,15 @@ EpochMatrices analyze_epochs(
   rosa::Prover prover;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::size_t first = worlds.size();
-    for (std::size_t a = 0; a < n_attacks; ++a)
-      worlds.push_back(
-          build_attack_query(modeled_attacks()[a].id, inputs[i]));
-    if (!allowlists.empty())
-      for (std::size_t a = 0; a < n_attacks; ++a) {
+    for (rosa::Query& q : build_attack_queries(inputs[i]))
+      worlds.push_back(std::move(q));
+    if (!allowlists.empty()) {
+      for (std::size_t a = 0; a < n_attacks; ++a)
         worlds.push_back(worlds[first + a]);
-        narrow_to_allowlist(worlds.back(), allowlists[i]);
-      }
+      narrow_to_allowlist(
+          std::span<rosa::Query>(worlds).subspan(first + n_attacks, n_attacks),
+          allowlists[i]);
+    }
     proved[i] = prover.prove_unreachable(
         std::span<const rosa::Query>(worlds).subspan(first, width), limits);
   }

@@ -33,7 +33,7 @@ struct PipelineOptions {
   autopriv::Options autopriv;
   /// Per-query budgets plus engine mode flags, passed through to every
   /// search of the matrix. The four attacks of each epoch always share one
-  /// fused exploration per world signature; results match standalone
+  /// fused exploration per world digest; results match standalone
   /// searches (tests/rosa_fused_diff_test.cpp). Its `cancel` flag also
   /// reaches ChronoPriv's measured execution (and the enforce re-run):
   /// once raised, the interpreter faults "cancelled" within one turn of

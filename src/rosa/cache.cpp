@@ -200,7 +200,7 @@ std::size_t QueryCache::size() const {
 // ---------------------------------------------------------------------------
 // Persistence. Versioned text format, all-or-nothing load:
 //
-//   privanalyzer-rosa-cache v8 model=<kRosaModelVersion>
+//   privanalyzer-rosa-cache v9 model=<kRosaModelVersion>
 //   e <fp> <max-states> <max-bytes> <rounds> <factor> <verdict> <states>
 //     <transitions> <seconds> <dedup> <collisions> <peak-frontier>
 //     <peak-bytes> <state-bytes> <escalations> <n-witness>  (one line)
@@ -211,12 +211,15 @@ std::size_t QueryCache::size() const {
 // <escalations> never exceeds <rounds>. <states> is the cumulative
 // across-retries total. <privs> is a capability bit set, so no bit at or
 // above caps::kNumCapabilities may be set. Numbers go through the strict
-// str::parse_u64 / str::parse_seconds. Files in older formats (v4–v7) are
+// str::parse_u64 / str::parse_seconds. Files in older formats (v4–v8) are
 // rejected by the version header like any other stale cache. v8 has v7's
 // lines; it marks answers searched with the per-layer goal probe, whose
 // Reachable counters differ from v7's and whose ResourceLimits may now be
 // Reachable at the same budget, so a v7 entry is not what a cold search
-// returns. Any deviation
+// returns. v9 has v8's lines; its fingerprints hash the world digest, goal
+// key and mask word by word (rosa/fingerprint.h), so no v8 key names any
+// question a v9 build asks, and loading one would only keep dead entries
+// resident and rewrite them forever. Any deviation
 // — wrong version, wrong model salt, malformed line, missing `end`
 // sentinel (truncation) — rejects the whole file: a cache may always be
 // discarded, never trusted partially.
@@ -225,7 +228,7 @@ std::size_t QueryCache::size() const {
 namespace {
 
 std::string header_line() {
-  return str::cat("privanalyzer-rosa-cache v8 model=", kRosaModelVersion);
+  return str::cat("privanalyzer-rosa-cache v9 model=", kRosaModelVersion);
 }
 
 std::vector<std::string_view> fields(std::string_view line) {

@@ -37,11 +37,14 @@
 // key → result map, the recency list and the counters, so every call is
 // safe from any thread, and LRU eviction happens under the same lock as the
 // store that caused it. No lock is held during a search, and there is no
-// in-flight handshake: equal fingerprints imply equal world signatures, so
-// within one batch duplicates land in the same fused task, which searches
-// the fingerprint once. Two concurrent batches sharing a cache may both miss
-// and search the same key; both compute the same deterministic result, so
-// whichever store lands serves later lookups.
+// in-flight handshake: run_queries computes each query's world digest once,
+// groups the batch by it, and derives the query's fingerprint from it
+// (rosa/fingerprint.h), so equal fingerprints come from equal digests
+// (short of a 128-bit collision, which every fingerprint key assumes
+// away), and within one batch duplicates land in the same fused task,
+// which searches the fingerprint once. Two concurrent batches sharing
+// a cache may both miss and search the same key; both compute the same
+// deterministic result, so whichever store lands serves later lookups.
 #pragma once
 
 #include <cstddef>

@@ -1,46 +1,46 @@
 #include "rosa/fingerprint.h"
 
-#include <array>
-
 #include "rosa/checker.h"
 
 namespace pa::rosa {
 namespace {
 
-/// Two independent 64-bit FNV-1a lanes (different offset bases, and the hi
-/// lane finalizes each chunk with an xorshift-multiply avalanche) give a
-/// 128-bit digest. Not cryptographic — the threat model is accidental
+/// Two 64-bit lanes fed one 8-byte word at a time. Each lane folds the word
+/// in (one by xor, the other by addition, from different seeds) and runs
+/// the splitmix64 finalizer, so every word is fully avalanched into both
+/// lanes, and inputs that collide in one lane still differ in the other
+/// except by accident. Not cryptographic: the threat model is accidental
 /// collision across a corpus of queries, where 2^-128 birthday odds are
 /// beyond negligible.
-class Hasher128 {
+class WordHasher {
  public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      lo_ = (lo_ ^ p[i]) * kPrime;
-      hi_ = (hi_ ^ p[i]) * kPrime;
-      hi_ ^= hi_ >> 29;
-      hi_ *= 0xbf58476d1ce4e5b9ull;
-    }
+  void word(std::uint64_t w) {
+    lo_ = mix64(lo_ ^ w);
+    hi_ = mix64(hi_ + w);
   }
-  void u64(std::uint64_t v) {
-    std::array<unsigned char, 8> b;
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (i * 8));
-    bytes(b.data(), b.size());
-  }
-  void i64(long long v) { u64(static_cast<std::uint64_t>(v)); }
-  /// Length-prefixed so adjacent strings cannot alias ("ab","c" vs "a","bc").
+  void i64(long long v) { word(static_cast<std::uint64_t>(v)); }
+  /// Length-prefixed so adjacent strings cannot alias ("ab","c" vs
+  /// "a","bc"). Bytes are packed into words little-endian whatever the
+  /// host's byte order, so persistent cache keys are portable.
   void str(std::string_view s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
+    word(s.size());
+    std::size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) word(le_word(s.data() + i, 8));
+    if (i < s.size()) word(le_word(s.data() + i, s.size() - i));
   }
 
   Fingerprint digest() const { return Fingerprint{hi_, lo_}; }
 
  private:
-  static constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t lo_ = 14695981039346656037ull;
-  std::uint64_t hi_ = 0x27d4eb2f165667c5ull;
+  static std::uint64_t le_word(const char* p, std::size_t n) {
+    std::uint64_t w = 0;
+    for (std::size_t k = 0; k < n; ++k)
+      w |= std::uint64_t{static_cast<unsigned char>(p[k])} << (8 * k);
+    return w;
+  }
+
+  std::uint64_t lo_ = 0x6a09e667f3bcc908ull;
+  std::uint64_t hi_ = 0xbb67ae8584caa73bull;
 };
 
 }  // namespace
@@ -74,77 +74,63 @@ std::optional<Fingerprint> Fingerprint::from_hex(std::string_view hex) {
   return f;
 }
 
-namespace {
+std::optional<Fingerprint> world_digest(const Query& query,
+                                        const SearchLimits& limits) {
+  const AccessChecker& checker =
+      query.checker ? *query.checker : linux_checker();
+  if (checker.cache_key().empty()) return std::nullopt;
+  if (limits.hash_override) return std::nullopt;
 
-/// Shared ingredient sequence for fingerprint_query / world_signature.
-/// `goal_key` is hashed in its historical position (between the checker key
-/// and no_dedup) when non-null; world_signature passes nullptr.
-void hash_query_world(Hasher128& h, const Query& query,
-                      const AccessChecker& checker, const SearchLimits& limits,
-                      const std::string* goal_key) {
+  WordHasher h;
   h.str(kRosaModelVersion);
-  h.u64(static_cast<std::uint64_t>(query.attacker));
+  h.word(static_cast<std::uint64_t>(query.attacker));
   h.str(checker.cache_key());
-  if (goal_key) h.str(*goal_key);
-  h.u64(limits.no_dedup ? 1 : 0);
+  h.word(limits.no_dedup ? 1 : 0);
 
   // canonical() covers every search-mutable field; the user/group pools are
   // deliberately excluded from it (immutable during one search) but DO
   // shape the search — wildcard set*id arguments range over them — so they
   // are mixed in explicitly here.
   h.str(query.initial.canonical());
-  h.u64(query.initial.users().size());
+  h.word(query.initial.users().size());
   for (int u : query.initial.users()) h.i64(u);
-  h.u64(query.initial.groups().size());
+  h.word(query.initial.groups().size());
   for (int g : query.initial.groups()) h.i64(g);
 
-  h.u64(query.messages.size());
+  h.word(query.messages.size());
   for (const Message& m : query.messages) {
-    h.u64(static_cast<std::uint64_t>(m.sys));
+    h.word(static_cast<std::uint64_t>(m.sys));
     h.i64(m.proc);
-    h.u64(m.args.size());
+    h.word(m.args.size());
     for (int a : m.args) h.i64(a);
-    h.u64(m.privs.raw());
+    h.word(m.privs.raw());
   }
+  return h.digest();
 }
 
-}  // namespace
+std::optional<Fingerprint> cell_fingerprint(const Fingerprint& world,
+                                            const Query& query) {
+  if (query.goal.cache_key().empty()) return std::nullopt;
+  // The message mask selects which messages may fire, so it is as
+  // semantics-bearing as the message list itself; bits past the list
+  // select nothing.
+  const std::uint64_t full_mask =
+      query.messages.size() >= 64
+          ? ~std::uint64_t{0}
+          : (std::uint64_t{1} << query.messages.size()) - 1;
+  WordHasher h;
+  h.word(world.hi);
+  h.word(world.lo);
+  h.str(query.goal.cache_key());
+  h.word(query.msg_mask & full_mask);
+  return h.digest();
+}
 
 std::optional<Fingerprint> fingerprint_query(const Query& query,
                                              const SearchLimits& limits) {
-  if (query.goal.cache_key().empty()) return std::nullopt;
-  const AccessChecker& checker =
-      query.checker ? *query.checker : linux_checker();
-  if (checker.cache_key().empty()) return std::nullopt;
-  if (limits.hash_override) return std::nullopt;
-
-  Hasher128 h;
-  const std::string goal_key{query.goal.cache_key()};
-  hash_query_world(h, query, checker, limits, &goal_key);
-  // The message mask selects which messages may fire, so it is as
-  // semantics-bearing as the message list itself. Salted only when proper
-  // so full-mask fingerprints stay byte-identical with pre-mask builds.
-  const std::uint64_t full_mask =
-      query.messages.size() >= 64 ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << query.messages.size()) -
-                                        1;
-  if ((query.msg_mask & full_mask) != full_mask) {
-    h.str("mask-v1");
-    h.u64(query.msg_mask & full_mask);
-  }
-  return h.digest();
-}
-
-std::optional<Fingerprint> world_signature(const Query& query,
-                                           const SearchLimits& limits) {
-  const AccessChecker& checker =
-      query.checker ? *query.checker : linux_checker();
-  if (checker.cache_key().empty()) return std::nullopt;
-  if (limits.hash_override) return std::nullopt;
-
-  Hasher128 h;
-  hash_query_world(h, query, checker, limits, nullptr);
-  return h.digest();
+  const std::optional<Fingerprint> world = world_digest(query, limits);
+  if (!world) return std::nullopt;
+  return cell_fingerprint(*world, query);
 }
 
 }  // namespace pa::rosa

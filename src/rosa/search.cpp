@@ -641,7 +641,7 @@ SearchResult cancelled_result() {
 }
 
 /// One unit of run_queries work. A fused task holds fingerprintable
-/// queries that share a world signature (at most 64), with fps[k] the
+/// queries that share a world digest (at most 64), with fps[k] the
 /// fingerprint of queries[members[k]]. A task without fingerprints holds
 /// one unfingerprintable query, which runs uncached.
 struct Task {
@@ -729,25 +729,26 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       QueryCache* cache) {
   std::vector<SearchResult> results(queries.size());
 
-  // Partition the batch into execution tasks, fingerprinting each query
-  // once. Queries sharing a world signature fuse into one multi-goal
-  // exploration (capped at 64 members — the membership-bitmask width);
-  // unfingerprintable queries stay alone.
+  // Partition the batch into execution tasks, digesting each query's world
+  // once and deriving its fingerprint from that digest. Queries sharing a
+  // world digest fuse into one multi-goal exploration (capped at 64
+  // members — the membership-bitmask width); unfingerprintable queries
+  // stay alone.
   std::vector<Task> tasks;
   {
-    // world signature -> index of the group's newest task (a full task
-    // chains into a fresh one).
+    // world digest -> index of the group's newest task (a full task chains
+    // into a fresh one).
     std::unordered_map<Fingerprint, std::size_t, FingerprintHash> open;
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
-      const std::optional<Fingerprint> fp = fingerprint_query(q, limits);
-      std::optional<Fingerprint> sig;
-      if (fp) sig = world_signature(q, limits);
-      if (!sig) {
+      const std::optional<Fingerprint> world = world_digest(q, limits);
+      std::optional<Fingerprint> fp;
+      if (world) fp = cell_fingerprint(*world, q);
+      if (!fp) {
         tasks.push_back(Task{{i}, {}});
         continue;
       }
-      const auto [it, fresh] = open.try_emplace(*sig, tasks.size());
+      const auto [it, fresh] = open.try_emplace(*world, tasks.size());
       if (fresh || tasks[it->second].members.size() == 64) {
         it->second = tasks.size();
         tasks.emplace_back();

@@ -139,8 +139,8 @@ struct Query {
   /// message list that differ only in mask share canonical state
   /// representations — the property the fused multi-goal engine's shared
   /// dedup rests on, and what lets the (epoch × attack) matrix pose every
-  /// attack against one union world. Proper masks are salted into the
-  /// query fingerprint; full-mask fingerprints are unchanged.
+  /// attack against one union world. The mask's bits within the message
+  /// list are part of the query fingerprint (rosa/fingerprint.h).
   std::uint64_t msg_mask = ~std::uint64_t{0};
 };
 
@@ -316,7 +316,7 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
                                const EscalationPolicy& policy);
 
 /// Run a batch of independent queries on the calling thread.
-/// Fingerprintable queries that share a world signature
+/// Fingerprintable queries that share a world digest
 /// (rosa/fingerprint.h) are fused into one multi-goal exploration
 /// (detail::search_fused); a query with no partner runs as a group of one,
 /// and an unfingerprintable query runs search_escalating() alone. The
@@ -333,9 +333,10 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 ///
 /// `cache` (optional) memoizes whole-query results by content fingerprint;
 /// run_queries is its only client. Each fused group looks its members up,
-/// searches the misses together, and stores their results. Duplicate
-/// fingerprints share a world signature, so they land in the same group,
-/// which searches the fingerprint once and fans the result out. Cached and
+/// searches the misses together, and stores their results. A query's
+/// fingerprint is derived from its world digest, the grouping key, so
+/// duplicate fingerprints land in the same group, which searches the
+/// fingerprint once and fans the result out. Cached and
 /// uncached batches are bit-identical in verdicts, witnesses, and work
 /// counters because an entry answers only the fingerprint and budget that
 /// produced it, and that search is deterministic (rosa/cache.h).

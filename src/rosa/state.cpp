@@ -27,14 +27,6 @@ const std::vector<int>& empty_pool() {
   return empty;
 }
 
-/// splitmix64 finalizer — the per-field mixer for object sub-hashes.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Sequentially chain a field into an object sub-hash. Order within one
 /// object matters (like canonical()'s field order); objects themselves are
 /// combined by XOR, so the state digest is order-independent across objects

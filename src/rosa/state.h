@@ -30,6 +30,16 @@
 
 namespace pa::rosa {
 
+/// The splitmix64 finalizer: a bijective 64-bit mix in which every input
+/// bit reaches every output bit. State sub-hashes chain fields through it,
+/// and query fingerprints (rosa/fingerprint.cpp) chain words through it.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Process object: credentials, run state, and the sets of object ids the
 /// process has opened for reading (rdfset) and writing (wrfset).
 struct ProcObj {

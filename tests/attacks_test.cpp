@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/scenario.h"
+#include "support/error.h"
 
 namespace pa::attacks {
 namespace {
@@ -196,6 +197,19 @@ TEST(Scenario, AnalyzeEpochFillsAllFour) {
   EXPECT_EQ(v.epoch_name, "x_priv1");
   for (CellVerdict cv : v.verdicts)
     EXPECT_EQ(cv, CellVerdict::Vulnerable);  // full caps: everything works
+}
+
+// Each message is one msg_mask bit, so a syscall list that would build
+// more than 64 messages is rejected: 32 opens build exactly 64 (a read-mode
+// and a write-mode message each), and 33 would build 66.
+TEST(Scenario, AttackWorldsHoldAtMost64Messages) {
+  ScenarioInput in = make_input({}, Credentials::of_user(1000, 1000),
+                                std::vector<std::string>(32, "open"));
+  EXPECT_EQ(build_attack_query(AttackId::ReadDevMem, in).messages.size(),
+            64u);
+  in.syscalls.push_back("open");
+  EXPECT_THROW(build_attack_query(AttackId::ReadDevMem, in), Error);
+  EXPECT_THROW(build_attack_queries(in), Error);
 }
 
 TEST(Scenario, CellSymbols) {

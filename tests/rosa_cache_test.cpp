@@ -9,18 +9,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 
 #include <unistd.h>
 
+#include "attacks/attacks.h"
 #include "privanalyzer/pipeline.h"
 #include "privmodels/solaris.h"
 #include "rosa/cache.h"
+#include "rosa/checker.h"
 #include "rosa/fingerprint.h"
 #include "rosa/query.h"
 #include "rosa_test_util.h"
@@ -110,6 +116,115 @@ TEST(FingerprintTest, SensitiveToEverySemanticInput) {
   more_users.initial.add_user(2000);
   more_users.initial.normalize();
   EXPECT_NE(base, hex_of(more_users));
+  Query more_groups = reachable_query();
+  more_groups.initial.add_group(2000);
+  more_groups.initial.normalize();
+  EXPECT_NE(base, hex_of(more_groups));
+
+  // Each message field: the process, one argument, the privileges.
+  Query other_proc = reachable_query();
+  other_proc.messages[0].proc = 2;
+  EXPECT_NE(base, hex_of(other_proc));
+  Query other_arg = reachable_query();
+  other_arg.messages[0].args[1] = kAccWrite;
+  EXPECT_NE(base, hex_of(other_arg));
+  Query other_privs = reachable_query();
+  other_privs.messages[0].privs = caps::CapSet{caps::Capability::DacOverride};
+  EXPECT_NE(base, hex_of(other_privs));
+
+  // The message mask: full against proper, and two proper masks.
+  Query first_only = reachable_query();
+  first_only.msg_mask = 0b01;
+  Query second_only = reachable_query();
+  second_only.msg_mask = 0b10;
+  EXPECT_NE(base, hex_of(first_only));
+  EXPECT_NE(base, hex_of(second_only));
+  EXPECT_NE(hex_of(first_only), hex_of(second_only));
+}
+
+TEST(FingerprintTest, MaskBitsPastTheMessagesAreIgnored) {
+  // reachable_query() has two messages, so only mask bits 0 and 1 select
+  // anything.
+  const std::uint64_t past = (std::uint64_t{1} << 2) | (std::uint64_t{1} << 63);
+  Query full = reachable_query();
+  full.msg_mask = 0b11;
+  EXPECT_EQ(hex_of(reachable_query()), hex_of(full));
+  full.msg_mask |= past;
+  EXPECT_EQ(hex_of(reachable_query()), hex_of(full));
+  Query proper = reachable_query();
+  proper.msg_mask = 0b01;
+  const std::string narrowed = hex_of(proper);
+  proper.msg_mask |= past;
+  EXPECT_EQ(narrowed, hex_of(proper));
+}
+
+/// What two cells must share to walk the same state graph, spelled out
+/// field by field: the world_digest ingredients under default limits.
+std::string world_key(const Query& q) {
+  const AccessChecker& checker = q.checker ? *q.checker : linux_checker();
+  std::string key = str::cat(static_cast<int>(q.attacker), "|",
+                             checker.cache_key(), "|", q.initial.canonical(),
+                             "|users");
+  for (int u : q.initial.users()) key += str::cat(" ", u);
+  key += "|groups";
+  for (int g : q.initial.groups()) key += str::cat(" ", g);
+  key += "|messages";
+  for (const Message& m : q.messages) key += " " + m.to_string();
+  return key;
+}
+
+/// The question a cell asks: its world, its goal and its effective mask.
+std::string question_key(const Query& q) {
+  const std::uint64_t full =
+      q.messages.size() >= 64 ? ~std::uint64_t{0}
+                              : (std::uint64_t{1} << q.messages.size()) - 1;
+  return str::cat(world_key(q), "|", q.goal.cache_key(), "|",
+                  q.msg_mask & full);
+}
+
+/// Record that `key` hashed to `value`, expecting a one-to-one map: every
+/// key one value, every value one key.
+void expect_one_to_one(std::map<std::string, Fingerprint>& by_key,
+                       std::map<Fingerprint, std::string>& by_value,
+                       const std::string& key, const Fingerprint& value) {
+  EXPECT_EQ(by_key.try_emplace(key, value).first->second, value) << key;
+  EXPECT_EQ(by_value.try_emplace(value, key).first->second, key)
+      << value.to_hex();
+}
+
+// Over every baseline and filtered cell of the eight paper programs under
+// all three attacker models, two cells share a fingerprint exactly when
+// they ask the same question, and a world digest exactly when they share
+// the world.
+TEST(FingerprintTest, PaperCellsPartitionByQuestionAndByWorld) {
+  std::map<std::string, Fingerprint> fp_of_question;
+  std::map<Fingerprint, std::string> question_of_fp;
+  std::map<std::string, Fingerprint> digest_of_world;
+  std::map<Fingerprint, std::string> world_of_digest;
+  std::size_t cells = 0;
+  for (const rosa_test::EpochInput& e : rosa_test::paper_epoch_inputs()) {
+    SCOPED_TRACE(e.label);
+    const std::array<Query, 4> baseline =
+        attacks::build_attack_queries(e.input);
+    std::vector<Query> epoch(baseline.begin(), baseline.end());
+    epoch.insert(epoch.end(), baseline.begin(), baseline.end());
+    attacks::narrow_to_allowlist(std::span<Query>(epoch).subspan(4),
+                                 e.allowlist);
+    for (const Query& q : epoch) {
+      const std::optional<Fingerprint> fp = fingerprint_query(q, {});
+      const std::optional<Fingerprint> world = world_digest(q, {});
+      ASSERT_TRUE(fp.has_value());
+      ASSERT_TRUE(world.has_value());
+      expect_one_to_one(fp_of_question, question_of_fp, question_key(q), *fp);
+      expect_one_to_one(digest_of_world, world_of_digest, world_key(q),
+                        *world);
+      ++cells;
+    }
+  }
+  // The corpus repeats questions (epochs with equal worlds, filtered cells
+  // their allowlist leaves whole) and puts several questions in one world.
+  EXPECT_LT(fp_of_question.size(), cells);
+  EXPECT_LT(digest_of_world.size(), fp_of_question.size());
 }
 
 TEST(FingerprintTest, BudgetsDoNotAffectTheFingerprint) {
@@ -465,7 +580,7 @@ void PrintTo(const StaleFile& f, std::ostream* os) { *os << f.version; }
 class StaleHeaderTest : public PersistentCacheTest,
                         public ::testing::WithParamInterface<StaleFile> {};
 
-TEST_P(StaleHeaderTest, ColdStartThenWarmV8Rewrite) {
+TEST_P(StaleHeaderTest, ColdStartThenWarmRewrite) {
   write_file(str::cat("privanalyzer-rosa-cache ", GetParam().version,
                       " model=", kRosaModelVersion, "\ne ",
                       std::string(32, 'a'), " ", GetParam().entry,
@@ -483,10 +598,10 @@ TEST_P(StaleHeaderTest, ColdStartThenWarmV8Rewrite) {
   EXPECT_EQ(r.stats.cache_misses, 1u);
   EXPECT_EQ(r.verdict, Verdict::Unreachable);
 
-  // The rewrite is a v8 file with 17-field entry lines, and it loads warm.
+  // The rewrite is a v9 file with 17-field entry lines, and it loads warm.
   ASSERT_TRUE(cache.save_file(path_));
   const std::string text = read_file();
-  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v8 model=")) << text;
+  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v9 model=")) << text;
   const std::size_t line = text.find("\ne ") + 1;
   EXPECT_EQ(str::split(text.substr(line, text.find('\n', line) - line), ' ')
                 .size(),
@@ -519,6 +634,28 @@ INSTANTIATE_TEST_SUITE_P(
         // per-layer goal probe, so v7's stored counters are stale.
         StaleFile{"v7",
                   "10000 0 0 0 UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 0"}));
+
+// v9 keeps v8's lines but derives every fingerprint from a world digest,
+// so a v8 file differs from a v9 one only in key values no parser can
+// check. Its header must reject it whole.
+TEST_F(PersistentCacheTest, V8HeaderRejectsAnOtherwiseValidFile) {
+  QueryCache writer;
+  run_cached(writer, reachable_query(), states_budget(10'000));
+  run_cached(writer, unreachable_query(), states_budget(10'000));
+  ASSERT_TRUE(writer.save_file(path_));
+  std::string warn;
+  QueryCache control;
+  ASSERT_TRUE(control.load_file(path_, &warn)) << warn;
+  ASSERT_EQ(control.totals().loaded, 2u);
+
+  tamper("privanalyzer-rosa-cache v9 ", "privanalyzer-rosa-cache v8 ");
+  QueryCache cache;
+  EXPECT_FALSE(cache.load_file(path_, &warn));
+  EXPECT_NE(warn.find("stale version/model header"), std::string::npos)
+      << warn;
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.totals().loaded, 0u);
+}
 
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
   QueryCache writer;

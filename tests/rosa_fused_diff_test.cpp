@@ -1,5 +1,5 @@
 // Differential test for the fused multi-goal engine (rosa::detail::
-// search_fused, reached through rosa::run_queries' world-signature
+// search_fused, reached through rosa::run_queries' world-digest
 // grouping): one shared exploration answering all four attacks of an epoch
 // must be indistinguishable — bit for bit — from four standalone searches.
 // The full Table-III matrix through run_queries, cached and uncached, is
@@ -9,19 +9,23 @@
 // goal-probe contract against the probe-free reference loop
 // (tests/reference_search.h, rosa_test::expect_probe_contract).
 // Fused witnesses must replay on the SimOS kernel, a mixed-attacker batch
-// must NOT fuse across world signatures, the escalation ladder must re-run
+// must NOT fuse across world digests, the escalation ladder must re-run
 // only still-undecided goals, and the pipeline's matrix must match one
-// analyze_epoch call per epoch. The filtered matrix, each baseline query
-// with its message mask narrowed to an allowlist and fused with the
-// baseline, must match the standalone search of the sublist world it
-// replaces (or, where the may-reach prover settled it, be Unreachable
-// there), and random nested allowlists must agree with their sublists
-// and never lose a reachable attack when widened. Every counter-exact
+// analyze_epoch call per epoch. The one-build epoch constructor
+// (attacks::build_attack_queries) must pose exactly the per-attack
+// builder's queries, in one world digest. The filtered matrix, each
+// baseline query with its message mask narrowed to an allowlist and fused
+// with the baseline, must match the standalone search of the sublist world
+// it replaces (or, where the may-reach prover settled it, be Unreachable
+// there), and random nested allowlists must agree with their sublists and
+// never lose a reachable attack when widened. Every counter-exact
 // reference is a rosa::search or rosa::search_escalating call, and each is
 // also checked against the probe-free reference under the same contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -171,7 +175,7 @@ attacks::ScenarioInput handmade_epoch(rosa::AttackerModel attacker) {
 }
 
 // A batch mixing attacker models: each model's four attacks share a world
-// signature and fuse, but nothing fuses ACROSS the models — the attacker
+// digest and fuse, but nothing fuses ACROSS the models — the attacker
 // is part of the world, so a group spanning both would explore transitions
 // one member's model forbids.
 TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
@@ -207,7 +211,7 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
 // counter must match the standalone escalating searches.
 TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   // One world: proc 1 may open each of 3 files (2^3 reachable states). The
-  // queries share the world signature, so they fuse.
+  // queries share the world digest, so they fuse.
   rosa::Query fast = rosa_test::open_query(
       3, 0600, rosa::goal_file_in_rdfset(1, 2));  // decided at 2 states
   rosa::Query slow = rosa_test::open_query(
@@ -249,6 +253,49 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
   EXPECT_EQ(batch[0].stats.fused_group_size, 2u);
 }
 
+// analyze_epochs assembles each epoch's world once (build_attack_queries)
+// and copies it per attack. Every copy must be the query the per-attack
+// builder poses, field by field and down to its fingerprint, and the four
+// must share one world digest: one fused group per epoch world.
+TEST(FusedDiffTest, OneBuildMatchesPerAttackBuilds) {
+  const rosa::SearchLimits limits = rosa_test::table3_limits();
+  std::size_t epochs = 0;
+  for (const rosa_test::EpochInput& e : rosa_test::paper_epoch_inputs()) {
+    SCOPED_TRACE(e.label);
+    ++epochs;
+    const std::array<rosa::Query, 4> cells =
+        attacks::build_attack_queries(e.input);
+    const std::optional<rosa::Fingerprint> world =
+        rosa::world_digest(cells[0], limits);
+    ASSERT_TRUE(world.has_value());
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const attacks::AttackInfo& attack = attacks::modeled_attacks()[k];
+      SCOPED_TRACE(attack.name);
+      const rosa::Query want = attacks::build_attack_query(attack.id, e.input);
+      const rosa::Query& got = cells[k];
+      EXPECT_EQ(got.initial.canonical(), want.initial.canonical());
+      EXPECT_EQ(got.initial.users(), want.initial.users());
+      EXPECT_EQ(got.initial.groups(), want.initial.groups());
+      ASSERT_TRUE(got.initial.world() && want.initial.world());
+      EXPECT_EQ(got.initial.world()->names, want.initial.world()->names);
+      ASSERT_EQ(got.messages.size(), want.messages.size());
+      for (std::size_t i = 0; i < got.messages.size(); ++i)
+        EXPECT_EQ(got.messages[i].to_string(), want.messages[i].to_string());
+      EXPECT_EQ(got.attacker, want.attacker);
+      EXPECT_EQ(got.checker, want.checker);
+      EXPECT_EQ(got.goal.cache_key(), want.goal.cache_key());
+      EXPECT_EQ(got.msg_mask, want.msg_mask);
+      EXPECT_EQ(got.description, want.description);
+      const std::optional<rosa::Fingerprint> fp =
+          rosa::fingerprint_query(got, limits);
+      ASSERT_TRUE(fp.has_value());
+      EXPECT_EQ(fp, rosa::fingerprint_query(want, limits));
+      EXPECT_EQ(rosa::world_digest(got, limits), world);
+    }
+  }
+  EXPECT_GT(epochs, 0u);
+}
+
 // The pipeline's fused matrix agrees with one analyze_epoch call per epoch
 // (every attack a standalone search) on every verdict cell and vulnerable
 // fraction — the paper-facing numbers, not just the engine counters.
@@ -278,15 +325,6 @@ TEST(FusedDiffTest, PipelineFractionsMatchUnfused) {
       EXPECT_DOUBLE_EQ(fused.vulnerable_fraction(a),
                        unfused.vulnerable_fraction(a));
   }
-}
-
-/// The 8 paper programs: Table II and the three refactorings.
-std::vector<programs::ProgramSpec> paper_programs() {
-  std::vector<programs::ProgramSpec> specs = programs::all_baseline_programs();
-  specs.push_back(programs::make_passwd_refactored());
-  specs.push_back(programs::make_su_refactored());
-  specs.push_back(programs::make_sshd_refactored());
-  return specs;
 }
 
 /// The program's syscalls that `allowed` names, in program order: the
@@ -320,7 +358,7 @@ rosa::Query sublist_query(AttackId attack, const chronopriv::EpochRow& row,
 // counter, under each attacker model, cached. A cell the may-reach prover
 // settles instead must be Unreachable there.
 TEST(FusedDiffTest, SerialFilteredCellsMatchSublistWorlds) {
-  for (const programs::ProgramSpec& spec : paper_programs()) {
+  for (const programs::ProgramSpec& spec : rosa_test::paper_programs()) {
     for (rosa::AttackerModel attacker :
          {rosa::AttackerModel::Full, rosa::AttackerModel::CfiOrdered,
           rosa::AttackerModel::FixedArgs}) {
@@ -404,7 +442,7 @@ TEST(FusedDiffTest, NestedAllowlistsMatchSublistsAndStayMonotone) {
           batch.push_back(base);
           for (const std::set<std::string>* allowed : {&a, &b}) {
             batch.push_back(base);
-            attacks::narrow_to_allowlist(batch.back(), *allowed);
+            attacks::narrow_to_allowlist({&batch.back(), 1}, *allowed);
           }
         }
         const std::vector<rosa::SearchResult> results =

@@ -78,26 +78,17 @@ void check_world(const std::vector<Query>& world,
   }
 }
 
-/// The paper's 8 programs: Table II and the three refactorings.
-std::vector<programs::ProgramSpec> paper_programs() {
-  std::vector<programs::ProgramSpec> specs = programs::all_baseline_programs();
-  specs.push_back(programs::make_passwd_refactored());
-  specs.push_back(programs::make_su_refactored());
-  specs.push_back(programs::make_sshd_refactored());
-  return specs;
-}
-
 /// One epoch world as attacks::analyze_epochs poses it: the four baseline
 /// cells, then each narrowed to the epoch's conservative allowlist.
 std::vector<Query> epoch_world(const attacks::ScenarioInput& in,
                                const std::set<std::string>& allowed) {
+  const std::size_t n_attacks = attacks::modeled_attacks().size();
   std::vector<Query> world;
   for (const attacks::AttackInfo& a : attacks::modeled_attacks())
     world.push_back(attacks::build_attack_query(a.id, in));
-  for (std::size_t a = 0; a < attacks::modeled_attacks().size(); ++a) {
-    world.push_back(world[a]);
-    attacks::narrow_to_allowlist(world.back(), allowed);
-  }
+  for (std::size_t a = 0; a < n_attacks; ++a) world.push_back(world[a]);
+  attacks::narrow_to_allowlist(std::span<Query>(world).subspan(n_attacks),
+                               allowed);
   return world;
 }
 
@@ -114,7 +105,7 @@ std::vector<std::string> epoch_labels(const std::string& program,
 
 TEST(ProveTest, PaperCellsProvedOnlyWhenUnreachable) {
   const SearchLimits limits = rosa_test::table3_limits();
-  for (const programs::ProgramSpec& spec : paper_programs()) {
+  for (const programs::ProgramSpec& spec : rosa_test::paper_programs()) {
     privanalyzer::PipelineOptions opts;
     opts.run_rosa = false;
     opts.filters = privanalyzer::FilterMode::Report;

@@ -1,12 +1,12 @@
 // Shared fixtures for the ROSA differential test suites: the Table-III golden
 // matrix (query construction, limits, rendered line format, golden loader),
-// the small handmade open-file queries with deterministic budgets, the
-// seeded random state generator, and the goal-probe contract between the
-// search loop and the probe-free reference. The repr-diff, cache,
-// parallel-diff, and fused-diff suites all compare engines against the
-// same seed capture, so the fixture lives once here — a drift between two
-// copies of build_matrix() would silently weaken the differential
-// guarantee.
+// the paper programs' epoch inputs, the small handmade open-file queries
+// with deterministic budgets, the seeded random state generator, and the
+// goal-probe contract between the search loop and the probe-free
+// reference. The repr-diff, cache, parallel-diff, and fused-diff suites
+// all compare engines against the same seed capture, so the fixture lives
+// once here — a drift between two copies of build_matrix() would silently
+// weaken the differential guarantee.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -100,6 +101,58 @@ inline rosa::SearchLimits table3_limits() {
   limits.max_states = 1'000'000;
   limits.check_hashes = true;  // pin incremental digests to full_hash()
   return limits;
+}
+
+/// The 8 paper programs: Table II and the three refactorings.
+inline std::vector<programs::ProgramSpec> paper_programs() {
+  std::vector<programs::ProgramSpec> specs = programs::all_baseline_programs();
+  specs.push_back(programs::make_passwd_refactored());
+  specs.push_back(programs::make_su_refactored());
+  specs.push_back(programs::make_sshd_refactored());
+  return specs;
+}
+
+/// One epoch of a paper program as attacks::analyze_epochs poses it: its
+/// scenario input under one attacker model, and its conservative allowlist.
+struct EpochInput {
+  std::string label;  // program/epoch/attacker
+  attacks::ScenarioInput input;
+  std::set<std::string> allowlist;
+};
+
+/// Every epoch of the eight paper programs under each attacker model (Full,
+/// CfiOrdered, FixedArgs), with the allowlists filters = report
+/// synthesizes. ROSA does not run.
+inline std::vector<EpochInput> paper_epoch_inputs() {
+  std::vector<EpochInput> out;
+  for (const programs::ProgramSpec& spec : paper_programs()) {
+    privanalyzer::PipelineOptions opts;
+    opts.run_rosa = false;
+    opts.filters = privanalyzer::FilterMode::Report;
+    const privanalyzer::ProgramAnalysis a =
+        privanalyzer::analyze_program(spec, opts);
+    EXPECT_TRUE(a.ok()) << spec.name;
+    EXPECT_EQ(a.filter_report.epochs.size(), a.chrono.rows.size())
+        << spec.name;
+    for (rosa::AttackerModel model :
+         {rosa::AttackerModel::Full, rosa::AttackerModel::CfiOrdered,
+          rosa::AttackerModel::FixedArgs})
+      for (std::size_t e = 0; e < a.chrono.rows.size() &&
+                              e < a.filter_report.epochs.size();
+           ++e) {
+        const chronopriv::EpochRow& row = a.chrono.rows[e];
+        EpochInput in;
+        in.label = str::cat(spec.name, "/", row.name, "/",
+                            rosa::attacker_model_name(model));
+        in.input = attacks::scenario_from_epoch(
+            row, spec.syscalls_used(), spec.scenario_extra_users,
+            spec.scenario_extra_groups);
+        in.input.attacker = model;
+        in.allowlist = a.filter_report.epochs[e].conservative;
+        out.push_back(std::move(in));
+      }
+  }
+  return out;
 }
 
 // The golden line format. hash_collisions and byte counters are deliberately
