@@ -1,6 +1,7 @@
 #include "caps/capability.h"
 
 #include <array>
+#include <bit>
 
 #include "support/error.h"
 #include "support/str.h"
@@ -109,10 +110,23 @@ std::vector<Capability> CapSet::members() const {
 }
 
 std::string CapSet::to_string() const {
-  if (empty()) return "(empty)";
-  std::vector<std::string> names;
-  for (Capability c : members()) names.emplace_back(name(c));
-  return str::join(names, ",");
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void CapSet::append_to(std::string& out) const {
+  if (empty()) {
+    out += "(empty)";
+    return;
+  }
+  // Bits past the last capability name nothing, as in members().
+  const std::size_t start = out.size();
+  for (std::uint64_t b = bits_ & ((std::uint64_t{1} << kNumCapabilities) - 1);
+       b; b &= b - 1) {
+    if (out.size() != start) out.push_back(',');
+    out += name(static_cast<Capability>(std::countr_zero(b)));
+  }
 }
 
 }  // namespace pa::caps

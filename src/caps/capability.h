@@ -107,6 +107,8 @@ class CapSet {
 
   /// "CapSetuid,CapChown" (numeric order) or "(empty)".
   std::string to_string() const;
+  /// Append to_string()'s text to `out`.
+  void append_to(std::string& out) const;
 
   constexpr std::uint64_t raw() const { return bits_; }
   static constexpr CapSet from_raw(std::uint64_t bits) { return CapSet(bits); }

@@ -7,7 +7,13 @@
 namespace pa::caps {
 
 std::string IdTriple::to_string() const {
-  return str::cat(real, ",", effective, ",", saved);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void IdTriple::append_to(std::string& out) const {
+  str::append(out, real, ',', effective, ',', saved);
 }
 
 bool Credentials::in_group(Gid g) const {
@@ -22,15 +28,23 @@ void Credentials::set_supplementary(std::vector<Gid> groups) {
 }
 
 std::string Credentials::to_string() const {
-  std::string out = str::cat("uid=", uid.to_string(), " gid=", gid.to_string());
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Credentials::append_to(std::string& out) const {
+  out += "uid=";
+  uid.append_to(out);
+  out += " gid=";
+  gid.append_to(out);
   if (!supplementary.empty()) {
     out += " groups=";
     for (std::size_t i = 0; i < supplementary.size(); ++i) {
       if (i) out += ',';
-      out += std::to_string(supplementary[i]);
+      str::append(out, supplementary[i]);
     }
   }
-  return out;
 }
 
 CredChange apply_setuid(IdTriple& t, int id, bool privileged) {

@@ -34,6 +34,8 @@ struct IdTriple {
 
   /// "1000,1000,1000" in the paper's (real, effective, saved) column order.
   std::string to_string() const;
+  /// Append to_string()'s text to `out`.
+  void append_to(std::string& out) const;
 };
 
 /// Full credential state of a process.
@@ -54,7 +56,11 @@ struct Credentials {
 
   void set_supplementary(std::vector<Gid> groups);
 
+  /// "uid=1000,1000,1000 gid=1000,1000,1000", then " groups=4,27" when
+  /// there are supplementary groups.
   std::string to_string() const;
+  /// Append to_string()'s text to `out`.
+  void append_to(std::string& out) const;
 };
 
 /// Result of applying a credential-changing syscall.

@@ -143,19 +143,20 @@ JobOutcome run_job(const JobRequest& req,
 }
 
 std::string render_job_result(const ProgramAnalysis& analysis) {
-  std::string out = str::cat("program ", analysis.program, "\nstatus ",
-                             privanalyzer::analysis_status_name(
-                                 analysis.status),
-                             " exit ", analysis.exit_code, "\n");
+  std::string out;
+  str::append(out, "program ", analysis.program, "\nstatus ",
+              privanalyzer::analysis_status_name(analysis.status), " exit ",
+              analysis.exit_code, '\n');
   if (!analysis.diagnostics.empty())
     out += support::render_diagnostics(analysis.diagnostics);
   for (std::size_t i = 0; i < analysis.chrono.rows.size(); ++i) {
     const chronopriv::EpochRow& row = analysis.chrono.rows[i];
-    out += str::cat("epoch ", row.name, " permitted=",
-                    row.key.permitted.to_string(), " creds=",
-                    row.key.creds.to_string(), " instructions=",
-                    row.instructions, " fraction=", str::fixed(row.fraction, 6),
-                    "\n");
+    str::append(out, "epoch ", row.name, " permitted=");
+    row.key.permitted.append_to(out);
+    out += " creds=";
+    row.key.creds.append_to(out);
+    str::append(out, " instructions=", row.instructions, " fraction=",
+                str::fixed(row.fraction, 6), '\n');
     if (i < analysis.verdicts.size()) {
       const attacks::EpochVerdicts& v = analysis.verdicts[i];
       out += "verdicts ";
@@ -163,38 +164,40 @@ std::string render_job_result(const ProgramAnalysis& analysis) {
         out.push_back(attacks::cell_symbol(v.verdicts[a]));
       out.push_back('\n');
       for (std::size_t a = 0; a < v.results.size(); ++a)
-        for (const rosa::Action& act : v.results[a].witness)
-          out += str::cat("w ", row.name, " attack", a + 1, " ",
-                          act.to_string(), "\n");
+        for (const rosa::Action& act : v.results[a].witness) {
+          str::append(out, "w ", row.name, " attack", a + 1, ' ');
+          act.append_to(out);
+          out.push_back('\n');
+        }
     }
   }
   if (!analysis.verdicts.empty())
     for (std::size_t a = 0; a < attacks::modeled_attacks().size(); ++a)
-      out += str::cat("vulnerable attack", a + 1, " ",
-                      str::fixed(analysis.vulnerable_fraction(a), 6), "\n");
+      str::append(out, "vulnerable attack", a + 1, ' ',
+                  str::fixed(analysis.vulnerable_fraction(a), 6), '\n');
   if (!analysis.filter_report.empty()) {
     const std::size_t surface =
         analysis.filter_report.program_syscalls.size();
     for (std::size_t i = 0; i < analysis.filter_report.epochs.size(); ++i) {
       const filters::EpochFilter& e = analysis.filter_report.epochs[i];
-      out += str::cat("filter ", e.epoch, " conservative=",
-                      e.conservative.size(), " refined=", e.refined.size(),
-                      " surface=", surface, " reduced=",
-                      e.conservative.size() < surface ? 1 : 0, "\n");
+      str::append(out, "filter ", e.epoch, " conservative=",
+                  e.conservative.size(), " refined=", e.refined.size(),
+                  " surface=", surface, " reduced=",
+                  e.conservative.size() < surface ? 1 : 0, '\n');
       if (i < analysis.filtered_verdicts.size()) {
-        out += str::cat("fverdicts ", e.epoch, " ");
+        str::append(out, "fverdicts ", e.epoch, ' ');
         for (attacks::CellVerdict v : analysis.filtered_verdicts[i].verdicts)
           out.push_back(attacks::cell_symbol(v));
         out.push_back('\n');
       }
     }
     if (analysis.filter_violations > 0)
-      out += str::cat("filter_violations ", analysis.filter_violations, "\n");
+      str::append(out, "filter_violations ", analysis.filter_violations, '\n');
     if (!analysis.filtered_verdicts.empty())
       for (std::size_t a = 0; a < attacks::modeled_attacks().size(); ++a)
-        out += str::cat("filtered_vulnerable attack", a + 1, " ",
-                        str::fixed(analysis.filtered_vulnerable_fraction(a), 6),
-                        "\n");
+        str::append(out, "filtered_vulnerable attack", a + 1, ' ',
+                    str::fixed(analysis.filtered_vulnerable_fraction(a), 6),
+                    '\n');
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "daemon/proto.h"
 
+#include <algorithm>
 #include <climits>
 #include <cstring>
 #include <stdexcept>
@@ -38,37 +39,41 @@ std::uint32_t get_u32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::string escape_value(std::string_view v) {
-  std::string out;
-  out.reserve(v.size());
-  for (char c : v) {
-    switch (c) {
-      case '%': out += "%25"; break;
-      case '\n': out += "%0A"; break;
-      case '\r': out += "%0D"; break;
-      default: out.push_back(c);
+/// Append `v` to `out` percent-escaped, copying the runs between escapes
+/// whole.
+void append_escaped(std::string& out, std::string_view v) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    std::string_view escape;
+    switch (v[i]) {
+      case '%': escape = "%25"; break;
+      case '\n': escape = "%0A"; break;
+      case '\r': escape = "%0D"; break;
+      default: continue;
     }
+    out.append(v.data() + run, i - run);
+    out += escape;
+    run = i + 1;
   }
-  return out;
+  out.append(v.data() + run, v.size() - run);
 }
 
 std::string unescape_value(std::string_view v) {
   std::string out;
   out.reserve(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] != '%') {
-      out.push_back(v[i]);
-      continue;
-    }
-    if (i + 2 >= v.size()) proto_fail("truncated %-escape in payload value");
-    std::string_view hex = v.substr(i + 1, 2);
+  for (std::size_t pct = v.find('%'); pct != std::string_view::npos;
+       pct = v.find('%')) {
+    out += v.substr(0, pct);
+    if (pct + 2 >= v.size()) proto_fail("truncated %-escape in payload value");
+    const std::string_view hex = v.substr(pct + 1, 2);
     if (hex == "25") out.push_back('%');
     else if (hex == "0A") out.push_back('\n');
     else if (hex == "0D") out.push_back('\r');
-    else proto_fail(str::cat("unknown %-escape '%", std::string(hex),
+    else proto_fail(str::cat("unknown %-escape '%", hex,
                              "' in payload value"));
-    i += 2;
+    v.remove_prefix(pct + 3);
   }
+  out += v;
   return out;
 }
 
@@ -139,7 +144,7 @@ std::string encode_kv(const KvPairs& kv) {
   for (const auto& [k, v] : kv) {
     out += k;
     out.push_back('=');
-    out += escape_value(v);
+    append_escaped(out, v);
     out.push_back('\n');
   }
   return out;
@@ -147,12 +152,15 @@ std::string encode_kv(const KvPairs& kv) {
 
 KvPairs decode_kv(std::string_view payload) {
   KvPairs out;
-  for (const std::string& line : str::split(payload, '\n')) {
-    auto eq = line.find('=');
-    if (eq == std::string::npos)
+  while (!payload.empty()) {
+    const std::size_t end = std::min(payload.find('\n'), payload.size());
+    const std::string_view line = payload.substr(0, end);
+    payload.remove_prefix(std::min(end + 1, payload.size()));
+    if (line.empty()) continue;  // blank lines carry nothing
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos)
       proto_fail(str::cat("payload line without '=': '", line, "'"));
-    out.emplace_back(line.substr(0, eq), unescape_value(
-                         std::string_view(line).substr(eq + 1)));
+    out.emplace_back(line.substr(0, eq), unescape_value(line.substr(eq + 1)));
   }
   return out;
 }

@@ -49,10 +49,18 @@ std::optional<Sys> parse_sys(std::string_view name) {
   return std::nullopt;
 }
 
+void append_call(std::string& out, Sys sys, int proc,
+                 const std::vector<int>& args, caps::CapSet privs) {
+  str::append(out, sys_name(sys), '(', proc);
+  for (int a : args) str::append(out, ',', a);
+  out += ",{";
+  privs.append_to(out);
+  out += "})";
+}
+
 std::string Message::to_string() const {
-  std::string out = str::cat(sys_name(sys), "(", proc);
-  for (int a : args) out += str::cat(",", a);
-  out += str::cat(",{", privs.to_string(), "})");
+  std::string out;
+  append_call(out, sys, proc, args, privs);
   return out;
 }
 

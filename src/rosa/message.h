@@ -41,6 +41,11 @@ enum class Sys {
 std::string_view sys_name(Sys s);
 std::optional<Sys> parse_sys(std::string_view name);
 
+/// Append the text of one call, as Message and Action render it:
+/// "open(1,3,1,{CapSetuid})" (the process, then each argument).
+void append_call(std::string& out, Sys sys, int proc,
+                 const std::vector<int>& args, caps::CapSet privs);
+
 /// Access-mode bits for Open messages.
 inline constexpr int kAccRead = 1;
 inline constexpr int kAccWrite = 2;

@@ -5,7 +5,6 @@
 #include "rosa/checker.h"
 
 #include "support/error.h"
-#include "support/str.h"
 
 namespace pa::rosa {
 namespace {
@@ -363,10 +362,13 @@ const std::vector<int>& wildcard_port_pool() {
 }
 
 std::string Action::to_string() const {
-  std::string out = str::cat(sys_name(sys), "(", proc);
-  for (int a : args) out += str::cat(",", a);
-  out += str::cat(",{", privs.to_string(), "})");
+  std::string out;
+  append_to(out);
   return out;
+}
+
+void Action::append_to(std::string& out) const {
+  append_call(out, sys, proc, args, privs);
 }
 
 std::string_view attacker_model_name(AttackerModel m) {

@@ -28,6 +28,8 @@ struct Action {
   caps::CapSet privs;
 
   std::string to_string() const;
+  /// Append to_string()'s text to `out`.
+  void append_to(std::string& out) const;
 };
 
 struct Transition {

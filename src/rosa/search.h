@@ -150,9 +150,10 @@ struct SearchLimits {
   std::size_t max_states = 2'000'000;
   /// Memory budget in bytes for the search's node arena (0 = unlimited).
   /// Exceeding it returns ResourceLimit, exactly like max_states. The
-  /// accounting is capacity-based (arena chunks + per-state heap bytes), not
-  /// allocator-dependent, so byte-budget exhaustion is deterministic and
-  /// search_escalating() can grow this budget geometrically like the others.
+  /// accounting counts capacity (arena chunks + per-state heap bytes) plus
+  /// the world skeleton's contents, not what the allocator does, so
+  /// byte-budget exhaustion is deterministic and search_escalating() can
+  /// grow this budget geometrically like the others.
   std::size_t max_bytes = 0;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;

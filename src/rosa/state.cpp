@@ -106,12 +106,16 @@ const std::vector<int>& State::groups() const {
 }
 
 WorldSkeleton& State::mutable_world() {
-  // Copy-on-write: never mutate a skeleton other states may share.
-  auto w = world_ ? std::make_shared<WorldSkeleton>(*world_)
+  // Copy-on-write: a skeleton other states share is copied first; one this
+  // state alone holds is written in place. Every skeleton is made by
+  // make_shared<WorldSkeleton> below, so the object itself is not const,
+  // and no state crosses threads (the verdict cache keeps results, not
+  // states), so no other thread can be dropping a copy meanwhile.
+  if (world_ && world_.use_count() == 1)
+    return const_cast<WorldSkeleton&>(*world_);
+  world_ = world_ ? std::make_shared<WorldSkeleton>(*world_)
                   : std::make_shared<WorldSkeleton>();
-  WorldSkeleton& ref = *w;
-  world_ = std::move(w);
-  return ref;
+  return const_cast<WorldSkeleton&>(*world_);
 }
 
 void State::set_users(std::vector<int> us) {

@@ -79,13 +79,14 @@ std::optional<DiagCode> parse_diag_code(std::string_view name) {
 
 std::string Diagnostic::to_string() const {
   std::string out = str::cat(severity_name(severity), " [", stage_name(stage),
-                             "/", diag_code_name(code), "]");
+                             '/', diag_code_name(code), ']');
   if (!program.empty()) {
-    out += str::cat(" ", program);
-    if (line > 0) out += str::cat(":", line);
-    out += ":";
+    str::append(out, ' ', program);
+    if (line > 0) str::append(out, ':', line);
+    out += ':';
   }
-  return str::cat(out, " ", message);
+  str::append(out, ' ', message);
+  return out;
 }
 
 StageError::StageError(Diagnostic d) : Error(d.to_string()), diag_(std::move(d)) {}

@@ -44,7 +44,11 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 std::string with_commas(long long n) {
   const bool neg = n < 0;
-  std::string digits = std::to_string(neg ? -n : n);
+  // Negate in unsigned: -LLONG_MIN does not fit in a long long.
+  const unsigned long long magnitude =
+      neg ? 0ull - static_cast<unsigned long long>(n)
+          : static_cast<unsigned long long>(n);
+  std::string digits = std::to_string(magnitude);
   std::string out;
   int count = 0;
   for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
@@ -59,6 +63,15 @@ std::string with_commas(long long n) {
 std::string percent(double ratio) { return fixed(ratio * 100.0, 2) + "%"; }
 
 std::string fixed(double v, int decimals) {
+  // to_chars in fixed format with a precision is printf's %.*f, which is
+  // what std::fixed << std::setprecision(d) writes. The stream stays for
+  // what the buffer cannot hold and for a negative precision.
+  char buf[128];
+  if (decimals >= 0) {
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
+                                         std::chars_format::fixed, decimals);
+    if (ec == std::errc{}) return std::string(buf, end);
+  }
   std::ostringstream os;
   os << std::fixed << std::setprecision(decimals) << v;
   return os.str();

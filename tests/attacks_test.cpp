@@ -212,6 +212,24 @@ TEST(Scenario, AttackWorldsHoldAtMost64Messages) {
   EXPECT_THROW(build_attack_queries(in), Error);
 }
 
+// A searched cell's memory figure, pinned. The search charges the world
+// skeleton by what it holds, not by how its vectors grew, so a skeleton
+// written in place and one copied per write report the same peak_bytes.
+TEST(Scenario, SearchedCellPeakBytesArePinned) {
+  auto in = make_input({Capability::Setuid}, Credentials::of_user(1000, 1000),
+                       kFileSyscalls);
+  const rosa::Query q = build_attack_query(AttackId::ReadDevMem, in);
+  const rosa::SearchResult r = rosa::search(q);
+  EXPECT_EQ(r.verdict, rosa::Verdict::Reachable);
+  EXPECT_EQ(r.stats.states, 31u);
+  EXPECT_EQ(r.stats.peak_bytes, 21172u);
+
+  rosa::Query copied = q;
+  copied.initial.set_users(std::vector<int>(q.initial.users()));
+  ASSERT_NE(copied.initial.world(), q.initial.world());
+  EXPECT_EQ(rosa::search(copied).stats.peak_bytes, r.stats.peak_bytes);
+}
+
 TEST(Scenario, CellSymbols) {
   EXPECT_EQ(cell_symbol(CellVerdict::Vulnerable), 'V');
   EXPECT_EQ(cell_symbol(CellVerdict::Safe), 'x');

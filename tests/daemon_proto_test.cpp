@@ -52,6 +52,15 @@ TEST(KvTest, RoundTripsEveryValueShape) {
   }
 }
 
+TEST(KvTest, EncodesExactlyTheDocumentedEscapes) {
+  // The wire bytes, not only the round trip: a decoder passes a raw '\r'
+  // through, so an unescaped one would still round-trip.
+  EXPECT_EQ(encode_kv({{"k", "100%\r\nx"}, {"empty", ""}, {"eq", "a=b"}}),
+            "k=100%25%0D%0Ax\nempty=\neq=a=b\n");
+  EXPECT_EQ(encode_kv({{"v", "%abc%"}, {"w", "\n"}, {"r", "\r"}}),
+            "v=%25abc%25\nw=%0A\nr=%0D\n");
+}
+
 TEST(KvTest, GetFallsBackAndParses) {
   KvPairs kv = decode_kv("a=1\nb=text\n");
   EXPECT_EQ(kv_get(kv, "a"), "1");

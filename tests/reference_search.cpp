@@ -21,18 +21,19 @@ std::uint64_t low_bits(std::size_t n) {
 }
 
 /// The shared world skeleton's footprint, charged once per search (every
-/// node references the same instance). Capacity-based and
-/// allocator-independent, like the arena's own accounting, so max_bytes
-/// exhaustion is deterministic.
+/// node references the same instance). Counted from what the skeleton holds,
+/// not from how its vectors grew, so a skeleton written in place and one
+/// copied per write are charged alike; allocator-independent like the
+/// arena's own accounting, so max_bytes exhaustion is deterministic.
 std::size_t skeleton_bytes(const State& init) {
   const auto& world = init.world();
   if (!world) return 0;
   std::size_t bytes =
       sizeof(WorldSkeleton) +
-      world->names.capacity() * sizeof(std::pair<int, std::string>) +
-      (world->users.capacity() + world->groups.capacity()) * sizeof(int);
+      world->names.size() * sizeof(std::pair<int, std::string>) +
+      (world->users.size() + world->groups.size()) * sizeof(int);
   for (const auto& [id, name] : world->names)
-    bytes += name.capacity() > 15 ? name.capacity() + 1 : 0;
+    bytes += name.size() > 15 ? name.size() + 1 : 0;
   return bytes;
 }
 

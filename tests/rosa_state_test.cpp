@@ -95,6 +95,54 @@ TEST(CanonicalTest, FileNameIsCosmetic) {
   EXPECT_EQ(a.canonical(), b.canonical());
 }
 
+TEST(StateTest, WritingACopysSkeletonNeverChangesTheOriginal) {
+  const State original = tiny_state();
+  const WorldSkeleton before = *original.world();
+  State copy = original;
+  ASSERT_EQ(copy.world(), original.world());  // shared until written
+  copy.set_name(3, "renamed");
+  copy.set_name(9, "/new");
+  copy.set_users({5, 1});
+  copy.add_user(42);
+  copy.set_groups({7});
+  copy.add_group(8);
+  copy.normalize();
+  EXPECT_NE(copy.world(), original.world());
+  EXPECT_EQ(*original.world(), before);
+  EXPECT_EQ(original.name_of(3), "/dev/mem");
+  EXPECT_EQ(copy.name_of(3), "renamed");
+  EXPECT_EQ(copy.users(), (std::vector<int>{1, 5, 42}));
+
+  // The other way round: the original's writes never reach a copy either.
+  State source = tiny_state();
+  const State snapshot = source;
+  source.set_name(4, "/etc");
+  source.add_group(99);
+  EXPECT_EQ(*snapshot.world(), before);
+  EXPECT_EQ(snapshot.name_of(4), "/dev");
+}
+
+TEST(StateTest, ASoleOwnerWritesItsSkeletonInPlace) {
+  State st = tiny_state();
+  const WorldSkeleton* skeleton = st.world().get();
+  st.set_name(3, "renamed");
+  st.set_users({0, 1000, 1001});
+  st.add_group(99);
+  st.normalize();
+  EXPECT_EQ(st.world().get(), skeleton);
+  EXPECT_EQ(st.name_of(3), "renamed");
+
+  // A copy detaches on its first write and then owns its skeleton alone.
+  State copy = st;
+  copy.add_user(7);
+  const WorldSkeleton* copied = copy.world().get();
+  EXPECT_NE(copied, skeleton);
+  EXPECT_EQ(st.world().get(), skeleton);
+  copy.add_user(8);
+  EXPECT_EQ(copy.world().get(), copied);
+  EXPECT_EQ(st.users(), (std::vector<int>{0, 1000, 1001}));
+}
+
 TEST(StateTest, ToStringMaudeLike) {
   std::string s = tiny_state().to_string();
   EXPECT_NE(s.find("Process"), std::string::npos);

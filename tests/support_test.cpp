@@ -2,7 +2,15 @@
 // new epoch timeline / multi-process ROSA behaviours.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <climits>
 #include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "chronopriv/epoch.h"
 #include "rosa/query.h"
@@ -56,12 +64,155 @@ TEST(StrTest, JoinAndCat) {
   EXPECT_EQ(str::cat("x=", 42, ", y=", 3.0), "x=42, y=3");
 }
 
+// str::cat and str::fixed against the stream rendering they replaced: cat
+// was every argument through one default ostringstream, fixed was
+// std::fixed << std::setprecision(d).
+
+template <typename... Args>
+std::string streamed(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+std::string streamed_fixed(double v, int decimals) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(decimals) << v;
+  return os.str();
+}
+
+template <typename T>
+void expect_integers_stream_alike(const char* type) {
+  using L = std::numeric_limits<T>;
+  std::vector<T> values = {T(0), T(1), L::min(), L::max()};
+  if constexpr (L::is_signed) values.push_back(T(-1));
+  for (T v : values) {
+    EXPECT_EQ(str::cat(v), streamed(v)) << type << " " << +v;
+    EXPECT_EQ(str::cat("[", v, "]"), streamed("[", v, "]")) << type << " " << +v;
+  }
+}
+
+enum Unscoped { kUnscopedZero, kUnscopedSeven = 7 };
+
+struct Streamable {
+  int x;
+  int y;
+};
+
+std::ostream& operator<<(std::ostream& os, const Streamable& p) {
+  return os << '<' << p.x << ';' << p.y << '>';
+}
+
+std::vector<double> double_corpus() {
+  return {0.1,
+          1e-7,
+          1e21,
+          -0.0,
+          0.0,
+          std::numeric_limits<double>::denorm_min(),
+          DBL_MAX,
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(),
+          -std::numeric_limits<double>::quiet_NaN(),
+          // Exact binary ties at some precision, and ordinary fractions.
+          0.125,
+          2.5,
+          -1.5,
+          0.9894,
+          1.0 / 3.0,
+          123456.789};
+}
+
+TEST(StrCatDiffTest, IntegersMatchTheStream) {
+  expect_integers_stream_alike<bool>("bool");
+  expect_integers_stream_alike<char>("char");
+  expect_integers_stream_alike<signed char>("signed char");
+  expect_integers_stream_alike<unsigned char>("unsigned char");
+  expect_integers_stream_alike<std::uint8_t>("uint8_t");
+  expect_integers_stream_alike<std::int8_t>("int8_t");
+  expect_integers_stream_alike<short>("short");
+  expect_integers_stream_alike<unsigned short>("unsigned short");
+  expect_integers_stream_alike<int>("int");
+  expect_integers_stream_alike<unsigned>("unsigned");
+  expect_integers_stream_alike<long>("long");
+  expect_integers_stream_alike<unsigned long>("unsigned long");
+  expect_integers_stream_alike<long long>("long long");
+  expect_integers_stream_alike<unsigned long long>("unsigned long long");
+  expect_integers_stream_alike<std::size_t>("size_t");
+  expect_integers_stream_alike<std::ptrdiff_t>("ptrdiff_t");
+}
+
+TEST(StrCatDiffTest, StringsCharsAndOthersMatchTheStream) {
+  const char* c_string = "c-string";
+  char buffer[] = "buffer";
+  const std::string std_string = "std::string";
+  const std::string_view with_nul("a\0b", 3);
+  EXPECT_EQ(str::cat(c_string, buffer, std_string, with_nul, "literal", 'c'),
+            streamed(c_string, buffer, std_string, with_nul, "literal", 'c'));
+  EXPECT_EQ(str::cat(with_nul), std::string("a\0b", 3));
+  EXPECT_EQ(str::cat(std::string(), std::string_view(), ""), "");
+  EXPECT_EQ(str::cat(), "");
+
+  EXPECT_EQ(str::cat(kUnscopedZero, kUnscopedSeven),
+            streamed(kUnscopedZero, kUnscopedSeven));
+  EXPECT_EQ(str::cat(Streamable{3, -4}), "<3;-4>");
+  EXPECT_EQ(str::cat("p=", Streamable{0, 1}, ' ', 2),
+            streamed("p=", Streamable{0, 1}, ' ', 2));
+
+  for (double v : double_corpus()) {
+    EXPECT_EQ(str::cat(v), streamed(v)) << streamed(v);
+    EXPECT_EQ(str::cat(static_cast<float>(v)), streamed(static_cast<float>(v)));
+    EXPECT_EQ(str::cat("v=", v, ";", 1, true), streamed("v=", v, ";", 1, true));
+  }
+  EXPECT_EQ(str::cat("x=", 42, ", y=", 3.0), "x=42, y=3");
+}
+
+TEST(StrCatTest, NullCStringAppendsNothing) {
+  const char* null = nullptr;
+  EXPECT_EQ(str::cat("a", null, "b", 7), "ab7");
+  std::string out = "kept";
+  str::append(out, null);
+  EXPECT_EQ(out, "kept");
+}
+
+TEST(StrCatTest, AppendExtendsInPlace) {
+  std::string out = "epoch ";
+  str::append(out, "e1", ' ', 42u, " fraction=", str::fixed(0.5, 6), '\n');
+  EXPECT_EQ(out, "epoch e1 42 fraction=0.500000\n");
+}
+
+TEST(StrFixedDiffTest, FixedMatchesTheStreamAtEveryPrecision) {
+  std::vector<double> values = double_corpus();
+  values.push_back(1e300);  // too long for the fast path's buffer
+  std::mt19937_64 rng(25);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 2000; ++i) values.push_back(unit(rng));
+  for (double v : values)
+    for (int d = 0; d <= 9; ++d)
+      EXPECT_EQ(str::fixed(v, d), streamed_fixed(v, d))
+          << "d=" << d << " v=" << std::hexfloat << v;
+  EXPECT_EQ(str::fixed(0.5, -1), streamed_fixed(0.5, -1));
+  EXPECT_EQ(str::fixed(1.0 / 3.0, 40), streamed_fixed(1.0 / 3.0, 40));
+}
+
+TEST(StrFixedDiffTest, PercentIsFixedTwoOfTheHundredfold) {
+  std::vector<double> values = double_corpus();
+  values.push_back(1e300);
+  for (double v : values)
+    EXPECT_EQ(str::percent(v), streamed_fixed(v * 100.0, 2) + "%")
+        << std::hexfloat << v;
+}
+
 TEST(StrTest, WithCommas) {
   EXPECT_EQ(str::with_commas(0), "0");
   EXPECT_EQ(str::with_commas(999), "999");
   EXPECT_EQ(str::with_commas(1000), "1,000");
   EXPECT_EQ(str::with_commas(62374249), "62,374,249");
   EXPECT_EQ(str::with_commas(-1234567), "-1,234,567");
+  EXPECT_EQ(str::with_commas(LLONG_MIN), "-9,223,372,036,854,775,808");
+  EXPECT_EQ(str::with_commas(LLONG_MAX), "9,223,372,036,854,775,807");
+  EXPECT_EQ(str::with_commas(-1), "-1");
 }
 
 TEST(StrTest, PercentAndFixed) {
