@@ -32,7 +32,7 @@ double run_once(const std::vector<rosa::Query>& queries,
                 rosa::SearchStats* stats_out = nullptr) {
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<rosa::SearchResult> results =
-      rosa::run_queries(queries, limits, {}, cache);
+      rosa::run_queries(queries, limits, cache);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

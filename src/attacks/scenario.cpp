@@ -66,8 +66,7 @@ EpochMatrices analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
     const std::vector<std::set<std::string>>& allowlists,
-    const rosa::SearchLimits& limits,
-    const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache) {
+    const rosa::SearchLimits& limits, rosa::QueryCache* cache) {
   PA_CHECK(rows.size() == inputs.size(),
            "analyze_epochs: rows and inputs must be parallel vectors");
   PA_CHECK(allowlists.empty() || allowlists.size() == rows.size(),
@@ -118,7 +117,7 @@ EpochMatrices analyze_epochs(
         }
       }
   std::vector<rosa::SearchResult> searched =
-      rosa::run_queries(batch, limits, escalation, cache);
+      rosa::run_queries(batch, limits, cache);
   for (std::size_t k = 0; k < searched.size(); ++k)
     results[slot_of[k]] = std::move(searched[k]);
 
@@ -146,9 +145,9 @@ EpochMatrices analyze_epochs(
 std::vector<EpochVerdicts> analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
-    const rosa::SearchLimits& limits, unsigned,
-    const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache) {
-  return analyze_epochs(rows, inputs, {}, limits, escalation, cache).baseline;
+    const rosa::SearchLimits& limits, unsigned, const rosa::EscalationPolicy&,
+    rosa::QueryCache* cache) {
+  return analyze_epochs(rows, inputs, {}, limits, cache).baseline;
 }
 
 }  // namespace pa::attacks

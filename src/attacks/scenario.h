@@ -42,9 +42,9 @@ ScenarioInput scenario_from_epoch(const chronopriv::EpochRow& row,
 /// Map a search verdict to the matrix cell it renders as.
 CellVerdict cell_from_verdict(rosa::Verdict v);
 
-/// Run all four attacks against one epoch, one rosa::search each, uncached
-/// and without escalation: the per-epoch reference the fused matrix of
-/// analyze_epochs is checked against (tests/rosa_fused_diff_test.cpp).
+/// Run all four attacks against one epoch, one rosa::search each, uncached:
+/// the per-epoch reference the fused matrix of analyze_epochs is checked
+/// against (tests/rosa_fused_diff_test.cpp).
 EpochVerdicts analyze_epoch(const chronopriv::EpochRow& row,
                             const ScenarioInput& input,
                             const rosa::SearchLimits& limits = {});
@@ -64,11 +64,9 @@ struct EpochMatrices {
 /// remaining attacks fuse into one shared exploration. rows and inputs are
 /// parallel vectors. The verdicts are those per-epoch analyze_epoch calls
 /// would give, and so are the witnesses and counters of every searched
-/// cell (tests/rosa_fused_diff_test.cpp). `escalation` retries ResourceLimit
-/// queries with geometrically grown budgets (rosa::search_escalating),
-/// shrinking the presumed-invulnerable bucket; `cache` (optional,
-/// non-owning) memoizes results by content fingerprint (rosa/cache.h), so
-/// epochs posing the same reachability question are searched once.
+/// cell (tests/rosa_fused_diff_test.cpp). `cache` (optional, non-owning)
+/// memoizes results by content fingerprint (rosa/cache.h), so epochs and
+/// batches posing the same reachability question are searched once.
 ///
 /// `allowlists` is empty (no filtered matrix) or parallel to rows: each
 /// epoch's syscall allowlist. The filtered matrix poses every baseline
@@ -80,19 +78,7 @@ EpochMatrices analyze_epochs(
     const std::vector<chronopriv::EpochRow>& rows,
     const std::vector<ScenarioInput>& inputs,
     const std::vector<std::set<std::string>>& allowlists,
-    const rosa::SearchLimits& limits,
-    const rosa::EscalationPolicy& escalation, rosa::QueryCache* cache);
-
-/// The baseline matrix alone: analyze_epochs without allowlists. The
-/// unnamed `unsigned` is ignored. It is the retired ROSA worker count, kept
-/// only because the benchmark's copy of the pipeline stages under pabench/
-/// still passes it.
-std::vector<EpochVerdicts> analyze_epochs(
-    const std::vector<chronopriv::EpochRow>& rows,
-    const std::vector<ScenarioInput>& inputs,
-    const rosa::SearchLimits& limits = {}, unsigned = 1,
-    const rosa::EscalationPolicy& escalation = {},
-    rosa::QueryCache* cache = nullptr);
+    const rosa::SearchLimits& limits, rosa::QueryCache* cache);
 
 /// Run one attack (one rosa::search); maps the search verdict to a cell
 /// verdict.
@@ -100,4 +86,25 @@ CellVerdict run_attack(AttackId attack, const ScenarioInput& input,
                        const rosa::SearchLimits& limits,
                        rosa::SearchResult* result = nullptr);
 
+}  // namespace pa::attacks
+
+// Inert names, kept only because the benchmark's copy of the pipeline
+// stages under pabench/ still names them; nothing in the library reads
+// them. The aggregate is the retired budget-escalation policy, and the
+// baseline-only analyze_epochs overload is analyze_epochs without
+// allowlists that ignores its two middle parameters (the retired ROSA
+// worker count and that policy).
+namespace pa::rosa {
+struct EscalationPolicy {
+  unsigned rounds = 0;
+  double factor = 2.0;
+};
+}  // namespace pa::rosa
+
+namespace pa::attacks {
+std::vector<EpochVerdicts> analyze_epochs(
+    const std::vector<chronopriv::EpochRow>& rows,
+    const std::vector<ScenarioInput>& inputs,
+    const rosa::SearchLimits& limits = {}, unsigned = 1,
+    const rosa::EscalationPolicy& = {}, rosa::QueryCache* cache = nullptr);
 }  // namespace pa::attacks

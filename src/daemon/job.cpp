@@ -89,10 +89,8 @@ privanalyzer::PipelineOptions make_pipeline_options(
   opts.rosa_limits.max_states = req.max_states;
   opts.rosa_limits.max_bytes = req.max_bytes;
   opts.rosa_limits.cancel = cancel;
-  opts.rosa_escalation_rounds = req.escalate_rounds;
   opts.max_total_seconds =
       req.deadline_secs > 0 ? req.deadline_secs : default_deadline_secs;
-  opts.rosa_cache = req.use_cache;
   if (req.use_cache) opts.rosa_cache_instance = std::move(cache);
   auto mode = privanalyzer::parse_filter_mode(req.filters);
   if (!mode)

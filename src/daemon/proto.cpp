@@ -198,7 +198,6 @@ Frame JobRequest::to_frame() const {
       {"name", name},
       {"max_states", std::to_string(max_states)},
       {"max_bytes", std::to_string(max_bytes)},
-      {"escalate_rounds", std::to_string(escalate_rounds)},
       {"deadline_secs", str::fixed(deadline_secs, 3)},
       {"run_rosa", run_rosa ? "1" : "0"},
       {"use_cache", use_cache ? "1" : "0"},
@@ -215,8 +214,6 @@ JobRequest JobRequest::from_frame(const Frame& f) {
   r.name = kv_get(kv, "name");
   r.max_states = kv_get_u64(kv, "max_states", r.max_states);
   r.max_bytes = kv_get_u64(kv, "max_bytes", r.max_bytes);
-  r.escalate_rounds = static_cast<unsigned>(
-      kv_get_u64(kv, "escalate_rounds", r.escalate_rounds, UINT_MAX));
   r.deadline_secs = kv_get_seconds(kv, "deadline_secs", r.deadline_secs);
   r.run_rosa = kv_get_bool(kv, "run_rosa", r.run_rosa);
   r.use_cache = kv_get_bool(kv, "use_cache", r.use_cache);

@@ -115,7 +115,6 @@ struct JobRequest {
 
   std::uint64_t max_states = 2'000'000;
   std::uint64_t max_bytes = 0;
-  unsigned escalate_rounds = 0;
   double deadline_secs = 0.0;  // per-job wall budget (0 = server default)
   bool run_rosa = true;
   bool use_cache = true;  // consult the daemon's resident verdict cache

@@ -154,8 +154,8 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
   std::ostringstream os;
   os << "program,epoch,attack,verdict,states,transitions,dedup_hits,"
         "hash_collisions,peak_frontier,peak_bytes,bytes_per_state,"
-        "escalations,fused_group_size,fused_searches_saved,"
-        "fused_world_states,proved,cache_hits,cache_misses,seconds\n";
+        "fused_group_size,fused_searches_saved,fused_world_states,proved,"
+        "cache_hits,cache_misses,seconds\n";
   for (const ProgramAnalysis& a : analyses) {
     for (const attacks::EpochVerdicts& ev : a.verdicts) {
       for (std::size_t atk = 0; atk < attacks::modeled_attacks().size();
@@ -168,7 +168,6 @@ std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses) {
            << r.stats.dedup_hits << ',' << r.stats.hash_collisions << ','
            << r.stats.peak_frontier << ',' << r.stats.peak_bytes << ','
            << str::fixed(r.stats.bytes_per_state(), 1) << ','
-           << r.stats.escalations << ','
            << r.stats.fused_group_size << ','
            << r.stats.fused_searches_saved << ','
            << r.stats.fused_world_states << ',' << r.stats.proved << ','

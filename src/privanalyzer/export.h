@@ -28,7 +28,7 @@ std::string efficacy_to_markdown(const std::vector<ProgramAnalysis>& analyses);
 
 /// Per-query ROSA search statistics as CSV:
 /// program,epoch,attack,verdict,states,transitions,dedup_hits,
-/// hash_collisions,peak_frontier,peak_bytes,bytes_per_state,escalations,
+/// hash_collisions,peak_frontier,peak_bytes,bytes_per_state,
 /// fused_group_size,fused_searches_saved,fused_world_states,proved,
 /// cache_hits,cache_misses,seconds
 std::string search_stats_to_csv(const std::vector<ProgramAnalysis>& analyses);

@@ -154,22 +154,20 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
   }
 
   // Stage 3: one ROSA query per (epoch x attack), decided as one batch on
-  // this thread. A pipeline-wide deadline and per-query budget escalation
-  // apply here — the matrix is the runaway-cost stage.
+  // this thread. A pipeline-wide deadline applies here — the matrix is the
+  // runaway-cost stage.
   if (options.run_rosa) {
     rosa::SearchLimits limits = options.rosa_limits;
     limits.deadline = rosa::deadline_after(options.max_total_seconds);
-    rosa::EscalationPolicy escalation{options.rosa_escalation_rounds, 2.0};
 
-    // Verdict cache: an explicit shared instance wins (batch-wide reuse);
-    // otherwise a private per-program cache still collapses the duplicate
-    // epochs within this matrix. The persistent file is loaded up front —
-    // a bad file degrades to a cold cache with a warning, never a failure —
-    // and rewritten after the matrix completes.
+    // Verdict cache: the shared instance, else one made for the persistent
+    // file alone, else none. The file is loaded up front — a bad file
+    // degrades to a cold cache with a warning, never a failure — and
+    // rewritten after the matrix completes.
     std::shared_ptr<rosa::QueryCache> cache = options.rosa_cache_instance;
-    if (!cache && options.rosa_cache)
+    if (!cache && !options.rosa_cache_file.empty())
       cache = std::make_shared<rosa::QueryCache>();
-    if (cache && !options.rosa_cache_file.empty()) {
+    if (!options.rosa_cache_file.empty()) {
       PA_FAULTPOINT("rosa.cache_load");
       std::string warn;
       if (!cache->load_file(options.rosa_cache_file, &warn))
@@ -202,11 +200,11 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
         allowlists[i] = out.filter_report.epochs[i].conservative;
     }
     attacks::EpochMatrices matrices = attacks::analyze_epochs(
-        out.chrono.rows, inputs, allowlists, limits, escalation, cache.get());
+        out.chrono.rows, inputs, allowlists, limits, cache.get());
     out.verdicts = std::move(matrices.baseline);
     out.filtered_verdicts = std::move(matrices.filtered);
 
-    if (cache && !options.rosa_cache_file.empty()) {
+    if (!options.rosa_cache_file.empty()) {
       std::string warn;
       if (!cache->save_file(options.rosa_cache_file, &warn))
         out.diagnostics.push_back(support::Diagnostic{

@@ -45,21 +45,6 @@ struct PipelineOptions {
   rosa::AttackerModel attacker = rosa::AttackerModel::Full;
   /// Skip the ROSA stage (ChronoPriv-only runs for tests/benches).
   bool run_rosa = true;
-  /// Ignored: nothing in the library reads it, and the ROSA matrix always
-  /// runs on the calling thread. It is the retired ROSA worker count, kept
-  /// only because the benchmark's workloads under pabench/ still assign it
-  /// and pass it on.
-  unsigned rosa_threads = 1;
-  /// Adaptive budget escalation for the ROSA stage: a query that returns
-  /// Verdict::ResourceLimit is retried with its SearchLimits budgets
-  /// (max_states and max_bytes) geometrically doubled, up to this many extra
-  /// rounds; the deadline is never extended. The rounds are part of each
-  /// verdict-cache key, so a cached cell answers only this round count.
-  /// 0 = off (the timed-out cell stays presumed-invulnerable, as the paper
-  /// treats it). Escalation is per-query, so a fused group re-runs only its
-  /// undecided members; round counts surface in SearchStats::escalations
-  /// (`--stats`).
-  unsigned rosa_escalation_rounds = 0;
   /// Pipeline-wide wall-clock budget in seconds for the ROSA stage
   /// (0 = none). When it expires, in-flight searches stop at their next
   /// frontier pop, queries not yet started are skipped, remaining cells
@@ -68,22 +53,20 @@ struct PipelineOptions {
   /// never hang a batch. A budget too large for steady_clock to represent
   /// (e.g. +inf) means no deadline.
   double max_total_seconds = 0.0;
-  /// Memoize ROSA searches by content fingerprint (rosa/cache.h): each
-  /// distinct (state, messages, attacker, goal, checker) combination in the
-  /// (epoch × attack) matrix is searched once and the result fanned out to
-  /// every duplicate cell. On by default — cached verdicts, fractions, and
-  /// witnesses are bit-identical to uncached runs (the cache only ever
-  /// reuses results the direct path would have recomputed verbatim);
-  /// hit/miss counters surface in `--stats`. Set false for A/B measurement.
-  bool rosa_cache = true;
-  /// Share one verdict cache across a batch of programs (the CLI wires this
-  /// up so program N+1 reuses program N's searches). When unset and
-  /// rosa_cache is true, analyze_program uses a private per-program cache.
+  /// The verdict cache (rosa/cache.h) the ROSA stage shares with other
+  /// analyses: the CLI gives a batch one, so program N+1 reuses program N's
+  /// searches, and privanalyzerd gives every job its resident one. Cached
+  /// verdicts, fractions, witnesses and work counters are bit-identical to
+  /// uncached ones; hit/miss counters surface in `--stats`. When unset, and
+  /// rosa_cache_file is empty, nothing is looked up or stored: within one
+  /// matrix, duplicate cells already share a fused task, which copies its
+  /// representative's result.
   std::shared_ptr<rosa::QueryCache> rosa_cache_instance;
   /// Persistent verdict cache (--rosa-cache FILE): loaded before the ROSA
   /// stage (corrupt or stale files are ignored with a CacheLoadFailed
   /// warning — never an error) and atomically rewritten afterwards, so
-  /// repeat batch runs skip unchanged programs entirely.
+  /// repeat batch runs skip unchanged programs entirely. It is loaded into
+  /// rosa_cache_instance, or into a cache made for the file alone.
   std::string rosa_cache_file;
   /// Custom world builder (e.g. os::world_from_file); when unset the
   /// standard or refactored world is chosen by the program spec.
@@ -105,6 +88,14 @@ struct PipelineOptions {
   FilterMode filters = FilterMode::Off;
   /// Violation semantics when filters are enforced (os/filter.h).
   os::FilterAction filter_action = os::FilterAction::Eperm;
+
+  // Ignored: nothing in the library reads these. They are the retired ROSA
+  // worker count, budget-escalation rounds and cache switch, kept only
+  // because the benchmark's copy of the pipeline stages under pabench/
+  // still assigns them and passes them on.
+  unsigned rosa_threads = 1;
+  unsigned rosa_escalation_rounds = 0;
+  bool rosa_cache = true;
 };
 
 /// Outcome of one program's trip through the pipeline.

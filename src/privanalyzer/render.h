@@ -30,7 +30,7 @@ std::string render_efficacy_table(
 std::string render_refactor_diff_table();
 
 /// Per-program ROSA search statistics (states, transitions, dedup hits,
-/// hash collisions, peak frontier, escalation rounds, wall time) summed
+/// hash collisions, peak frontier, cache hits/misses, wall time) summed
 /// over every (epoch × attack) query the analysis ran, baseline and
 /// filtered matrix alike — the `privanalyzer --stats` block.
 std::string render_search_stats(const std::vector<ProgramAnalysis>& analyses);

@@ -43,19 +43,13 @@ struct Key {
   Fingerprint fp;
   std::size_t max_states = 0;
   std::size_t max_bytes = 0;
-  unsigned rounds = 0;
-  /// 0 when rounds == 0: requests that differ only in an unused factor
-  /// share one entry.
-  double factor = 0.0;
 
   /// Equality is the lookup rule; the order is the file's entry order.
   auto operator<=>(const Key&) const = default;
 };
 
-Key key_of(const Fingerprint& fp, const SearchLimits& limits,
-           const EscalationPolicy& esc) {
-  return Key{fp, limits.max_states, limits.max_bytes, esc.rounds,
-             esc.enabled() ? esc.factor : 0.0};
+Key key_of(const Fingerprint& fp, const SearchLimits& limits) {
+  return Key{fp, limits.max_states, limits.max_bytes};
 }
 
 /// Budgets rarely differ between requests for one fingerprint, so only the
@@ -143,11 +137,10 @@ void QueryCache::set_byte_budget(std::size_t bytes) {
   store_->evict(0);
 }
 
-std::optional<SearchResult> QueryCache::lookup(
-    const Fingerprint& fp, const SearchLimits& limits,
-    const EscalationPolicy& escalation) {
+std::optional<SearchResult> QueryCache::lookup(const Fingerprint& fp,
+                                               const SearchLimits& limits) {
   std::lock_guard<std::mutex> lk(store_->mu);
-  const auto it = store_->map.find(key_of(fp, limits, escalation));
+  const auto it = store_->map.find(key_of(fp, limits));
   if (it == store_->map.end()) {
     ++store_->misses;
     return std::nullopt;
@@ -161,8 +154,7 @@ std::optional<SearchResult> QueryCache::lookup(
 }
 
 void QueryCache::store(const Fingerprint& fp, const SearchResult& result,
-                       const SearchLimits& limits,
-                       const EscalationPolicy& escalation) {
+                       const SearchLimits& limits) {
   // The storability rule (cache.h): the deadline and cancel flag stay
   // raised once raised, so if neither is raised now, neither stopped the
   // search.
@@ -176,7 +168,7 @@ void QueryCache::store(const Fingerprint& fp, const SearchResult& result,
   stored.stats.fused_searches_saved = 0;
   stored.stats.fused_world_states = 0;
   std::lock_guard<std::mutex> lk(store_->mu);
-  store_->put(key_of(fp, limits, escalation), std::move(stored));
+  store_->put(key_of(fp, limits), std::move(stored));
   store_->evict(1);
 }
 
@@ -200,26 +192,24 @@ std::size_t QueryCache::size() const {
 // ---------------------------------------------------------------------------
 // Persistence. Versioned text format, all-or-nothing load:
 //
-//   privanalyzer-rosa-cache v9 model=<kRosaModelVersion>
-//   e <fp> <max-states> <max-bytes> <rounds> <factor> <verdict> <states>
-//     <transitions> <seconds> <dedup> <collisions> <peak-frontier>
-//     <peak-bytes> <state-bytes> <escalations> <n-witness>  (one line)
+//   privanalyzer-rosa-cache v10 model=<kRosaModelVersion>
+//   e <fp> <max-states> <max-bytes> <verdict> <states> <transitions>
+//     <seconds> <dedup> <collisions> <peak-frontier> <peak-bytes>
+//     <state-bytes> <n-witness>                          (one line)
 //   w <sys> <proc> <privs> <n-args> <args...>           (n-witness lines)
 //   end
 //
-// The first five fields are the key; <factor> is 0 when <rounds> is, and
-// <escalations> never exceeds <rounds>. <states> is the cumulative
-// across-retries total. <privs> is a capability bit set, so no bit at or
-// above caps::kNumCapabilities may be set. Numbers go through the strict
-// str::parse_u64 / str::parse_seconds. Files in older formats (v4–v8) are
-// rejected by the version header like any other stale cache. v8 has v7's
-// lines; it marks answers searched with the per-layer goal probe, whose
-// Reachable counters differ from v7's and whose ResourceLimits may now be
-// Reachable at the same budget, so a v7 entry is not what a cold search
-// returns. v9 has v8's lines; its fingerprints hash the world digest, goal
-// key and mask word by word (rosa/fingerprint.h), so no v8 key names any
-// question a v9 build asks, and loading one would only keep dead entries
-// resident and rewrite them forever. Any deviation
+// The first three fields are the key. <privs> is a capability bit set, so
+// no bit at or above caps::kNumCapabilities may be set. Numbers go through
+// the strict str::parse_u64 / str::parse_seconds. Files in older formats
+// (v4–v9) are rejected by the version header like any other stale cache.
+// v8 marks answers searched with the per-layer goal probe, whose Reachable
+// counters differ from v7's and whose ResourceLimits may now be Reachable
+// at the same budget, so a v7 entry is not what a cold search returns. v9
+// fingerprints hash the world digest, goal key and mask word by word
+// (rosa/fingerprint.h), so no v8 key names any question a later build asks.
+// v10 keys an entry on the fingerprint and the two budgets alone, in
+// 14-field entry lines, so no v9 line parses as a v10 one. Any deviation
 // — wrong version, wrong model salt, malformed line, missing `end`
 // sentinel (truncation) — rejects the whole file: a cache may always be
 // discarded, never trusted partially.
@@ -228,7 +218,7 @@ std::size_t QueryCache::size() const {
 namespace {
 
 std::string header_line() {
-  return str::cat("privanalyzer-rosa-cache v9 model=", kRosaModelVersion);
+  return str::cat("privanalyzer-rosa-cache v10 model=", kRosaModelVersion);
 }
 
 std::vector<std::string_view> fields(std::string_view line) {
@@ -301,34 +291,27 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
       continue;
     }
     const std::vector<std::string_view> f = fields(line);
-    if (f.size() != 17 || f[0] != "e") return fail("malformed entry line");
+    if (f.size() != 14 || f[0] != "e") return fail("malformed entry line");
     const std::optional<Fingerprint> fp = Fingerprint::from_hex(f[1]);
     const auto max_states = parse_u64(f[2], SIZE_MAX);
     const auto max_bytes = parse_u64(f[3], SIZE_MAX);
-    const auto rounds = parse_u64(f[4], UINT_MAX);
-    // A growth factor is a finite non-negative decimal, like a duration.
-    const auto factor = parse_seconds(f[5]);
-    const std::optional<Verdict> verdict = parse_verdict(f[6]);
-    const auto states = parse_u64(f[7]);
-    const auto transitions = parse_u64(f[8]);
-    const auto seconds = parse_seconds(f[9]);
-    const auto dedup = parse_u64(f[10]);
-    const auto collisions = parse_u64(f[11]);
-    const auto peak = parse_u64(f[12]);
-    const auto peak_bytes = parse_u64(f[13]);
-    const auto state_bytes = parse_u64(f[14]);
-    const auto escalations = parse_u64(f[15]);
-    const auto n_witness = parse_u64(f[16]);
-    if (!fp || !max_states || !max_bytes || !rounds || !factor ||
-        !verdict || !states || !transitions || !seconds || !dedup ||
-        !collisions || !peak || !peak_bytes || !state_bytes ||
-        !escalations || !n_witness || *n_witness > 4096 ||
-        *escalations > *rounds || (*rounds == 0 && *factor != 0))
+    const std::optional<Verdict> verdict = parse_verdict(f[4]);
+    const auto states = parse_u64(f[5]);
+    const auto transitions = parse_u64(f[6]);
+    const auto seconds = parse_seconds(f[7]);
+    const auto dedup = parse_u64(f[8]);
+    const auto collisions = parse_u64(f[9]);
+    const auto peak = parse_u64(f[10]);
+    const auto peak_bytes = parse_u64(f[11]);
+    const auto state_bytes = parse_u64(f[12]);
+    const auto n_witness = parse_u64(f[13]);
+    if (!fp || !max_states || !max_bytes || !verdict || !states ||
+        !transitions || !seconds || !dedup || !collisions || !peak ||
+        !peak_bytes || !state_bytes || !n_witness || *n_witness > 4096)
       return fail("malformed entry line");
 
     const Key key{*fp, static_cast<std::size_t>(*max_states),
-                  static_cast<std::size_t>(*max_bytes),
-                  static_cast<unsigned>(*rounds), *factor};
+                  static_cast<std::size_t>(*max_bytes)};
     SearchResult e;
     e.verdict = *verdict;
     e.stats.states = *states;
@@ -339,7 +322,6 @@ bool QueryCache::load_file(const std::string& path, std::string* warning) {
     e.stats.peak_frontier = *peak;
     e.stats.peak_bytes = *peak_bytes;
     e.stats.state_bytes = *state_bytes;
-    e.stats.escalations = *escalations;
 
     for (std::uint64_t w = 0; w < *n_witness; ++w) {
       if (!std::getline(lines, line)) return fail("truncated witness");
@@ -397,13 +379,11 @@ bool QueryCache::save_file(const std::string& path,
       const SearchResult& e = resident.result;
       std::string block = str::cat(
           "e ", key.fp.to_hex(), " ", key.max_states, " ", key.max_bytes,
-          " ", key.rounds, " ", fmt_double(key.factor), " ",
-          verdict_name(e.verdict), " ", e.stats.states, " ",
+          " ", verdict_name(e.verdict), " ", e.stats.states, " ",
           e.stats.transitions, " ", fmt_double(e.stats.seconds), " ",
           e.stats.dedup_hits, " ", e.stats.hash_collisions, " ",
           e.stats.peak_frontier, " ", e.stats.peak_bytes, " ",
-          e.stats.state_bytes, " ", e.stats.escalations, " ",
-          e.witness.size(), "\n");
+          e.stats.state_bytes, " ", e.witness.size(), "\n");
       for (const Action& a : e.witness) {
         block += str::cat("w ", sys_name(a.sys), " ", a.proc, " ",
                           a.privs.raw(), " ", a.args.size());

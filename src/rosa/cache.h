@@ -13,15 +13,14 @@
 // ## Correctness model
 //
 // One rule: an entry is keyed by the query's fingerprint plus its
-// deterministic budget — max_states, max_bytes, escalation rounds, and the
-// escalation factor when rounds > 0 — and a lookup hits only an entry with
-// an equal key. A search is a deterministic function of that key (the byte
-// budget is capacity-accounted, hence deterministic) unless the batch
-// deadline or the cancel flag stops it. So a hit replays verbatim exactly
-// what the uncached path would compute: verdict, witness, and every work
-// counter. Every stored verdict was searched under the budget it answers
-// for, Unreachable included — "no witness within this budget" is never
-// stretched to another budget.
+// deterministic budget — max_states and max_bytes — and a lookup hits only
+// an entry with an equal key. A search is a deterministic function of that
+// key (the byte budget is capacity-accounted, hence deterministic) unless
+// the batch deadline or the cancel flag stops it. So a hit replays verbatim
+// exactly what the uncached path would compute: verdict, witness, and every
+// work counter. Every stored verdict was searched under the budget it
+// answers for, Unreachable included — "no witness within this budget" is
+// never stretched to another budget.
 //
 // Storability: Reachable and Unreachable results are always stored; a
 // ResourceLimit only when !limits.expired() at store time. The deadline
@@ -86,15 +85,13 @@ class QueryCache {
   /// (stats.cache_hits = 1, recency refreshed), or nullopt after counting a
   /// miss.
   std::optional<SearchResult> lookup(const Fingerprint& fp,
-                                     const SearchLimits& limits,
-                                     const EscalationPolicy& escalation = {});
+                                     const SearchLimits& limits);
   /// Store a freshly computed result under this fingerprint and budget when
   /// the storability rule above admits it, overwriting any entry with the
   /// same key (equal keys compute equal results), then evict to the byte
   /// budget.
   void store(const Fingerprint& fp, const SearchResult& result,
-             const SearchLimits& limits,
-             const EscalationPolicy& escalation = {});
+             const SearchLimits& limits);
 
   /// Lifetime aggregate of every lookup (monotone except the resident
   /// gauges; thread-safe).

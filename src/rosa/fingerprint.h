@@ -10,8 +10,8 @@
 // rosa::run_queries fuse them into one exploration, so the digest is also
 // its grouping key. cell_fingerprint() then hashes the digest with the
 // goal's identity and the effective message mask: the question the verdict
-// cache answers. Budgets (max_states / max_bytes / escalation) are not
-// fingerprinted; the cache keys on fingerprint plus budget (rosa/cache.h).
+// cache answers. Budgets (max_states / max_bytes) are not fingerprinted;
+// the cache keys on fingerprint plus budget (rosa/cache.h).
 //
 // Every digest is salted with kRosaModelVersion; bump it whenever the
 // question a fingerprint names changes — the transition rules or the state

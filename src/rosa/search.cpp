@@ -42,7 +42,6 @@ void SearchStats::merge(const SearchStats& other) {
   peak_frontier = std::max(peak_frontier, other.peak_frontier);
   peak_bytes = std::max(peak_bytes, other.peak_bytes);
   state_bytes += other.state_bytes;
-  escalations += other.escalations;
   seconds += other.seconds;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
@@ -52,18 +51,12 @@ void SearchStats::merge(const SearchStats& other) {
   fused_world_states += other.fused_world_states;
 }
 
-void SearchStats::add_retry(const SearchStats& retry) {
-  merge(retry);
-  ++escalations;
-}
-
 std::string SearchStats::to_string() const {
   return str::cat("states=", states, " transitions=", transitions,
                   " dedup-hits=", dedup_hits,
                   " hash-collisions=", hash_collisions,
                   " peak-frontier=", peak_frontier,
                   " peak-bytes=", peak_bytes,
-                  " escalations=", escalations,
                   " fused-group=", fused_group_size,
                   " fused-saved=", fused_searches_saved,
                   " fused-world-states=", fused_world_states,
@@ -94,20 +87,6 @@ std::chrono::steady_clock::time_point deadline_after(double seconds) {
   if (!(seconds < headroom.count())) return {};
   return now + std::chrono::duration_cast<Clock::duration>(
                    std::chrono::duration<double>(seconds));
-}
-
-SearchLimits EscalationPolicy::attempt_limits(const SearchLimits& base,
-                                              unsigned attempt) const {
-  SearchLimits grown = base;
-  for (unsigned round = 0; round < attempt; ++round) {
-    if (grown.max_states)
-      grown.max_states = static_cast<std::size_t>(
-          static_cast<double>(grown.max_states) * factor);
-    if (grown.max_bytes)
-      grown.max_bytes = static_cast<std::size_t>(
-          static_cast<double>(grown.max_bytes) * factor);
-  }
-  return grown;
 }
 
 namespace {
@@ -187,12 +166,6 @@ void for_members(std::uint64_t bits, Fn&& fn) {
 
 SearchResult search(const Query& query, const SearchLimits& limits) {
   return std::move(detail::search_fused({&query, 1}, limits)[0]);
-}
-
-SearchResult search_escalating(const Query& query, const SearchLimits& limits,
-                               const EscalationPolicy& policy) {
-  return std::move(
-      detail::search_fused_escalating({&query, 1}, limits, policy)[0]);
 }
 
 namespace detail {
@@ -588,47 +561,6 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   return results;
 }
 
-std::vector<SearchResult> search_fused_escalating(
-    std::span<const Query> group, const SearchLimits& limits,
-    const EscalationPolicy& policy) {
-  std::vector<SearchResult> results = search_fused(group, limits);
-  if (!policy.enabled()) return results;
-
-  std::vector<SearchStats> accumulated;
-  accumulated.reserve(results.size());
-  for (const SearchResult& r : results) accumulated.push_back(r.stats);
-
-  std::vector<Query> pending_queries;
-  std::vector<std::size_t> pending;  // indices into `group`
-  for (unsigned round = 0; round < policy.rounds; ++round) {
-    pending.clear();
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (results[i].verdict == Verdict::ResourceLimit) pending.push_back(i);
-    // Decided members are final by monotonicity: a Reachable witness stays
-    // a witness at any larger budget and Unreachable exhausted the graph —
-    // only the starved members re-run.
-    if (pending.empty()) break;
-    // A batch deadline or cancellation caused (or would immediately
-    // re-cause) the ResourceLimit; retrying past it is wasted work.
-    if (limits.expired()) break;
-    const SearchLimits grown = policy.attempt_limits(limits, round + 1);
-    pending_queries.clear();
-    for (std::size_t i : pending) pending_queries.push_back(group[i]);
-    std::vector<SearchResult> round_results =
-        search_fused(pending_queries, grown);
-    // Each round's fused_world_states rides its rank-0 member, so the
-    // per-member sums keep matrix-wide aggregation consistent.
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      const std::size_t i = pending[k];
-      results[i] = std::move(round_results[k]);
-      accumulated[i].add_retry(results[i].stats);
-    }
-  }
-  for (std::size_t i = 0; i < results.size(); ++i)
-    results[i].stats = accumulated[i];
-  return results;
-}
-
 }  // namespace detail
 
 namespace {
@@ -656,8 +588,7 @@ struct Task {
 /// per-query result — verdict, witness, stats, cache entry, and cache
 /// counters — is what searching that query alone would have produced.
 void run_fused_task(std::span<const Query> queries, const Task& task,
-                    const SearchLimits& limits,
-                    const EscalationPolicy& escalation, QueryCache* cache,
+                    const SearchLimits& limits, QueryCache* cache,
                     std::vector<SearchResult>& results) {
   const std::size_t n = task.members.size();
   std::vector<std::size_t> adopt(n);
@@ -671,7 +602,7 @@ void run_fused_task(std::span<const Query> queries, const Task& task,
   for (std::size_t i = 0; i < n; ++i) {
     if (adopt[i] != i) continue;
     if (cache) {
-      if (auto hit = cache->lookup(task.fps[i], limits, escalation)) {
+      if (auto hit = cache->lookup(task.fps[i], limits)) {
         results[task.members[i]] = std::move(*hit);
         continue;
       }
@@ -683,8 +614,7 @@ void run_fused_task(std::span<const Query> queries, const Task& task,
     std::vector<Query> sub;
     sub.reserve(to_run.size());
     for (std::size_t i : to_run) sub.push_back(queries[task.members[i]]);
-    std::vector<SearchResult> computed =
-        detail::search_fused_escalating(sub, limits, escalation);
+    std::vector<SearchResult> computed = detail::search_fused(sub, limits);
     if (to_run.size() > 1) {
       for (SearchResult& r : computed)
         r.stats.fused_group_size = to_run.size();
@@ -693,7 +623,7 @@ void run_fused_task(std::span<const Query> queries, const Task& task,
     for (std::size_t k = 0; k < to_run.size(); ++k) {
       const std::size_t i = to_run[k];
       if (cache) {
-        cache->store(task.fps[i], computed[k], limits, escalation);
+        cache->store(task.fps[i], computed[k], limits);
         computed[k].stats.cache_misses = 1;
       }
       results[task.members[i]] = std::move(computed[k]);
@@ -709,7 +639,7 @@ void run_fused_task(std::span<const Query> queries, const Task& task,
   for (std::size_t i = 0; i < n; ++i) {
     if (adopt[i] == i) continue;
     if (cache) {
-      if (auto hit = cache->lookup(task.fps[i], limits, escalation)) {
+      if (auto hit = cache->lookup(task.fps[i], limits)) {
         results[task.members[i]] = std::move(*hit);
         continue;
       }
@@ -726,7 +656,6 @@ void run_fused_task(std::span<const Query> queries, const Task& task,
 
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits,
-                                      const EscalationPolicy& escalation,
                                       QueryCache* cache) {
   std::vector<SearchResult> results(queries.size());
 
@@ -765,10 +694,9 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
     if (limits.expired())
       for (std::size_t i : task.members) results[i] = cancelled_result();
     else if (task.fps.empty())
-      results[task.members[0]] =
-          search_escalating(queries[task.members[0]], limits, escalation);
+      results[task.members[0]] = search(queries[task.members[0]], limits);
     else
-      run_fused_task(queries, task, limits, escalation, cache, results);
+      run_fused_task(queries, task, limits, cache, results);
   }
   return results;
 }

@@ -152,8 +152,7 @@ struct SearchLimits {
   /// Exceeding it returns ResourceLimit, exactly like max_states. The
   /// accounting counts capacity (arena chunks + per-state heap bytes) plus
   /// the world skeleton's contents, not what the allocator does, so
-  /// byte-budget exhaustion is deterministic and search_escalating() can
-  /// grow this budget geometrically like the others.
+  /// byte-budget exhaustion is deterministic.
   std::size_t max_bytes = 0;
   /// Disable duplicate-state detection (ablation only; exponential blowup).
   bool no_dedup = false;
@@ -196,25 +195,6 @@ struct SearchLimits {
 /// can represent: an unrepresentable budget is unlimited, never expired.
 std::chrono::steady_clock::time_point deadline_after(double seconds);
 
-/// Geometric budget escalation for queries that hit
-/// Verdict::ResourceLimit: retry with max_states and max_bytes multiplied by
-/// `factor` each round, up to `rounds` extra attempts. Escalation shrinks
-/// the paper's presumed-invulnerable (timed-out) bucket. Both budgets are
-/// deterministic, so the retries are too; the deadline and cancel flag are
-/// never grown, and once either stops a search the ladder stops with it.
-/// The verdict cache keys on rounds and factor (factor only when rounds > 0).
-struct EscalationPolicy {
-  unsigned rounds = 0;   // extra attempts after the base search (0 = off)
-  double factor = 2.0;   // budget multiplier per round
-
-  bool enabled() const { return rounds > 0; }
-
-  /// The limits of attempt `attempt` (0 = the base search): every set
-  /// budget (max_states, max_bytes) multiplied by `factor` and truncated,
-  /// once per round.
-  SearchLimits attempt_limits(const SearchLimits& base, unsigned attempt) const;
-};
-
 enum class Verdict {
   Reachable,      // the compromised state can be reached (vulnerable)
   Unreachable,    // the full reachable space contains no such state
@@ -243,7 +223,6 @@ struct SearchStats {
   /// slack), so state_bytes / states measures how compact the state
   /// *representation* is, independently of the arena around it.
   std::size_t state_bytes = 0;
-  std::size_t escalations = 0;      // budget-doubled retries after ResourceLimit
   /// Fused multi-goal search observability (zero when the query ran alone;
   /// never part of bit-identity comparisons or persistent cache entries).
   /// Size of the world group this query was decided in; aggregated by max,
@@ -279,10 +258,6 @@ struct SearchStats {
 
   /// Accumulate another query's counters (peak_frontier takes the max).
   void merge(const SearchStats& other);
-  /// Fold one escalation retry into this query's running total: the work
-  /// counters accumulate as in merge() and escalations counts the retry.
-  /// The one accumulation rule for every escalation ladder.
-  void add_retry(const SearchStats& retry);
 
   std::string to_string() const;
 };
@@ -307,30 +282,20 @@ struct SearchResult {
 /// Run the bounded search: a one-member detail::search_fused.
 SearchResult search(const Query& query, const SearchLimits& limits = {});
 
-/// search() with adaptive budget escalation: on ResourceLimit, retry with
-/// geometrically grown limits per `policy` until a definite verdict, the
-/// round cap, or the batch deadline/cancel flag. The returned result is the
-/// decisive attempt's, except stats, which accumulate work across every
-/// attempt and record the retry count in stats.escalations. A one-member
-/// detail::search_fused_escalating.
-SearchResult search_escalating(const Query& query, const SearchLimits& limits,
-                               const EscalationPolicy& policy);
-
 /// Run a batch of independent queries on the calling thread.
 /// Fingerprintable queries that share a world digest
 /// (rosa/fingerprint.h) are fused into one multi-goal exploration
 /// (detail::search_fused); a query with no partner runs as a group of one,
-/// and an unfingerprintable query runs search_escalating() alone. The
-/// groups run one after another. results[i] always corresponds to
-/// queries[i], and every result is bit-identical to a standalone search()
-/// of queries[i] apart from the fused_* counters. Exceptions from any query
-/// propagate to the caller.
+/// and an unfingerprintable query runs search() alone. The groups run one
+/// after another. results[i] always corresponds to queries[i], and every
+/// result is bit-identical to a standalone search() of queries[i] apart
+/// from the fused_* counters. Exceptions from any query propagate to the
+/// caller.
 ///
-/// `escalation` applies search_escalating() per query. Once limits' deadline
-/// passes (or its cancel flag is raised), the running search stops at its
-/// next frontier pop and groups not yet started return stub ResourceLimit
-/// results (0 states), so the batch always completes and results stay
-/// position-complete.
+/// Once limits' deadline passes (or its cancel flag is raised), the running
+/// search stops at its next frontier pop and groups not yet started return
+/// stub ResourceLimit results (0 states), so the batch always completes and
+/// results stay position-complete.
 ///
 /// `cache` (optional) memoizes whole-query results by content fingerprint;
 /// run_queries is its only client. Each fused group looks its members up,
@@ -343,7 +308,6 @@ SearchResult search_escalating(const Query& query, const SearchLimits& limits,
 /// produced it, and that search is deterministic (rosa/cache.h).
 std::vector<SearchResult> run_queries(std::span<const Query> queries,
                                       const SearchLimits& limits = {},
-                                      const EscalationPolicy& escalation = {},
                                       QueryCache* cache = nullptr);
 
 namespace detail {
@@ -405,16 +369,6 @@ void expand_state(const State& cur, const Query& query,
 /// hand-built groups must too): the group has at most 64 members.
 std::vector<SearchResult> search_fused(std::span<const Query> group,
                                        const SearchLimits& limits);
-
-/// search_fused + the per-member escalation ladder: a round re-runs ONLY
-/// the still-undecided (ResourceLimit) members with geometrically grown
-/// budgets — decided members keep their verdicts and witnesses from the
-/// round that decided them, which is exact because a definite verdict is a
-/// budget-monotone fact. Per-member stats accumulate across the rounds the
-/// member participated in, exactly like search_escalating.
-std::vector<SearchResult> search_fused_escalating(
-    std::span<const Query> group, const SearchLimits& limits,
-    const EscalationPolicy& policy);
 
 }  // namespace detail
 

@@ -169,7 +169,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   req.name = "demo";
   req.max_states = 123'456;
   req.max_bytes = 789;
-  req.escalate_rounds = 4;
   req.deadline_secs = 1.5;
   req.run_rosa = false;
   req.use_cache = false;
@@ -181,7 +180,6 @@ TEST(MessageTest, JobRequestRoundTripsEveryField) {
   EXPECT_EQ(back.name, req.name);
   EXPECT_EQ(back.max_states, req.max_states);
   EXPECT_EQ(back.max_bytes, req.max_bytes);
-  EXPECT_EQ(back.escalate_rounds, req.escalate_rounds);
   EXPECT_DOUBLE_EQ(back.deadline_secs, req.deadline_secs);
   EXPECT_EQ(back.run_rosa, req.run_rosa);
   EXPECT_EQ(back.use_cache, req.use_cache);
@@ -197,12 +195,13 @@ TEST(MessageTest, FiltersKeyDefaultsToOffWhenAbsent) {
 
 TEST(MessageTest, RetiredEngineKeysDecodeToTheDefaultRequest) {
   // Older clients still send the keys of the deleted intra-search,
-  // fused-search and ROSA worker-count switches; the daemon must ignore
-  // them, not reject the job.
+  // fused-search, ROSA worker-count and budget-retry switches; the daemon
+  // must ignore them, not reject the job, whatever their value (+2 was a
+  // malformed retry count while the key was read).
   Frame f{MsgType::Submit,
           encode_kv({{"kind", "builtin"}, {"source", "ping"},
                      {"search_threads", "4"}, {"fused", "0"},
-                     {"rosa_threads", "4"}})};
+                     {"rosa_threads", "4"}, {"escalate_rounds", "+2"}})};
   JobRequest defaults;
   defaults.kind = "builtin";
   defaults.source = "ping";
@@ -232,10 +231,9 @@ TEST(MessageTest, MalformedNumbersAreProtocolErrors) {
   // deadline would overflow the pipeline's clock arithmetic.
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"max_states", "-1"},          {"max_states", "12abc"},
-      {"max_bytes", "1e6"},          {"escalate_rounds", "4294967296"},
-      {"escalate_rounds", "+2"},     {"deadline_secs", "inf"},
-      {"deadline_secs", "-1"},       {"deadline_secs", "12abc"},
-      {"deadline_secs", "nan"},
+      {"max_bytes", "1e6"},          {"max_bytes", "+2"},
+      {"deadline_secs", "inf"},      {"deadline_secs", "-1"},
+      {"deadline_secs", "12abc"},    {"deadline_secs", "nan"},
   };
   for (const auto& [key, value] : bad) {
     SCOPED_TRACE(key + "=" + value);
@@ -247,6 +245,36 @@ TEST(MessageTest, MalformedNumbersAreProtocolErrors) {
     } catch (const StageError& e) {
       expect_protocol_error(e);
     }
+  }
+}
+
+TEST(MessageTest, ExitCodesPastIntMaxAreProtocolErrors) {
+  // An exit code is read with an upper bound of INT_MAX: one past it must
+  // be refused, not wrapped to a negative int. INT_MAX itself decodes.
+  auto frame = [](MsgType type, const char* exit_code) {
+    return Frame{type, encode_kv({{"job_id", "7"},
+                                  {"state", "done"},
+                                  {"exit_code", exit_code},
+                                  {"body", "b"}})};
+  };
+  EXPECT_EQ(ResultMsg::from_frame(frame(MsgType::Result, "2147483647"))
+                .exit_code,
+            2147483647);
+  EXPECT_EQ(
+      StatusReply::from_frame(frame(MsgType::StatusReply, "2147483647"))
+          .exit_code,
+      2147483647);
+  try {
+    ResultMsg::from_frame(frame(MsgType::Result, "2147483648"));
+    ADD_FAILURE() << "Result exit code past INT_MAX decoded";
+  } catch (const StageError& e) {
+    expect_protocol_error(e);
+  }
+  try {
+    StatusReply::from_frame(frame(MsgType::StatusReply, "2147483648"));
+    ADD_FAILURE() << "StatusReply exit code past INT_MAX decoded";
+  } catch (const StageError& e) {
+    expect_protocol_error(e);
   }
 }
 

@@ -148,8 +148,8 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
   EXPECT_EQ(proved.cache_hits + proved.cache_misses, 0u);
 
   // passwd still searches. The aggregate must mirror the per-cell legacy
-  // counters, and with the cache on by default the matrix records at least
-  // one miss.
+  // counters. Default options give the matrix no cache to look anything up
+  // in; with a shared instance it records at least one miss.
   ProgramAnalysis searched = analyze_program(programs::make_passwd(), opts);
   rosa::SearchStats agg = searched.search_stats();
   std::size_t states = 0;
@@ -157,7 +157,13 @@ TEST(ExportTest, SearchStatsCsvAndTableShape) {
     for (const auto& r : ev.results) states += r.states_explored();
   EXPECT_EQ(agg.states, states);
   EXPECT_GT(agg.states, 0u);
-  EXPECT_GT(agg.cache_hits + agg.cache_misses, 0u);
+  EXPECT_EQ(agg.cache_hits + agg.cache_misses, 0u);
+  PipelineOptions shared = opts;
+  shared.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
+  EXPECT_GT(analyze_program(programs::make_passwd(), shared)
+                .search_stats()
+                .cache_misses,
+            0u);
 
   std::string table = render_search_stats({a});
   EXPECT_NE(table.find("ping"), std::string::npos);

@@ -222,8 +222,9 @@ TEST(Pipeline, SearchStatsCoverBothMatrices) {
 // whatever its group size: a group of two or more charges its node count
 // to its first member's fused_world_states; a lone search charges nothing
 // there, and its own `states` also count the goal child its probe decided
-// it on without committing it (a non-empty witness). Pinned counts, not a
-// speed claim.
+// it on without committing it (a non-empty witness). A searched cell is
+// one that missed the cache, so each analysis gets a fresh instance.
+// Pinned counts, not a speed claim.
 TEST(Pipeline, FilteredMatrixAddsNoUnionStatesOnRefactoredPrograms) {
   auto union_states = [](const ProgramAnalysis& a) {
     std::size_t total = 0;
@@ -247,9 +248,11 @@ TEST(Pipeline, FilteredMatrixAddsNoUnionStatesOnRefactoredPrograms) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.spec.name);
     PipelineOptions opts = fast_options();
+    opts.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
     EXPECT_EQ(union_states(analyze_program(c.spec, opts)),
               c.filters_off_union_states);
     opts.filters = FilterMode::Report;
+    opts.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
     const ProgramAnalysis filtered = analyze_program(c.spec, opts);
     ASSERT_EQ(filtered.filtered_verdicts.size(), filtered.chrono.rows.size());
     EXPECT_EQ(union_states(filtered), c.filters_off_union_states);

@@ -1,8 +1,6 @@
 // The robustness layer: structured diagnostics on the loader/verifier paths,
-// per-program isolation in batch runs, adaptive ROSA budget escalation (a
-// batch escalates each query exactly as it would alone), the pipeline-wide
-// deadline, and the ProgramAnalysis::vulnerable_fraction timeout-exclusion
-// accounting.
+// per-program isolation in batch runs, the pipeline-wide deadline, and the
+// ProgramAnalysis::vulnerable_fraction timeout-exclusion accounting.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -11,7 +9,6 @@
 #include "privanalyzer/loader.h"
 #include "privanalyzer/pipeline.h"
 #include "privanalyzer/render.h"
-#include "rosa/query.h"
 #include "support/diagnostics.h"
 
 namespace pa::privanalyzer {
@@ -141,138 +138,6 @@ TEST(BatchIsolationTest, DiagnosticsRender) {
   EXPECT_NE(rendered.find("file-not-found"), std::string::npos);
   ProgramAnalysis clean;
   EXPECT_EQ(render_analysis_diagnostics(clean), "");
-}
-
-// --- Adaptive budget escalation --------------------------------------------
-
-/// The Fig. 2 worked example: 4 messages, a few hundred reachable states —
-/// big enough to starve under a tiny budget, small enough to resolve fast.
-rosa::Query tuned_query(bool reachable_goal) {
-  rosa::Query q;
-  rosa::ProcObj p;
-  p.id = 1;
-  p.uid = {11, 10, 12};
-  p.gid = {11, 10, 12};
-  q.initial.procs.push_back(p);
-  q.initial.dirs.push_back(rosa::DirObj{2, {40, 41, os::Mode(0777)}, 3});
-  q.initial.files.push_back(rosa::FileObj{3, {40, 41, os::Mode(0000)}});
-  q.initial.set_name(2, "/etc");
-  q.initial.set_name(3, "/etc/passwd");
-  q.initial.set_users({10});
-  q.initial.set_groups({41});
-  q.messages = {
-      rosa::msg_open(1, 3, rosa::kAccRead, {}),
-      rosa::msg_setuid(1, rosa::kWild, {caps::Capability::Setuid}),
-      rosa::msg_chown(1, rosa::kWild, rosa::kWild, 41,
-                      {caps::Capability::Chown}),
-      rosa::msg_chmod(1, rosa::kWild, 0777, {}),
-  };
-  if (reachable_goal) {
-    q.goal = rosa::goal_file_in_rdfset(1, 3);
-  } else {
-    q.goal = [](const rosa::State&) { return false; };
-  }
-  q.initial.normalize();
-  return q;
-}
-
-TEST(EscalationTest, ResolvesResourceLimitToDefiniteVerdict) {
-  rosa::SearchLimits tiny;
-  tiny.max_states = 3;
-
-  // Base budget starves.
-  rosa::SearchResult base = rosa::search(tuned_query(true), tiny);
-  ASSERT_EQ(base.verdict, rosa::Verdict::ResourceLimit);
-
-  // Escalation (3 * 2^10 = 3072 states) resolves it, and reports how many
-  // doubling rounds it took.
-  rosa::SearchResult esc = rosa::search_escalating(
-      tuned_query(true), tiny, rosa::EscalationPolicy{10, 2.0});
-  EXPECT_EQ(esc.verdict, rosa::Verdict::Reachable);
-  EXPECT_GE(esc.stats.escalations, 1u);
-  EXPECT_FALSE(esc.witness.empty());
-
-  // The escalated witness is the one an unconstrained search finds.
-  rosa::SearchResult full = rosa::search(tuned_query(true));
-  ASSERT_EQ(full.witness.size(), esc.witness.size());
-  for (std::size_t i = 0; i < full.witness.size(); ++i)
-    EXPECT_EQ(full.witness[i].to_string(), esc.witness[i].to_string());
-}
-
-TEST(EscalationTest, ResolvesImpossibleQueriesToUnreachable) {
-  rosa::SearchLimits tiny;
-  tiny.max_states = 3;
-  rosa::SearchResult esc = rosa::search_escalating(
-      tuned_query(false), tiny, rosa::EscalationPolicy{12, 2.0});
-  // The whole space fits in 3 * 2^12 states: the hourglass cell becomes a
-  // definite (not presumed) invulnerable.
-  EXPECT_EQ(esc.verdict, rosa::Verdict::Unreachable);
-  EXPECT_GE(esc.stats.escalations, 1u);
-}
-
-TEST(EscalationTest, CapRespectedWhenBudgetStaysTooSmall) {
-  rosa::SearchLimits tiny;
-  tiny.max_states = 2;
-  // Widen the wildcard pools so the space is far larger than the final
-  // 2 * 2^2 = 8 state cap and the ladder provably runs out of rounds.
-  rosa::Query q = tuned_query(false);
-  for (int u = 100; u < 130; ++u) q.initial.add_user(u);
-  q.initial.normalize();
-  rosa::SearchResult esc =
-      rosa::search_escalating(q, tiny, rosa::EscalationPolicy{2, 2.0});
-  // 2 -> 4 -> 8 states: still starved; verdict stays ResourceLimit with
-  // exactly the configured number of retries.
-  EXPECT_EQ(esc.verdict, rosa::Verdict::ResourceLimit);
-  EXPECT_EQ(esc.stats.escalations, 2u);
-}
-
-TEST(EscalationTest, DisabledPolicyChangesNothing) {
-  rosa::SearchLimits tiny;
-  tiny.max_states = 3;
-  rosa::SearchResult a = rosa::search(tuned_query(true), tiny);
-  rosa::SearchResult b =
-      rosa::search_escalating(tuned_query(true), tiny, {});
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_EQ(a.states_explored(), b.states_explored());
-  EXPECT_EQ(b.stats.escalations, 0u);
-}
-
-// Each escalated result of a batch equals search_escalating of its query
-// alone: fusing the batch changes nothing about the ladder.
-TEST(EscalationTest, BatchResultsMatchSearchEscalating) {
-  std::vector<rosa::Query> queries;
-  for (int i = 0; i < 6; ++i) queries.push_back(tuned_query(i % 2 == 0));
-
-  rosa::SearchLimits tiny;
-  tiny.max_states = 3;
-  const rosa::EscalationPolicy policy{10, 2.0};
-  std::vector<rosa::SearchResult> batch =
-      rosa::run_queries(queries, tiny, policy);
-
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const rosa::SearchResult alone =
-        rosa::search_escalating(queries[i], tiny, policy);
-    EXPECT_EQ(batch[i].verdict, alone.verdict) << i;
-    EXPECT_EQ(batch[i].states_explored(), alone.states_explored()) << i;
-    EXPECT_EQ(batch[i].stats.escalations, alone.stats.escalations) << i;
-    ASSERT_EQ(batch[i].witness.size(), alone.witness.size()) << i;
-    for (std::size_t w = 0; w < batch[i].witness.size(); ++w)
-      EXPECT_EQ(batch[i].witness[w].to_string(),
-                alone.witness[w].to_string());
-  }
-  // At least one query escalated, or the tuning above regressed.
-  EXPECT_GE(batch[0].stats.escalations, 1u);
-}
-
-TEST(EscalationTest, StatsSurfaceInRenderAndMerge) {
-  rosa::SearchStats a;
-  a.escalations = 2;
-  rosa::SearchStats b;
-  b.escalations = 3;
-  a.merge(b);
-  EXPECT_EQ(a.escalations, 5u);
-  EXPECT_NE(a.to_string().find("escalations=5"), std::string::npos);
 }
 
 // --- Pipeline-wide deadline -------------------------------------------------

@@ -102,16 +102,6 @@ std::vector<Action> witness_to(const Arena<SearchNode>& nodes,
   return witness;
 }
 
-/// Grow every set budget by `factor` — one rung of an escalation ladder.
-void grow_budgets(SearchLimits& limits, double factor) {
-  if (limits.max_states)
-    limits.max_states = static_cast<std::size_t>(
-        static_cast<double>(limits.max_states) * factor);
-  if (limits.max_bytes)
-    limits.max_bytes = static_cast<std::size_t>(
-        static_cast<double>(limits.max_bytes) * factor);
-}
-
 }  // namespace
 
 SearchResult search(const Query& query, const SearchLimits& limits) {
@@ -256,28 +246,6 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
     }
   }
   return finish(Verdict::Unreachable, -1);
-}
-
-SearchResult search_escalating(const Query& query, const SearchLimits& limits,
-                               const EscalationPolicy& policy) {
-  // Qualified: argument-dependent lookup would also find rosa::search.
-  SearchResult result = reference::search(query, limits);
-  if (!policy.enabled()) return result;
-
-  SearchStats accumulated = result.stats;
-  SearchLimits grown = limits;
-  for (unsigned round = 0; round < policy.rounds; ++round) {
-    if (result.verdict != Verdict::ResourceLimit) break;
-    // A batch deadline or cancellation caused (or would immediately re-cause)
-    // the ResourceLimit; retrying past it is wasted work.
-    if (grown.expired()) break;
-    grow_budgets(grown, policy.factor);
-    result = reference::search(query, grown);
-    accumulated.add_retry(result.stats);
-  }
-  // The decisive attempt's verdict/witness with whole-query work accounting.
-  result.stats = accumulated;
-  return result;
 }
 
 }  // namespace pa::rosa::reference

@@ -4,8 +4,8 @@
 // storability rule for ResourceLimits, persistent-file robustness
 // (corrupt/stale/truncated files degrade to a cold cache, never wrong
 // answers), and differential cached-vs-uncached equivalence through the
-// full pipeline — the property that makes it safe to leave the cache on by
-// default.
+// full pipeline — the property that makes it safe to share one cache
+// across a batch, a daemon's jobs, or repeat runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,9 +46,8 @@ using rosa_test::unreachable_query;
 /// The cache's one client path for one query: a one-query run_queries
 /// batch, which looks the query up, searches on a miss, and stores.
 SearchResult run_cached(QueryCache& cache, const Query& q,
-                        const SearchLimits& lim,
-                        const EscalationPolicy& esc = {}) {
-  return run_queries({&q, 1}, lim, esc, &cache)[0];
+                        const SearchLimits& lim) {
+  return run_queries({&q, 1}, lim, &cache)[0];
 }
 
 std::string hex_of(const Query& q, const SearchLimits& lim = {}) {
@@ -278,7 +277,7 @@ TEST(QueryCacheTest, RunQueriesSearchesEachFingerprintOnce) {
   std::vector<Query> queries;
   for (int i = 0; i < 8; ++i) queries.push_back(reachable_query());
   const SearchLimits lim = states_budget(10'000);
-  std::vector<SearchResult> results = run_queries(queries, lim, {}, &cache);
+  std::vector<SearchResult> results = run_queries(queries, lim, &cache);
   ASSERT_EQ(results.size(), queries.size());
 
   std::size_t misses = 0, hits = 0;
@@ -314,7 +313,7 @@ TEST(QueryCacheTest, EachBudgetIsItsOwnEntry) {
   const SearchResult at_b = run_cached(cache, q, b);
   EXPECT_EQ(at_b.stats.cache_misses, 1u);
   EXPECT_EQ(at_b.verdict, Verdict::ResourceLimit);
-  expect_same_work(search_escalating(q, b, {}), at_b);
+  expect_same_work(search(q, b), at_b);
 
   // Each budget now hits its own entry.
   const SearchResult hit_a = run_cached(cache, q, a);
@@ -338,45 +337,6 @@ TEST(QueryCacheTest, EachBudgetIsItsOwnEntry) {
   expect_same_work(at_a, run_cached(reader, q, a));
   expect_same_work(at_b, run_cached(reader, q, b));
   EXPECT_EQ(reader.totals().misses, 0u);
-
-  // Without escalation rounds the factor is unused, so it is no part of
-  // the key: factors 2.0 and 3.0 share A's entry.
-  const SearchResult other_factor =
-      run_cached(cache, q, a, EscalationPolicy{0, 3.0});
-  EXPECT_EQ(other_factor.stats.cache_hits, 1u);
-  expect_same_work(at_a, other_factor);
-  EXPECT_EQ(cache.totals().entries, 2u);
-}
-
-TEST(QueryCacheTest, EscalatedDecisiveResultIsCached) {
-  QueryCache cache;
-  const Query q = unreachable_query(3);  // 8-state space
-  const EscalationPolicy esc{3, 2.0};    // budgets 2, 4, 8, 16
-  SearchResult miss = run_cached(cache, q, states_budget(2), esc);
-  ASSERT_EQ(miss.verdict, Verdict::Unreachable);
-  EXPECT_EQ(miss.stats.escalations, 3u);
-
-  // The same budget and escalation replay verbatim, escalation counters
-  // included.
-  SearchResult hit = run_cached(cache, q, states_budget(2), esc);
-  EXPECT_EQ(hit.stats.cache_hits, 1u);
-  expect_same_work(miss, hit);
-
-  // Any other budget searches, even a plain one that clears the 8 explored
-  // states, and so do other rounds or factors: each matches an uncached
-  // search at its own budget.
-  const std::vector<std::pair<SearchLimits, EscalationPolicy>> others = {
-      {states_budget(9), {}},
-      {states_budget(2), {2, 2.0}},  // budgets 2, 4, 8: ResourceLimit
-      {states_budget(2), {3, 3.0}},
-  };
-  for (const auto& [lim, other] : others) {
-    SCOPED_TRACE(str::cat(lim.max_states, " x", other.rounds, "@",
-                          other.factor));
-    const SearchResult r = run_cached(cache, q, lim, other);
-    EXPECT_EQ(r.stats.cache_misses, 1u);
-    expect_same_work(search_escalating(q, lim, other), r);
-  }
 }
 
 TEST(QueryCacheTest, ByteBudgetIsPartOfTheExactSignature) {
@@ -598,14 +558,14 @@ TEST_P(StaleHeaderTest, ColdStartThenWarmRewrite) {
   EXPECT_EQ(r.stats.cache_misses, 1u);
   EXPECT_EQ(r.verdict, Verdict::Unreachable);
 
-  // The rewrite is a v9 file with 17-field entry lines, and it loads warm.
+  // The rewrite is a v10 file with 14-field entry lines, and it loads warm.
   ASSERT_TRUE(cache.save_file(path_));
   const std::string text = read_file();
-  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v9 model=")) << text;
+  EXPECT_TRUE(text.starts_with("privanalyzer-rosa-cache v10 model=")) << text;
   const std::size_t line = text.find("\ne ") + 1;
   EXPECT_EQ(str::split(text.substr(line, text.find('\n', line) - line), ' ')
                 .size(),
-            17u);
+            14u);
   QueryCache reader;
   ASSERT_TRUE(reader.load_file(path_, &warn)) << warn;
   EXPECT_EQ(reader.totals().loaded, 1u);
@@ -633,11 +593,16 @@ INSTANTIATE_TEST_SUITE_P(
         // v8 keeps v7's 17 fields; its answers were searched with the
         // per-layer goal probe, so v7's stored counters are stale.
         StaleFile{"v7",
+                  "10000 0 0 0 UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 0"},
+        // v10 dropped v9's retry-round and growth-factor key fields and its
+        // retry count: 14 of 17.
+        StaleFile{"v9",
                   "10000 0 0 0 UNREACHABLE 4 4 0.001 0 0 2 3000 900 0 0"}));
 
 // v9 keeps v8's lines but derives every fingerprint from a world digest,
 // so a v8 file differs from a v9 one only in key values no parser can
-// check. Its header must reject it whole.
+// check, and v10 keeps v9's answers under a shorter key. A header naming
+// either must reject the file whole, however well its lines parse.
 TEST_F(PersistentCacheTest, V8HeaderRejectsAnOtherwiseValidFile) {
   QueryCache writer;
   run_cached(writer, reachable_query(), states_budget(10'000));
@@ -648,13 +613,19 @@ TEST_F(PersistentCacheTest, V8HeaderRejectsAnOtherwiseValidFile) {
   ASSERT_TRUE(control.load_file(path_, &warn)) << warn;
   ASSERT_EQ(control.totals().loaded, 2u);
 
-  tamper("privanalyzer-rosa-cache v9 ", "privanalyzer-rosa-cache v8 ");
-  QueryCache cache;
-  EXPECT_FALSE(cache.load_file(path_, &warn));
-  EXPECT_NE(warn.find("stale version/model header"), std::string::npos)
-      << warn;
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.totals().loaded, 0u);
+  const std::string saved = read_file();
+  for (const char* stale : {"v8", "v9"}) {
+    SCOPED_TRACE(stale);
+    write_file(saved);
+    tamper("privanalyzer-rosa-cache v10 ",
+           str::cat("privanalyzer-rosa-cache ", stale, " "));
+    QueryCache cache;
+    EXPECT_FALSE(cache.load_file(path_, &warn));
+    EXPECT_NE(warn.find("stale version/model header"), std::string::npos)
+        << warn;
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.totals().loaded, 0u);
+  }
 }
 
 TEST_F(PersistentCacheTest, TruncatedFileIsIgnored) {
@@ -683,13 +654,10 @@ TEST_F(PersistentCacheTest, TamperedEntryRejectsTheWholeFile) {
   const Action& step = reach.witness[0];
   const std::string step_head =
       str::cat("\nw ", sys_name(step.sys), " ", step.proc, " ");
-  const std::string n_witness = str::cat(" ", reach.witness.size(), "\nw ");
   const std::vector<std::pair<std::string, std::string>> tamperings = {
       {"\ne ", "\nq "},  // one entry line's tag
-      // A key with a factor but no rounds, and a result with more
-      // escalations than its key's rounds: no search writes either.
-      {" 10000 0 0 0 ", " 10000 0 0 2 "},
-      {" 0" + n_witness, " 1" + n_witness},
+      // A v9 key, its retry-round and growth-factor fields still in place.
+      {" 10000 0 ", " 10000 0 0 0 "},
       // A privilege bit past the 38 capabilities, at the boundary and
       // beyond: loading it would replay the step as needing no privilege.
       {str::cat(step_head, step.privs.raw(), " "),
@@ -712,13 +680,13 @@ TEST_F(PersistentCacheTest, TamperedEntryRejectsTheWholeFile) {
 
 // --- Differential equivalence through the full pipeline --------------------
 
+/// Options for a run at `max_states`; a cached run gets a fresh instance
+/// of its own, since analyze_program makes none without one or a file.
 privanalyzer::PipelineOptions pipeline_options(bool cached,
-                                               std::size_t max_states,
-                                               unsigned escalate = 0) {
+                                               std::size_t max_states) {
   privanalyzer::PipelineOptions opts;
   opts.rosa_limits.max_states = max_states;
-  opts.rosa_cache = cached;
-  opts.rosa_escalation_rounds = escalate;
+  if (cached) opts.rosa_cache_instance = std::make_shared<QueryCache>();
   return opts;
 }
 
@@ -757,19 +725,26 @@ TEST(CachePipelineTest, CachedRunBitIdenticalToUncached) {
   }
 }
 
-TEST(CachePipelineTest, EscalatedRunsStayBitIdentical) {
+// passwd's largest searched cell takes 4 states, so a budget of 3 starves
+// some cells while others are still decided; a ResourceLimit is stored and
+// replayed like any other verdict.
+TEST(CachePipelineTest, ResourceLimitRunsStayBitIdentical) {
   programs::ProgramSpec spec = programs::make_passwd();
-  privanalyzer::ProgramAnalysis uncached = privanalyzer::analyze_program(
-      spec, pipeline_options(false, 200, /*escalate=*/2));
-  privanalyzer::ProgramAnalysis cached = privanalyzer::analyze_program(
-      spec, pipeline_options(true, 200, /*escalate=*/2));
+  privanalyzer::ProgramAnalysis uncached =
+      privanalyzer::analyze_program(spec, pipeline_options(false, 3));
+  privanalyzer::ProgramAnalysis cached =
+      privanalyzer::analyze_program(spec, pipeline_options(true, 3));
   expect_equivalent_analyses(uncached, cached);
+  std::size_t timeouts = 0;
+  for (const attacks::EpochVerdicts& ev : cached.verdicts)
+    for (attacks::CellVerdict v : ev.verdicts)
+      timeouts += v == attacks::CellVerdict::Timeout;
+  EXPECT_GT(timeouts, 0u);
 }
 
 TEST(CachePipelineTest, SharedCacheMakesRepeatAnalysesAllHits) {
   programs::ProgramSpec spec = programs::make_passwd();
-  privanalyzer::PipelineOptions opts = pipeline_options(true, 150'000);
-  opts.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
+  const privanalyzer::PipelineOptions opts = pipeline_options(true, 150'000);
 
   privanalyzer::ProgramAnalysis first =
       privanalyzer::analyze_program(spec, opts);
@@ -804,8 +779,7 @@ TEST(CachePipelineTest, ConcurrentAnalysesShareOneCache) {
     reference.push_back(privanalyzer::analyze_program(
         spec, pipeline_options(false, 150'000)));
 
-  privanalyzer::PipelineOptions shared = pipeline_options(true, 150'000);
-  shared.rosa_cache_instance = std::make_shared<QueryCache>();
+  const privanalyzer::PipelineOptions shared = pipeline_options(true, 150'000);
   constexpr std::size_t kThreads = 4;
   std::vector<std::vector<privanalyzer::ProgramAnalysis>> got(
       kThreads, std::vector<privanalyzer::ProgramAnalysis>(specs.size()));
@@ -842,15 +816,18 @@ TEST(CachePipelineTest, PersistentFileWarmsARepeatRun) {
   std::remove(path.c_str());
   programs::ProgramSpec spec = programs::make_passwd();
 
-  privanalyzer::PipelineOptions cold = pipeline_options(true, 150'000);
+  // No shared instance: analyze_program makes a cache for the file alone,
+  // loads it, and saves it after the matrix.
+  privanalyzer::PipelineOptions cold = pipeline_options(false, 150'000);
   cold.rosa_cache_file = path;
   privanalyzer::ProgramAnalysis first =
       privanalyzer::analyze_program(spec, cold);
   ASSERT_TRUE(first.ok());
+  EXPECT_GT(first.search_stats().cache_misses, 0u);
 
-  // A fresh process (modeled by a fresh options struct → fresh private
-  // cache) loads the file and answers every cell without searching.
-  privanalyzer::PipelineOptions warm = pipeline_options(true, 150'000);
+  // A fresh process (modeled by a fresh options struct → a fresh cache for
+  // the file) loads the file and answers every cell without searching.
+  privanalyzer::PipelineOptions warm = pipeline_options(false, 150'000);
   warm.rosa_cache_file = path;
   privanalyzer::ProgramAnalysis second =
       privanalyzer::analyze_program(spec, warm);

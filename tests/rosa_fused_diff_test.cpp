@@ -9,18 +9,18 @@
 // goal-probe contract against the probe-free reference loop
 // (tests/reference_search.h, rosa_test::expect_probe_contract).
 // Fused witnesses must replay on the SimOS kernel, a mixed-attacker batch
-// must NOT fuse across world digests, the escalation ladder must re-run
-// only still-undecided goals, and the pipeline's matrix must match one
-// analyze_epoch call per epoch. The one-build epoch constructor
-// (attacks::build_attack_queries) must pose exactly the per-attack
-// builder's queries, in one world digest. The filtered matrix, each
-// baseline query with its message mask narrowed to an allowlist and fused
-// with the baseline, must match the standalone search of the sublist world
-// it replaces (or, where the may-reach prover settled it, be Unreachable
-// there), and random nested allowlists must agree with their sublists and
-// never lose a reachable attack when widened. Every counter-exact
-// reference is a rosa::search or rosa::search_escalating call, and each is
-// also checked against the probe-free reference under the same contract.
+// must NOT fuse across world digests, a group whose budget decides one
+// member and starves another must match both standalone runs, and the
+// pipeline's matrix must match one analyze_epoch call per epoch. The
+// one-build epoch constructor (attacks::build_attack_queries) must pose
+// exactly the per-attack builder's queries, in one world digest. The
+// filtered matrix, each baseline query with its message mask narrowed to an
+// allowlist and fused with the baseline, must match the standalone search
+// of the sublist world it replaces (or, where the may-reach prover settled
+// it, be Unreachable there), and random nested allowlists must agree with
+// their sublists and never lose a reachable attack when widened. Every
+// counter-exact reference is a rosa::search call, and each is also checked
+// against the probe-free reference under the same contract.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -92,7 +92,7 @@ void expect_fused_matches_unfused(bool cached) {
 
   rosa::QueryCache cache;
   const std::vector<rosa::SearchResult> fused =
-      rosa::run_queries(m.queries, limits, {}, cached ? &cache : nullptr);
+      rosa::run_queries(m.queries, limits, cached ? &cache : nullptr);
 
   ASSERT_EQ(fused.size(), reference.size());
   std::size_t searches_saved = 0;
@@ -205,11 +205,12 @@ TEST(FusedDiffTest, MixedAttackerBatchFusesOnlyWithinWorlds) {
   EXPECT_EQ(saved, 6u);  // two groups, each fanning 4 goals into 1 search
 }
 
-// Escalation regression: two goals over one shared world, where one decides
-// in the base round and the other needs multiple escalation rounds. The
-// ladder must re-run only the still-undecided goal, and every accumulated
-// counter must match the standalone escalating searches.
-TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
+// Tight-budget regression: two goals over one shared world, where one is
+// decided Reachable within a 2-state budget and the other is starved at
+// ResourceLimit — the one fused group here that mixes a decided member
+// with a starved one. Each must match its standalone search, through the
+// fused loop and through the batch API.
+TEST(FusedDiffTest, TightBudgetDecidesOneMemberAndStarvesTheOther) {
   // One world: proc 1 may open each of 3 files (2^3 reachable states). The
   // queries share the world digest, so they fuse.
   rosa::Query fast = rosa_test::open_query(
@@ -220,33 +221,26 @@ TEST(FusedDiffTest, EscalationRerunsOnlyUndecidedGoals) {
                                     rosa::goal_file_in_rdfset(1, 3)),
                      rosa::goal_file_in_rdfset(1, 4)));  // the last state
   const rosa::SearchLimits limits = rosa_test::states_budget(2);
-  const rosa::EscalationPolicy policy{/*rounds=*/4, /*factor=*/2.0};
 
-  const rosa::SearchResult fast_ref =
-      rosa::search_escalating(fast, limits, policy);
-  const rosa::SearchResult slow_ref =
-      rosa::search_escalating(slow, limits, policy);
-  expect_probe_free_agrees(
-      rosa::reference::search_escalating(fast, limits, policy), fast_ref, fast,
-      limits);
-  expect_probe_free_agrees(
-      rosa::reference::search_escalating(slow, limits, policy), slow_ref, slow,
-      limits);
+  const rosa::SearchResult fast_ref = rosa::search(fast, limits);
+  const rosa::SearchResult slow_ref = rosa::search(slow, limits);
+  expect_probe_free_agrees(rosa::reference::search(fast, limits), fast_ref,
+                           fast, limits);
+  expect_probe_free_agrees(rosa::reference::search(slow, limits), slow_ref,
+                           slow, limits);
   ASSERT_EQ(fast_ref.verdict, rosa::Verdict::Reachable);
-  ASSERT_EQ(slow_ref.verdict, rosa::Verdict::Reachable);
-  EXPECT_EQ(fast_ref.stats.escalations, 0u);
-  EXPECT_GE(slow_ref.stats.escalations, 2u);
+  ASSERT_EQ(slow_ref.verdict, rosa::Verdict::ResourceLimit);
 
   const std::vector<rosa::Query> group = {fast, slow};
   const std::vector<rosa::SearchResult> fused =
-      rosa::detail::search_fused_escalating(group, limits, policy);
+      rosa::detail::search_fused(group, limits);
   ASSERT_EQ(fused.size(), 2u);
   expect_identical_runs(fast_ref, fused[0]);
   expect_identical_runs(slow_ref, fused[1]);
 
   // And through the public batch API, which routes the pair into one group.
   const std::vector<rosa::SearchResult> batch =
-      rosa::run_queries(group, limits, policy);
+      rosa::run_queries(group, limits);
   ASSERT_EQ(batch.size(), 2u);
   expect_identical_runs(fast_ref, batch[0]);
   expect_identical_runs(slow_ref, batch[1]);

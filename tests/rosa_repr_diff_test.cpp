@@ -40,7 +40,7 @@ void expect_matches_golden(bool cached) {
   const rosa::SearchLimits limits = rosa_test::table3_limits();
   rosa::QueryCache cache;
   std::vector<rosa::SearchResult> results =
-      rosa::run_queries(m.queries, limits, {}, cached ? &cache : nullptr);
+      rosa::run_queries(m.queries, limits, cached ? &cache : nullptr);
   for (std::size_t i = 0; i < m.queries.size(); ++i)
     EXPECT_EQ(rosa_test::render_line(m.queries[i], results[i], limits),
               golden.qlines[i])

@@ -1,22 +1,22 @@
-// Singleton differential for the one ROSA search loop. rosa::search and
-// rosa::search_escalating are one-member calls of rosa::detail::search_fused;
-// here they are held to the goal-probe contract against the probe-free
-// standalone loop and ladder they replaced (tests/reference_search.h,
-// rosa_test::expect_probe_contract): where the reference ends Unreachable
-// or ResourceLimit, the same verdict and the same value in every
-// SearchStats field except wall time; where it ends Reachable, the same
-// witness found with no more states or transitions. The one exception is a
-// reference ResourceLimit that the probe decides Reachable before the
-// budget trips, with the unlimited reference's witness. A plain search's
-// Reachable result must also be decided at its layer boundary, with the
-// counters the reference reports when it searches for any state one step
-// deeper (rosa_test::expect_decided_at_layer_boundary).
+// Singleton differential for the one ROSA search loop. rosa::search is a
+// one-member call of rosa::detail::search_fused; here it is held to the
+// goal-probe contract against the probe-free standalone loop it replaced
+// (tests/reference_search.h, rosa_test::expect_probe_contract): where the
+// reference ends Unreachable or ResourceLimit, the same verdict and the
+// same value in every SearchStats field except wall time; where it ends
+// Reachable, the same witness found with no more states or transitions.
+// The one exception is a reference ResourceLimit that the probe decides
+// Reachable before the budget trips, with the unlimited reference's
+// witness. A plain search's Reachable result must also be decided at its
+// layer boundary, with the counters the reference reports when it searches
+// for any state one step deeper
+// (rosa_test::expect_decided_at_layer_boundary).
 //
 // Every Table-III query runs under default limits, a states budget that
 // ends in ResourceLimit, a byte budget that trips, a constant hash override
 // (every insert collides), and the CfiOrdered and FixedArgs attackers. Small
-// handmade queries cover no_dedup and the escalation ladder, and a
-// pool-heavy query covers large wildcard id pools.
+// handmade queries cover no_dedup, and a pool-heavy query covers large
+// wildcard id pools.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,7 @@ using rosa_test::Matrix;
 // A new SearchStats field must be compared below; this fails to compile
 // until expect_identical is taught about it.
 static_assert(sizeof(rosa::SearchStats) ==
-                  14 * sizeof(std::size_t) + sizeof(double),
+                  13 * sizeof(std::size_t) + sizeof(double),
               "compare the new SearchStats field in expect_identical");
 
 /// Verdict, witness, and every SearchStats field except seconds.
@@ -53,7 +53,6 @@ void expect_identical(const rosa::SearchResult& ref,
   EXPECT_EQ(a.peak_frontier, b.peak_frontier);
   EXPECT_EQ(a.peak_bytes, b.peak_bytes);
   EXPECT_EQ(a.state_bytes, b.state_bytes);
-  EXPECT_EQ(a.escalations, b.escalations);
   EXPECT_EQ(a.fused_group_size, b.fused_group_size);
   EXPECT_EQ(a.fused_searches_saved, b.fused_searches_saved);
   EXPECT_EQ(a.fused_world_states, b.fused_world_states);
@@ -185,25 +184,6 @@ TEST(SearchDiffTest, NoDedupSmallQuery) {
       EXPECT_GT(got.stats.states, 8u);
     }
   }
-}
-
-TEST(SearchDiffTest, EscalationLadderMatchesReference) {
-  const rosa::EscalationPolicy policy{/*rounds=*/3, /*factor=*/2.0};
-  std::size_t escalated = 0;
-  for (std::size_t base : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    SCOPED_TRACE(base);
-    const rosa::SearchLimits limits = rosa_test::states_budget(base);
-    for (const rosa::Query& q :
-         {rosa_test::reachable_query(), rosa_test::unreachable_query(3),
-          rosa_test::unreachable_query(5)}) {
-      const rosa::SearchResult got =
-          rosa::search_escalating(q, limits, policy);
-      expect_contract(rosa::reference::search_escalating(q, limits, policy),
-                      got, q, limits);
-      escalated += got.stats.escalations;
-    }
-  }
-  EXPECT_GT(escalated, 0u);
 }
 
 /// A pool-heavy attack world: three extra uids and gids for the wildcard

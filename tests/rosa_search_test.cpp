@@ -241,21 +241,6 @@ TEST(SearchTest, GenerousByteLimitDoesNotChangeResult) {
   EXPECT_EQ(bounded.witness.size(), plain.witness.size());
 }
 
-TEST(SearchTest, EscalationGrowsByteBudget) {
-  Query q = paper_example();
-  q.goal = [](const State&) { return false; };
-  for (int u = 100; u < 130; ++u) q.initial.add_user(u);
-  q.initial.normalize();
-  SearchLimits limits;
-  limits.max_bytes = 16 * 1024;  // too small for the widened space
-  EscalationPolicy policy;
-  policy.rounds = 6;
-  policy.factor = 8.0;
-  SearchResult r = search_escalating(q, limits, policy);
-  EXPECT_EQ(r.verdict, Verdict::Unreachable);
-  EXPECT_GE(r.stats.escalations, 1u);
-}
-
 TEST(SearchTest, IncrementalHashMatchesFullRehash) {
   // check_hashes cross-checks the XOR-maintained digest against a from-
   // scratch rehash on every dedup lookup; any divergence aborts.

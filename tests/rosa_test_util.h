@@ -230,7 +230,6 @@ inline void expect_same_work(const rosa::SearchResult& a,
   EXPECT_EQ(a.stats.dedup_hits, b.stats.dedup_hits);
   EXPECT_EQ(a.stats.hash_collisions, b.stats.hash_collisions);
   EXPECT_EQ(a.stats.peak_frontier, b.stats.peak_frontier);
-  EXPECT_EQ(a.stats.escalations, b.stats.escalations);
   expect_same_witness(a, b);
 }
 

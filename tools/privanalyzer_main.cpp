@@ -7,23 +7,20 @@
 //     --max-bytes N        ROSA memory budget per query in arena bytes
 //                          (default unlimited; exceeded searches report as
 //                          Timeout like exhausted state budgets)
-//     --escalate-rounds N  retry ResourceLimit queries with geometrically
-//                          doubled budgets, up to N extra rounds (default 0;
-//                          shrinks the presumed-invulnerable bucket)
 //     --deadline SECS      pipeline-wide wall-clock budget for each
 //                          program's query matrix; expired cells report as
 //                          Timeout and a warning diagnostic is attached
 //     --stats              print per-program ROSA search statistics
 //                          (states, transitions, dedup hits, hash
-//                          collisions, peak frontier, escalations, cache
-//                          hits/misses, wall time)
+//                          collisions, peak frontier, cache hits/misses,
+//                          wall time)
 //     --rosa-cache FILE    persistent ROSA verdict cache: load FILE before
 //                          the query matrix (corrupt/stale files are ignored
 //                          with a warning) and atomically rewrite it after,
 //                          so repeat runs skip unchanged searches entirely
-//     --no-rosa-cache      disable ROSA verdict memoization (on by default;
-//                          cached runs are bit-identical, this is for A/B
-//                          measurement)
+//     --no-rosa-cache      disable the batch's shared ROSA verdict cache
+//                          (on by default; cached runs are bit-identical,
+//                          this is for A/B measurement)
 //     --attacker MODEL     full | cfi-ordered | fixed-args: the attacker of
 //                          every query, in the baseline and the filtered
 //                          matrix alike (default full, the paper's model)
@@ -69,7 +66,6 @@
 // keeps the atomic checkpoints already written for completed programs, and
 // the batch exits with the distinct code 4.
 #include <atomic>
-#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -113,7 +109,7 @@ void install_signal_handlers() {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <prog.pir> [more programs...] [--no-rosa] [--max-states N]\n"
-               "       [--max-bytes N] [--escalate-rounds N] [--deadline SECS]\n"
+               "       [--max-bytes N] [--deadline SECS]\n"
                "       [--attacker full|cfi-ordered|fixed-args] [--print-ir]\n"
                "       [--indirect-calls conservative|refined|assume-none]\n"
                "       [--assume-no-indirect] [--world-file world.world]\n"
@@ -235,6 +231,7 @@ int main(int argc, char** argv) {
   privanalyzer::PipelineOptions opts;
   bool print_ir = false;
   bool print_stats = false;
+  bool use_cache = true;
   bool lint_mode = false;
   bool lint_json = false;
   std::string filters_json_file;
@@ -246,10 +243,6 @@ int main(int argc, char** argv) {
       opts.run_rosa = false;
     } else if (arg == "--stats") {
       print_stats = true;
-    } else if (arg == "--escalate-rounds" && i + 1 < argc) {
-      const auto n = str::parse_u64(argv[++i], UINT_MAX);
-      if (!n) return bad_value(argv[0], arg, argv[i]);
-      opts.rosa_escalation_rounds = static_cast<unsigned>(*n);
     } else if (arg == "--deadline" && i + 1 < argc) {
       const auto secs = str::parse_seconds(argv[++i]);
       if (!secs) return bad_value(argv[0], arg, argv[i]);
@@ -257,7 +250,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--rosa-cache" && i + 1 < argc) {
       opts.rosa_cache_file = argv[++i];
     } else if (arg == "--no-rosa-cache") {
-      opts.rosa_cache = false;
+      use_cache = false;
     } else if (arg == "--simplify") {
       opts.simplify_after_autopriv = true;
     } else if (arg == "--print-ir") {
@@ -324,7 +317,7 @@ int main(int argc, char** argv) {
     if (indirect_override) lopts.indirect_calls = *indirect_override;
     return run_lint_batch(paths, lopts, lint_json);
   }
-  if (!opts.rosa_cache && !opts.rosa_cache_file.empty()) {
+  if (!use_cache && !opts.rosa_cache_file.empty()) {
     std::cerr << "error: --rosa-cache and --no-rosa-cache conflict\n";
     return usage(argv[0]);
   }
@@ -335,7 +328,7 @@ int main(int argc, char** argv) {
     opts.filters = privanalyzer::FilterMode::Report;
   // One verdict cache for the whole batch, so program N+1 reuses program
   // N's searches (and the persistent file, when given, is shared).
-  if (opts.rosa_cache)
+  if (use_cache)
     opts.rosa_cache_instance = std::make_shared<rosa::QueryCache>();
 
   // Cooperative interruption: every search polls this flag at its frontier
