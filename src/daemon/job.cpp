@@ -136,6 +136,9 @@ JobOutcome run_job(const JobRequest& req,
   out.exit_code = analysis.ok() && out.state != JobState::Cancelled
                       ? privanalyzer::kExitOk
                       : privanalyzer::kExitAllFailed;
+  // A failed analysis has no program exit code of its own: its body
+  // reports the code its Result frame carries.
+  if (!analysis.ok()) analysis.exit_code = out.exit_code;
   out.body = render_job_result(analysis);
   return out;
 }

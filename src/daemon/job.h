@@ -59,7 +59,8 @@ struct JobOutcome {
 };
 
 /// Execute one job end to end; never throws. A loader/pipeline failure (or
-/// an injected fault) becomes state Failed with the diagnostic in the body;
+/// an injected fault) becomes state Failed with the diagnostic in the body,
+/// whose status line carries the outcome's exit code;
 /// a tripped `cancel` becomes Cancelled, with kExitAllFailed even when the
 /// analysis finished (one cancelled while interpreting reports no epochs);
 /// an expired deadline becomes Timeout.

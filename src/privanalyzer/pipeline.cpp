@@ -61,11 +61,13 @@ rosa::SearchStats ProgramAnalysis::search_stats() const {
 }
 
 ir::Module transformed_module(const programs::ProgramSpec& spec,
-                              const autopriv::Options& options) {
-  // ProgramSpec factories are cheap; rebuilding gives us a fresh module to
-  // transform without copying IR.
+                              const PipelineOptions& options,
+                              autopriv::StaticReport* report) {
   ir::Module module = spec.module;
-  autopriv::run_autopriv(module, "main", options);
+  autopriv::StaticReport static_report =
+      autopriv::run_autopriv(module, "main", options.autopriv);
+  if (report) *report = std::move(static_report);
+  if (options.simplify_after_autopriv) ir::simplify(module);
   return module;
 }
 
@@ -82,10 +84,8 @@ ProgramAnalysis analyze_program(const programs::ProgramSpec& spec,
       out.diagnostics.push_back(std::move(d));
   }
 
-  // Stage 1: AutoPriv.
-  ir::Module module = spec.module;
-  out.autopriv_report = autopriv::run_autopriv(module, "main", options.autopriv);
-  if (options.simplify_after_autopriv) ir::simplify(module);
+  // Stage 1: AutoPriv, then the optional cleanup passes.
+  ir::Module module = transformed_module(spec, options, &out.autopriv_report);
 
   // Stage 2: ChronoPriv measured execution in the right world.
   auto make_world = [&options, &spec]() {

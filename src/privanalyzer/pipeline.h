@@ -192,8 +192,12 @@ std::vector<ProgramAnalysis> analyze_programs(
 int batch_exit_code(const std::vector<ProgramAnalysis>& analyses,
                     bool empty_is_failure = false);
 
-/// The transformed (post-AutoPriv) module for a spec, without running it.
+/// analyze_program's stage 1: `spec`'s module after AutoPriv's transform,
+/// and after ir::simplify when options.simplify_after_autopriv is set —
+/// the module ChronoPriv runs. `report`, when given, receives AutoPriv's
+/// static report.
 ir::Module transformed_module(const programs::ProgramSpec& spec,
-                              const autopriv::Options& options = {});
+                              const PipelineOptions& options = {},
+                              autopriv::StaticReport* report = nullptr);
 
 }  // namespace pa::privanalyzer

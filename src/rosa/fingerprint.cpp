@@ -108,9 +108,7 @@ std::optional<Fingerprint> world_digest(const Query& query,
   return h.digest();
 }
 
-std::optional<Fingerprint> cell_fingerprint(const Fingerprint& world,
-                                            const Query& query) {
-  if (query.goal.cache_key().empty()) return std::nullopt;
+Fingerprint cell_fingerprint(const Fingerprint& world, const Query& query) {
   // The message mask selects which messages may fire, so it is as
   // semantics-bearing as the message list itself; bits past the list
   // select nothing.

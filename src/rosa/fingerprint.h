@@ -71,13 +71,12 @@ std::optional<Fingerprint> world_digest(const Query& query,
 /// The fingerprint of `query` posed in the world whose world_digest is
 /// `world`: a hash of the digest, the goal's cache key, and the effective
 /// message mask (msg_mask restricted to the message list, so bits past it
-/// change nothing). nullopt when the goal carries no cache key.
-std::optional<Fingerprint> cell_fingerprint(const Fingerprint& world,
-                                            const Query& query);
+/// change nothing).
+Fingerprint cell_fingerprint(const Fingerprint& world, const Query& query);
 
 /// world_digest, then cell_fingerprint: nullopt when the query is
-/// uncacheable (a keyless goal or checker, or a hash_override).
-/// Uncacheable queries are always searched directly.
+/// uncacheable (a keyless checker, or a hash_override). Uncacheable
+/// queries are always searched directly.
 std::optional<Fingerprint> fingerprint_query(const Query& query,
                                              const SearchLimits& limits);
 

@@ -123,7 +123,7 @@ class Abstraction {
   bool load(const Query& q);
 
   /// Run the fixpoint of the messages in `mask` and return the members of
-  /// `pending` whose facts cannot hold in it (the proved ones).
+  /// `pending` whose goals cannot hold in it (the proved ones).
   Bits prove(std::span<const Query> world, Bits mask, Bits pending);
 
  private:
@@ -255,7 +255,7 @@ class Abstraction {
                                         const ArgValues& args,
                                         const std::array<std::size_t, 3>& n);
   bool fire(const Message& m, int j);
-  bool may_hold(const GoalFact& f) const;
+  bool may_hold(const Goal& g) const;
 
   const Query* q_ = nullptr;
   const AccessChecker* ck_ = nullptr;
@@ -882,36 +882,27 @@ bool Abstraction::fire(const Message& m, int j) {
   }
 }
 
-bool Abstraction::may_hold(const GoalFact& f) const {
-  using Kind = GoalFact::Kind;
-  switch (f.kind) {
-    case Kind::None:
-      return true;
-    case Kind::And:
-      return may_hold((*f.operands)[0]) && may_hold((*f.operands)[1]);
-    case Kind::Or:
-      return may_hold((*f.operands)[0]) || may_hold((*f.operands)[1]);
-    default:
-      break;
-  }
+bool Abstraction::may_hold(const Goal& g) const {
   // Processes are never created, so a goal about a missing one never holds.
-  const int j = proc_index(f.proc);
+  const int j = proc_index(g.proc);
   if (j < 0) return false;
   const ProcFacts& pf = cur_.procs[static_cast<std::size_t>(j)];
-  switch (f.kind) {
-    case Kind::Rdfset:
-    case Kind::Wrfset: {
+  switch (g.kind) {
+    case Goal::Kind::Rdfset:
+    case Goal::Kind::Wrfset: {
       // A file the initial state lacks may be a created one: never proved.
-      const int file = file_index(f.file);
-      return file < 0 || has(f.kind == Kind::Rdfset ? pf.rd : pf.wr, file);
+      const int file = file_index(g.file);
+      return file < 0 ||
+             has(g.kind == Goal::Kind::Rdfset ? pf.rd : pf.wr, file);
     }
-    case Kind::PrivPort:
+    case Goal::Kind::PrivPort:
       return pf.privport;
-    case Kind::Terminated:
+    case Goal::Kind::Terminated:
       return pf.dead;
-    default:
-      return true;
+    case Goal::Kind::None:
+      break;
   }
+  return true;
 }
 
 Bits Abstraction::prove(std::span<const Query> world, Bits mask,
@@ -923,10 +914,10 @@ Bits Abstraction::prove(std::span<const Query> world, Bits mask,
   cur_.created = false;
   close_credentials(fireable & setid_);
 
-  // Drop the members whose facts may hold; true once none is left.
+  // Drop the members whose goals may hold; true once none is left.
   auto settle = [&] {
     any_bit(pending, [&](int i) {
-      if (may_hold(world[static_cast<std::size_t>(i)].goal.fact()))
+      if (may_hold(world[static_cast<std::size_t>(i)].goal))
         pending &= ~bit(i);
       return false;
     });
@@ -961,10 +952,12 @@ std::uint64_t Prover::prove_unreachable(std::span<const Query> world,
   const Query& first = world[0];
   PA_CHECK(first.messages.size() <= 64,
            "ROSA tracks at most 64 one-shot messages");
-  for (const Query& q : world)
+  for (const Query& q : world) {
+    PA_CHECK(static_cast<bool>(q.goal), "query has no goal predicate");
     PA_CHECK(q.messages.size() == first.messages.size() &&
                  q.attacker == first.attacker && q.checker == first.checker,
              "prove_unreachable: members must share one world");
+  }
   const Bits all = low_bits(first.messages.size());
 
   // 1. Trivial proofs, by the enabling contract (rosa/query.h): a message of
@@ -973,16 +966,13 @@ std::uint64_t Prover::prove_unreachable(std::span<const Query> world,
   Bits open = 0;  // members left for the fixpoint
   for (std::size_t i = 0; i < world.size(); ++i) {
     const Query& q = world[i];
-    if (!q.goal || q.goal(q.initial)) continue;
+    if (q.goal(q.initial)) continue;
     const SysSet enabling = q.goal.enabling();
-    if (enabling && !any_bit(q.msg_mask & all, [&](int m) {
-          return (sys_bit(q.messages[static_cast<std::size_t>(m)].sys) &
-                  enabling) != 0;
-        })) {
-      proved |= bit(static_cast<int>(i));
-      continue;
-    }
-    if (q.goal.fact().declared()) open |= bit(static_cast<int>(i));
+    const bool enabled = any_bit(q.msg_mask & all, [&](int m) {
+      return (sys_bit(q.messages[static_cast<std::size_t>(m)].sys) &
+              enabling) != 0;
+    });
+    (enabled ? open : proved) |= bit(static_cast<int>(i));
   }
   if (!open) return proved;
 

@@ -6,10 +6,11 @@
 // over-approximation of every state any search of the world could reach — a
 // fixpoint over a finite lattice of per-object facts, in the spirit of
 // proving the absence of privilege escalation by abstract interpretation
-// (Nicole et al., PAPERS.md) — and proves a cell Unreachable when its goal's
-// declared fact (Goal::fact) cannot hold in it. DESIGN.md decision 19 gives
-// the abstraction, the soundness argument for each rule, and what the
-// prover declines.
+// (Nicole et al., PAPERS.md) — and proves a cell Unreachable when its goal
+// cannot hold in it: the goal's kind read over the facts below instead of
+// over a state (Abstraction::may_hold). DESIGN.md decision 19 gives the
+// abstraction, the soundness argument for each rule, and what the prover
+// declines.
 //
 // The abstraction. Every message may fire any number of times, in any
 // order, which over-approximates one-shot messages under every attacker
@@ -62,7 +63,7 @@ class Prover {
   ///  2. the credentials closure, once per distinct set of fireable set*id
   ///     messages (set*id rules read only credentials and privileges);
   ///  3. the object facts, once per distinct msg_mask, stopping as soon as
-  ///     every remaining member's fact may hold.
+  ///     every remaining member's goal may hold.
   /// Worlds with more than 64 distinct ids or more than 62 files get only
   /// trivial proofs. Once `limits` has expired (deadline or cancel),
   /// nothing more is proved, so the remaining cells fall through to the

@@ -223,8 +223,8 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   // the union walk.
   struct Member {
     std::uint64_t mask = 0;  // normalized msg_mask
-    // The mask's messages whose syscall the goal declares enabling: all
-    // the goal probe applies for this member (0 = never probed).
+    // The mask's messages whose syscall can enable the goal: all the goal
+    // probe applies for this member (0 = never probed).
     std::uint64_t enabling = 0;
     SearchStats stats;
     std::size_t frontier = 0;  // virtual frontier population
@@ -235,9 +235,9 @@ std::vector<SearchResult> search_fused(std::span<const Query> group,
   for (std::size_t m = 0; m < n_members; ++m) {
     Member& mem = members[m];
     mem.mask = group[m].msg_mask & full_msg_mask;
-    const SysSet declared = group[m].goal.enabling();
+    const SysSet enabling = group[m].goal.enabling();
     for (std::size_t mi = 0; mi < world_q.messages.size(); ++mi)
-      if (declared & sys_bit(world_q.messages[mi].sys))
+      if (enabling & sys_bit(world_q.messages[mi].sys))
         mem.enabling |= std::uint64_t{1} << mi;
     mem.enabling &= mem.mask;
     if (mem.enabling) probed |= std::uint64_t{1} << m;
@@ -672,9 +672,7 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
       const std::optional<Fingerprint> world = world_digest(q, limits);
-      std::optional<Fingerprint> fp;
-      if (world) fp = cell_fingerprint(*world, q);
-      if (!fp) {
+      if (!world) {
         tasks.push_back(Task{{i}, {}});
         continue;
       }
@@ -684,7 +682,7 @@ std::vector<SearchResult> run_queries(std::span<const Query> queries,
         tasks.emplace_back();
       }
       tasks[it->second].members.push_back(i);
-      tasks[it->second].fps.push_back(*fp);
+      tasks[it->second].fps.push_back(cell_fingerprint(*world, q));
     }
   }
 

@@ -9,12 +9,10 @@
 // one exploration and returning input-ordered results.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -36,81 +34,44 @@ constexpr SysSet sys_bit(Sys s) {
   return SysSet{1} << static_cast<unsigned>(s);
 }
 
-/// The abstract fact a goal declares for the may-reach prover
-/// (rosa/prove.h): a monotone formula over facts the prover over-approximates
-/// for every reachable state. A goal can hold only where its fact may hold,
-/// so a cell whose fact cannot hold in the prover's fixpoint is Unreachable.
-/// Kind::None is undeclared, and such a goal is never proved.
-struct GoalFact {
+/// The compromised-state pattern a query searches for: one of four atoms
+/// over process `proc` and, for the fd-set atoms, file `file`. A goal is
+/// its (kind, proc, file) value; everything the engine asks of it derives
+/// from that value by one switch on `kind` each (rosa/query.cpp), so the
+/// predicate, the cache identity and the enabling set cannot disagree.
+/// The may-reach prover's abstract counterpart, whether the goal may hold
+/// in its fixpoint, is the same switch over its facts (rosa/prove.cpp).
+/// The builders in rosa/query.h name the paper's patterns.
+struct Goal {
   enum class Kind : std::uint8_t {
-    None,
-    Rdfset,      // `proc` may hold `file` open for reading
-    Wrfset,      // `proc` may hold `file` open for writing
-    PrivPort,    // `proc` may have bound a privileged port
-    Terminated,  // `proc` may be dead
-    And,         // both operands may hold
-    Or,          // either operand may hold
+    None,        // unset: search() rejects a query without a goal
+    Rdfset,      // `proc` holds `file` open for reading
+    Wrfset,      // `proc` holds `file` open for writing
+    PrivPort,    // a socket `proc` owns is bound to a privileged port
+    Terminated,  // `proc` has been terminated
   };
   Kind kind = Kind::None;
-  int proc = 0;  // the atoms' process
-  int file = 0;  // Rdfset and Wrfset: the file
-  /// And and Or: both operands, each declared.
-  std::shared_ptr<const std::array<GoalFact, 2>> operands;
+  int proc = 0;
+  int file = 0;  // Rdfset and Wrfset only
 
-  bool declared() const { return kind != Kind::None; }
+  /// Whether `st` is a goal state. A goal about a process the state lacks
+  /// never holds (processes are never created).
+  bool operator()(const State& st) const;
+  explicit operator bool() const { return kind != Kind::None; }
+
+  /// Stable identity for fingerprinting (rosa/fingerprint.h):
+  /// "rdfset:<proc>:<file>", "wrfset:<proc>:<file>", "privport:<proc>" or
+  /// "terminated:<proc>".
+  std::string cache_key() const;
+
+  /// The syscalls whose messages can turn this goal from false to true; a
+  /// message of any other syscall applied to a non-goal state never yields
+  /// a goal state. The search's per-layer goal probe
+  /// (detail::search_fused) applies only these, and the prover proves a
+  /// cell whose mask fires none of them.
+  SysSet enabling() const;
 };
-
-/// A goal predicate plus an optional stable cache identity, an optional
-/// enabling-syscall declaration and an optional abstract fact. The
-/// predicate is what the search evaluates; the cache key is what the
-/// verdict cache (rosa/cache.h) fingerprints — two goals with the same key
-/// MUST accept exactly the same states and declare the same enabling set
-/// and the same fact, since the declarations decide which shortcut the
-/// search takes (and so the counters a cache entry stores) and which cells
-/// are proved instead of searched. Ad-hoc lambdas convert implicitly and
-/// carry neither a key nor a declaration, which makes their queries
-/// uncacheable, never probed and never proved; the builders in
-/// rosa/query.h all return keyed, declared goals.
-class Goal {
- public:
-  Goal() = default;
-  /// Keyed (cacheable) goal. The key must determine the predicate, the
-  /// enabling set and the fact.
-  Goal(std::function<bool(const State&)> fn, std::string key,
-       SysSet enabling = 0, GoalFact fact = {})
-      : fn_(std::move(fn)),
-        key_(std::move(key)),
-        enabling_(enabling),
-        fact_(std::move(fact)) {}
-  /// Unkeyed, undeclared goal from any predicate callable (uncacheable).
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Goal> &&
-                std::is_invocable_r_v<bool, F, const State&>>>
-  Goal(F fn) : fn_(std::move(fn)) {}
-
-  bool operator()(const State& st) const { return fn_(st); }
-  explicit operator bool() const { return static_cast<bool>(fn_); }
-
-  /// Stable identity for fingerprinting; empty = uncacheable.
-  const std::string& cache_key() const { return key_; }
-
-  /// The syscalls whose messages can turn this goal from false to true;
-  /// a message of any other syscall applied to a non-goal state never
-  /// yields a goal state. 0 = undeclared: the search's per-layer goal probe
-  /// (detail::search_fused) never probes the goal.
-  SysSet enabling() const { return enabling_; }
-
-  /// The abstract fact the may-reach prover checks (rosa/prove.h);
-  /// undeclared for lambdas.
-  const GoalFact& fact() const { return fact_; }
-
- private:
-  std::function<bool(const State&)> fn_;
-  std::string key_;
-  SysSet enabling_ = 0;
-  GoalFact fact_;
-};
+static_assert(std::is_trivially_copyable_v<Goal>);
 
 /// A search problem: initial configuration, one-shot messages, and the
 /// pattern (goal predicate) describing the compromised system state.
@@ -354,10 +315,10 @@ void expand_state(const State& cur, const Query& query,
 /// Per-layer goal probe: the FIFO is layered by depth (the number of
 /// consumed messages), and when a layer starts, the loop first applies to
 /// each of its nodes, in FIFO order, only the messages that can make a live
-/// owner's declared goal true (Goal::enabling). The first goal child a
-/// member meets there is the first its BFS would commit, so the member is
-/// decided Reachable on the spot with BFS's own witness, charged exactly
-/// what committing that child would charge. A member's layers and their
+/// owner's goal true (Goal::enabling). The first goal child a member meets
+/// there is the first its BFS would commit, so the member is decided
+/// Reachable on the spot with BFS's own witness, charged exactly what
+/// committing that child would charge. A member's layers and their
 /// order are the union's restricted to its states, so a fused member is
 /// decided at the same boundary as its lone run. The probe's children are
 /// kept and spliced into their parent's expansion when it is popped, so

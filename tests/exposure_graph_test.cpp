@@ -113,7 +113,7 @@ TEST(GraphTest, EdgeCountExceedsSearchTransitions) {
   // explore_graph records edges into already-seen states, so it sees at
   // least as many transitions as the deduplicating search.
   rosa::Query q = small_query();
-  q.goal = [](const rosa::State&) { return false; };
+  q.goal = rosa::goal_proc_terminated(2);  // proc 2 is absent: never holds
   rosa::SearchResult r = rosa::search(q);
   rosa::StateGraph g = rosa::explore_graph(q);
   EXPECT_GE(g.edges.size(), r.transitions());

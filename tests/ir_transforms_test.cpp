@@ -1,4 +1,4 @@
-// Tests for the PrivIR cleanup transformations and the dominator analysis.
+// Tests for the PrivIR cleanup transformations.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -6,7 +6,6 @@
 #include "autopriv/report.h"
 #include "chronopriv/instrument.h"
 #include "ir/builder.h"
-#include "ir/dominators.h"
 #include "ir/transforms.h"
 #include "ir/verifier.h"
 #include "programs/world.h"
@@ -180,67 +179,6 @@ TEST(SimplifyTest, CleansUpAfterAutoPrivStyleEdits) {
   TransformCounts c = simplify(m);
   EXPECT_GE(c.merged_blocks, 2);
   EXPECT_EQ(m.function("main").blocks().size(), 1u);
-}
-
-TEST(DominatorsTest, Diamond) {
-  Module m("t");
-  IRBuilder b(m);
-  b.begin_function("main", 1);
-  b.condbr(B::r(0), "left", "right");   // 0
-  b.at("left");
-  b.br("join");                          // 1
-  b.at("right");
-  b.br("join");                          // 2
-  b.at("join");
-  b.ret(B::i(0));                        // 3
-  b.end_function();
-
-  DominatorTree dt(m.function("main"));
-  EXPECT_EQ(dt.idom(0), -1);
-  EXPECT_EQ(dt.idom(1), 0);
-  EXPECT_EQ(dt.idom(2), 0);
-  EXPECT_EQ(dt.idom(3), 0);  // join's idom is the branch, not a side
-  EXPECT_TRUE(dt.dominates(0, 3));
-  EXPECT_FALSE(dt.dominates(1, 3));
-  EXPECT_TRUE(dt.dominates(3, 3));
-}
-
-TEST(DominatorsTest, LoopBackEdge) {
-  Module m("t");
-  IRBuilder b(m);
-  b.begin_function("main", 0);
-  b.br("head");          // 0
-  b.at("head");
-  int c = b.cmp_lt(B::i(0), B::i(1));
-  b.condbr(B::r(c), "body", "done");  // 1
-  b.at("body");
-  b.br("head");          // 2
-  b.at("done");
-  b.ret(B::i(0));        // 3
-  b.end_function();
-
-  DominatorTree dt(m.function("main"));
-  EXPECT_EQ(dt.idom(1), 0);
-  EXPECT_EQ(dt.idom(2), 1);
-  EXPECT_EQ(dt.idom(3), 1);
-  EXPECT_TRUE(dt.dominates(1, 2));
-  EXPECT_FALSE(dt.dominates(2, 1));
-}
-
-TEST(DominatorsTest, RPOCoversReachableOnly) {
-  Module m("t");
-  Function& f = m.add_function("main", 0);
-  f.add_block("entry");
-  f.block(0).instructions.push_back(
-      {.op = Opcode::Ret, .operands = {Operand::imm(0)}});
-  f.add_block("orphan");
-  f.block(1).instructions.push_back(
-      {.op = Opcode::Ret, .operands = {Operand::imm(0)}});
-  f.resolve_labels();
-
-  DominatorTree dt(f);
-  EXPECT_EQ(dt.reverse_post_order().size(), 1u);
-  EXPECT_EQ(dt.idom(1), -1);
 }
 
 TEST(SimplifyTest, TransformedProgramsStillMeasureTheSame) {

@@ -2,7 +2,8 @@
 // Table-II builtins at JobRequest defaults, the two refactored programs with
 // filters = report, and one failed job that carries a diagnostic, against
 // tests/golden/job_bodies.txt. Each body must also survive the Result
-// frame's PAD1 escaping unchanged (ResultMsg::to_frame -> from_frame).
+// frame's PAD1 escaping unchanged (ResultMsg::to_frame -> from_frame), and
+// a failed job's status line carries its Result frame's exit code.
 //
 // The golden holds one `=== <label>` line per job followed by its body.
 // Regenerate it only for a deliberate change of the body format, from
@@ -82,6 +83,22 @@ TEST(JobBodyGoldenTest, BodiesMatchTheGoldenByteForByte) {
     EXPECT_EQ(got[i].second.back(), '\n') << got[i].first;
     EXPECT_EQ(got[i].second, want[i].second) << got[i].first;
   }
+}
+
+// A job whose program faults mid-run (INT64_MIN / -1) fails inside the
+// pipeline rather than before it, and its body's status line carries the
+// exit code its Result frame does, as builtin:nosuch's does in the golden.
+TEST(JobBodyGoldenTest, AJobThatFaultsMidRunReportsItsFramesExitCode) {
+  JobRequest req;
+  req.kind = "pir";
+  req.source =
+      "; !name: overflow\nfunc @main(0) {\nentry:\n"
+      "  %0 = div -9223372036854775808, -1\n  ret %0\n}\n";
+  const JobOutcome out = run_job(req, nullptr, nullptr, 0);
+  EXPECT_EQ(out.state, JobState::Failed);
+  EXPECT_EQ(out.exit_code, privanalyzer::kExitAllFailed);
+  const std::string head = "program overflow\nstatus failed exit 1\n";
+  EXPECT_EQ(out.body.substr(0, head.size()), head) << out.body;
 }
 
 TEST(JobBodyGoldenTest, BodiesSurviveTheResultFrame) {

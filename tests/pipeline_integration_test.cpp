@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "ir/printer.h"
+#include "privanalyzer/loader.h"
 #include "privanalyzer/render.h"
 
 namespace pa::privanalyzer {
@@ -257,6 +259,28 @@ TEST(Pipeline, FilteredMatrixAddsNoUnionStatesOnRefactoredPrograms) {
     ASSERT_EQ(filtered.filtered_verdicts.size(), filtered.chrono.rows.size());
     EXPECT_EQ(union_states(filtered), c.filters_off_union_states);
   }
+}
+
+// `privanalyzer --print-ir` prints transformed_module, analyze_program's
+// stage 1, so under --simplify it shows the folded module ChronoPriv runs.
+TEST(Pipeline, TransformedModuleIsTheOneTheAnalysisRuns) {
+  const programs::ProgramSpec spec = load_program(
+      "; !name: fold\nfunc @main(0) {\nentry:\n  %0 = add 1, 2\n"
+      "  ret %0\n}\n",
+      "fold");
+  PipelineOptions opts;
+  opts.run_rosa = false;
+  EXPECT_NE(ir::print(transformed_module(spec, opts)).find("add 1, 2"),
+            std::string::npos);
+  opts.simplify_after_autopriv = true;
+  autopriv::StaticReport report;
+  const std::string simplified =
+      ir::print(transformed_module(spec, opts, &report));
+  EXPECT_NE(simplified.find("mov 3"), std::string::npos) << simplified;
+  EXPECT_EQ(simplified.find("add"), std::string::npos) << simplified;
+  const ProgramAnalysis a = analyze_program(spec, opts);
+  EXPECT_EQ(report.to_string(), a.autopriv_report.to_string());
+  EXPECT_EQ(a.exit_code, 3);
 }
 
 TEST(Pipeline, ChronoOnlySkipsRosa) {

@@ -102,12 +102,12 @@ std::vector<Action> witness_to(const Arena<SearchNode>& nodes,
   return witness;
 }
 
-}  // namespace
-
-SearchResult search(const Query& query, const SearchLimits& limits) {
+/// The search loop, for the first state `is_goal` accepts.
+template <typename IsGoal>
+SearchResult search_for(const Query& query, const SearchLimits& limits,
+                        const IsGoal& is_goal) {
   PA_CHECK(query.messages.size() <= 64,
            "ROSA tracks at most 64 one-shot messages");
-  PA_CHECK(static_cast<bool>(query.goal), "query has no goal predicate");
 
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0] {
@@ -168,7 +168,7 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
     result.stats.states = 1;
     result.stats.peak_frontier = 1;
     result.stats.peak_bytes = arena_bytes();
-    if (query.goal(root.state)) return finish(Verdict::Reachable, 0);
+    if (is_goal(root.state)) return finish(Verdict::Reachable, 0);
   }
 
   // Hoisted out of the pop loop: the checker never changes mid-search, and
@@ -233,7 +233,7 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
       result.stats.peak_bytes =
           std::max(result.stats.peak_bytes, arena_bytes());
 
-      if (query.goal(added.state))
+      if (is_goal(added.state))
         return finish(Verdict::Reachable, static_cast<std::int64_t>(ni));
 
       if (limits.max_states && result.stats.states >= limits.max_states)
@@ -246,6 +246,18 @@ SearchResult search(const Query& query, const SearchLimits& limits) {
     }
   }
   return finish(Verdict::Unreachable, -1);
+}
+
+}  // namespace
+
+SearchResult search(const Query& query, const SearchLimits& limits) {
+  PA_CHECK(static_cast<bool>(query.goal), "query has no goal predicate");
+  return search_for(query, limits, query.goal);
+}
+
+SearchResult search(const Query& query, const SearchLimits& limits,
+                    const std::function<bool(const State&)>& predicate) {
+  return search_for(query, limits, predicate);
 }
 
 }  // namespace pa::rosa::reference

@@ -7,6 +7,8 @@
 // it had one loop. Only tests link it.
 #pragma once
 
+#include <functional>
+
 #include "rosa/search.h"
 
 namespace pa::rosa::reference {
@@ -14,5 +16,11 @@ namespace pa::rosa::reference {
 /// Breadth-first search of one query, exactly as rosa::search ran it before
 /// the fused loop became the only one.
 SearchResult search(const Query& query, const SearchLimits& limits = {});
+
+/// The same search for the first state `predicate` accepts, in place of
+/// the query's goal: a pattern no goal kind names, such as "any state at
+/// depth d" (rosa_test::expect_decided_at_layer_boundary).
+SearchResult search(const Query& query, const SearchLimits& limits,
+                    const std::function<bool(const State&)>& predicate);
 
 }  // namespace pa::rosa::reference

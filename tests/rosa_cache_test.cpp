@@ -235,11 +235,6 @@ TEST(FingerprintTest, BudgetsDoNotAffectTheFingerprint) {
 }
 
 TEST(FingerprintTest, UncacheableQueries) {
-  // Ad-hoc lambda goals carry no cache key.
-  Query adhoc = reachable_query();
-  adhoc.goal = [](const State&) { return false; };
-  EXPECT_FALSE(fingerprint_query(adhoc, {}).has_value());
-
   // A hash override may perturb exploration order and counters.
   SearchLimits lim;
   lim.hash_override = [](const State&) { return std::uint64_t{0}; };
@@ -382,21 +377,84 @@ TEST(QueryCacheTest, ByteLimitedResourceLimitIsStoredUnderItsBudget) {
   EXPECT_EQ(fresh.verdict, Verdict::Unreachable);
 }
 
+/// Linux's decisions under Linux's cache key, so a query posed against it
+/// keeps its fingerprint, except that each decision first calls `raise`: a
+/// search calls it when it first applies a rule.
+class RaisingChecker final : public AccessChecker {
+ public:
+  explicit RaisingChecker(std::function<void()> raise)
+      : raise_(std::move(raise)) {}
+
+  bool file_access(const caps::Credentials& creds, caps::CapSet privs,
+                   const os::FileMeta& meta,
+                   os::AccessKind kind) const override {
+    return delegate().file_access(creds, privs, meta, kind);
+  }
+  bool dir_search(const caps::Credentials& creds, caps::CapSet privs,
+                  const os::FileMeta& dir) const override {
+    return delegate().dir_search(creds, privs, dir);
+  }
+  bool can_chmod(const caps::Credentials& creds, caps::CapSet privs,
+                 const os::FileMeta& meta) const override {
+    return delegate().can_chmod(creds, privs, meta);
+  }
+  bool can_chown(const caps::Credentials& creds, caps::CapSet privs,
+                 const os::FileMeta& meta, int owner,
+                 int group) const override {
+    return delegate().can_chown(creds, privs, meta, owner, group);
+  }
+  bool can_unlink(const caps::Credentials& creds, caps::CapSet privs,
+                  const os::FileMeta& dir,
+                  const os::FileMeta& victim) const override {
+    return delegate().can_unlink(creds, privs, dir, victim);
+  }
+  bool can_kill(const caps::Credentials& creds, caps::CapSet privs,
+                const caps::IdTriple& victim_uid) const override {
+    return delegate().can_kill(creds, privs, victim_uid);
+  }
+  bool can_bind(const caps::Credentials& creds, caps::CapSet privs,
+                int port) const override {
+    return delegate().can_bind(creds, privs, port);
+  }
+  bool can_raw_socket(const caps::Credentials& creds,
+                      caps::CapSet privs) const override {
+    return delegate().can_raw_socket(creds, privs);
+  }
+  bool setid_privileged(const caps::Credentials& creds, caps::CapSet privs,
+                        bool is_uid) const override {
+    return delegate().setid_privileged(creds, privs, is_uid);
+  }
+  bool path_lookup_allowed(const caps::Credentials& creds,
+                           caps::CapSet privs) const override {
+    return delegate().path_lookup_allowed(creds, privs);
+  }
+  std::string_view name() const override { return linux_checker().name(); }
+  std::string_view cache_key() const override {
+    return linux_checker().cache_key();
+  }
+
+ private:
+  const AccessChecker& delegate() const {
+    raise_();
+    return linux_checker();
+  }
+
+  std::function<void()> raise_;
+};
+
 TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
   // The stop condition rises while the search runs (a batch never starts a
-  // query whose limits have already expired): the goal raises it when it
-  // tests the root, so the search stops at its first frontier pop. Same
-  // predicate, same key: the query keeps reachable_query()'s fingerprint.
+  // query whose limits have already expired): the checker raises it when
+  // the root's expansion applies the first rule, so the search stops at its
+  // next frontier pop. The goal is never probed (no kill message), and the
+  // checker keeps unreachable_query()'s fingerprint.
   auto expect_not_stored = [](const SearchLimits& lim,
-                              const std::function<void()>& raise) {
+                              std::function<void()> raise) {
     QueryCache cache;
-    Query q = reachable_query();
-    q.goal = Goal(
-        [raise, goal = q.goal](const State& st) {
-          raise();
-          return goal(st);
-        },
-        q.goal.cache_key());
+    const RaisingChecker checker(std::move(raise));
+    Query q = unreachable_query();
+    q.checker = &checker;
+    ASSERT_EQ(hex_of(q), hex_of(unreachable_query()));
     SearchResult stopped = run_cached(cache, q, lim);
     EXPECT_EQ(stopped.verdict, Verdict::ResourceLimit);
     EXPECT_EQ(stopped.stats.cache_misses, 1u);
@@ -404,9 +462,9 @@ TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
     EXPECT_EQ(cache.totals().entries, 0u);
 
     SearchResult fresh =
-        run_cached(cache, reachable_query(), states_budget(10'000));
+        run_cached(cache, unreachable_query(), states_budget(10'000));
     EXPECT_EQ(fresh.stats.cache_misses, 1u);
-    EXPECT_EQ(fresh.verdict, Verdict::Reachable);
+    EXPECT_EQ(fresh.verdict, Verdict::Unreachable);
   };
 
   std::atomic<bool> stop{false};
@@ -416,7 +474,8 @@ TEST(QueryCacheTest, CancelledSearchesAreNeverStored) {
     SCOPED_TRACE("cancel flag");
     expect_not_stored(cancelled, [&stop] { stop = true; });
   }
-  // Far enough ahead that the batch starts the query; the goal waits it out.
+  // Far enough ahead that the batch starts the query; the checker waits it
+  // out.
   SearchLimits timed = states_budget(10'000);
   timed.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(100);

@@ -6,12 +6,10 @@
 //    declared set, every attacker model, an empty and a full privilege set
 //    and 500 seeded random non-goal states, no wildcard successor satisfies
 //    the goal;
-//  * the declarations themselves, and that undeclared (lambda) goals are
-//    never probed: their searches equal the probe-free reference loop
-//    (tests/reference_search.h) in every counter;
-//  * random worlds keep the reference's verdict and witness, and the
-//    motivating refactored-program cells decide at the first layer
-//    boundary;
+//  * the declarations themselves;
+//  * random worlds keep the probe-free reference loop's
+//    (tests/reference_search.h) verdict and witness, and the motivating
+//    refactored-program cells decide at the first layer boundary;
 //  * the deadline still stops a search whose probe walks huge layers.
 #include <gtest/gtest.h>
 
@@ -142,46 +140,6 @@ TEST(GoalProbeTest, BuildersDeclareExactlyTheirEnablingSyscalls) {
   EXPECT_EQ(goal_file_in_wrfset(1, 3).enabling(), sys_bit(Sys::Open));
   EXPECT_EQ(goal_privileged_port_bound(1).enabling(), sys_bit(Sys::Bind));
   EXPECT_EQ(goal_proc_terminated(2).enabling(), sys_bit(Sys::Kill));
-}
-
-TEST(GoalProbeTest, CombinatorsDeclareTheUnionOnlyWhenBothOperandsDeclare) {
-  const SysSet bind_kill = sys_bit(Sys::Bind) | sys_bit(Sys::Kill);
-  EXPECT_EQ(goal_and(goal_privileged_port_bound(1), goal_proc_terminated(2))
-                .enabling(),
-            bind_kill);
-  EXPECT_EQ(goal_or(goal_privileged_port_bound(1), goal_proc_terminated(2))
-                .enabling(),
-            bind_kill);
-  EXPECT_EQ(goal_and(goal_file_in_rdfset(1, 3), goal_file_in_wrfset(1, 3))
-                .enabling(),
-            sys_bit(Sys::Open));
-
-  const Goal lambda = [](const State&) { return false; };
-  EXPECT_EQ(lambda.enabling(), 0u);
-  EXPECT_EQ(goal_and(goal_file_in_rdfset(1, 3), lambda).enabling(), 0u);
-  EXPECT_EQ(goal_or(lambda, goal_proc_terminated(2)).enabling(), 0u);
-}
-
-// An undeclared goal is never probed: every Table-III query with its goal
-// wrapped in a lambda searches exactly as the probe-free reference does,
-// down to the byte counters.
-TEST(GoalProbeTest, LambdaGoalsAreNeverProbed) {
-  const rosa_test::Matrix m = rosa_test::build_matrix();
-  const SearchLimits limits = rosa_test::table3_limits();
-  std::size_t reachable = 0;
-  for (std::size_t i = 0; i < m.queries.size(); ++i) {
-    SCOPED_TRACE(m.labels[i]);
-    Query q = m.queries[i];
-    q.goal = [declared = q.goal](const State& st) { return declared(st); };
-    ASSERT_EQ(q.goal.enabling(), 0u);
-    const SearchResult got = search(q, limits);
-    const SearchResult ref = reference::search(q, limits);
-    rosa_test::expect_same_work(ref, got);
-    EXPECT_EQ(ref.stats.peak_bytes, got.stats.peak_bytes);
-    EXPECT_EQ(ref.stats.state_bytes, got.stats.state_bytes);
-    if (got.verdict == Verdict::Reachable) ++reachable;
-  }
-  EXPECT_GT(reachable, 0u);
 }
 
 // Seeded random worlds with a message of every enabling syscall: each

@@ -151,7 +151,8 @@ TEST(DegenerateHashTest, ConstantHashPreservesReachableVerdict) {
 
 TEST(DegenerateHashTest, ConstantHashPreservesExhaustiveSearch) {
   Query q = paper_example();
-  q.goal = [](const State&) { return false; };  // force full exploration
+  // Process 2 is absent and never created: force full exploration.
+  q.goal = goal_proc_terminated(2);
   SearchResult normal = search(q);
   ASSERT_EQ(normal.verdict, Verdict::Unreachable);
   EXPECT_GT(normal.stats.dedup_hits, 0u);  // commuting messages close diamonds

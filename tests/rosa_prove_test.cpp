@@ -17,8 +17,7 @@
 //  * the AccessChecker contract the prover's representatives rest on
 //    (rosa/checker.h): no in-tree checker reads uid.saved, gid.real or
 //    gid.saved;
-//  * an expired deadline proves nothing, and lambda goals are never
-//    proved.
+//  * an expired deadline proves nothing.
 // Cells the prover cannot prove are counted and printed, never failed.
 #include <gtest/gtest.h>
 
@@ -448,28 +447,16 @@ Query random_world(std::mt19937& rng) {
 }
 
 /// Every builder on the random world's objects (file 13 exists only once
-/// created), plus composites.
-std::vector<std::pair<std::string, Goal>> random_goals(std::mt19937& rng) {
-  std::vector<std::pair<std::string, Goal>> out;
+/// created).
+std::vector<Goal> world_goals() {
+  std::vector<Goal> out;
   for (int proc = 1; proc <= 3; ++proc) {
     for (int file = 10; file <= 13; ++file) {
-      out.emplace_back(str::cat("rdfset:", proc, ":", file),
-                       goal_file_in_rdfset(proc, file));
-      out.emplace_back(str::cat("wrfset:", proc, ":", file),
-                       goal_file_in_wrfset(proc, file));
+      out.push_back(goal_file_in_rdfset(proc, file));
+      out.push_back(goal_file_in_wrfset(proc, file));
     }
-    out.emplace_back(str::cat("privport:", proc),
-                     goal_privileged_port_bound(proc));
-    out.emplace_back(str::cat("terminated:", proc), goal_proc_terminated(proc));
-  }
-  const std::size_t atoms = out.size();
-  for (int k = 0; k < 2; ++k) {
-    const auto a = out[rng() % atoms];
-    const auto b = out[rng() % atoms];
-    out.emplace_back(str::cat("and(", a.first, ",", b.first, ")"),
-                     goal_and(a.second, b.second));
-    out.emplace_back(str::cat("or(", a.first, ",", b.first, ")"),
-                     goal_or(a.second, b.second));
+    out.push_back(goal_privileged_port_bound(proc));
+    out.push_back(goal_proc_terminated(proc));
   }
   return out;
 }
@@ -479,10 +466,10 @@ TEST(ProveTest, RandomWorldsProvedOnlyWhenUnreachable) {
   limits.max_states = 200'000;
   Tally tally;
   std::size_t limited = 0;
+  const std::vector<Goal> goals = world_goals();
   for (unsigned seed = 0; seed < 2'000; ++seed) {
     std::mt19937 rng(seed);
     const Query base = random_world(rng);
-    const auto goals = random_goals(rng);
     const std::uint64_t all =
         (std::uint64_t{1} << base.messages.size()) - 1;
     // Two masks per world, each shared by a random half of the goals, so
@@ -490,14 +477,13 @@ TEST(ProveTest, RandomWorldsProvedOnlyWhenUnreachable) {
     const std::uint64_t masks[] = {all, rng() & all};
     std::vector<Query> world;
     std::vector<std::string> labels;
-    for (const auto& [name, goal] : goals) {
-      if (world.size() == 64) break;
+    for (const Goal& goal : goals) {
       Query q = base;
       q.goal = goal;
       q.msg_mask = masks[rng() % 2];
       world.push_back(std::move(q));
-      labels.push_back(str::cat("seed ", seed, " goal ", name, " mask ",
-                                world.back().msg_mask, " model ",
+      labels.push_back(str::cat("seed ", seed, " goal ", goal.cache_key(),
+                                " mask ", world.back().msg_mask, " model ",
                                 attacker_model_name(base.attacker)));
     }
     const std::uint64_t proved = prove(world, {});
@@ -615,16 +601,6 @@ TEST(ProveTest, ProvedResultIsUnreachableWithOnlyTheProvedCounter) {
   sum.merge(r.stats);
   EXPECT_EQ(sum.proved, 2u);
   EXPECT_NE(sum.to_string().find("proved=2"), std::string::npos);
-}
-
-// Lambdas declare no fact and no enabling set, so they are never proved,
-// even when the declared goal they wrap is.
-TEST(ProveTest, LambdaGoalsAreNeverProved) {
-  std::vector<Query> world = ping_world();
-  ASSERT_EQ(prove(world, {}), 0xfu);
-  for (Query& q : world)
-    q.goal = [declared = q.goal](const State& st) { return declared(st); };
-  EXPECT_EQ(prove(world, {}), 0u);
 }
 
 }  // namespace

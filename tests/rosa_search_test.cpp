@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "attacks/attacks.h"
@@ -14,6 +15,10 @@ namespace {
 
 using caps::Capability;
 using caps::CapSet;
+
+/// A goal that never holds: process 2 is absent from every world here, and
+/// processes are never created.
+const Goal kNever = goal_proc_terminated(2);
 
 /// The exact configuration of Fig. 2: process 1 (uids 10/11/12), /etc dir,
 /// /etc/passwd with mode 000 owned by 40:41, one User object (uid 10), and
@@ -88,7 +93,7 @@ TEST(SearchTest, MessagesAreOneShot) {
 
 TEST(SearchTest, StateLimitYieldsResourceLimit) {
   Query q = paper_example();
-  q.goal = [](const State&) { return false; };  // unreachable by definition
+  q.goal = kNever;
   SearchLimits limits;
   limits.max_states = 3;
   SearchResult r = search(q, limits);
@@ -97,7 +102,7 @@ TEST(SearchTest, StateLimitYieldsResourceLimit) {
 
 TEST(SearchTest, TimeLimitYieldsResourceLimit) {
   Query q = paper_example();
-  q.goal = [](const State&) { return false; };
+  q.goal = kNever;
   SearchLimits limits;
   limits.max_states = 0;                   // unlimited states
   limits.deadline = deadline_after(1e-9);  // instantly passed
@@ -118,7 +123,7 @@ TEST(SearchTest, TimeLimitRespectedWithHugeFrontierAndTinyFanout) {
   // blow past its time budget unboundedly. The deadline check now runs on
   // every frontier pop.
   Query q = paper_example();
-  q.goal = [](const State&) { return false; };
+  q.goal = kNever;
   // Widen the wildcard pools massively: setuid/chown instantiate against
   // every user, creating a frontier of thousands of states where each state
   // has few remaining messages (small fanout per pop).
@@ -157,7 +162,7 @@ TEST(SearchTest, DedupCollapsesPermutations) {
   q.initial.set_groups({1000});
   q.initial.normalize();
   q.messages = {msg_open(1, 2, kAccRead, {}), msg_open(1, 3, kAccRead, {})};
-  q.goal = [](const State&) { return false; };
+  q.goal = kNever;
 
   SearchResult with_dedup = search(q);
   EXPECT_EQ(with_dedup.verdict, Verdict::Unreachable);
@@ -205,7 +210,7 @@ TEST(SearchTest, PeakBytesIsPopulatedAndPlausible) {
 
 TEST(SearchTest, ByteLimitYieldsResourceLimit) {
   Query q = paper_example();
-  q.goal = [](const State&) { return false; };
+  q.goal = kNever;
   SearchLimits limits;
   limits.max_bytes = 1;  // exhausted by the root node alone
   SearchResult r = search(q, limits);
@@ -217,7 +222,7 @@ TEST(SearchTest, ByteLimitIsDeterministic) {
   // Capacity-based accounting must make byte exhaustion reproducible: the
   // same query and limit always stop at the same state count.
   Query q = paper_example();
-  q.goal = [](const State&) { return false; };
+  q.goal = kNever;
   for (int u = 100; u < 130; ++u) q.initial.add_user(u);
   q.initial.normalize();
   SearchLimits limits;
@@ -253,7 +258,7 @@ TEST(SearchTest, IncrementalHashMatchesFullRehash) {
   // Also drive the rules that the paper example does not reach (creat,
   // link, rename, unlink, socket/bind, kill) under the cross-check.
   Query wide = paper_example();
-  wide.goal = [](const State&) { return false; };
+  wide.goal = kNever;
   wide.messages.push_back(msg_creat(1, kWild, 0644, {}));
   wide.messages.push_back(msg_link(1, kWild, kWild, {}));
   wide.messages.push_back(msg_rename(1, kWild, kWild, {}));
@@ -293,16 +298,46 @@ TEST(SearchTest, PoolScalingGrowsTheImpossibleSpace) {
   }
 }
 
-TEST(GoalTest, Combinators) {
-  State st;
+// Each kind, pinned: its cache key byte for byte (every fingerprint, and so
+// every verdict-cache file, hashes it), its enabling set, and its predicate
+// on a state where it holds and one where it does not.
+TEST(GoalTest, EachKindDerivesItsKeyEnablingSetAndPredicate) {
+  State holds;
   ProcObj p;
   p.id = 1;
   p.rdfset.insert(3);
-  st.procs.push_back(p);
-  auto yes = goal_file_in_rdfset(1, 3);
-  auto no = goal_file_in_wrfset(1, 3);
-  EXPECT_TRUE(goal_or(yes, no)(st));
-  EXPECT_FALSE(goal_and(yes, no)(st));
+  p.wrfset.insert(4);
+  p.running = false;
+  holds.procs.push_back(p);
+  holds.socks.push_back(SockObj{5, 1, 22});
+  State lacks;
+  ProcObj q;
+  q.id = 1;
+  q.rdfset.insert(4);
+  q.wrfset.insert(3);
+  lacks.procs.push_back(q);
+  lacks.socks.push_back(SockObj{5, 1, 8080});
+
+  struct Row {
+    Goal goal;
+    std::string key;
+    SysSet enabling;
+  };
+  const Row rows[] = {
+      {goal_file_in_rdfset(1, 3), "rdfset:1:3", sys_bit(Sys::Open)},
+      {goal_file_in_wrfset(1, 4), "wrfset:1:4", sys_bit(Sys::Open)},
+      {goal_privileged_port_bound(1), "privport:1", sys_bit(Sys::Bind)},
+      {goal_proc_terminated(1), "terminated:1", sys_bit(Sys::Kill)},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.key);
+    EXPECT_TRUE(static_cast<bool>(row.goal));
+    EXPECT_EQ(row.goal.cache_key(), row.key);
+    EXPECT_EQ(row.goal.enabling(), row.enabling);
+    EXPECT_TRUE(row.goal(holds));
+    EXPECT_FALSE(row.goal(lacks));
+  }
+  EXPECT_FALSE(static_cast<bool>(Goal{}));
 }
 
 TEST(GoalTest, PrivilegedPortGoal) {

@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -233,6 +234,15 @@ inline void expect_same_work(const rosa::SearchResult& a,
   expect_same_witness(a, b);
 }
 
+/// A probe-free search function: tests/reference_search.h's search.
+using ReferenceSearch = rosa::SearchResult (*)(const rosa::Query&,
+                                               const rosa::SearchLimits&);
+/// Its predicate overload, which searches for the first state a predicate
+/// accepts instead of the query's goal.
+using ReferencePredicateSearch = rosa::SearchResult (*)(
+    const rosa::Query&, const rosa::SearchLimits&,
+    const std::function<bool(const rosa::State&)>&);
+
 /// The goal-probe contract between the search loop, which probes each BFS
 /// layer for goal children (rosa::detail::search_fused), and the probe-free
 /// reference loop (tests/reference_search.h): `got` and `ref` are their
@@ -241,13 +251,13 @@ inline void expect_same_work(const rosa::SearchResult& a,
 /// must come back Reachable with the identical witness and no more states
 /// or transitions. A ResourceLimit reference may come back Reachable, since
 /// the probe decides at the layer boundary before the budget trips, and
-/// then only with the witness `reference` (the probe-free search function)
-/// finds without budgets, and again with no more work.
-template <typename Exact, typename Reference>
+/// then only with the witness `reference` finds without budgets, and again
+/// with no more work.
+template <typename Exact>
 void expect_probe_contract(const rosa::SearchResult& ref,
                            const rosa::SearchResult& got, const rosa::Query& q,
                            const rosa::SearchLimits& limits, Exact&& exact,
-                           Reference&& reference) {
+                           ReferenceSearch reference) {
   const bool limit_to_reachable =
       ref.verdict == rosa::Verdict::ResourceLimit &&
       got.verdict == rosa::Verdict::Reachable;
@@ -272,28 +282,22 @@ void expect_probe_contract(const rosa::SearchResult& ref,
 
 /// A probed goal is decided at the boundary of the layer its witness's last
 /// step leaves from: its states, transitions, dedup hits and peak frontier
-/// are those of `reference` (a probe-free search function) searching `q`
-/// under `limits` for any state one step deeper than that layer, which
-/// stops at the first such state it commits. Goals the probe cannot decide
-/// (undeclared, or decided at the root) are not checked.
-template <typename Reference>
-void expect_decided_at_layer_boundary(const rosa::Query& q,
-                                      const rosa::SearchLimits& limits,
-                                      const rosa::SearchResult& got,
-                                      Reference&& reference) {
-  if (got.verdict != rosa::Verdict::Reachable || got.witness.empty() ||
-      !q.goal.enabling())
-    return;
+/// are those of `reference` searching `q` under `limits` for any state one
+/// step deeper than that layer, which stops at the first such state it
+/// commits. Goals decided at the root are not checked.
+inline void expect_decided_at_layer_boundary(
+    const rosa::Query& q, const rosa::SearchLimits& limits,
+    const rosa::SearchResult& got, ReferencePredicateSearch reference) {
+  if (got.verdict != rosa::Verdict::Reachable || got.witness.empty()) return;
   const std::size_t depth = got.witness.size();
   const std::uint64_t all =
       q.messages.size() == 64 ? ~std::uint64_t{0}
                               : (std::uint64_t{1} << q.messages.size()) - 1;
-  rosa::Query deeper = q;
-  deeper.goal = [depth, all](const rosa::State& st) {
-    return static_cast<std::size_t>(
-               std::popcount(all & ~st.msgs_remaining())) >= depth;
-  };
-  const rosa::SearchResult boundary = reference(deeper, limits);
+  const rosa::SearchResult boundary =
+      reference(q, limits, [depth, all](const rosa::State& st) {
+        return static_cast<std::size_t>(
+                   std::popcount(all & ~st.msgs_remaining())) >= depth;
+      });
   ASSERT_EQ(boundary.verdict, rosa::Verdict::Reachable);
   EXPECT_EQ(got.stats.states, boundary.stats.states);
   EXPECT_EQ(got.stats.transitions, boundary.stats.transitions);

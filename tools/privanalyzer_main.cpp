@@ -24,7 +24,8 @@
 //     --attacker MODEL     full | cfi-ordered | fixed-args: the attacker of
 //                          every query, in the baseline and the filtered
 //                          matrix alike (default full, the paper's model)
-//     --print-ir           dump the transformed (post-AutoPriv) program
+//     --print-ir           dump the program ChronoPriv runs: AutoPriv's
+//                          output, simplified under --simplify
 //     --indirect-calls M   indirect-call resolution for AutoPriv (and
 //                          --lint): conservative (every address-taken
 //                          function, the paper's AutoPriv), refined
@@ -200,7 +201,7 @@ privanalyzer::ProgramAnalysis run_one(
   std::cout << analysis.autopriv_report.to_string() << "\n";
   if (print_ir)
     std::cout << "=== transformed IR ===\n"
-              << ir::print(privanalyzer::transformed_module(spec, opts.autopriv))
+              << ir::print(privanalyzer::transformed_module(spec, opts))
               << "\n";
   std::cout << analysis.chrono.to_string() << "\n";
   std::cout << chronopriv::render_exposure(analysis.chrono) << "\n";
